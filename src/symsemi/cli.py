@@ -75,22 +75,25 @@ def _symplectic_dict(verdict) -> dict:
             "detail": verdict.detail}
 
 
+def _symplectic_gate(loaded, spec: str, allow_degenerate: bool = False):
+    """The model's symplectic verdict; FormatError unless it passed or only
+    nondegeneracy failed and ``allow_degenerate`` waives that."""
+    verdict = loaded.symplectic_verdict()
+    if verdict.passed or (allow_degenerate and verdict.closed
+                          and verdict.degree_ok):
+        return verdict
+    extra = f": {verdict.detail}" if verdict.detail else ""
+    raise FormatError(f"symplectic check failed for {spec}{extra}")
+
+
 def cmd_compute(args) -> int:
     start = perf_counter()
     if args.p < 0:
         raise FormatError("--p must be >= 0")
     loaded = load_model(args.model)
-    verdict = loaded.symplectic_verdict()
-    warnings = []
-    if not verdict.passed:
-        degenerate_only = verdict.closed and verdict.degree_ok
-        if args.allow_degenerate and degenerate_only:
-            warnings.append("nondegeneracy waived by --allow-degenerate")
-        else:
-            extra = f": {verdict.detail}" if verdict.detail else ""
-            print(f"error: symplectic check failed for {args.model}{extra}",
-                  file=sys.stderr)
-            return USAGE
+    verdict = _symplectic_gate(loaded, args.model, args.allow_degenerate)
+    warnings = [] if verdict.passed else \
+        ["nondegeneracy waived by --allow-degenerate"]
     cn = cone(loaded.complex, loaded.omega_map, p=args.p)
     b = betti(cn)
     chi = euler_characteristic(b)
@@ -120,6 +123,7 @@ def cmd_verify(args) -> int:
     start = perf_counter()
     loaded = load_model(args.model)
     census = load_census(args.census)
+    _symplectic_gate(loaded, args.model)
     cn = cone(loaded.complex, loaded.omega_map)
     k = semi_characteristic(betti(cn))
     manifold_b = betti(loaded.complex)

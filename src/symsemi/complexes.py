@@ -158,7 +158,7 @@ def cone_adjoint(c: GradedComplex, w: OmegaMap, p: int = 0) -> list[SparseMat]:
     """Blockwise adjoints [[d^T, 0], [L^T, -d^T]] of the cone differentials.
 
     Bases are orthonormal, so each adjoint must equal the plain transpose of
-    the corresponding cone differential; that identity is asserted here.
+    the corresponding cone differential; a breach raises RuntimeError.
     """
     shift = 2 * p + 1
     cx = cone(c, w, p)
@@ -170,8 +170,9 @@ def cone_adjoint(c: GradedComplex, w: OmegaMap, p: int = 0) -> list[SparseMat]:
             [w.power_map(j, p + 1).transpose(), -c.d_map(j).transpose()],
         ]
         adj = SparseMat.block(blocks)
-        assert adj == cx.d_map(k).transpose(), \
-            f"blockwise adjoint disagrees with transpose at degree {k}"
+        if adj != cx.d_map(k).transpose():
+            raise RuntimeError(
+                f"blockwise adjoint disagrees with transpose at degree {k}")
         out.append(adj)
     return out
 

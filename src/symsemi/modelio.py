@@ -34,11 +34,14 @@ class FormatError(ValueError):
     """An input file does not match its schema."""
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true/false load as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value) -> Fraction:
     """Rational from a file token: int, "p", or "p/q" with q > 0."""
-    if isinstance(value, bool):
-        raise FormatError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if not isinstance(value, str):
         raise FormatError(f"expected a rational string, got {value!r}")
@@ -153,14 +156,14 @@ def _load_matrix_model(data: dict, source: str, name: str) -> LoadedModel:
     where = "matrix model"
     dims_json = _require(data, "dims", where)
     if (not isinstance(dims_json, list) or not dims_json
-            or not all(isinstance(v, int) and v >= 0 for v in dims_json)):
+            or not all(_is_int(v) and v >= 0 for v in dims_json)):
         raise FormatError(f"{where}: dims must be non-negative integers")
     dims = [int(v) for v in dims_json]
     top = len(dims) - 1
     md = _require(data, "manifold_dim", where)
-    if md != top:
+    if not _is_int(md) or md != top:
         raise FormatError(
-            f"{where}: manifold_dim {md} but dims has top degree {top}")
+            f"{where}: manifold_dim {md!r} != top degree {top} of dims")
     d_json = _require(data, "d", where)
     if not isinstance(d_json, list) or len(d_json) != top:
         raise FormatError(f"{where}: expected {top} differential matrices")
@@ -184,12 +187,12 @@ def _load_cdga_model(data: dict, source: str, name: str) -> LoadedModel:
     gens = []
     for g in gens_json:
         if (not isinstance(g, dict) or not isinstance(g.get("name"), str)
-                or not isinstance(g.get("degree"), int)):
+                or not _is_int(g.get("degree"))):
             raise FormatError(
                 f"{where}: each generator needs a name and an int degree")
         gens.append((g["name"], g["degree"]))
     md = _require(data, "manifold_dim", where)
-    if not isinstance(md, int) or md < 0:
+    if not _is_int(md) or md < 0:
         raise FormatError(f"{where}: manifold_dim must be a non-negative int")
     diff_json = data.get("differential") or {}
     if not isinstance(diff_json, dict):

@@ -1,9 +1,13 @@
 """Exact sparse linear algebra over arbitrary-precision rationals.
 
 Matrices store ``fractions.Fraction`` entries keyed by ``(row, col)``; zero
-entries are never stored.  Row reduction always picks the pivot in the
-leftmost nonzero column and, within it, the smallest row index, so reduced
-forms, ranks, kernel bases and determinants are reproducible bit for bit.
+entries are never stored.  One forward-elimination kernel serves every
+routine: it picks the pivot in the leftmost nonzero column and, within it,
+the smallest row index, scales the pivot row to a leading 1 and clears the
+rows below.  ``rank`` is its pivot count and ``det`` its signed pivot
+product; only ``rref`` (and so ``kernel_basis``, ``solve`` and ``inverse``)
+adds a back-substitution pass.  Reduced forms, ranks, kernel bases and
+determinants are therefore reproducible bit for bit.
 
 Instances are immutable after construction: builders accumulate a plain dict
 and hand it to the constructor.
@@ -207,11 +211,52 @@ class SparseMat:
 # -- elimination ---------------------------------------------------------
 
 
-def _row_dicts(m: SparseMat) -> list[dict[int, Fraction]]:
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
+def _subtract(tgt: dict[int, Fraction], f: Fraction,
+              lead: dict[int, Fraction]) -> None:
+    """tgt -= f * lead in place, dropping entries that cancel to zero."""
+    for j, v in lead.items():
+        s = tgt.get(j, 0) - f * v
+        if s:
+            tgt[j] = s
+        else:
+            del tgt[j]
+
+
+def _eliminate(m: SparseMat) -> tuple[list[dict[int, Fraction]], list[int],
+                                      Fraction]:
+    """Forward elimination to row echelon form with unit pivots.
+
+    Returns ``(rows, pivots, product)``: row r < len(pivots) has a leading 1
+    in column pivots[r] and zeros below it; ``product`` is the product of
+    the pivots before scaling, negated once per row swap, so it is the
+    determinant of a square matrix of full rank.
+    """
+    rows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
-    return rows
+    pivots: list[int] = []
+    product = Fraction(1)
+    for c in range(m.cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m.rows) if c in rows[i]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            product = -product
+        pval = rows[r][c]
+        product *= pval
+        if pval != 1:
+            inv = 1 / pval
+            rows[r] = {j: v * inv for j, v in rows[r].items()}
+        lead = rows[r]
+        # Rows r+1..piv have no entry in column c: piv was the first.
+        for i in range(piv + 1, m.rows):
+            f = rows[i].get(c)
+            if f:
+                _subtract(rows[i], f, lead)
+        pivots.append(c)
+    return rows, pivots, product
 
 
 def rref(m: SparseMat) -> tuple[SparseMat, int, list[int]]:
@@ -220,46 +265,20 @@ def rref(m: SparseMat) -> tuple[SparseMat, int, list[int]]:
     Returns ``(reduced, rank, pivot_columns)``.  Pivot rule: leftmost
     nonzero column, then smallest row index, so the output is canonical.
     """
-    rows = _row_dicts(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        piv = None
-        for i in range(r, m.rows):
-            if rows[i].get(c):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        if inv != 1:
-            rows[r] = {j: v * inv for j, v in rows[r].items()}
-        rows[r][c] = Fraction(1)
-        lead = rows[r]
-        for i in range(m.rows):
-            if i == r:
-                continue
+    rows, pivots, _ = _eliminate(m)
+    for r in range(len(pivots) - 1, 0, -1):
+        c, lead = pivots[r], rows[r]
+        for i in range(r):
             f = rows[i].get(c)
-            if not f:
-                continue
-            tgt = rows[i]
-            for j, v in lead.items():
-                s = tgt.get(j, 0) - f * v
-                if s:
-                    tgt[j] = s
-                else:
-                    tgt.pop(j, None)
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
+            if f:
+                _subtract(rows[i], f, lead)
     entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
     return SparseMat(m.rows, m.cols, entries), len(pivots), pivots
 
 
 def rank(m: SparseMat) -> int:
-    return rref(m)[1]
+    """Rank: the number of pivots of forward elimination."""
+    return len(_eliminate(m)[1])
 
 
 def kernel_basis(m: SparseMat) -> SparseMat:
@@ -269,7 +288,8 @@ def kernel_basis(m: SparseMat) -> SparseMat:
     minus the reduced entries in the pivot slots.  Shape is cols x nullity.
     """
     reduced, rk, pivots = rref(m)
-    free = [j for j in range(m.cols) if j not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [j for j in range(m.cols) if j not in pivot_set]
     entries: dict[tuple[int, int], Fraction] = {}
     for idx, f in enumerate(free):
         entries[(f, idx)] = Fraction(1)
@@ -313,55 +333,24 @@ def inverse(m: SparseMat) -> SparseMat:
 
 
 def det(m: SparseMat) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant: the signed pivot product of forward elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    rows = _row_dicts(m)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i].get(c):
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        pval = rows[c][c]
-        result *= pval
-        lead = rows[c]
-        for i in range(c + 1, n):
-            f = rows[i].get(c)
-            if not f:
-                continue
-            f = f / pval
-            tgt = rows[i]
-            for j, v in lead.items():
-                if j <= c:
-                    tgt.pop(j, None)
-                    continue
-                s = tgt.get(j, 0) - f * v
-                if s:
-                    tgt[j] = s
-                else:
-                    tgt.pop(j, None)
-    return sign * result
+    _, pivots, product = _eliminate(m)
+    return product if len(pivots) == m.rows else Fraction(0)
 
 
 def skew_kernel_parity(m: SparseMat) -> tuple[int, int]:
     """Kernel dimension of a skew-symmetric matrix and its parity.
 
     Returns ``(ker_dim, ker_dim % 2)``.  Since rational skew matrices have
-    even rank, ker_dim is congruent to the size mod 2; that congruence is
-    asserted after the rank computation.  Raises NotSkewSymmetric for
-    non-skew input.
+    even rank, ker_dim is congruent to the size mod 2; a breach of that
+    congruence raises RuntimeError.  Raises NotSkewSymmetric for non-skew
+    input.
     """
     if not m.is_skew():
         raise NotSkewSymmetric(f"matrix is not skew-symmetric: {m!r}")
     ker = m.rows - rank(m)
-    assert ker % 2 == m.rows % 2, "skew matrix with odd rank"
+    if ker % 2 != m.rows % 2:
+        raise RuntimeError(f"skew matrix with odd rank: {m!r}")
     return ker, ker % 2

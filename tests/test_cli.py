@@ -88,6 +88,17 @@ def test_verify_failing_census(tmp_path, capsys):
     assert json.loads(out)["counting"]["status"] == "fail"
 
 
+def test_verify_degenerate_form_gate(tmp_path, capsys):
+    model = json.loads((SAMPLES / "t4_alt_form_cdga.json").read_text())
+    model["omega"] = [["1", ["e1", "e2"]]]
+    path = tmp_path / "t4_degenerate.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "verify", str(path), "--census",
+                         str(SAMPLES / "census_kt_nonvanishing.json"))
+    assert code == 2
+    assert "symplectic check failed" in err and out == ""
+
+
 def test_verify_not_applicable_warns_but_passes(capsys):
     code, out, err = run(capsys, "verify", "builtin:t2", "--census",
                          str(SAMPLES / "census_t2_four_zeros.json"),

@@ -106,6 +106,15 @@ def test_cone_adjoint_is_plain_transpose():
             assert adj == cn.d_map(k).transpose()
 
 
+def test_cone_adjoint_raises_on_transpose_mismatch(monkeypatch):
+    cx, wmap = builtin_inputs("cp2")
+    real = cone(cx, wmap)
+    flipped = GradedComplex(real.dims, [-m for m in real.d])
+    monkeypatch.setattr("symsemi.complexes.cone", lambda c, w, p=0: flipped)
+    with pytest.raises(RuntimeError, match="disagrees with transpose"):
+        cone_adjoint(cx, wmap)
+
+
 def test_harmonic_dimensions_equal_betti_on_builtins():
     for name in ("cp2", "s2xs2", "t2", "kodaira_thurston"):
         cx, wmap = builtin_inputs(name)

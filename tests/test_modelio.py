@@ -140,6 +140,19 @@ def test_model_file_format_errors(tmp_path):
         {"kind": "cdga", "manifold_dim": 4,
          "generators": [{"name": "e1", "degree": 1}],
          "omega": [["1", "e1"]]},
+        # JSON true and 2.0 are not integers.
+        {"kind": "matrix", "dims": [True, 0, True], "manifold_dim": 2,
+         "d": [[], [[]]], "omega": [[["1"]]]},
+        {"kind": "matrix", "dims": [1, 0, 1], "manifold_dim": 2.0,
+         "d": [[], [[]]], "omega": [[["1"]]]},
+        {"kind": "matrix", "dims": [1, 1], "manifold_dim": True,
+         "d": [[["0"]]], "omega": []},
+        {"kind": "cdga", "manifold_dim": 2,
+         "generators": [{"name": "e1", "degree": True},
+                        {"name": "e2", "degree": 1}],
+         "omega": [["1", ["e1", "e2"]]]},
+        {"kind": "cdga", "manifold_dim": True,
+         "generators": [{"name": "e1", "degree": 1}], "omega": []},
     ]
     for payload in cases:
         with pytest.raises(FormatError):

@@ -7,6 +7,9 @@ from random import Random
 
 import pytest
 
+from symsemi.complexes import cone
+from symsemi.models import (model_cone_inputs, random_closed_two_form,
+                            random_nilpotent_ce)
 from symsemi.qlinalg import (NotSkewSymmetric, SparseMat, det, inverse,
                              kernel_basis, rank, rref, skew_kernel_parity,
                              solve)
@@ -60,12 +63,31 @@ def test_rank_matches_bareiss_oracle_5x7():
         assert rank(m) == bareiss_rank(dense_from_sparse(m))
 
 
+def edge_shapes() -> list[SparseMat]:
+    """Empty, all-zero and singular matrices, square and not."""
+    singular = SparseMat.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    return [SparseMat(0, 0), SparseMat(0, 3), SparseMat(3, 0),
+            SparseMat(3, 3), SparseMat(2, 4), singular,
+            singular.transpose(), SparseMat.from_rows([[0, 1], [0, 0]])]
+
+
 def test_rank_matches_bareiss_oracle_other_shapes():
     rng = Random(1102)
-    for _ in range(40):
-        m = random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8),
-                          density=rng.choice([0.2, 0.5, 0.9]))
+    cases = [random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8),
+                           density=rng.choice([0.2, 0.5, 0.9]))
+             for _ in range(40)]
+    for m in cases + edge_shapes():
         assert rank(m) == bareiss_rank(dense_from_sparse(m))
+
+
+def test_rank_matches_bareiss_oracle_on_cone_differentials():
+    rng = Random(1103)
+    for _ in range(3):
+        model = random_nilpotent_ce(6, rng)
+        cx, wmap = model_cone_inputs(model, random_closed_two_form(model, rng))
+        for p in (0, 1):
+            for m in cone(cx, wmap, p).d:
+                assert rank(m) == bareiss_rank(dense_from_sparse(m))
 
 
 def test_rank_equals_transpose_rank_200_random():
@@ -146,10 +168,15 @@ def test_inverse_roundtrip():
 
 def test_det_matches_cofactor_oracle():
     rng = Random(59)
+    cases = []
     for _ in range(30):
         n = rng.randint(1, 4)
-        m = random_sparse(rng, n, n, density=0.8)
+        cases.append(random_sparse(rng, n, n, density=0.8))
+    squares = [m for m in edge_shapes() if m.rows == m.cols]
+    for m in cases + squares:
         assert det(m) == dense_det(dense_from_sparse(m))
+        assert (det(m) == 0) == (rank(m) < m.rows)
+    assert det(SparseMat(0, 0)) == 1 and rank(SparseMat(0, 0)) == 0
 
 
 def test_det_is_multiplicative():
@@ -181,6 +208,12 @@ def test_skew_parity_6x6_rank_four():
         if bareiss_rank(dense_from_sparse(s)) == 4:
             break
     assert skew_kernel_parity(s) == (2, 0)
+
+
+def test_skew_parity_raises_on_odd_rank(monkeypatch):
+    monkeypatch.setattr("symsemi.qlinalg.rank", lambda m: 1)
+    with pytest.raises(RuntimeError, match="odd rank"):
+        skew_kernel_parity(SparseMat.from_rows([[0, 1], [-1, 0]]))
 
 
 def test_skew_parity_rejects_non_skew():
