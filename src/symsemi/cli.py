@@ -6,7 +6,8 @@ model), ``verify`` (mod-2 zero counting against a census), ``clifford``
 spectrum scaling and eta scaling for a coefficient matrix), ``suite``
 (the ten builtin acceptance criteria).
 
-Exit codes: 0 success, 1 assertion or verdict failure, 2 invalid input.
+Exit codes: 0 success, 1 assertion, invariant or verdict failure (never a
+traceback), 2 invalid input.
 The arithmetic mode defaults to the SYMSEMI_MODE environment variable
 ("exact" unless set otherwise); ``--mode`` wins over the environment.
 """
@@ -263,6 +264,16 @@ def cmd_oscillator(args) -> int:
     return PASS if passed else FAIL
 
 
+def _coupling(text: str) -> Fraction:
+    """argparse type of --T: any Fraction literal, with a zero denominator
+    reported as a usage error like every other malformed value."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid coupling {text!r}") from None
+
+
 def cmd_suite(args) -> int:
     if args.list:
         for line in criteria_names():
@@ -319,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="model operator checks for a coefficient matrix")
     p.add_argument("--matrix", required=True,
                    help="text file with rows of rationals")
-    p.add_argument("--T", action="append", type=Fraction,
+    p.add_argument("--T", action="append", type=_coupling,
                    help="coupling (repeatable; default 1, 4, 16)")
     p.add_argument("--degree-cap", type=int, default=2,
                    help="polynomial degree window for the spectrum")
@@ -348,6 +359,9 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except RuntimeError as exc:
+        print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return FAIL
 
 
 if __name__ == "__main__":

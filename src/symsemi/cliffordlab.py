@@ -23,16 +23,21 @@ square root of A^t A), the operator reads
     L_hat = -laplacian + 2T (Sx).grad + T * L2,
     L2    = tr(S) + sum_j c(e_j) chat(A e_j),
 
-acting on (polynomials of bounded degree) tensor (forms).  All assembly is
-exact rational; "float" mode means irrational square roots are approximated
-numerically (entering the exact arithmetic as binary rationals) and
-comparisons carry tolerances instead of demanding exact equality.
+acting on (polynomials of bounded degree) tensor (forms).  T multiplies
+every term but the Laplacian, so a sector splits into two coupling-free
+parts, lap = -laplacian and flow = 2 (Sx).grad + L2, with
+L_hat = lap + T flow and L_hat / T = flow + lap / T; the spectrum scaling
+check assembles them once per coefficient matrix and only rescales lap for
+each coupling.  All assembly is exact rational; "float" mode means
+irrational square roots are approximated numerically (entering the exact
+arithmetic as binary rationals) and comparisons carry tolerances instead of
+demanding exact equality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -165,17 +170,9 @@ def clifford(v: Sequence, kind: str) -> ExtOp:
         if not coeff:
             continue
         for key, sgn in _wedge_entries(m, i).items():
-            s = entries.get(key, 0) + coeff * sgn
-            if s:
-                entries[key] = s
-            else:
-                entries.pop(key, None)
+            entries[key] = entries.get(key, 0) + coeff * sgn
         for key, sgn in _contract_entries(m, i).items():
-            s = entries.get(key, 0) + flip * coeff * sgn
-            if s:
-                entries[key] = s
-            else:
-                entries.pop(key, None)
+            entries[key] = entries.get(key, 0) + flip * coeff * sgn
     return ExtOp(m, SparseMat(1 << m, 1 << m, entries))
 
 
@@ -369,8 +366,16 @@ def _leading_minors_positive(s: SparseMat) -> bool:
     return True
 
 
+def _dense(mat: SparseMat) -> np.ndarray:
+    """Float copy of a sparse rational matrix, each entry rounded once."""
+    out = np.zeros(mat.shape)
+    for (r, c), v in mat.entries.items():
+        out[r, c] = float(v)
+    return out
+
+
 def _numeric_sqrt(gram: SparseMat) -> tuple[SparseMat, float]:
-    dense = np.array([[float(v) for v in row] for row in gram.to_rows()])
+    dense = _dense(gram)
     evals, evecs = np.linalg.eigh(dense)
     if evals.min() <= 0:
         raise Singular("A^t A not positive definite (A singular?)")
@@ -389,7 +394,9 @@ def _numeric_sqrt(gram: SparseMat) -> tuple[SparseMat, float]:
 @dataclass(frozen=True)
 class ModelOperator:
     """The finite model at one coupling T: coefficient matrix A, exact or
-    approximated square root S of A^t A, and the constant-form part L2."""
+    approximated square root S of A^t A, and the constant-form part L2.
+    No field but T depends on the coupling, so ``dataclasses.replace(op,
+    T=t)`` is the model at coupling t."""
 
     a: SparseMat
     sqrt_gram: SparseMat
@@ -507,45 +514,50 @@ def _linear_mult_terms(matrix_rows: list[list[Fraction]], i: int,
             yield tuple(out), coeff
 
 
-def sector_matrix_L(op: ModelOperator, cap: int) -> SparseMat:
-    """Conjugated model operator -laplacian + 2T (Sx).grad + T L2 on the
-    degree <= cap sector.  The polynomial filtration is preserved (entries
-    keep or lower the total degree), so no truncation error arises."""
-    sec = Sector(op.m, cap)
+def _sector_parts(op: ModelOperator, sec: Sector
+                  ) -> tuple[SparseMat, SparseMat]:
+    """The coupling-free parts (lap, flow) of the conjugated model operator
+    on ``sec``: lap = -laplacian lowers the total degree by exactly 2, and
+    flow = 2 (Sx).grad + L2 keeps it, so L_hat = lap + T flow."""
     n = 1 << op.m
     s_rows = op.sqrt_gram.to_rows()
-    entries: dict[tuple[int, int], Fraction] = {}
-
-    def add(row: int, col: int, val: Fraction):
-        cur = entries.get((row, col), 0) + val
-        if cur:
-            entries[(row, col)] = cur
-        else:
-            entries.pop((row, col), None)
-
-    two_t = 2 * op.T
+    lap: dict[tuple[int, int], Fraction] = {}
+    flow: dict[tuple[int, int], Fraction] = {}
     for mi, mono in enumerate(sec.monomials):
         base = mi << op.m
         for i in range(op.m):
             e = mono[i]
             if e >= 2:
+                # Each variable lowers mono to a different monomial, so
+                # every lap entry is written once.
                 low = list(mono)
                 low[i] -= 2
                 li = sec.mono_index[tuple(low)] << op.m
                 coeff = Fraction(-e * (e - 1))
                 for mask in range(n):
-                    add(li + mask, base + mask, coeff)
+                    lap[(li + mask, base + mask)] = coeff
             if e >= 1:
                 down = list(mono)
                 down[i] -= 1
                 for out_mono, c in _linear_mult_terms(s_rows, i, tuple(down)):
                     oi = sec.mono_index[out_mono] << op.m
-                    coeff = two_t * e * c
+                    coeff = 2 * e * c
                     for mask in range(n):
-                        add(oi + mask, base + mask, coeff)
+                        key = (oi + mask, base + mask)
+                        flow[key] = flow.get(key, 0) + coeff
         for (r, c), v in op.form_op.entries.items():
-            add(base + r, base + c, op.T * v)
-    return SparseMat(sec.size, sec.size, entries)
+            key = (base + r, base + c)
+            flow[key] = flow.get(key, 0) + v
+    return (SparseMat(sec.size, sec.size, lap),
+            SparseMat(sec.size, sec.size, flow))
+
+
+def sector_matrix_L(op: ModelOperator, cap: int) -> SparseMat:
+    """Conjugated model operator -laplacian + 2T (Sx).grad + T L2 on the
+    degree <= cap sector.  The polynomial filtration is preserved (entries
+    keep or lower the total degree), so no truncation error arises."""
+    lap, flow = _sector_parts(op, Sector(op.m, cap))
+    return lap + flow.scale(op.T)
 
 
 def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int) -> SparseMat:
@@ -573,11 +585,7 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int) -> SparseMat:
         row_base = sec_out.mono_index[out_mono] << op.m
         for (r, c), sgn in form_entries.items():
             key = (row_base + r, col_base + c)
-            cur = entries.get(key, 0) + form_sign * poly_coeff * sgn
-            if cur:
-                entries[key] = cur
-            else:
-                entries.pop(key, None)
+            entries[key] = entries.get(key, 0) + form_sign * poly_coeff * sgn
 
     for mi, mono in enumerate(sec_in.monomials):
         base = mi << op.m
@@ -707,10 +715,7 @@ def kernel_and_parity(op: ModelOperator, cap: int = 0,
                 f"kernel dimension {ker_dim} at cap {cap}, expected 1")
         comps = [(idx, float(v)) for (idx, _), v in ker.entries.items()]
     else:
-        dense = np.zeros((mat.rows, mat.cols))
-        for (r, c), v in mat.entries.items():
-            dense[r, c] = float(v)
-        _, svals, vt = np.linalg.svd(dense)
+        _, svals, vt = np.linalg.svd(_dense(mat))
         cut = tol * max(float(svals.max()), 1.0)
         ker_dim = int((svals < cut).sum())
         if ker_dim != 1:
@@ -755,26 +760,30 @@ def spectrum_scaling(a, Ts: Sequence, cap: int = 2, mode: str = "auto",
                      sqrt_gram: SparseMat | None = None) -> SpectrumVerdict:
     """Certify that spectrum(model operator)/T does not depend on T.
 
-    Exact mode: the scaled sector matrix is block upper-triangular for the
-    polynomial degree filtration (off-diagonal entries lower the degree by
-    exactly 2, from the Laplacian), so its spectrum is the union of the
-    diagonal blocks' spectra; those blocks are verified entrywise identical
-    across the given T values.  Float mode compares sorted numpy
-    eigenvalue lists pairwise at relative tolerance 1e-9.
+    The model and the coupling-free sector parts are assembled once, and the
+    scaled sector matrix for each T is L_hat / T = flow + lap / T.
+    Exact mode: that matrix is block upper-triangular for the polynomial
+    degree filtration (off-diagonal entries lower the degree by exactly 2,
+    from the Laplacian), so its spectrum is the union of the diagonal
+    blocks' spectra; those blocks are verified entrywise identical across
+    the given T values.  Float mode compares sorted numpy eigenvalue lists
+    pairwise at relative tolerance 1e-9.
     """
     ts = _validate_ts(Ts, 3)
     if cap < 2:
         raise ValueError("cap must be >= 2 for the scaling check")
-    ops = [model_L(a, t, mode, sqrt_gram) for t in ts]
-    actual_mode = ops[0].mode
-    sec = Sector(ops[0].m, cap)
-    mats = [sector_matrix_L(op, cap).scale(Fraction(1) / op.T) for op in ops]
+    op = model_L(a, ts[0], mode, sqrt_gram)
+    actual_mode = op.mode
+    sec = Sector(op.m, cap)
+    lap, flow = _sector_parts(op, sec)
+    mats = [flow + lap.scale(Fraction(1) / t) for t in ts]
 
     if actual_mode == "exact":
         structure_ok = True
         bad = ""
+        degree = [sec.degree_of(idx) for idx in range(sec.size)]
         for (r, c) in mats[0].entries:
-            dr, dc = sec.degree_of(r), sec.degree_of(c)
+            dr, dc = degree[r], degree[c]
             if dr != dc and dr != dc - 2:
                 structure_ok = False
                 bad = f"entry ({r},{c}) maps degree {dc} to {dr}"
@@ -782,7 +791,7 @@ def spectrum_scaling(a, Ts: Sequence, cap: int = 2, mode: str = "auto",
         diags = []
         for mat in mats:
             diag = {k: v for k, v in mat.entries.items()
-                    if sec.degree_of(k[0]) == sec.degree_of(k[1])}
+                    if degree[k[0]] == degree[k[1]]}
             diags.append(diag)
         blocks_match = all(d == diags[0] for d in diags[1:])
         spectrum = _block_spectrum(mats[0], sec)
@@ -792,13 +801,8 @@ def spectrum_scaling(a, Ts: Sequence, cap: int = 2, mode: str = "auto",
         dev = 0.0
     else:
         structure_ok = True
-        spectra = []
-        for mat in mats:
-            dense = np.zeros((sec.size, sec.size))
-            for (r, c), v in mat.entries.items():
-                dense[r, c] = float(v)
-            vals = np.linalg.eigvals(dense)
-            spectra.append(np.sort(vals.real))
+        spectra = [np.sort(np.linalg.eigvals(_dense(mat)).real)
+                   for mat in mats]
         dev = 0.0
         scale = max(1.0, float(np.abs(spectra[0]).max()))
         for other in spectra[1:]:
@@ -815,19 +819,23 @@ def spectrum_scaling(a, Ts: Sequence, cap: int = 2, mode: str = "auto",
 
 
 def _block_spectrum(mat: SparseMat, sec: Sector) -> tuple[float, ...]:
-    """Eigenvalues of the degree-diagonal blocks, numerically, sorted."""
-    by_degree: dict[int, list[int]] = {}
-    for idx in range(sec.size):
-        by_degree.setdefault(sec.degree_of(idx), []).append(idx)
+    """Eigenvalues of the degree-diagonal blocks, numerically, sorted.
+
+    Monomials are ordered by degree and the C(m + d, d) monomials of degree
+    <= d come first, so each degree's block is one contiguous index range.
+    One pass over the entries splits them by block; only one block at a
+    time is dense."""
+    ends = [math.comb(sec.m + deg, deg) << sec.m for deg in range(sec.cap + 1)]
+    starts = [0] + ends[:-1]
+    blocks: list[dict] = [{} for _ in ends]
+    for (r, c), v in mat.entries.items():
+        deg = sec.degree_of(r)
+        if sec.degree_of(c) == deg:
+            blocks[deg][(r - starts[deg], c - starts[deg])] = v
     out: list[float] = []
-    for deg, idxs in sorted(by_degree.items()):
-        pos = {g: i for i, g in enumerate(idxs)}
-        dense = np.zeros((len(idxs), len(idxs)))
-        for (r, c), v in mat.entries.items():
-            if r in pos and c in pos:
-                dense[pos[r], pos[c]] = float(v)
-        vals = np.linalg.eigvals(dense)
-        out.extend(float(x) for x in vals.real)
+    for lo, hi, entries in zip(starts, ends, blocks):
+        block = _dense(SparseMat(hi - lo, hi - lo, entries))
+        out.extend(float(x) for x in np.linalg.eigvals(block).real)
     out.sort()
     return tuple(out)
 
@@ -869,14 +877,11 @@ def eta_scaling(a, Ts: Sequence, mode: str = "auto", cap: int = 1,
     c1sq: list = []
     ortho_all = True
     vanished = False
-    actual_mode = "exact"
+    first = model_L(a, ts[0], mode, sqrt_gram)
+    actual_mode = first.mode
+    once = _eta_once_exact if actual_mode == "exact" else _eta_once_float
     for t in ts:
-        op = model_L(a, t, mode, sqrt_gram)
-        actual_mode = op.mode
-        if op.mode == "exact":
-            value, ortho, gone = _eta_once_exact(op, cap)
-        else:
-            value, ortho, gone = _eta_once_float(op, cap)
+        value, ortho, gone = once(replace(first, T=t), cap)
         c1sq.append(value)
         ortho_all = ortho_all and ortho
         vanished = vanished or gone
@@ -928,43 +933,18 @@ def _eta_once_exact(op: ModelOperator, cap: int):
 def _eta_once_float(op: ModelOperator, cap: int):
     """Numeric counterpart of _eta_once_exact (least-squares solve)."""
     n = 1 << op.m
-    size = Sector(op.m, cap).size
-    dense_form = np.zeros((n, n))
-    for (r, c), v in op.form_op.entries.items():
-        dense_form[r, c] = float(v)
-    _, svals, vt = np.linalg.svd(dense_form)
+    _, svals, vt = np.linalg.svd(_dense(op.form_op))
     if int((svals < 1e-9 * max(float(svals.max()), 1.0)).sum()) != 1:
         raise UnexpectedKernel("form-operator kernel is not 1-dimensional")
     delta = vt[-1]
-    skew = np.zeros((n, n))
-    for (r, c), v in omega_skew(op.m).mat.entries.items():
-        skew[r, c] = float(v)
-    source = skew @ delta
+    source = _dense(omega_skew(op.m).mat) @ delta
     if float(np.abs(source).max()) <= 1e-12:
         return 0.0, True, True
     ortho = abs(float(source @ delta)) <= 1e-9
-    dmat = np.zeros((size, n))
-    for (r, c), v in sector_matrix_D(op, 0, cap).entries.items():
-        dmat[r, c] = float(v)
-    rhs = dmat @ source
-    lmat = np.zeros((size, size))
-    for (r, c), v in sector_matrix_L(op, cap).entries.items():
-        lmat[r, c] = float(v)
-    y, *_ = np.linalg.lstsq(lmat, rhs, rcond=None)
-    cov = np.linalg.inv(2.0 * float(op.T) * np.array(
-        [[float(v) for v in row] for row in op.sqrt_gram.to_rows()]))
-    sec = Sector(op.m, cap)
-    k = len(sec.monomials)
-    cache: dict = {}
-    cov_fr = [[Fraction(x) for x in row] for row in cov]
-    gram = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            alpha = tuple(p + q for p, q in
-                          zip(sec.monomials[i], sec.monomials[j]))
-            gram[i, j] = float(gaussian_moment(cov_fr, alpha, cache))
-    big_gram = np.kron(gram, np.eye(n))
-    delta_hat = np.zeros(size)
+    rhs = _dense(sector_matrix_D(op, 0, cap)) @ source
+    y, *_ = np.linalg.lstsq(_dense(sector_matrix_L(op, cap)), rhs, rcond=None)
+    big_gram = np.kron(_dense(gaussian_gram(op, cap)), np.eye(n))
+    delta_hat = np.zeros(len(y))
     delta_hat[:n] = delta
     norm_ground = float(delta_hat @ big_gram @ delta_hat)
     proj = float(y @ big_gram @ delta_hat) / norm_ground

@@ -168,6 +168,35 @@ def test_oscillator_rejects_bad_matrices(tmp_path, capsys):
     assert run(capsys, "oscillator", "--matrix", str(wrong))[0] == 2
 
 
+def test_oscillator_coupling_arguments(capsys):
+    matrix = str(SAMPLES / "matrix_diag_1234.txt")
+    code, _, err = run(capsys, "oscillator", "--matrix", matrix,
+                       "--T", "1/0")
+    assert code == 2
+    assert "invalid coupling '1/0'" in err
+    assert "Traceback" not in err
+    assert run(capsys, "oscillator", "--matrix", matrix, "--T", "abc")[0] == 2
+    # Every literal Fraction takes stays accepted.
+    code, out, _ = run(capsys, "oscillator", "--matrix", matrix,
+                       "--T", "0.5", "--T", "1e3", "--T", "7/3",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["T"] == ["1/2", "1000", "7/3"]
+
+
+def test_internal_invariant_breach_exits_one(capsys, monkeypatch):
+    def broken_cone(*args, **kwargs):
+        raise RuntimeError("cone differential does not square to zero")
+
+    monkeypatch.setattr("symsemi.cli.cone", broken_cone)
+    code, out, err = run(capsys, "compute", "builtin:cp2")
+    assert code == 1
+    assert out == ""
+    assert err == ("internal invariant breach: cone differential does not "
+                   "square to zero\n")
+    assert "Traceback" not in err
+
+
 def test_mode_environment_variable(tmp_path, capsys, monkeypatch):
     shear = tmp_path / "shear.txt"
     shear.write_text("1 1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")

@@ -290,6 +290,27 @@ def test_eta_scaling_float_mode():
     assert abs(verdict.c1 - 0.35355339059327373) <= 1e-6
 
 
+def test_float_mode_matches_exact_mode_on_non_diagonal_gram():
+    # A^t A is not diagonal here, so float mode takes a numeric square root
+    # and its own correction solve; exact mode gets S supplied.
+    for sign in (1, -1):
+        a, s = random_model_matrix(4, Random(11), sign)
+        assert any(r != c for (r, c) in (a.transpose() @ a).entries)
+        exact = eta_scaling(a, (1, 4, 16), mode="exact", sqrt_gram=s)
+        approx = eta_scaling(a, (1, 4, 16), mode="float")
+        assert exact.passed and approx.passed and approx.mode == "float"
+        want = float(exact.c1_squared)
+        assert abs(approx.c1_squared - want) <= 1e-9 * want
+        exact = spectrum_scaling(a, (1, 10, 100), cap=2, mode="exact",
+                                 sqrt_gram=s)
+        approx = spectrum_scaling(a, (1, 10, 100), cap=2, mode="float")
+        assert exact.passed and approx.passed and approx.mode == "float"
+        scale = max(abs(x) for x in exact.spectrum)
+        assert len(approx.spectrum) == len(exact.spectrum)
+        assert max(abs(x - y) for x, y in
+                   zip(approx.spectrum, exact.spectrum)) <= 1e-9 * scale
+
+
 def test_eta_scaling_input_guards():
     with pytest.raises(TruncationTooSmall):
         eta_scaling(EYE4, (1, 4, 16), cap=0)
@@ -326,15 +347,17 @@ def test_sector_bases_are_prefix_compatible():
 def test_dirac_squares_to_laplacian():
     rng = Random(5)
     a, s = random_model_matrix(4, rng, -1)
-    op = model_L(a, 1, "exact", sqrt_gram=s)
-    comp = sector_matrix_D(op, 3, 4) @ sector_matrix_D(op, 2, 3)
-    lap = sector_matrix_L(op, 2)
     size = Sector(4, 2).size
-    # The composite never escapes the degree <= 2 block ...
-    assert all(r < size for (r, _) in comp.entries)
-    # ... and agrees with the second-order operator there, exactly.
-    sub = SparseMat(size, size, dict(comp.entries))
-    assert sub == lap
+    # At T = 1 a coupling factor on the wrong sector part goes unnoticed.
+    for t in (1, Fraction(7, 3), 10):
+        op = model_L(a, t, "exact", sqrt_gram=s)
+        comp = sector_matrix_D(op, 3, 4) @ sector_matrix_D(op, 2, 3)
+        lap = sector_matrix_L(op, 2)
+        # The composite never escapes the degree <= 2 block ...
+        assert all(r < size for (r, _) in comp.entries)
+        # ... and agrees with the second-order operator there, exactly.
+        sub = SparseMat(size, size, dict(comp.entries))
+        assert sub == lap
 
 
 def test_dirac_annihilates_ground_state():
