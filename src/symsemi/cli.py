@@ -7,7 +7,9 @@ spectrum scaling and eta scaling for a coefficient matrix), ``suite``
 (the ten builtin acceptance criteria).
 
 Exit codes: 0 success, 1 assertion, invariant or verdict failure (never a
-traceback), 2 invalid input.
+traceback), 2 invalid input.  Only the input-error classes in
+``_USAGE_ERRORS`` exit 2; any other ``ValueError`` or ``RuntimeError`` is a
+broken internal invariant and exits 1.
 The arithmetic mode defaults to the SYMSEMI_MODE environment variable
 ("exact" unless set otherwise); ``--mode`` wins over the environment.
 """
@@ -46,7 +48,7 @@ _USAGE_ERRORS = (FormatError, OSError, UnknownName, NotClosed,
                  JacobiViolation, ShapeMismatch, InvalidComplex,
                  ChainMapViolation, BadDimension, Singular, NoRationalRoot,
                  NotUnit, NotSkewSymmetric, OddDimension, MissingSigns,
-                 TruncationTooSmall, ValueError)
+                 TruncationTooSmall)
 
 
 def _resolve_mode(args) -> str:
@@ -225,6 +227,8 @@ def cmd_oscillator(args) -> int:
     mode = _resolve_mode(args)
     rows = load_matrix_rows(args.matrix)
     ts = tuple(args.T) if args.T else (Fraction(1), Fraction(4), Fraction(16))
+    if len(set(ts)) < 3:
+        raise FormatError("--T needs at least 3 distinct couplings")
     if args.degree_cap < 2:
         raise FormatError("--degree-cap must be >= 2 (spectrum window)")
     op = model_L(rows, ts[0], mode)
@@ -265,13 +269,18 @@ def cmd_oscillator(args) -> int:
 
 
 def _coupling(text: str) -> Fraction:
-    """argparse type of --T: any Fraction literal, with a zero denominator
-    reported as a usage error like every other malformed value."""
+    """argparse type of --T: a positive Fraction literal, with a zero
+    denominator reported as a usage error like every other malformed
+    value."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"invalid coupling {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid coupling {text!r}: must be positive")
+    return value
 
 
 def cmd_suite(args) -> int:
@@ -359,7 +368,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return FAIL
 

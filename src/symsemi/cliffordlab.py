@@ -15,6 +15,18 @@ of a covector v are
 (rightmost factor applied first), and omega refers to the standard 2-form
 e^1^e^2 + e^3^e^4 + ... in coordinate order (x1, y1, x2, y2, ...).
 
+Every one of these operators is monomial: it sends each basis form to
++-1 times one basis form, or kills it.  Internally such an operator is a
+pair of int tuples, a permutation of the masks and a sign per mask (0 for
+a killed form), so composing two is one gather over the 2^m masks.  The
+identity checks run on this representation, exactly in both modes:
+anticommutators compare two composites; omega wedge and contraction are
+sums of m/2 such terms; chat(v) for a general v is the sum of the
+v_i chat(e_i), so chat(v)^2 is a sum of m^2 composites, whose integer
+signs are summed per permutation before the rational weights v_i v_j
+enter.  The public builders return the same operators as
+``SparseMat`` matrices for the oscillator model and for callers.
+
 The oscillator model replaces the deformed de Rham operator on the manifold
 by polynomial coefficients times constant forms.  After conjugating away the
 Gaussian ground-state factor (weight exp(-T x^t S x) with S the positive
@@ -31,7 +43,8 @@ check assembles them once per coefficient matrix and only rescales lap for
 each coupling.  All assembly is exact rational; "float" mode means
 irrational square roots are approximated numerically (entering the exact
 arithmetic as binary rationals) and comparisons carry tolerances instead of
-demanding exact equality.
+demanding exact equality.  numpy is imported inside the functions that use
+it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -40,11 +53,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .qlinalg import SparseMat, det, inverse, kernel_basis, solve
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DimensionMismatch(ValueError):
@@ -99,6 +113,133 @@ def _check_dim(m: int, mode: str, multiple_of_four: bool = True):
 # -- exterior-algebra operators ------------------------------------------
 
 
+class _Mono(NamedTuple):
+    """Monomial operator on the exterior algebra of R^m: the basis form of
+    mask s goes to sign[s] times the basis form of mask perm[s].  perm is a
+    bijection of the 2^m masks; sign[s] = 0 marks a form the operator kills,
+    so wedges and contractions are monomials too (partial signed
+    permutations)."""
+
+    perm: tuple[int, ...]
+    sign: tuple[int, ...]
+
+
+def _generator(m: int, i: int, wedge: int, contract: int) -> _Mono:
+    """wedge * (e_i wedge) + contract * (e_i contract).  Both flip bit i and
+    carry (-1)^(number of set bits below i); the wedge acts where bit i is
+    clear, the contraction where it is set.  Every operator of this module
+    takes its signs from here."""
+    bit = 1 << i
+    below = bit - 1
+    masks = range(1 << m)
+    return _Mono(tuple(s ^ bit for s in masks),
+                 tuple((contract if s & bit else wedge)
+                       * (-1 if (s & below).bit_count() & 1 else 1)
+                       for s in masks))
+
+
+def _identity(m: int) -> _Mono:
+    return _Mono(tuple(range(1 << m)), (1,) * (1 << m))
+
+
+def _compose(a: _Mono, b: _Mono) -> _Mono:
+    """a after b, as one gather over the columns."""
+    return _Mono(tuple([a.perm[p] for p in b.perm]),
+                 tuple([a.sign[p] * x for p, x in zip(b.perm, b.sign)]))
+
+
+def _transpose(a: _Mono) -> _Mono:
+    perm = [0] * len(a.perm)
+    sign = [0] * len(a.perm)
+    for s, (p, x) in enumerate(zip(a.perm, a.sign)):
+        perm[p] = s
+        sign[p] = x
+    return _Mono(tuple(perm), tuple(sign))
+
+
+def _star(m: int) -> _Mono:
+    """The Hodge star of ``hodge_star``."""
+    full = (1 << m) - 1
+    perm, sign = [], []
+    for s in range(1 << m):
+        comp = full ^ s
+        inv = sum((comp & ((1 << i) - 1)).bit_count()
+                  for i in range(m) if s >> i & 1)
+        perm.append(comp)
+        sign.append(-1 if inv % 2 else 1)
+    return _Mono(tuple(perm), tuple(sign))
+
+
+def _dvol(m: int) -> _Mono:
+    """chat(e_1) ... chat(e_m), rightmost factor applied first."""
+    out = _identity(m)
+    for i in range(m):
+        out = _compose(out, _generator(m, i, 1, 1))
+    return out
+
+
+def _omega_terms(m: int) -> list[_Mono]:
+    """The m/2 terms (e_(2k) wedge)(e_(2k+1) wedge) of the standard 2-form."""
+    if m % 2:
+        raise BadDimension("the standard 2-form needs an even dimension")
+    return [_compose(_generator(m, i, 1, 0), _generator(m, i + 1, 1, 0))
+            for i in range(0, m, 2)]
+
+
+def _chat_square(vals: Sequence[Fraction]) -> list[tuple[Fraction, _Mono]]:
+    """chat(v)^2 = sum_ij v_i v_j chat(e_i) chat(e_j), one term per pair."""
+    m = len(vals)
+    gens = [_generator(m, i, 1, 1) for i in range(m)]
+    return [(vals[i] * vals[j], _compose(gens[i], gens[j]))
+            for i in range(m) for j in range(m) if vals[i] and vals[j]]
+
+
+def _to_sparse(m: int, terms) -> SparseMat:
+    """The sum of coeff * op over (coeff, op) in terms as a sparse matrix."""
+    entries: dict[tuple[int, int], Fraction] = {}
+    for coeff, op in terms:
+        for s, (r, x) in enumerate(zip(op.perm, op.sign)):
+            if x:
+                key = (r, s)
+                entries[key] = entries.get(key, 0) + coeff * x
+    return SparseMat(1 << m, 1 << m, entries)
+
+
+def _max_entry(terms) -> Fraction:
+    """Largest |entry| of the sum of coeff * op over (coeff, op) in terms,
+    exactly.  The coefficients are brought to one denominator, and terms
+    that share a permutation and a coefficient have their integer signs
+    summed before the one multiplication by that coefficient."""
+    terms = [(Fraction(c), op) for c, op in terms if c]
+    den = math.lcm(*(c.denominator for c, _ in terms))
+    signs: dict[tuple[int, ...], dict[int, list[int]]] = {}
+    for c, op in terms:
+        by_coeff = signs.setdefault(op.perm, {})
+        k = c.numerator * (den // c.denominator)
+        acc = by_coeff.get(k)
+        by_coeff[k] = list(op.sign) if acc is None else \
+            [a + x for a, x in zip(acc, op.sign)]
+    totals = {}
+    for perm, by_coeff in signs.items():
+        total = [0] * len(perm)
+        for k, acc in by_coeff.items():
+            if any(acc):
+                total = [t + k * a for t, a in zip(total, acc)]
+        if any(total):
+            totals[perm] = total
+    if len(totals) > 1:
+        # Different permutations can still meet in single entries.
+        entries: dict[tuple[int, int], int] = {}
+        for perm, total in totals.items():
+            for s, (r, x) in enumerate(zip(perm, total)):
+                if x:
+                    entries[(r, s)] = entries.get((r, s), 0) + x
+        values = entries.values()
+    else:
+        values = [x for total in totals.values() for x in total]
+    return Fraction(max(map(abs, values), default=0), den)
+
+
 @dataclass(frozen=True)
 class ExtOp:
     """Linear operator on the exterior algebra of R^m (2^m x 2^m matrix)."""
@@ -111,50 +252,6 @@ class ExtOp:
             raise DimensionMismatch("operators on different algebras")
         return ExtOp(self.m, self.mat @ other.mat)
 
-    def __add__(self, other: "ExtOp") -> "ExtOp":
-        if other.m != self.m:
-            raise DimensionMismatch("operators on different algebras")
-        return ExtOp(self.m, self.mat + other.mat)
-
-    def __sub__(self, other: "ExtOp") -> "ExtOp":
-        return self + (-other)
-
-    def __neg__(self) -> "ExtOp":
-        return ExtOp(self.m, -self.mat)
-
-    def scale(self, factor) -> "ExtOp":
-        return ExtOp(self.m, self.mat.scale(factor))
-
-    def transpose(self) -> "ExtOp":
-        return ExtOp(self.m, self.mat.transpose())
-
-
-def _sign_below(mask: int, i: int) -> int:
-    return -1 if bin(mask & ((1 << i) - 1)).count("1") % 2 else 1
-
-
-def _wedge_entries(m: int, i: int) -> dict:
-    bit = 1 << i
-    return {(s | bit, s): Fraction(_sign_below(s, i))
-            for s in range(1 << m) if not s & bit}
-
-
-def _contract_entries(m: int, i: int) -> dict:
-    bit = 1 << i
-    return {(s & ~bit, s): Fraction(_sign_below(s, i))
-            for s in range(1 << m) if s & bit}
-
-
-def wedge_op(m: int, i: int) -> ExtOp:
-    """Left wedge by the i-th basis covector (0-based)."""
-    return ExtOp(m, SparseMat(1 << m, 1 << m, _wedge_entries(m, i)))
-
-
-def contract_op(m: int, i: int) -> ExtOp:
-    """Interior product by the i-th basis vector (0-based)."""
-    return ExtOp(m, SparseMat(1 << m, 1 << m, _contract_entries(m, i)))
-
-
 def clifford(v: Sequence, kind: str) -> ExtOp:
     """Clifford action of a covector: kind 'chat' = wedge + contraction,
     kind 'c' = wedge - contraction."""
@@ -163,17 +260,9 @@ def clifford(v: Sequence, kind: str) -> ExtOp:
     m = len(v)
     if m < 1:
         raise DimensionMismatch("empty vector")
-    vals = [Fraction(x) for x in v]
-    entries: dict[tuple[int, int], Fraction] = {}
     flip = 1 if kind == "chat" else -1
-    for i, coeff in enumerate(vals):
-        if not coeff:
-            continue
-        for key, sgn in _wedge_entries(m, i).items():
-            entries[key] = entries.get(key, 0) + coeff * sgn
-        for key, sgn in _contract_entries(m, i).items():
-            entries[key] = entries.get(key, 0) + flip * coeff * sgn
-    return ExtOp(m, SparseMat(1 << m, 1 << m, entries))
+    return ExtOp(m, _to_sparse(m, [(Fraction(x), _generator(m, i, 1, flip))
+                                   for i, x in enumerate(v) if x]))
 
 
 def hodge_star(m: int) -> ExtOp:
@@ -181,47 +270,27 @@ def hodge_star(m: int) -> ExtOp:
     concatenation [S ascending, S^c ascending] against 0..m-1."""
     if m < 1:
         raise BadDimension("dimension must be positive")
-    entries = {}
-    full = (1 << m) - 1
-    for s in range(1 << m):
-        comp = full & ~s
-        inv = 0
-        for i in range(m):
-            if s & (1 << i):
-                inv += bin(comp & ((1 << i) - 1)).count("1")
-        sign = -1 if inv % 2 else 1
-        entries[(comp, s)] = Fraction(sign)
-    return ExtOp(m, SparseMat(1 << m, 1 << m, entries))
+    return ExtOp(m, _to_sparse(m, [(1, _star(m))]))
 
 
 def dvol_action(m: int) -> ExtOp:
     """chat of the volume form: chat(e_1) ... chat(e_m), rightmost first."""
     if m % 4:
         raise BadDimension("volume-operator identities need m = 4n")
-    out = ExtOp(m, SparseMat.identity(1 << m))
-    for i in range(m):
-        out = out @ clifford([1 if j == i else 0 for j in range(m)], "chat")
-    return out
+    return ExtOp(m, _to_sparse(m, [(1, _dvol(m))]))
 
 
 def omega_wedge(m: int) -> ExtOp:
     """Wedge by the standard 2-form, pairing coordinates (0,1), (2,3), ..."""
-    if m % 2:
-        raise BadDimension("the standard 2-form needs an even dimension")
-    out = SparseMat.zeros(1 << m, 1 << m)
-    for i in range(0, m, 2):
-        out = out + (wedge_op(m, i) @ wedge_op(m, i + 1)).mat
-    return ExtOp(m, out)
-
-
-def omega_contract(m: int) -> ExtOp:
-    """Contraction by the standard 2-form; the transpose of omega_wedge."""
-    return omega_wedge(m).transpose()
+    return ExtOp(m, _to_sparse(m, [(1, w) for w in _omega_terms(m)]))
 
 
 def omega_skew(m: int) -> ExtOp:
     """Skew part (contraction - wedge)/2 of the standard 2-form action."""
-    return (omega_contract(m) - omega_wedge(m)).scale(Fraction(1, 2))
+    half = Fraction(1, 2)
+    return ExtOp(m, _to_sparse(m, [
+        term for w in _omega_terms(m)
+        for term in ((half, _transpose(w)), (-half, w))]))
 
 
 # -- identity verdicts ---------------------------------------------------
@@ -237,16 +306,14 @@ class IdentityVerdict:
     detail: str = ""
 
 
-def _residual(mat: SparseMat) -> float:
-    return max((abs(float(v)) for v in mat.entries.values()), default=0.0)
-
-
 def _verdict(name: str, m: int, mode: str, tol: float,
-             diffs: list[tuple[str, SparseMat]]) -> IdentityVerdict:
+             residuals: Iterable[tuple[str, Fraction]]) -> IdentityVerdict:
+    """Verdict from (label, largest |entry| of that identity's difference)
+    pairs; the culprit is the first label with the largest residual."""
     worst = 0.0
     culprit = ""
-    for label, mat in diffs:
-        r = _residual(mat)
+    for label, residual in residuals:
+        r = float(residual)
         if r > worst:
             worst, culprit = r, label
     ok = (worst == 0.0) if mode == "exact" else (worst <= tol)
@@ -260,24 +327,28 @@ def verify_car(m: int, mode: str = "exact",
     {chat_i, chat_j} = 2 delta_ij, {c_i, c_j} = -2 delta_ij, mixed pairs
     anticommute to zero."""
     _check_dim(m, mode, multiple_of_four=False)
-    eye = SparseMat.identity(1 << m)
-    basis = [[1 if j == i else 0 for j in range(m)] for i in range(m)]
-    chat = [clifford(v, "chat").mat for v in basis]
-    cc = [clifford(v, "c").mat for v in basis]
-    diffs = []
-    for i in range(m):
-        for j in range(i, m):
-            delta = eye if i == j else SparseMat.zeros(1 << m, 1 << m)
-            diffs.append((f"chat anticommutator ({i},{j})",
-                          chat[i] @ chat[j] + chat[j] @ chat[i]
-                          - delta.scale(2)))
-            diffs.append((f"c anticommutator ({i},{j})",
-                          cc[i] @ cc[j] + cc[j] @ cc[i] + delta.scale(2)))
-    for i in range(m):
-        for j in range(m):
-            diffs.append((f"mixed anticommutator ({i},{j})",
-                          cc[i] @ chat[j] + chat[j] @ cc[i]))
-    return _verdict("car", m, mode, tol, diffs)
+    one = _identity(m)
+    chat = [_generator(m, i, 1, 1) for i in range(m)]
+    cc = [_generator(m, i, 1, -1) for i in range(m)]
+
+    def anticommutator(a: _Mono, b: _Mono, want: int) -> Fraction:
+        return _max_entry([(1, _compose(a, b)), (1, _compose(b, a)),
+                           (-want, one)])
+
+    def residuals():
+        for i in range(m):
+            for j in range(i, m):
+                delta = 2 if i == j else 0
+                yield (f"chat anticommutator ({i},{j})",
+                       anticommutator(chat[i], chat[j], delta))
+                yield (f"c anticommutator ({i},{j})",
+                       anticommutator(cc[i], cc[j], -delta))
+        for i in range(m):
+            for j in range(m):
+                yield (f"mixed anticommutator ({i},{j})",
+                       anticommutator(cc[i], chat[j], 0))
+
+    return _verdict("car", m, mode, tol, residuals())
 
 
 def verify_volume_star(m: int, mode: str = "exact",
@@ -285,17 +356,16 @@ def verify_volume_star(m: int, mode: str = "exact",
     """chat(dvol) acts on k-forms as (-1)^(k(k+1)/2) star, and is its own
     transpose."""
     _check_dim(m, mode)
-    vol = dvol_action(m)
-    star = hodge_star(m)
-    signed = {}
-    for (r, c), v in star.mat.entries.items():
-        k = bin(c).count("1")
-        sign = -1 if (k * (k + 1) // 2) % 2 else 1
-        signed[(r, c)] = sign * v
-    expected = SparseMat(1 << m, 1 << m, signed)
-    diffs = [("chat(dvol) vs signed star", vol.mat - expected),
-             ("chat(dvol) symmetry", vol.mat - vol.mat.transpose())]
-    return _verdict("star", m, mode, tol, diffs)
+    vol = _dvol(m)
+    star = _star(m)
+    # (-1)^(k(k+1)/2) is -1 exactly when the degree k is 1 or 2 mod 4.
+    signed = _Mono(star.perm, tuple(-x if s.bit_count() % 4 in (1, 2) else x
+                                    for s, x in enumerate(star.sign)))
+    residuals = [("chat(dvol) vs signed star",
+                  _max_entry([(1, vol), (-1, signed)])),
+                 ("chat(dvol) symmetry",
+                  _max_entry([(1, vol), (-1, _transpose(vol))]))]
+    return _verdict("star", m, mode, tol, residuals)
 
 
 def verify_volume_omega(m: int, mode: str = "exact",
@@ -303,16 +373,20 @@ def verify_volume_omega(m: int, mode: str = "exact",
     """chat(dvol) intertwines contraction and wedge by the standard 2-form:
     chat(dvol) (omega contract) = - (omega wedge) chat(dvol)."""
     _check_dim(m, mode)
-    vol = dvol_action(m)
-    lhs = vol @ omega_contract(m)
-    rhs = -(omega_wedge(m) @ vol)
-    return _verdict("omega", m, mode, tol, [("intertwining", lhs.mat - rhs.mat)])
+    vol = _dvol(m)
+    terms = []
+    for w in _omega_terms(m):
+        terms += [(1, _compose(vol, _transpose(w))), (1, _compose(w, vol))]
+    return _verdict("omega", m, mode, tol,
+                    [("intertwining", _max_entry(terms))])
 
 
 def verify_complex_structure(v: Sequence, mode: str = "exact",
                              tol: float = 1e-9) -> IdentityVerdict:
-    """The block operator [[0, -chat(v)], [chat(v), 0]] squares to -1 for a
-    unit vector v (an almost-complex structure on the doubled space)."""
+    """The block operator J = [[0, -chat(v)], [chat(v), 0]] squares to -1
+    for a unit vector v (an almost-complex structure on the doubled space).
+    J^2 = diag(-chat(v)^2, -chat(v)^2), so J^2 + 1 is checked through
+    1 - chat(v)^2."""
     m = len(v)
     _check_dim(m, mode, multiple_of_four=False)
     vals = [Fraction(x) for x in v]
@@ -322,12 +396,9 @@ def verify_complex_structure(v: Sequence, mode: str = "exact",
             raise NotUnit(f"|v|^2 = {norm2} != 1")
     elif abs(float(norm2) - 1.0) > tol:
         raise NotUnit(f"|v|^2 = {float(norm2)} != 1")
-    ch = clifford(vals, "chat").mat
-    n = 1 << m
-    z = SparseMat.zeros(n, n)
-    j = SparseMat.block([[z, -ch], [ch, z]])
-    diffs = [("J^2 + 1", j @ j + SparseMat.identity(2 * n))]
-    return _verdict("complex-structure", m, mode, tol, diffs)
+    terms = [(1, _identity(m))] + [(-c, op) for c, op in _chat_square(vals)]
+    return _verdict("complex-structure", m, mode, tol,
+                    [("J^2 + 1", _max_entry(terms))])
 
 
 # -- the finite oscillator model -----------------------------------------
@@ -368,6 +439,8 @@ def _leading_minors_positive(s: SparseMat) -> bool:
 
 def _dense(mat: SparseMat) -> np.ndarray:
     """Float copy of a sparse rational matrix, each entry rounded once."""
+    import numpy as np
+
     out = np.zeros(mat.shape)
     for (r, c), v in mat.entries.items():
         out[r, c] = float(v)
@@ -375,6 +448,8 @@ def _dense(mat: SparseMat) -> np.ndarray:
 
 
 def _numeric_sqrt(gram: SparseMat) -> tuple[SparseMat, float]:
+    import numpy as np
+
     dense = _dense(gram)
     evals, evecs = np.linalg.eigh(dense)
     if evals.min() <= 0:
@@ -571,40 +646,35 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int) -> SparseMat:
     sec_out = Sector(op.m, cap_out)
     s_rows = op.sqrt_gram.to_rows()
     a_rows = op.a.to_rows()
-    wedges = [_wedge_entries(op.m, i) for i in range(op.m)]
-    contracts = [_contract_entries(op.m, i) for i in range(op.m)]
+    cs = [_generator(op.m, i, 1, -1) for i in range(op.m)]
+    chats = [_generator(op.m, i, 1, 1) for i in range(op.m)]
     entries: dict[tuple[int, int], Fraction] = {}
 
     def add_block(out_mono: tuple[int, ...], col_base: int,
-                  poly_coeff: Fraction, form_entries: dict, form_sign: int):
+                  poly_coeff: Fraction, form: _Mono):
         if not poly_coeff:
             return
         if out_mono not in sec_out.mono_index:
             raise TruncationTooSmall(
                 f"output degree {sum(out_mono)} exceeds cap {sec_out.cap}")
         row_base = sec_out.mono_index[out_mono] << op.m
-        for (r, c), sgn in form_entries.items():
+        for c, (r, sgn) in enumerate(zip(form.perm, form.sign)):
             key = (row_base + r, col_base + c)
-            entries[key] = entries.get(key, 0) + form_sign * poly_coeff * sgn
+            entries[key] = entries.get(key, 0) + poly_coeff * sgn
 
     for mi, mono in enumerate(sec_in.monomials):
         base = mi << op.m
         for i in range(op.m):
-            # d contributes e_i wedge (d/dx_i - T (Sx)_i),
-            # d* contributes e_i contract (-d/dx_i + T (Sx)_i),
-            # T chat(X0) contributes T (Ax)_i (wedge + contract).
+            # d + d* contributes c(e_i) (d/dx_i - T (Sx)_i),
+            # T chat(X0) contributes T (Ax)_i chat(e_i).
             if mono[i] >= 1:
                 down = list(mono)
                 down[i] -= 1
-                dcoeff = Fraction(mono[i])
-                add_block(tuple(down), base, dcoeff, wedges[i], 1)
-                add_block(tuple(down), base, dcoeff, contracts[i], -1)
+                add_block(tuple(down), base, Fraction(mono[i]), cs[i])
             for out_mono, c in _linear_mult_terms(s_rows, i, mono):
-                add_block(out_mono, base, op.T * c, wedges[i], -1)
-                add_block(out_mono, base, op.T * c, contracts[i], 1)
+                add_block(out_mono, base, -op.T * c, cs[i])
             for out_mono, c in _linear_mult_terms(a_rows, i, mono):
-                add_block(out_mono, base, op.T * c, wedges[i], 1)
-                add_block(out_mono, base, op.T * c, contracts[i], 1)
+                add_block(out_mono, base, op.T * c, chats[i])
     return SparseMat(sec_out.size, sec_in.size, entries)
 
 
@@ -715,6 +785,8 @@ def kernel_and_parity(op: ModelOperator, cap: int = 0,
                 f"kernel dimension {ker_dim} at cap {cap}, expected 1")
         comps = [(idx, float(v)) for (idx, _), v in ker.entries.items()]
     else:
+        import numpy as np
+
         _, svals, vt = np.linalg.svd(_dense(mat))
         cut = tol * max(float(svals.max()), 1.0)
         ker_dim = int((svals < cut).sum())
@@ -800,6 +872,8 @@ def spectrum_scaling(a, Ts: Sequence, cap: int = 2, mode: str = "auto",
             "" if blocks_match else "diagonal blocks differ across T")
         dev = 0.0
     else:
+        import numpy as np
+
         structure_ok = True
         spectra = [np.sort(np.linalg.eigvals(_dense(mat)).real)
                    for mat in mats]
@@ -825,6 +899,8 @@ def _block_spectrum(mat: SparseMat, sec: Sector) -> tuple[float, ...]:
     <= d come first, so each degree's block is one contiguous index range.
     One pass over the entries splits them by block; only one block at a
     time is dense."""
+    import numpy as np
+
     ends = [math.comb(sec.m + deg, deg) << sec.m for deg in range(sec.cap + 1)]
     starts = [0] + ends[:-1]
     blocks: list[dict] = [{} for _ in ends]
@@ -932,6 +1008,8 @@ def _eta_once_exact(op: ModelOperator, cap: int):
 
 def _eta_once_float(op: ModelOperator, cap: int):
     """Numeric counterpart of _eta_once_exact (least-squares solve)."""
+    import numpy as np
+
     n = 1 << op.m
     _, svals, vt = np.linalg.svd(_dense(op.form_op))
     if int((svals < 1e-9 * max(float(svals.max()), 1.0)).sum()) != 1:
@@ -965,6 +1043,19 @@ def _givens(m: int, i: int, j: int, cos: Fraction, sin: Fraction) -> SparseMat:
     return SparseMat(m, m, entries)
 
 
+def _random_rotations(m: int, rng: Random, steps: int):
+    """Givens rotations (i < j, c, s, d) by the angle with cosine c/d and
+    sine s/d, a Pythagorean triple, so that every entry stays rational."""
+    for _ in range(steps):
+        i, j = rng.sample(range(m), 2)
+        p = rng.randint(2, 5)
+        q = rng.randint(1, p - 1)
+        sin = 2 * p * q
+        if rng.random() < 0.5:
+            sin = -sin
+        yield min(i, j), max(i, j), p * p - q * q, sin, p * p + q * q
+
+
 def random_rational_orthogonal(m: int, rng: Random,
                                steps: int | None = None) -> SparseMat:
     """Product of Givens rotations with Pythagorean cosine/sine pairs;
@@ -972,22 +1063,23 @@ def random_rational_orthogonal(m: int, rng: Random,
     if steps is None:
         steps = 2 * m
     out = SparseMat.identity(m)
-    for _ in range(steps):
-        i, j = rng.sample(range(m), 2)
-        p = rng.randint(2, 5)
-        q = rng.randint(1, p - 1)
-        c2 = Fraction(p * p - q * q, p * p + q * q)
-        s2 = Fraction(2 * p * q, p * p + q * q)
-        if rng.random() < 0.5:
-            s2 = -s2
-        out = _givens(m, min(i, j), max(i, j), c2, s2) @ out
+    for i, j, c, s, d in _random_rotations(m, rng, steps):
+        out = _givens(m, i, j, Fraction(c, d), Fraction(s, d)) @ out
     return out
 
 
 def random_rational_unit_vector(m: int, rng: Random) -> list[Fraction]:
-    """First column of a random rational orthogonal matrix: exact norm 1."""
-    q = random_rational_orthogonal(m, rng)
-    return [q.get(i, 0) for i in range(m)]
+    """First column of random_rational_orthogonal(m, rng): exact norm 1.
+    The rotations are applied to e_1 instead of being multiplied out, on
+    integer numerators over one running denominator."""
+    num = [1] + [0] * (m - 1)
+    den = 1
+    for i, j, c, s, d in _random_rotations(m, rng, 2 * m):
+        a, b = num[i], num[j]
+        num = [x * d for x in num]
+        num[i], num[j] = c * a - s * b, s * a + c * b
+        den *= d
+    return [Fraction(x, den) for x in num]
 
 
 def random_model_matrix(m: int, rng: Random, det_sign: int = 1

@@ -76,7 +76,7 @@ def _require(data: dict, key: str, where: str):
 def _parse_matrix(rows_json, nrows: int, ncols: int, label: str) -> SparseMat:
     if not isinstance(rows_json, list):
         raise FormatError(f"{label}: expected a list of rows")
-    if nrows and len(rows_json) != nrows:
+    if len(rows_json) != nrows:
         raise FormatError(
             f"{label}: expected {nrows} rows, got {len(rows_json)}")
     entries = {}
@@ -187,10 +187,13 @@ def _load_cdga_model(data: dict, source: str, name: str) -> LoadedModel:
     gens = []
     for g in gens_json:
         if (not isinstance(g, dict) or not isinstance(g.get("name"), str)
-                or not _is_int(g.get("degree"))):
+                or not _is_int(g.get("degree")) or g["degree"] < 1):
             raise FormatError(
-                f"{where}: each generator needs a name and an int degree")
+                f"{where}: each generator needs a name and an int degree "
+                f">= 1")
         gens.append((g["name"], g["degree"]))
+    if len({name for name, _ in gens}) != len(gens):
+        raise FormatError(f"{where}: duplicate generator names")
     md = _require(data, "manifold_dim", where)
     if not _is_int(md) or md < 0:
         raise FormatError(f"{where}: manifold_dim must be a non-negative int")

@@ -32,7 +32,7 @@ class JacobiViolation(ValueError):
 
 
 class ShapeMismatch(ValueError):
-    """Graded dimensions and supplied matrices disagree."""
+    """Graded dimensions, degrees and supplied matrices disagree."""
 
 
 class NotClosed(ValueError):
@@ -68,10 +68,11 @@ class Element:
         return not self.coeffs
 
     def degree(self) -> int:
-        """Common degree of all monomials; raises on mixed-degree sums."""
+        """Common degree of all monomials; ShapeMismatch on mixed-degree
+        sums."""
         degs = {self.model.mono_degree(m) for m in self.coeffs}
         if len(degs) > 1:
-            raise ValueError(f"element of mixed degrees {sorted(degs)}")
+            raise ShapeMismatch(f"element of mixed degrees {sorted(degs)}")
         return degs.pop() if degs else 0
 
     def __add__(self, other: "Element") -> "Element":

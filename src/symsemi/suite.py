@@ -8,17 +8,17 @@ callers can layer further cross-checks on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 from time import perf_counter
 
 from .census import Zero, ZeroCensus, counting_check, euler_cross_check
-from .cliffordlab import (eta_scaling, kernel_and_parity, model_L,
+from .cliffordlab import (Sector, eta_scaling, kernel_and_parity, model_L,
                           random_model_matrix, random_rational_unit_vector,
-                          spectrum_scaling, verify_car,
-                          verify_complex_structure, verify_volume_omega,
-                          verify_volume_star)
+                          sector_matrix_D, sector_matrix_L, spectrum_scaling,
+                          verify_car, verify_complex_structure,
+                          verify_volume_omega, verify_volume_star)
 from .complexes import (betti, cone, euler_characteristic,
                         harmonic_dimensions, semi_characteristic)
 from .models import (Element, builtin, check_symplectic, model_cone_inputs,
@@ -123,6 +123,18 @@ def _clifford_identities():
     return ok, detail, {"verdicts": verdicts}
 
 
+def _dirac_squares_to_model(op, cap: int) -> bool:
+    """D o D = L_hat on the degree <= cap sector: the composite of the
+    sector Dirac operators never leaves that sector and agrees with the
+    model operator there, entry for entry."""
+    size = Sector(op.m, cap).size
+    comp = sector_matrix_D(op, cap + 1, cap + 2) @ sector_matrix_D(
+        op, cap, cap + 1)
+    if any(r >= size for (r, _) in comp.entries):
+        return False
+    return SparseMat(size, size, comp.entries) == sector_matrix_L(op, cap)
+
+
 def _oscillator_kernel_spectrum():
     rng = Random(73)
     failures = []
@@ -136,9 +148,16 @@ def _oscillator_kernel_spectrum():
                                        mode="exact", sqrt_gram=s)
             if ker_dim != 1 or parity != want or not verdict.passed:
                 failures.append((sign, trial))
+            # The scaling check holds by construction of the sector parts,
+            # so one matrix per sign also tests the operator itself, at a
+            # coupling other than 1 so that misplaced factors of T show.
+            if trial == 0 and not _dirac_squares_to_model(
+                    replace(op, T=Fraction(10)), 2):
+                failures.append((sign, "D o D != L"))
     ok = not failures
     detail = ("50 random A: kernel dim 1, parity = sign(det), "
-              "spectrum/T constant over T = 1, 10, 100"
+              "spectrum/T constant over T = 1, 10, 100; D o D = L at T = 10 "
+              "for one A per sign"
               if ok else f"failures at {failures}")
     return ok, detail, {"failures": failures}
 

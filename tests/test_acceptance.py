@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from symsemi import cliffordlab
 from symsemi.suite import run_criterion
 from symsemi.cliffordlab import gaussian_moment
 
@@ -63,6 +64,21 @@ def test_criterion_06_clifford_identities():
 
 def test_criterion_07_oscillator_kernel_spectrum():
     check(7)
+
+
+def test_criterion_07_catches_a_wrong_sector_operator(monkeypatch):
+    # flow + lap / T passes the spectrum scaling check whatever flow is;
+    # the criterion must still notice a wrong flow coefficient.
+    sector_parts = cliffordlab._sector_parts
+
+    def wrong_flow(op, sec):
+        lap, flow = sector_parts(op, sec)
+        return lap, flow.scale(Fraction(3, 2))
+
+    monkeypatch.setattr(cliffordlab, "_sector_parts", wrong_flow)
+    result = run_criterion(7)
+    assert not result.passed
+    assert "D o D != L" in result.detail
 
 
 def test_criterion_08_eta_scaling():

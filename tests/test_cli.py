@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from symsemi.cli import main
@@ -176,6 +179,12 @@ def test_oscillator_coupling_arguments(capsys):
     assert "invalid coupling '1/0'" in err
     assert "Traceback" not in err
     assert run(capsys, "oscillator", "--matrix", matrix, "--T", "abc")[0] == 2
+    # Nonpositive couplings and fewer than three distinct ones are bad
+    # input too, not internal failures.
+    for bad in (["--T", "0"], ["--T", "-2"],
+                ["--T", "1", "--T", "1", "--T", "2"]):
+        code, _, err = run(capsys, "oscillator", "--matrix", matrix, *bad)
+        assert code == 2 and "coupling" in err and "Traceback" not in err
     # Every literal Fraction takes stays accepted.
     code, out, _ = run(capsys, "oscillator", "--matrix", matrix,
                        "--T", "0.5", "--T", "1e3", "--T", "7/3",
@@ -195,6 +204,50 @@ def test_internal_invariant_breach_exits_one(capsys, monkeypatch):
     assert err == ("internal invariant breach: cone differential does not "
                    "square to zero\n")
     assert "Traceback" not in err
+
+
+def test_stray_value_error_is_an_internal_breach(capsys, monkeypatch):
+    # A ValueError that is not one of the input-error classes comes from
+    # a bug, not from the user's input.
+    def broken_check(*args, **kwargs):
+        raise ValueError("kind must be 'c' or 'chat', got 'x'")
+
+    monkeypatch.setattr("symsemi.cli.verify_car", broken_check)
+    code, out, err = run(capsys, "clifford", "--checks", "car")
+    assert code == 1
+    assert out == ""
+    assert err == ("internal invariant breach: kind must be 'c' or 'chat', "
+                   "got 'x'\n")
+
+
+def test_numpy_loads_only_for_the_oscillator(tmp_path):
+    # numpy costs start-up time, so only the float paths import it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = f"""
+import contextlib, io, json, sys
+from symsemi.cli import main
+loaded = ["numpy" in sys.modules]
+runs = (["compute", "builtin:cp2"],
+        ["verify", "builtin:s2xs2", "--census",
+         {str(SAMPLES / "census_s2xs2_morse.json")!r}],
+        ["clifford", "--n", "1"],
+        ["oscillator", "--matrix", {str(SAMPLES / "matrix_diag_1234.txt")!r}])
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+    loaded.append("numpy" in sys.modules)
+print(json.dumps([codes, loaded]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert loaded == [False, False, False, False, True]
 
 
 def test_mode_environment_variable(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from symsemi import cliffordlab as cl
 from symsemi.qlinalg import SparseMat, kernel_basis
 from symsemi.cliffordlab import (
     BadDimension,
@@ -179,6 +180,150 @@ def test_complex_structure_random_unit_vectors():
 def test_complex_structure_rejects_non_unit():
     with pytest.raises(NotUnit):
         verify_complex_structure([2, 0, 0, 0])
+
+
+# -- signed permutations against sparse products -------------------------
+
+
+def ref_wedge(m, i):
+    """e_i wedge, its sign the parity of the permutation sorting
+    [i, S ascending], found by counting inverted pairs."""
+    entries = {}
+    for mask in range(1 << m):
+        if mask >> i & 1:
+            continue
+        seq = [i] + [j for j in range(m) if mask >> j & 1]
+        inv = sum(a > b for k, a in enumerate(seq) for b in seq[k + 1:])
+        entries[(mask | 1 << i, mask)] = -1 if inv % 2 else 1
+    return SparseMat(1 << m, 1 << m, entries)
+
+
+def ref_chat(m, i, kind="chat"):
+    # Contraction is the adjoint of the wedge in the orthonormal basis.
+    w = ref_wedge(m, i)
+    return w + w.transpose() if kind == "chat" else w - w.transpose()
+
+
+def ref_dvol(m):
+    out = SparseMat.identity(1 << m)
+    for i in range(m):
+        out = out @ ref_chat(m, i)
+    return out
+
+
+def test_signed_permutations_match_sparse_products():
+    for m in (4, 8):
+        for i in range(m):
+            for wedge, contract, kind in ((1, 1, "chat"), (1, -1, "c")):
+                ref = ref_chat(m, i, kind)
+                op = cl._generator(m, i, wedge, contract)
+                assert cl._to_sparse(m, [(1, op)]) == ref
+                assert clifford(basis_vector(m, i), kind).mat == ref
+        vol = ref_dvol(m)
+        assert cl._to_sparse(m, [(1, cl._dvol(m))]) == vol
+        assert dvol_action(m).mat == vol
+        form = SparseMat.zeros(1 << m, 1 << m)
+        for i in range(0, m, 2):
+            form = form + ref_wedge(m, i) @ ref_wedge(m, i + 1)
+        assert cl._to_sparse(m, [(1, w) for w in cl._omega_terms(m)]) == form
+        assert omega_wedge(m).mat == form
+        v = random_rational_unit_vector(m, Random(m))
+        ch = SparseMat.zeros(1 << m, 1 << m)
+        for i, x in enumerate(v):
+            ch = ch + ref_chat(m, i).scale(x)
+        assert cl._to_sparse(m, cl._chat_square(v)) == ch @ ch
+        assert ch @ ch == SparseMat.identity(1 << m)
+
+
+def sparse_verdicts(m, v):
+    """The four checks as products of the public sparse operators."""
+    def verdict(diffs):
+        worst, culprit = 0.0, ""
+        for label, mat in diffs:
+            r = max((abs(float(x)) for x in mat.entries.values()),
+                    default=0.0)
+            if r > worst:
+                worst, culprit = r, label
+        return worst, culprit
+
+    n = 1 << m
+    eye, zero = SparseMat.identity(n), SparseMat.zeros(n, n)
+    chat = [clifford(basis_vector(m, i), "chat").mat for i in range(m)]
+    cc = [clifford(basis_vector(m, i), "c").mat for i in range(m)]
+    car = []
+    for i in range(m):
+        for j in range(i, m):
+            delta = eye.scale(2) if i == j else zero
+            car.append((f"chat anticommutator ({i},{j})",
+                        chat[i] @ chat[j] + chat[j] @ chat[i] - delta))
+            car.append((f"c anticommutator ({i},{j})",
+                        cc[i] @ cc[j] + cc[j] @ cc[i] + delta))
+    for i in range(m):
+        for j in range(m):
+            car.append((f"mixed anticommutator ({i},{j})",
+                        cc[i] @ chat[j] + chat[j] @ cc[i]))
+    vol = eye
+    for op in chat:
+        vol = vol @ op
+
+    def degree_sign(mask):
+        k = bin(mask).count("1")
+        return -1 if (k * (k + 1) // 2) % 2 else 1
+
+    signed = SparseMat(n, n, {(r, c): x * degree_sign(c) for (r, c), x
+                              in hodge_star(m).mat.entries.items()})
+    form = omega_wedge(m).mat
+    ch = clifford(v, "chat").mat
+    j = SparseMat.block([[zero, -ch], [ch, zero]])
+    return {
+        "car": verdict(car),
+        "star": verdict([("chat(dvol) vs signed star", vol - signed),
+                         ("chat(dvol) symmetry", vol - vol.transpose())]),
+        "omega": verdict([("intertwining",
+                           vol @ form.transpose() + form @ vol)]),
+        "complex-structure": verdict([("J^2 + 1",
+                                       j @ j + SparseMat.identity(2 * n))]),
+    }
+
+
+def engine_verdicts(m, v):
+    return {v.name: v for v in (verify_car(m), verify_volume_star(m),
+                                verify_volume_omega(m),
+                                verify_complex_structure(v))}
+
+
+def test_verdicts_match_sparse_products_with_a_flipped_sign(monkeypatch):
+    generator = cl._generator
+
+    def flipped(m, i, wedge, contract):
+        # One sign of e_2 wedge (and so of chat(e_2) and c(e_2)) is wrong.
+        op = generator(m, i, wedge, contract)
+        if i != 1:
+            return op
+        return cl._Mono(op.perm, (-op.sign[0],) + op.sign[1:])
+
+    for m in (4, 8):
+        v = [Fraction(3, 5), Fraction(4, 5)] + [0] * (m - 2)
+        for verdict in engine_verdicts(m, v).values():
+            assert verdict.passed and verdict.max_residual == 0.0
+        monkeypatch.setattr(cl, "_generator", flipped)
+        want = sparse_verdicts(m, v)
+        got = engine_verdicts(m, v)
+        monkeypatch.setattr(cl, "_generator", generator)
+        for name, (residual, culprit) in want.items():
+            assert not got[name].passed
+            assert got[name].max_residual == residual > 0
+            assert got[name].detail == \
+                f"largest residual {residual:.3e} in {culprit}"
+
+
+def test_max_entry_merges_terms_on_different_permutations():
+    # Two monomials with different permutations that meet in one entry.
+    a = cl._Mono((1, 0, 2, 3), (1, 1, 1, 1))
+    b = cl._Mono((1, 2, 0, 3), (1, 1, 1, 1))
+    assert cl._max_entry([(Fraction(1, 2), a), (Fraction(1, 3), b)]) == \
+        Fraction(5, 6)
+    assert cl._max_entry([(1, a), (-1, a)]) == 0
 
 
 # -- the model operator ---------------------------------------------------
@@ -422,6 +567,11 @@ def test_random_orthogonal_is_orthogonal():
     for _ in range(5):
         q = random_rational_orthogonal(4, rng)
         assert q.transpose() @ q == SparseMat.identity(4)
+    # The unit vector is the first column of the same random rotation.
+    for m in (4, 8, 12):
+        q = random_rational_orthogonal(m, Random(m))
+        assert random_rational_unit_vector(m, Random(m)) == [
+            q.get(i, 0) for i in range(m)]
 
 
 def test_random_model_matrix_contract():

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from symsemi.complexes import betti, cone, semi_characteristic
-from symsemi.models import JacobiViolation, builtin, model_cone_inputs
+from symsemi.models import (JacobiViolation, ShapeMismatch, builtin,
+                            model_cone_inputs)
 from symsemi.modelio import (
     FormatError,
     element_terms,
@@ -112,6 +113,18 @@ def test_cdga_with_non_nilpotent_differential(tmp_path):
         load_model(str(path))
 
 
+def test_cdga_mixed_degree_terms(tmp_path):
+    gens = [{"name": n, "degree": 1} for n in ("x", "y", "z")]
+    mixed = [["1", ["x", "y"]], ["1", ["x"]]]
+    for payload in ({"kind": "cdga", "manifold_dim": 3, "generators": gens,
+                     "differential": {"z": mixed},
+                     "omega": [["1", ["x", "y"]]]},
+                    {"kind": "cdga", "manifold_dim": 3, "generators": gens,
+                     "omega": mixed}):
+        with pytest.raises(ShapeMismatch, match="mixed degrees"):
+            load_model(write_json(tmp_path, payload))
+
+
 def write_json(tmp_path, payload):
     path = tmp_path / "model.json"
     path.write_text(payload if isinstance(payload, str)
@@ -153,6 +166,16 @@ def test_model_file_format_errors(tmp_path):
          "omega": [["1", ["e1", "e2"]]]},
         {"kind": "cdga", "manifold_dim": True,
          "generators": [{"name": "e1", "degree": 1}], "omega": []},
+        # Bad generator data and a zero-row matrix given a row reached
+        # the engine as plain ValueErrors.
+        {"kind": "cdga", "manifold_dim": 2,
+         "generators": [{"name": "e1", "degree": 1},
+                        {"name": "e1", "degree": 1}],
+         "omega": [["1", ["e1", "e1"]]]},
+        {"kind": "cdga", "manifold_dim": 2,
+         "generators": [{"name": "e1", "degree": 0}], "omega": []},
+        {"kind": "matrix", "dims": [1, 0, 1], "manifold_dim": 2,
+         "d": [[["1"]], [[]]], "omega": [[["1"]]]},
     ]
     for payload in cases:
         with pytest.raises(FormatError):
