@@ -234,8 +234,8 @@ def cmd_oscillator(args) -> int:
     op = model_L(rows, ts[0], mode)
     ker_dim, parity = kernel_and_parity(op)
     parity_ok = parity == (0 if op.det_sign > 0 else 1)
-    spec = spectrum_scaling(rows, ts, cap=args.degree_cap, mode=mode)
-    eta = eta_scaling(rows, ts, mode=mode)
+    spec = spectrum_scaling(op, ts, cap=args.degree_cap)
+    eta = eta_scaling(op, ts)
     exact = op.mode == "exact"
     passed = (ker_dim == 1 and parity_ok and spec.passed and eta.passed)
     report = OscillatorReport(

@@ -39,12 +39,14 @@ acting on (polynomials of bounded degree) tensor (forms).  T multiplies
 every term but the Laplacian, so a sector splits into two coupling-free
 parts, lap = -laplacian and flow = 2 (Sx).grad + L2, with
 L_hat = lap + T flow and L_hat / T = flow + lap / T; the spectrum scaling
-check assembles them once per coefficient matrix and only rescales lap for
-each coupling.  All assembly is exact rational; "float" mode means
-irrational square roots are approximated numerically (entering the exact
-arithmetic as binary rationals) and comparisons carry tolerances instead of
-demanding exact equality.  numpy is imported inside the functions that use
-it, so importing this module does not load it.
+check assembles them once per model and only rescales lap for each
+coupling.  All assembly is exact rational, and the spectrum scaling
+certificate is exact in both modes.  "float" mode means only that an
+irrational square root S is approximated numerically (entering the exact
+arithmetic as binary rationals); without an exact S the kernel is then
+found by SVD and the eta correction by a least-squares solve, and those
+two comparisons carry tolerances.  numpy is imported inside the functions
+that use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -533,13 +535,12 @@ def model_L(a, T, mode: str = "auto", sqrt_gram: SparseMat | None = None
             s, residual = _numeric_sqrt(gram)
             resolved = "float"
     _check_dim(m, resolved)
+    # L2 = tr(S) + sum over entries A_ij of A_ij c(e_j) chat(e_i).
     trace_s = sum((s.get(i, i) for i in range(m)), Fraction(0))
-    form = SparseMat.identity(1 << m).scale(trace_s)
-    cols = a.to_rows()
-    for j in range(m):
-        col = [cols[i][j] for i in range(m)]
-        ej = [1 if i == j else 0 for i in range(m)]
-        form = form + (clifford(ej, "c") @ clifford(col, "chat")).mat
+    cs = [_generator(m, i, 1, -1) for i in range(m)]
+    chats = [_generator(m, i, 1, 1) for i in range(m)]
+    form = _to_sparse(m, [(trace_s, _identity(m))] + [
+        (v, _compose(cs[j], chats[i])) for (i, j), v in a.entries.items()])
     return ModelOperator(a, s, t_val, resolved, m,
                          1 if deta > 0 else -1, form, residual)
 
@@ -828,68 +829,47 @@ def _validate_ts(ts, minimum: int):
     return vals
 
 
-def spectrum_scaling(a, Ts: Sequence, cap: int = 2, mode: str = "auto",
-                     sqrt_gram: SparseMat | None = None) -> SpectrumVerdict:
+def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
+                     ) -> SpectrumVerdict:
     """Certify that spectrum(model operator)/T does not depend on T.
 
-    The model and the coupling-free sector parts are assembled once, and the
-    scaled sector matrix for each T is L_hat / T = flow + lap / T.
-    Exact mode: that matrix is block upper-triangular for the polynomial
-    degree filtration (off-diagonal entries lower the degree by exactly 2,
-    from the Laplacian), so its spectrum is the union of the diagonal
-    blocks' spectra; those blocks are verified entrywise identical across
-    the given T values.  Float mode compares sorted numpy eigenvalue lists
-    pairwise at relative tolerance 1e-9.
+    The coupling-free sector parts of ``op`` are assembled once, and the
+    scaled sector matrix for each T is L_hat / T = flow + lap / T, exact
+    rational in both modes.  It is block upper-triangular for the
+    polynomial degree filtration (off-diagonal entries lower the degree by
+    exactly 2, from the Laplacian), so its spectrum is the union of the
+    diagonal blocks' spectra; those blocks are verified entrywise identical
+    across the given T values, and max_deviation is the largest entry
+    difference between them.  Only the reported spectrum is numeric.
     """
     ts = _validate_ts(Ts, 3)
     if cap < 2:
         raise ValueError("cap must be >= 2 for the scaling check")
-    op = model_L(a, ts[0], mode, sqrt_gram)
-    actual_mode = op.mode
     sec = Sector(op.m, cap)
     lap, flow = _sector_parts(op, sec)
     mats = [flow + lap.scale(Fraction(1) / t) for t in ts]
-
-    if actual_mode == "exact":
-        structure_ok = True
-        bad = ""
-        degree = [sec.degree_of(idx) for idx in range(sec.size)]
-        for (r, c) in mats[0].entries:
-            dr, dc = degree[r], degree[c]
-            if dr != dc and dr != dc - 2:
-                structure_ok = False
-                bad = f"entry ({r},{c}) maps degree {dc} to {dr}"
-                break
-        diags = []
-        for mat in mats:
-            diag = {k: v for k, v in mat.entries.items()
-                    if degree[k[0]] == degree[k[1]]}
-            diags.append(diag)
-        blocks_match = all(d == diags[0] for d in diags[1:])
-        spectrum = _block_spectrum(mats[0], sec)
-        passed = structure_ok and blocks_match
-        detail = bad if not structure_ok else (
-            "" if blocks_match else "diagonal blocks differ across T")
-        dev = 0.0
-    else:
-        import numpy as np
-
-        structure_ok = True
-        spectra = [np.sort(np.linalg.eigvals(_dense(mat)).real)
-                   for mat in mats]
-        dev = 0.0
-        scale = max(1.0, float(np.abs(spectra[0]).max()))
-        for other in spectra[1:]:
-            dev = max(dev, float(np.abs(other - spectra[0]).max()) / scale)
-        blocks_match = dev <= 1e-9
-        spectrum = tuple(float(x) for x in spectra[0])
-        passed = blocks_match
-        detail = "" if passed else f"spectra deviate by rel {dev:.3e}"
-
+    bad = ""
+    degree = [sec.degree_of(idx) for idx in range(sec.size)]
+    for (r, c) in mats[0].entries:
+        dr, dc = degree[r], degree[c]
+        if dr != dc and dr != dc - 2:
+            bad = f"entry ({r},{c}) maps degree {dc} to {dr}"
+            break
+    structure_ok = not bad
+    diags = [{k: v for k, v in mat.entries.items()
+              if degree[k[0]] == degree[k[1]]} for mat in mats]
+    blocks_match = all(d == diags[0] for d in diags[1:])
+    dev = 0 if blocks_match else max(
+        abs(d.get(k, 0) - diags[0].get(k, 0))
+        for d in diags[1:] for k in d.keys() | diags[0].keys())
+    spectrum = _block_spectrum(mats[0], sec)
+    passed = structure_ok and blocks_match
+    detail = bad if not structure_ok else (
+        "" if blocks_match else "diagonal blocks differ across T")
     nonzero = [x for x in spectrum if abs(x) > 1e-8]
     gap = min(nonzero) if nonzero else 0.0
-    return SpectrumVerdict(passed, actual_mode, tuple(ts), cap, structure_ok,
-                           blocks_match, dev, tuple(spectrum), gap, detail)
+    return SpectrumVerdict(passed, op.mode, tuple(ts), cap, structure_ok,
+                           blocks_match, float(dev), spectrum, gap, detail)
 
 
 def _block_spectrum(mat: SparseMat, sec: Sector) -> tuple[float, ...]:
@@ -933,18 +913,18 @@ class EtaVerdict:
         return self.c1_squared_list[0]
 
 
-def eta_scaling(a, Ts: Sequence, mode: str = "auto", cap: int = 1,
-                sqrt_gram: SparseMat | None = None) -> EtaVerdict:
-    """Solve for the first-order correction to the model ground state and
-    certify the T^(-1/2) decay of its norm.
+def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
+                ) -> EtaVerdict:
+    """Solve for the first-order correction to the ground state of ``op``
+    and certify the T^(-1/2) decay of its norm.
 
     Per coupling T: the source is the skew omega action on the ground form;
     the correction eta solves L_hat eta = D_hat(source) with eta Gaussian-
     orthogonal to the ground state.  The report carries C1^2 =
     T ||eta||^2 / ||ground||^2, which must be the same for every T (exactly
-    in exact mode, rel 1e-9 in float mode).  A vanishing source yields
-    C1 = 0 with a flag.  cap < 1 cannot hold the degree-raising image and
-    raises TruncationTooSmall.
+    in exact mode; float mode solves by least squares and compares at rel
+    1e-9).  A vanishing source yields C1 = 0 with a flag.  cap < 1 cannot
+    hold the degree-raising image and raises TruncationTooSmall.
     """
     ts = _validate_ts(Ts, 2)
     if cap < 1:
@@ -953,15 +933,13 @@ def eta_scaling(a, Ts: Sequence, mode: str = "auto", cap: int = 1,
     c1sq: list = []
     ortho_all = True
     vanished = False
-    first = model_L(a, ts[0], mode, sqrt_gram)
-    actual_mode = first.mode
-    once = _eta_once_exact if actual_mode == "exact" else _eta_once_float
+    once = _eta_once_exact if op.mode == "exact" else _eta_once_float
     for t in ts:
-        value, ortho, gone = once(replace(first, T=t), cap)
+        value, ortho, gone = once(replace(op, T=t), cap)
         c1sq.append(value)
         ortho_all = ortho_all and ortho
         vanished = vanished or gone
-    if actual_mode == "exact":
+    if op.mode == "exact":
         constant = all(v == c1sq[0] for v in c1sq[1:])
         dev_note = ""
     else:
@@ -975,7 +953,7 @@ def eta_scaling(a, Ts: Sequence, mode: str = "auto", cap: int = 1,
     detail = "" if passed else (
         ("C1 varies with T" + dev_note if not constant
          else "source not orthogonal to the ground state"))
-    return EtaVerdict(passed, actual_mode, tuple(ts), tuple(c1sq),
+    return EtaVerdict(passed, op.mode, tuple(ts), tuple(c1sq),
                       math.sqrt(float(c1sq[0])), constant, vanished,
                       ortho_all, detail)
 

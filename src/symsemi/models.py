@@ -579,7 +579,7 @@ def check_symplectic(model, w=None) -> SymplecticVerdict:
         if model.manifold_dim % 2:
             return SymplecticVerdict(False, False, False,
                                      "odd manifold_dim")
-        if w.is_zero() or w.degree() != 2:
+        if {model.mono_degree(mono) for mono in w.coeffs} != {2}:
             return SymplecticVerdict(False, False, False,
                                      "form is zero or not of degree 2")
         dw = model.d(w)

@@ -144,8 +144,7 @@ def _oscillator_kernel_spectrum():
             op = model_L(a, 1, "exact", sqrt_gram=s)
             ker_dim, parity = kernel_and_parity(op)
             want = 0 if sign > 0 else 1
-            verdict = spectrum_scaling(a, (1, 10, 100), cap=2,
-                                       mode="exact", sqrt_gram=s)
+            verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
             if ker_dim != 1 or parity != want or not verdict.passed:
                 failures.append((sign, trial))
             # The scaling check holds by construction of the sector parts,
@@ -164,7 +163,7 @@ def _oscillator_kernel_spectrum():
 
 def _eta_scaling_law():
     identity = SparseMat.identity(4)
-    base = eta_scaling(identity, (1, 4, 16), mode="exact")
+    base = eta_scaling(model_L(identity, 1, "exact"), (1, 4, 16))
     ok = base.passed and base.c1_squared == Fraction(1, 8)
     rng = Random(8128)
     diag_checks = []
@@ -175,7 +174,7 @@ def _eta_scaling_law():
             den = rng.choice([1, 2])
             entries[(j, j)] = Fraction(num, den)
         a = SparseMat(4, 4, entries)
-        verdict = eta_scaling(a, (1, 4, 16), mode="exact")
+        verdict = eta_scaling(model_L(a, 1, "exact"), (1, 4, 16))
         diag_checks.append(verdict)
         ok = ok and verdict.passed
     detail = (f"A = I: C1^2 = {base.c1_squared} exactly; "

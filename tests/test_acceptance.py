@@ -8,14 +8,33 @@ ranks, and symbolic Gaussian integration.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
-from symsemi import cliffordlab
+from symsemi import cliffordlab, suite
 from symsemi.suite import run_criterion
 from symsemi.cliffordlab import gaussian_moment
 
 from oracles import (dense_betti, dense_cone, dense_from_sparse,
                      gaussian_moment_oracle)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def count_model_builds(monkeypatch) -> list:
+    """Route every ``model_L`` call of the suite through a counter."""
+    build = cliffordlab.model_L
+    calls = []
+
+    def counting_model_L(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "model_L", counting_model_L)
+    monkeypatch.setattr(cliffordlab, "model_L", counting_model_L)
+    return calls
 
 
 def check(number):
@@ -62,8 +81,10 @@ def test_criterion_06_clifford_identities():
     check(6)
 
 
-def test_criterion_07_oscillator_kernel_spectrum():
+def test_criterion_07_oscillator_kernel_spectrum(monkeypatch):
+    calls = count_model_builds(monkeypatch)
     check(7)
+    assert len(calls) == 50     # one model per random matrix
 
 
 def test_criterion_07_catches_a_wrong_sector_operator(monkeypatch):
@@ -81,8 +102,10 @@ def test_criterion_07_catches_a_wrong_sector_operator(monkeypatch):
     assert "D o D != L" in result.detail
 
 
-def test_criterion_08_eta_scaling():
+def test_criterion_08_eta_scaling(monkeypatch):
+    calls = count_model_builds(monkeypatch)
     result = check(8)
+    assert len(calls) == 11     # A = I and ten diagonal matrices
     assert result.data["identity"].c1_squared == Fraction(1, 8)
     # The moments behind the scaling constant, against symbolic
     # integration of the Gaussian weight.
@@ -98,3 +121,13 @@ def test_criterion_09_randomized_properties():
 
 def test_criterion_10_form_independence():
     check(10)
+
+
+def test_readme_library_example_runs():
+    text = README.read_text()
+    section = text[text.index("## Library"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope: dict = {}
+    exec(block, scope)
+    assert scope["b"] == (1, 3, 4, 4, 3, 1)
+    assert scope["k"] == 0

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from symsemi import cliffordlab
 from symsemi.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -191,6 +192,26 @@ def test_oscillator_coupling_arguments(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["T"] == ["1/2", "1000", "7/3"]
+
+
+def test_oscillator_builds_the_model_once(capsys, monkeypatch):
+    # The kernel, spectrum and eta checks of one job share one model.
+    build = cliffordlab.model_L
+    calls = []
+
+    def counting_model_L(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr("symsemi.cli.model_L", counting_model_L)
+    monkeypatch.setattr("symsemi.cliffordlab.model_L", counting_model_L)
+    for mode in ("exact", "float"):
+        calls.clear()
+        code, _, _ = run(capsys, "oscillator", "--matrix",
+                         str(SAMPLES / "matrix_diag_1234.txt"),
+                         "--mode", mode)
+        assert code == 0
+        assert len(calls) == 1
 
 
 def test_internal_invariant_breach_exits_one(capsys, monkeypatch):

@@ -369,6 +369,23 @@ def test_model_sqrt_gram_validation():
         model_L(EYE4, 1, "exact", sqrt_gram=asym)
 
 
+def test_form_operator_matches_clifford_products():
+    # L2 = tr(S) + sum_j c(e_j) chat(A e_j), built the long way from the
+    # public Clifford builders.
+    for m in (4, 8):
+        rng = Random(m)
+        for sign in (1, -1, 1):
+            a, s = random_model_matrix(m, rng, sign)
+            op = model_L(a, 1, "exact", sqrt_gram=s)
+            want = SparseMat.identity(1 << m).scale(op.trace_sqrt())
+            cols = a.to_rows()
+            for j in range(m):
+                col = [cols[i][j] for i in range(m)]
+                want = want + (clifford(basis_vector(m, j), "c")
+                               @ clifford(col, "chat")).mat
+            assert op.form_op.entries == want.entries
+
+
 def test_kernel_and_parity_examples():
     op = model_L(EYE4, 1)
     assert kernel_and_parity(op) == (1, 0)
@@ -394,7 +411,8 @@ def test_kernel_and_parity_float_mode():
 
 
 def test_spectrum_scaling_identity_matrix():
-    verdict = spectrum_scaling(EYE4, (1, 10, 100), cap=2, mode="exact")
+    verdict = spectrum_scaling(model_L(EYE4, 1, "exact"), (1, 10, 100),
+                               cap=2)
     assert verdict.passed
     assert verdict.mode == "exact"
     assert verdict.structure_ok and verdict.blocks_match
@@ -404,23 +422,46 @@ def test_spectrum_scaling_identity_matrix():
 
 
 def test_spectrum_scaling_degenerate_diagonal():
-    verdict = spectrum_scaling([[1, 0, 0, 0], [0, 1, 0, 0],
-                                [0, 0, 2, 0], [0, 0, 0, 2]],
-                               (1, 10, 100), cap=2, mode="exact")
+    op = model_L([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+                 1, "exact")
+    verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
     assert verdict.passed and verdict.blocks_match
 
 
 def test_spectrum_scaling_input_guards():
+    op = model_L(EYE4, 1)
     with pytest.raises(ValueError):
-        spectrum_scaling(EYE4, (1, 10), cap=2)
+        spectrum_scaling(op, (1, 10), cap=2)
     with pytest.raises(ValueError):
-        spectrum_scaling(EYE4, (1, 10, 100), cap=1)
+        spectrum_scaling(op, (1, 10, 100), cap=1)
     with pytest.raises(ValueError):
-        spectrum_scaling(EYE4, (1, 1, 10), cap=2)
+        spectrum_scaling(op, (1, 1, 10), cap=2)
+
+
+def test_spectrum_scaling_catches_a_coupling_in_a_diagonal_block(
+        monkeypatch):
+    # An entry of lap inside a diagonal block makes that block of
+    # flow + lap / T depend on T; the exact block comparison must see it
+    # in both modes.
+    sector_parts = cl._sector_parts
+
+    def leaky_lap(op, sec):
+        lap, flow = sector_parts(op, sec)
+        leak = SparseMat(sec.size, sec.size, {(0, 0): Fraction(1)})
+        return lap + leak, flow
+
+    monkeypatch.setattr(cl, "_sector_parts", leaky_lap)
+    shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for op in (model_L(EYE4, 1, "exact"), model_L(shear, 1, "float")):
+        verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
+        assert not verdict.passed
+        assert verdict.structure_ok and not verdict.blocks_match
+        assert verdict.detail == "diagonal blocks differ across T"
+        assert verdict.max_deviation == 0.99
 
 
 def test_eta_scaling_identity_matrix():
-    verdict = eta_scaling(EYE4, (1, 4, 16), mode="exact")
+    verdict = eta_scaling(model_L(EYE4, 1, "exact"), (1, 4, 16))
     assert verdict.passed
     assert verdict.mode == "exact"
     assert verdict.c1_squared == Fraction(1, 8)
@@ -430,7 +471,7 @@ def test_eta_scaling_identity_matrix():
 
 
 def test_eta_scaling_float_mode():
-    verdict = eta_scaling(EYE4, (1, 4, 16), mode="float")
+    verdict = eta_scaling(model_L(EYE4, 1, "float"), (1, 4, 16))
     assert verdict.passed
     assert abs(verdict.c1 - 0.35355339059327373) <= 1e-6
 
@@ -441,15 +482,20 @@ def test_float_mode_matches_exact_mode_on_non_diagonal_gram():
     for sign in (1, -1):
         a, s = random_model_matrix(4, Random(11), sign)
         assert any(r != c for (r, c) in (a.transpose() @ a).entries)
-        exact = eta_scaling(a, (1, 4, 16), mode="exact", sqrt_gram=s)
-        approx = eta_scaling(a, (1, 4, 16), mode="float")
+        exact_op = model_L(a, 1, "exact", sqrt_gram=s)
+        float_op = model_L(a, 1, "float")
+        exact = eta_scaling(exact_op, (1, 4, 16))
+        approx = eta_scaling(float_op, (1, 4, 16))
         assert exact.passed and approx.passed and approx.mode == "float"
         want = float(exact.c1_squared)
         assert abs(approx.c1_squared - want) <= 1e-9 * want
-        exact = spectrum_scaling(a, (1, 10, 100), cap=2, mode="exact",
-                                 sqrt_gram=s)
-        approx = spectrum_scaling(a, (1, 10, 100), cap=2, mode="float")
+        exact = spectrum_scaling(exact_op, (1, 10, 100), cap=2)
+        approx = spectrum_scaling(float_op, (1, 10, 100), cap=2)
         assert exact.passed and approx.passed and approx.mode == "float"
+        # The numeric S enters as binary rationals, so the float model's
+        # diagonal blocks are compared exactly too.
+        assert approx.structure_ok and approx.blocks_match
+        assert approx.max_deviation == 0.0
         scale = max(abs(x) for x in exact.spectrum)
         assert len(approx.spectrum) == len(exact.spectrum)
         assert max(abs(x - y) for x, y in
@@ -457,10 +503,11 @@ def test_float_mode_matches_exact_mode_on_non_diagonal_gram():
 
 
 def test_eta_scaling_input_guards():
+    op = model_L(EYE4, 1)
     with pytest.raises(TruncationTooSmall):
-        eta_scaling(EYE4, (1, 4, 16), cap=0)
+        eta_scaling(op, (1, 4, 16), cap=0)
     with pytest.raises(ValueError):
-        eta_scaling(EYE4, (5,))
+        eta_scaling(op, (5,))
 
 
 def test_eta_source_orthogonal_to_ground_state():

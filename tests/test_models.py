@@ -185,6 +185,17 @@ def test_check_symplectic_detects_non_closed_form():
     assert "d w" in verdict.detail
 
 
+def test_check_symplectic_mixed_degree_form_is_a_verdict():
+    # A sum of a 2-form and a 1-form has no single degree; the check
+    # reports that instead of raising.
+    model = ce_complex(4, {})
+    w = model.form([(1, ["e1", "e2"]), (1, ["e3"])])
+    verdict = check_symplectic(model, w)
+    assert not verdict.degree_ok
+    assert not verdict.passed
+    assert "not of degree 2" in verdict.detail
+
+
 def test_multiplication_matrix_requires_closed_form():
     model, _ = builtin("kodaira_thurston")
     w = model.form([(1, ["e1", "e4"])])
