@@ -752,15 +752,29 @@ def sector_inner(op: ModelOperator, gram: SparseMat,
 # -- kernel, spectrum, eta -----------------------------------------------
 
 
-def _form_kernel_vector(op: ModelOperator) -> SparseMat:
-    """The unique (asserted) kernel vector of L2, first component scaled
-    to 1; raises UnexpectedKernel if the kernel is not 1-dimensional."""
+def _ground_exact(op: ModelOperator) -> tuple[SparseMat, SparseMat]:
+    """The ground form and its skew omega image, neither of which depends
+    on T.  The ground form is the unique (asserted) kernel vector of L2,
+    first component scaled to 1; raises UnexpectedKernel if the kernel is
+    not 1-dimensional."""
     ker = kernel_basis(op.form_op)
     if ker.cols != 1:
         raise UnexpectedKernel(
             f"form-operator kernel has dimension {ker.cols}, expected 1")
     first = min(r for (r, _) in ker.entries)
-    return ker.scale(Fraction(1) / ker.get(first, 0))
+    delta = ker.scale(Fraction(1) / ker.get(first, 0))
+    return delta, omega_skew(op.m).mat @ delta
+
+
+def _ground_float(op: ModelOperator):
+    """Numeric counterpart of _ground_exact (smallest singular vector)."""
+    import numpy as np
+
+    _, svals, vt = np.linalg.svd(_dense(op.form_op))
+    if int((svals < 1e-9 * max(float(svals.max()), 1.0)).sum()) != 1:
+        raise UnexpectedKernel("form-operator kernel is not 1-dimensional")
+    delta = vt[-1]
+    return delta, _dense(omega_skew(op.m).mat) @ delta
 
 
 def kernel_and_parity(op: ModelOperator, cap: int = 0,
@@ -918,8 +932,9 @@ def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
     """Solve for the first-order correction to the ground state of ``op``
     and certify the T^(-1/2) decay of its norm.
 
-    Per coupling T: the source is the skew omega action on the ground form;
-    the correction eta solves L_hat eta = D_hat(source) with eta Gaussian-
+    The ground form (the kernel of L2) and the source, its skew omega
+    image, do not depend on T and are computed once.  Per coupling T: the
+    correction eta solves L_hat eta = D_hat(source) with eta Gaussian-
     orthogonal to the ground state.  The report carries C1^2 =
     T ||eta||^2 / ||ground||^2, which must be the same for every T (exactly
     in exact mode; float mode solves by least squares and compares at rel
@@ -933,9 +948,13 @@ def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
     c1sq: list = []
     ortho_all = True
     vanished = False
-    once = _eta_once_exact if op.mode == "exact" else _eta_once_float
+    if op.mode == "exact":
+        ground, once = _ground_exact, _eta_once_exact
+    else:
+        ground, once = _ground_float, _eta_once_float
+    delta, source = ground(op)
     for t in ts:
-        value, ortho, gone = once(replace(op, T=t), cap)
+        value, ortho, gone = once(replace(op, T=t), cap, delta, source)
         c1sq.append(value)
         ortho_all = ortho_all and ortho
         vanished = vanished or gone
@@ -958,11 +977,11 @@ def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
                       ortho_all, detail)
 
 
-def _eta_once_exact(op: ModelOperator, cap: int):
-    """One exact correction solve; returns (C1^2, orthogonality, vanished)."""
+def _eta_once_exact(op: ModelOperator, cap: int, delta: SparseMat,
+                    source: SparseMat):
+    """One exact correction solve from the ground form ``delta`` and its
+    ``source``; returns (C1^2, orthogonality, vanished)."""
     n = 1 << op.m
-    delta = _form_kernel_vector(op)
-    source = omega_skew(op.m).mat @ delta
     if source.is_zero():
         return Fraction(0), True, True
     dot = sum((source.get(r, 0) * delta.get(r, 0) for r in range(n)),
@@ -984,16 +1003,11 @@ def _eta_once_exact(op: ModelOperator, cap: int):
     return op.T * norm_eta / norm_ground, dot == 0, False
 
 
-def _eta_once_float(op: ModelOperator, cap: int):
+def _eta_once_float(op: ModelOperator, cap: int, delta, source):
     """Numeric counterpart of _eta_once_exact (least-squares solve)."""
     import numpy as np
 
     n = 1 << op.m
-    _, svals, vt = np.linalg.svd(_dense(op.form_op))
-    if int((svals < 1e-9 * max(float(svals.max()), 1.0)).sum()) != 1:
-        raise UnexpectedKernel("form-operator kernel is not 1-dimensional")
-    delta = vt[-1]
-    source = _dense(omega_skew(op.m).mat) @ delta
     if float(np.abs(source).max()) <= 1e-12:
         return 0.0, True, True
     ortho = abs(float(source @ delta)) <= 1e-9

@@ -1,13 +1,21 @@
 """Exact sparse linear algebra over arbitrary-precision rationals.
 
 Matrices store ``fractions.Fraction`` entries keyed by ``(row, col)``; zero
-entries are never stored.  One forward-elimination kernel serves every
-routine: it picks the pivot in the leftmost nonzero column and, within it,
-the smallest row index, scales the pivot row to a leading 1 and clears the
-rows below.  ``rank`` is its pivot count and ``det`` its signed pivot
-product; only ``rref`` (and so ``kernel_basis``, ``solve`` and ``inverse``)
-adds a back-substitution pass.  Reduced forms, ranks, kernel bases and
-determinants are therefore reproducible bit for bit.
+entries are never stored.  The two hot kernels compute in Python ``int``s
+and convert back to reduced fractions only at their boundary.
+
+* Products scale each operand by the lcm of its denominators, accumulate
+  integer products and divide each nonzero output entry once.
+* One fraction-free forward-elimination kernel serves every routine.  Each
+  row is scaled to a primitive integer vector; the pivot is taken in the
+  leftmost nonzero column and, within it, at the smallest row index; a row
+  below is updated as ``(a/g)·row − (f/g)·lead`` with ``g = gcd(a, f)`` and
+  divided by its content.  ``rank`` is the pivot count and ``det`` the pivot
+  product times the recorded row scalings; only ``rref`` (and so
+  ``kernel_basis``, ``solve`` and ``inverse``) adds a back-substitution
+  pass, dividing by the pivots once at the end.  The reduced echelon form is
+  unique, so reduced forms, ranks, kernel bases and determinants are
+  reproducible bit for bit.
 
 Instances are immutable after construction: builders accumulate a plain dict
 and hand it to the constructor.
@@ -16,7 +24,8 @@ and hand it to the constructor.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm, prod
+from typing import Mapping, Sequence
 
 
 class NotSkewSymmetric(ValueError):
@@ -49,6 +58,16 @@ class SparseMat:
                 if val:
                     clean[(i, j)] = val
         self.entries = clean
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int,
+                 entries: dict[tuple[int, int], Fraction]) -> "SparseMat":
+        """Wrap entries that are already nonzero, reduced and in range."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
 
     # -- construction helpers -------------------------------------------
 
@@ -117,7 +136,7 @@ class SparseMat:
                     continue
                 for (r, c), v in blk.entries.items():
                     entries[(roff[i] + r, coff[j] + c)] = v
-        return SparseMat(roff[-1], coff[-1], entries)
+        return SparseMat._trusted(roff[-1], coff[-1], entries)
 
     # -- basic queries ---------------------------------------------------
 
@@ -159,45 +178,49 @@ class SparseMat:
                 entries[key] = s
             else:
                 entries.pop(key, None)
-        return SparseMat(self.rows, self.cols, entries)
+        return SparseMat._trusted(self.rows, self.cols, entries)
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
         return self + (-other)
 
     def __neg__(self) -> "SparseMat":
-        return SparseMat(self.rows, self.cols,
-                         {k: -v for k, v in self.entries.items()})
+        return SparseMat._trusted(self.rows, self.cols,
+                                  {k: -v for k, v in self.entries.items()})
 
     def scale(self, factor) -> "SparseMat":
         f = _coerce(factor)
         if not f:
             return SparseMat.zeros(self.rows, self.cols)
-        return SparseMat(self.rows, self.cols,
-                         {k: f * v for k, v in self.entries.items()})
+        return SparseMat._trusted(self.rows, self.cols,
+                                  {k: f * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        da = lcm(*(v.denominator for v in self.entries.values()))
+        db = lcm(*(v.denominator for v in other.entries.values()))
+        by_row: dict[int, list[tuple[int, int]]] = {}
         for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, k), a in self.entries.items():
+            by_row.setdefault(k, []).append(
+                (j, v.numerator * (db // v.denominator)))
+        acc: dict[tuple[int, int], int] = {}
+        for (i, k), v in self.entries.items():
             hits = by_row.get(k)
             if not hits:
                 continue
+            a = v.numerator * (da // v.denominator)
             for j, b in hits:
                 key = (i, j)
-                s = acc.get(key, 0) + a * b
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return SparseMat(self.rows, other.cols, acc)
+                acc[key] = acc.get(key, 0) + a * b
+        d = da * db
+        return SparseMat._trusted(self.rows, other.cols,
+                                  {key: Fraction(v, d)
+                                   for key, v in acc.items() if v})
 
     def transpose(self) -> "SparseMat":
-        return SparseMat(self.cols, self.rows,
-                         {(j, i): v for (i, j), v in self.entries.items()})
+        return SparseMat._trusted(
+            self.cols, self.rows,
+            {(j, i): v for (i, j), v in self.entries.items()})
 
     def is_skew(self) -> bool:
         if self.rows != self.cols:
@@ -211,31 +234,61 @@ class SparseMat:
 # -- elimination ---------------------------------------------------------
 
 
-def _subtract(tgt: dict[int, Fraction], f: Fraction,
-              lead: dict[int, Fraction]) -> None:
-    """tgt -= f * lead in place, dropping entries that cancel to zero."""
-    for j, v in lead.items():
-        s = tgt.get(j, 0) - f * v
-        if s:
-            tgt[j] = s
-        else:
-            del tgt[j]
+def _combine(row: dict[int, int], f: int, lead: dict[int, int],
+             a: int) -> tuple[dict[int, int], int, int]:
+    """Clear row's entry f against lead's pivot a, keeping integers.
 
-
-def _eliminate(m: SparseMat) -> tuple[list[dict[int, Fraction]], list[int],
-                                      Fraction]:
-    """Forward elimination to row echelon form with unit pivots.
-
-    Returns ``(rows, pivots, product)``: row r < len(pivots) has a leading 1
-    in column pivots[r] and zeros below it; ``product`` is the product of
-    the pivots before scaling, negated once per row swap, so it is the
-    determinant of a square matrix of full rank.
+    Returns ``(new_row, s, content)``: new_row is (s·row − t·lead)/content
+    with s/t = a/f in lowest terms and s > 0, and content the gcd of the
+    combination's entries (0 when it vanishes).
     """
-    rows: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
+    g = gcd(a, f)
+    s, t = a // g, f // g
+    if s < 0:
+        s, t = -s, -t
+    if s != 1:
+        row = {j: s * v for j, v in row.items()}
+    for j, v in lead.items():
+        x = row.get(j, 0) - t * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    content = gcd(*row.values())
+    if content > 1:
+        row = {j: v // content for j, v in row.items()}
+    return row, s, content
+
+
+def _eliminate(m: SparseMat) -> tuple[list[dict[int, int]], list[int],
+                                      list[int], list[int]]:
+    """Fraction-free forward elimination to row echelon form.
+
+    Returns ``(rows, pivots, num, den)``.  Each row is a primitive integer
+    vector; row r < len(pivots) leads in column pivots[r] with zeros below,
+    and the rows from len(pivots) on are empty.  Every row scaling (and
+    each swap, as a factor −1) is recorded so that
+    det(m) = prod(num) · (product of the pivots) / prod(den)
+    for a square m of full rank; a row that vanishes records a 0 in num,
+    and m is then singular.
+    """
+    given: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
-        rows[i][j] = v
+        given[i][j] = v
+    rows: list[dict[int, int]] = []
+    num: list[int] = []
+    den: list[int] = []
+    for row in given:
+        scale = lcm(*(v.denominator for v in row.values()))
+        ints = {j: v.numerator * (scale // v.denominator)
+                for j, v in row.items()}
+        content = gcd(*ints.values())
+        if content > 1:
+            ints = {j: v // content for j, v in ints.items()}
+        rows.append(ints)
+        num.append(content)
+        den.append(scale)
     pivots: list[int] = []
-    product = Fraction(1)
     for c in range(m.cols):
         r = len(pivots)
         piv = next((i for i in range(r, m.rows) if c in rows[i]), None)
@@ -243,20 +296,18 @@ def _eliminate(m: SparseMat) -> tuple[list[dict[int, Fraction]], list[int],
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            product = -product
-        pval = rows[r][c]
-        product *= pval
-        if pval != 1:
-            inv = 1 / pval
-            rows[r] = {j: v * inv for j, v in rows[r].items()}
+            num.append(-1)
         lead = rows[r]
+        a = lead[c]
         # Rows r+1..piv have no entry in column c: piv was the first.
         for i in range(piv + 1, m.rows):
             f = rows[i].get(c)
             if f:
-                _subtract(rows[i], f, lead)
+                rows[i], s, content = _combine(rows[i], f, lead, a)
+                num.append(content)
+                den.append(s)
         pivots.append(c)
-    return rows, pivots, product
+    return rows, pivots, num, den
 
 
 def rref(m: SparseMat) -> tuple[SparseMat, int, list[int]]:
@@ -265,15 +316,19 @@ def rref(m: SparseMat) -> tuple[SparseMat, int, list[int]]:
     Returns ``(reduced, rank, pivot_columns)``.  Pivot rule: leftmost
     nonzero column, then smallest row index, so the output is canonical.
     """
-    rows, pivots, _ = _eliminate(m)
+    rows, pivots, _, _ = _eliminate(m)
     for r in range(len(pivots) - 1, 0, -1):
         c, lead = pivots[r], rows[r]
         for i in range(r):
             f = rows[i].get(c)
             if f:
-                _subtract(rows[i], f, lead)
-    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-    return SparseMat(m.rows, m.cols, entries), len(pivots), pivots
+                rows[i] = _combine(rows[i], f, lead, lead[c])[0]
+    entries = {}
+    for r, c in enumerate(pivots):
+        a = rows[r][c]
+        for j, v in rows[r].items():
+            entries[(r, j)] = Fraction(v, a)
+    return SparseMat._trusted(m.rows, m.cols, entries), len(pivots), pivots
 
 
 def rank(m: SparseMat) -> int:
@@ -333,11 +388,15 @@ def inverse(m: SparseMat) -> SparseMat:
 
 
 def det(m: SparseMat) -> Fraction:
-    """Exact determinant: the signed pivot product of forward elimination."""
+    """Exact determinant: the pivot product of forward elimination, times
+    the row scalings and swap signs it recorded."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, product = _eliminate(m)
-    return product if len(pivots) == m.rows else Fraction(0)
+    rows, pivots, num, den = _eliminate(m)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(prod(num) * prod(rows[r][c] for r, c in enumerate(pivots)),
+                    prod(den))
 
 
 def skew_kernel_parity(m: SparseMat) -> tuple[int, int]:

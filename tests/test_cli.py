@@ -214,6 +214,35 @@ def test_oscillator_builds_the_model_once(capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_oscillator_finds_the_ground_form_once_per_check(capsys,
+                                                         monkeypatch):
+    # The ground form (kernel of L2) and omega_skew do not depend on T:
+    # the kernel check finds the kernel once, and eta_scaling finds it and
+    # builds omega_skew once for all its couplings.
+    import numpy as np
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("symsemi.cliffordlab.kernel_basis",
+                        counting("kernel", cliffordlab.kernel_basis))
+    monkeypatch.setattr(np.linalg, "svd", counting("kernel", np.linalg.svd))
+    monkeypatch.setattr("symsemi.cliffordlab.omega_skew",
+                        counting("omega_skew", cliffordlab.omega_skew))
+    for mode in ("exact", "float"):
+        calls.clear()
+        code, _, _ = run(capsys, "oscillator", "--matrix",
+                         str(SAMPLES / "matrix_diag_1234.txt"),
+                         "--mode", mode)
+        assert code == 0
+        assert sorted(calls) == ["kernel", "kernel", "omega_skew"]
+
+
 def test_internal_invariant_breach_exits_one(capsys, monkeypatch):
     def broken_cone(*args, **kwargs):
         raise RuntimeError("cone differential does not square to zero")

@@ -136,6 +136,40 @@ def test_random_cones_against_oracle():
         assert harmonic_dimensions(cx, wmap) == oracle_h
 
 
+def test_cone_d_squared_check_catches_a_block_from_the_wrong_degree(
+        monkeypatch):
+    # Every dimension is 1, so L^{p+1} one degree up has the shape of the
+    # right block wherever both lie in range.  With d_1 = 1 and L_3 = 3 the
+    # cone's d^2 at degree 2 is then -3 instead of 0.
+    one = SparseMat.identity(1)
+    cx = GradedComplex((1,) * 6, [SparseMat.zeros(1, 1), one]
+                       + [SparseMat.zeros(1, 1)] * 3)
+    wmap = OmegaMap(cx, [one, one.scale(2), SparseMat.zeros(1, 1),
+                         one.scale(3)])
+    assert list(betti(cone(cx, wmap))) == oracle_cone_betti(cx, wmap)[1]
+    right = OmegaMap.power_map
+
+    def shifted(self, k, power):
+        block, wrong = right(self, k, power), right(self, k + 1, power)
+        return wrong if wrong.shape == block.shape else block
+
+    monkeypatch.setattr(OmegaMap, "power_map", shifted)
+    with pytest.raises(InvalidComplex, match="!= 0"):
+        cone(cx, wmap)
+
+
+def test_cone_d_squared_check_catches_a_wrong_sign(monkeypatch):
+    # [[d, L], [0, +d]] squares to 2 L d in its corner, which vanishes on
+    # Kodaira-Thurston but not on a 6-generator nilpotent model.
+    rng = Random(0)
+    model = random_nilpotent_ce(6, rng)
+    cx, wmap = model_cone_inputs(model, random_closed_two_form(model, rng))
+    cone(cx, wmap, 0)
+    monkeypatch.setattr(SparseMat, "__neg__", lambda self: self)
+    with pytest.raises(InvalidComplex, match="!= 0"):
+        cone(cx, wmap, 0)
+
+
 def test_graded_complex_validates_composition():
     d0 = SparseMat.from_rows([[1]])
     d1 = SparseMat.from_rows([[1]])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -14,7 +15,7 @@ from symsemi.qlinalg import (NotSkewSymmetric, SparseMat, det, inverse,
                              kernel_basis, rank, rref, skew_kernel_parity,
                              solve)
 
-from oracles import bareiss_rank, dense_det, dense_from_sparse
+from oracles import bareiss_rank, dense_det, dense_from_sparse, dense_matmul
 
 
 def random_sparse(rng: Random, rows: int, cols: int,
@@ -260,3 +261,98 @@ def test_transpose_of_product():
         a = random_sparse(rng, 3, 5)
         b = random_sparse(rng, 5, 2)
         assert (a @ b).transpose() == b.transpose() @ a.transpose()
+
+
+# -- the integer kernels on wide rationals --------------------------------
+
+
+def big_fraction(rng: Random, bits: int = 72) -> Fraction:
+    """A nonzero rational of either sign with numerator and denominator of
+    ``bits`` bits before reduction (64 or more after it, in practice)."""
+    top = 1 << (bits - 1)
+    return Fraction(rng.choice((-1, 1)) * (top | rng.getrandbits(bits - 1)),
+                    top | rng.getrandbits(bits - 1))
+
+
+def big_sparse(rng: Random, rows: int, cols: int,
+               density: float = 0.7) -> SparseMat:
+    return SparseMat(rows, cols, {
+        (i, j): big_fraction(rng) for i in range(rows) for j in range(cols)
+        if rng.random() < density})
+
+
+def big_cases(rng: Random) -> list[SparseMat]:
+    """Wide-rational matrices: random, of rank below both sides (a product
+    through a thin middle), and with zero rows and scaled copies of rows."""
+    cases = []
+    for _ in range(15):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(big_sparse(rng, rows, cols))
+        thin = rng.randint(0, min(rows, cols) - 1)
+        cases.append(big_sparse(rng, rows, thin, 0.9)
+                     @ big_sparse(rng, thin, cols, 0.9))
+        base = big_sparse(rng, rows, cols)
+        copy, scale = rng.randrange(rows), big_fraction(rng)
+        entries = {}
+        for (i, j), v in base.entries.items():
+            entries[(2 * i, j)] = v
+            if i == copy:
+                entries[(2 * rows, j)] = v * scale
+        # Rows 1, 3, ... stay zero; row 2*rows is a multiple of row 2*copy.
+        cases.append(SparseMat(2 * rows + 1, cols, entries))
+    return cases
+
+
+def assert_reduced_entries(m: SparseMat) -> None:
+    for v in m.entries.values():
+        assert type(v) is Fraction and v != 0
+        assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+def test_integer_elimination_on_wide_rationals_matches_oracles():
+    cases = big_cases(Random(65))
+    entries = [v for m in cases for v in m.entries.values()]
+    assert all(min(v.numerator.bit_length(), v.denominator.bit_length()) >= 64
+               for m in cases[0::3] for v in m.entries.values())
+    assert any(v < 0 for v in entries) and any(v > 0 for v in entries)
+    deficient = 0
+    for m in cases:
+        rk = rank(m)
+        dense = dense_from_sparse(m)
+        assert rk == bareiss_rank(dense)
+        deficient += rk < min(m.rows, m.cols)
+        ker = kernel_basis(m)
+        assert ker.shape == (m.cols, m.cols - rk)
+        assert all(v == 0 for row in dense_matmul(dense, dense_from_sparse(ker))
+                   for v in row)
+        assert rank(ker) == ker.cols
+        reduced, rk2, _ = rref(m)
+        assert rk2 == rk
+        assert_reduced_entries(ker)
+        assert_reduced_entries(reduced)
+        if m.rows == m.cols:
+            assert det(m) == dense_det(dense)
+        if m.rows > m.cols:
+            square = SparseMat(m.cols, m.cols, {
+                k: v for k, v in m.entries.items() if k[0] < m.cols})
+            assert det(square) == dense_det(dense_from_sparse(square))
+    assert deficient >= 15
+
+
+def test_integer_product_on_unrelated_denominators_matches_oracle():
+    rng = Random(66)
+    for _ in range(20):
+        rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
+        a, b = big_sparse(rng, rows, inner), big_sparse(rng, inner, cols)
+        # [A | tA] @ [[tX, B], [-X, tB]]: the X columns cancel to zero.
+        t = big_fraction(rng)
+        x = big_sparse(rng, inner, cols, 0.9)
+        wide = SparseMat.block([[a, a.scale(t)]])
+        tall = SparseMat.block([[x.scale(t), b], [-x, b.scale(t)]])
+        for left, right in ((a, b), (wide, tall)):
+            prod = left @ right
+            assert dense_from_sparse(prod) == dense_matmul(
+                dense_from_sparse(left), dense_from_sparse(right))
+            assert_reduced_entries(prod)
+        assert all(c >= cols for (_, c) in (wide @ tall).entries)
+        assert (wide @ SparseMat.block([[x.scale(t)], [-x]])).is_zero()
