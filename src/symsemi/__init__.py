@@ -11,9 +11,8 @@ from .qlinalg import SparseMat, rref, rank, kernel_basis, skew_kernel_parity
 from .complexes import (GradedComplex, OmegaMap, BettiVector, cone, betti,
                         euler_characteristic, semi_characteristic,
                         cone_adjoint, harmonic_dimensions)
-from .models import (CDGAModel, FormalModel, Element, ce_complex,
-                     formal_model, tensor_product, multiplication_matrix,
-                     check_symplectic, builtin)
+from .models import (CDGAModel, Element, ce_complex, tensor_product,
+                     multiplication_matrix, check_symplectic, builtin)
 from .census import Zero, ZeroCensus, counting_check, euler_cross_check
 from .cliffordlab import (clifford, hodge_star, dvol_action, verify_car,
                           verify_volume_star, verify_volume_omega,
@@ -26,8 +25,8 @@ __all__ = [
     "GradedComplex", "OmegaMap", "BettiVector", "cone", "betti",
     "euler_characteristic", "semi_characteristic", "cone_adjoint",
     "harmonic_dimensions",
-    "CDGAModel", "FormalModel", "Element", "ce_complex", "formal_model",
-    "tensor_product", "multiplication_matrix", "check_symplectic", "builtin",
+    "CDGAModel", "Element", "ce_complex", "tensor_product",
+    "multiplication_matrix", "check_symplectic", "builtin",
     "Zero", "ZeroCensus", "counting_check", "euler_cross_check",
     "clifford", "hodge_star", "dvol_action", "verify_car",
     "verify_volume_star", "verify_volume_omega", "verify_complex_structure",

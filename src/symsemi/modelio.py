@@ -24,9 +24,8 @@ from pathlib import Path
 
 from .census import Zero, ZeroCensus
 from .complexes import GradedComplex, OmegaMap
-from .models import (BUILTIN_NAMES, CDGAModel, Element, FormalModel,
-                     SymplecticVerdict, builtin, check_symplectic,
-                     model_cone_inputs)
+from .models import (BUILTIN_NAMES, CDGAModel, Element, SymplecticVerdict,
+                     builtin, check_symplectic, model_cone_inputs)
 from .qlinalg import SparseMat
 
 
@@ -123,8 +122,8 @@ class LoadedModel:
     manifold_dim: int
     complex: GradedComplex
     omega_map: OmegaMap
-    model: object | None = None  # CDGAModel | FormalModel when available
-    omega: object | None = None  # Element (cdga) or coordinate column
+    model: CDGAModel | None = None  # None for matrix files
+    omega: Element | None = None    # None for matrix files
 
     def symplectic_verdict(self) -> SymplecticVerdict:
         if self.model is not None:
@@ -143,9 +142,7 @@ class LoadedModel:
         return SymplecticVerdict(True, not power.is_zero(), True, detail)
 
     def omega_terms(self) -> list | None:
-        if isinstance(self.omega, Element):
-            return element_terms(self.omega)
-        return None
+        return None if self.omega is None else element_terms(self.omega)
 
     def identity(self) -> dict:
         return {"source": self.source, "kind": self.kind, "name": self.name,
@@ -213,7 +210,7 @@ def _load_builtin(name: str, source: str) -> LoadedModel:
         raise FormatError(
             f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
     model, w = builtin(name)
-    cx, wmap = model_cone_inputs(model, w if isinstance(w, Element) else None)
+    cx, wmap = model_cone_inputs(model, w)
     return LoadedModel(source, "builtin", name, model.manifold_dim,
                        cx, wmap, model, w)
 

@@ -1,18 +1,15 @@
 """Finite cochain models of closed manifolds.
 
-Three flavours feed the cone machinery:
+Two flavours feed the cone machinery, both ``CDGAModel``:
 
-* ``CDGAModel``: a free graded-commutative algebra on named generators with
-  a differential extended by the graded Leibniz rule.  Monomials are sorted
+* A free graded-commutative algebra on named generators with a
+  differential extended by the graded Leibniz rule.  Monomials are sorted
   generator tuples; reordering picks up Koszul signs, odd generators square
   to zero, and even generators are capped at a finite power (quotient
-  semantics; the cap never binds for the builtins, which have no even
-  generators).
+  semantics: Λ(x)/(x^3) is CP^2 with ``power_cap=2``).
 * Chevalley-Eilenberg complexes ``ce_complex(n, structure)`` of Lie
   algebras, a CDGAModel on degree-1 generators with d e^k determined by the
   structure constants; d^2 = 0 is exactly the Jacobi identity.
-* ``FormalModel``: zero differential with explicit degree +2 multiplication
-  matrices (cohomology given directly, as for simply connected spaces).
 """
 
 from __future__ import annotations
@@ -137,7 +134,9 @@ class CDGAModel:
     ``differential`` maps generator names to term lists
     ``[(coeff, [factor names...]), ...]``; d extends by the graded Leibniz
     rule and d^2 = 0 is checked on every generator at construction
-    (JacobiViolation on failure).
+    (JacobiViolation on failure).  ``power_cap`` (default manifold_dim) is
+    the highest surviving power of every even generator, so
+    ``CDGAModel([("x", 2)], None, 4, power_cap=2)`` is H*(CP^2).
     """
 
     def __init__(self, generators: Sequence[tuple[str, int] | Generator],
@@ -393,83 +392,23 @@ def random_closed_two_form(m: CDGAModel, rng: Random) -> Element:
     return Element(m, out)
 
 
-# -- formal models -------------------------------------------------------
-
-
-class FormalModel:
-    """Zero-differential model: graded dimensions plus Lefschetz matrices.
-
-    ``lefschetz[k]`` is the matrix of multiplication by the distinguished
-    2-class from degree k to degree k+2 (k = 0..top-2).
-    """
-
-    def __init__(self, dims: Sequence[int], lefschetz: Sequence[SparseMat],
-                 manifold_dim: int | None = None):
-        self.dims = tuple(int(v) for v in dims)
-        if not self.dims or any(v < 0 for v in self.dims):
-            raise ShapeMismatch("bad graded dimensions")
-        self.manifold_dim = (len(self.dims) - 1 if manifold_dim is None
-                             else manifold_dim)
-        if self.manifold_dim != len(self.dims) - 1:
-            raise ShapeMismatch("manifold_dim must match the top degree")
-        top = len(self.dims) - 1
-        if len(lefschetz) != max(top - 1, 0):
-            raise ShapeMismatch(
-                f"expected {max(top - 1, 0)} Lefschetz matrices, "
-                f"got {len(lefschetz)}")
-        for k, mat in enumerate(lefschetz):
-            want = (self.dim(k + 2), self.dims[k])
-            if mat.shape != want:
-                raise ShapeMismatch(
-                    f"lefschetz[{k}] has shape {mat.shape}, expected {want}")
-        self.lefschetz = tuple(lefschetz)
-        self._complex: GradedComplex | None = None
-
-    def dim(self, k: int) -> int:
-        return self.dims[k] if 0 <= k < len(self.dims) else 0
-
-    def complex(self) -> GradedComplex:
-        if self._complex is None:
-            zero_d = [SparseMat.zeros(self.dims[k + 1], self.dims[k])
-                      for k in range(len(self.dims) - 1)]
-            self._complex = GradedComplex(self.dims, zero_d)
-        return self._complex
-
-    def omega_map(self) -> OmegaMap:
-        return OmegaMap(self.complex(), list(self.lefschetz))
-
-    def omega_vector(self) -> SparseMat:
-        """The distinguished 2-class: image of the degree-0 unit."""
-        if self.dim(0) < 1:
-            raise ShapeMismatch("formal model has empty degree 0")
-        unit = SparseMat(self.dims[0], 1, {(0, 0): Fraction(1)})
-        return self.omega_map().map(0) @ unit
-
-
-def formal_model(dims: Sequence[int],
-                 lefschetz: Sequence[SparseMat]) -> FormalModel:
-    """Formal model from graded dimensions and degree +2 matrices."""
-    return FormalModel(dims, lefschetz)
-
-
 # -- tensor products -----------------------------------------------------
 
 
-def tensor_product(a, b):
-    """Tensor product of two models of the same kind.
+def tensor_product(a: CDGAModel, b: CDGAModel) -> CDGAModel:
+    """Tensor product of two CDGA models.
 
-    CDGA x CDGA concatenates generator lists (colliding names from the
-    right factor get a ``_2`` suffix); formal x formal takes the graded
-    tensor product with Lefschetz map L_a (x) 1 + 1 (x) L_b.
+    Generator lists are concatenated (colliding names from the right factor
+    get a ``_2`` suffix).  The product keeps the power cap shared by the
+    factors that have even generators; ShapeMismatch if those caps differ,
+    since one global cap cannot truncate both factors correctly.
     """
-    if isinstance(a, CDGAModel) and isinstance(b, CDGAModel):
-        return _tensor_cdga(a, b)
-    if isinstance(a, FormalModel) and isinstance(b, FormalModel):
-        return _tensor_formal(a, b)
-    raise ShapeMismatch("tensor_product requires two models of the same kind")
-
-
-def _tensor_cdga(a: CDGAModel, b: CDGAModel) -> CDGAModel:
+    caps = {m.power_cap for m in (a, b)
+            if any(g.degree % 2 == 0 for g in m.generators)}
+    if len(caps) > 1:
+        raise ShapeMismatch(
+            f"factors truncate even generators at different powers "
+            f"{sorted(caps)}")
     taken = {g.name for g in a.generators}
     rename = {}
     for g in b.generators:
@@ -491,37 +430,7 @@ def _tensor_cdga(a: CDGAModel, b: CDGAModel) -> CDGAModel:
                 (c, [rename[b.generators[i].name] for i in mono])
                 for mono, c in dg.coeffs.items()]
     return CDGAModel(gens, diff, a.manifold_dim + b.manifold_dim,
-                     power_cap=max(a.power_cap, b.power_cap))
-
-
-def _tensor_formal(a: FormalModel, b: FormalModel) -> FormalModel:
-    top = (len(a.dims) - 1) + (len(b.dims) - 1)
-
-    def pairs(k: int) -> list[tuple[int, int, int]]:
-        out = []
-        for i in range(0, k + 1):
-            for ra in range(a.dim(i)):
-                for rb in range(b.dim(k - i)):
-                    out.append((i, ra, rb))
-        return out
-
-    index = {k: {key: pos for pos, key in enumerate(pairs(k))}
-             for k in range(top + 1)}
-    dims = [len(index[k]) for k in range(top + 1)]
-    maps = []
-    for k in range(top - 1):
-        entries: dict[tuple[int, int], Fraction] = {}
-        for (i, ra, rb), col in index[k].items():
-            for (r2, c2), v in a.omega_map().map(i).entries.items():
-                if c2 == ra:
-                    row = index[k + 2][(i + 2, r2, rb)]
-                    entries[(row, col)] = entries.get((row, col), 0) + v
-            for (r2, c2), v in b.omega_map().map(k - i).entries.items():
-                if c2 == rb:
-                    row = index[k + 2][(i, ra, r2)]
-                    entries[(row, col)] = entries.get((row, col), 0) + v
-        maps.append(SparseMat(dims[k + 2], dims[k], entries))
-    return FormalModel(dims, maps)
+                     power_cap=caps.pop() if caps else None)
 
 
 # -- symplectic checks ---------------------------------------------------
@@ -565,57 +474,41 @@ def multiplication_matrix(m: CDGAModel, w: Element) -> OmegaMap:
     return OmegaMap(cx, maps)
 
 
-def check_symplectic(model, w=None) -> SymplecticVerdict:
+def check_symplectic(model: CDGAModel, w: Element | None = None
+                     ) -> SymplecticVerdict:
     """Closedness and nondegeneracy verdict; carries failures, never raises.
 
-    CDGA models: w is an Element; nondegeneracy means w^(dim/2) != 0 in the
-    algebra.  Formal models check their own distinguished 2-class (w, if
-    given, must be its coordinate column).
+    Nondegeneracy means w^(dim/2) != 0 in the algebra.
     """
-    if isinstance(model, CDGAModel):
-        if w is None or not isinstance(w, Element) or w.model is not model:
-            return SymplecticVerdict(False, False, False,
-                                     "need a 2-form from this model")
-        if model.manifold_dim % 2:
-            return SymplecticVerdict(False, False, False,
-                                     "odd manifold_dim")
-        if {model.mono_degree(mono) for mono in w.coeffs} != {2}:
-            return SymplecticVerdict(False, False, False,
-                                     "form is zero or not of degree 2")
-        dw = model.d(w)
-        closed = dw.is_zero()
-        power = model.unit()
-        for _ in range(model.manifold_dim // 2):
-            power = power * w
-        nondeg = not power.is_zero()
-        detail = "" if closed else f"d w = {dw!r}"
-        return SymplecticVerdict(closed, nondeg, True, detail)
-    if isinstance(model, FormalModel):
-        if model.manifold_dim % 2:
-            return SymplecticVerdict(False, False, False, "odd manifold_dim")
-        if w is not None and w != model.omega_vector():
-            return SymplecticVerdict(
-                True, False, False,
-                "formal models only check their distinguished 2-class")
-        if model.dim(0) < 1:
-            return SymplecticVerdict(True, False, False, "empty degree 0")
-        unit = SparseMat(model.dim(0), 1, {(0, 0): Fraction(1)})
-        power = model.omega_map().power_map(0, model.manifold_dim // 2) @ unit
-        return SymplecticVerdict(True, not power.is_zero(), True)
-    return SymplecticVerdict(False, False, False, "unrecognised model kind")
+    if w is None or not isinstance(w, Element) or w.model is not model:
+        return SymplecticVerdict(False, False, False,
+                                 "need a 2-form from this model")
+    if model.manifold_dim % 2:
+        return SymplecticVerdict(False, False, False, "odd manifold_dim")
+    if {model.mono_degree(mono) for mono in w.coeffs} != {2}:
+        return SymplecticVerdict(False, False, False,
+                                 "form is zero or not of degree 2")
+    dw = model.d(w)
+    closed = dw.is_zero()
+    power = model.unit()
+    for _ in range(model.manifold_dim // 2):
+        power = power * w
+    nondeg = not power.is_zero()
+    detail = "" if closed else f"d w = {dw!r}"
+    return SymplecticVerdict(closed, nondeg, True, detail)
 
 
 # -- builtins ------------------------------------------------------------
 
 
-def builtin(name: str):
-    """Named example models: returns (model, omega).
+def builtin(name: str) -> tuple[CDGAModel, Element]:
+    """Named example models: returns (model, omega), omega an Element.
 
-    ``omega`` is an Element for CDGA-backed models and the distinguished
-    degree-2 coordinate column for formal ones.  Conventions: tori use
-    omega = e1^e2 (+ e3^e4); the nilmanifold model kodaira_thurston has the
-    single relation d e4 = -e2^e3 and omega = e1^e2 + e3^e4 (e1^e4 is *not*
-    closed here, so it cannot appear in omega).
+    Conventions: tori use omega = e1^e2 (+ e3^e4); the nilmanifold model
+    kodaira_thurston has the single relation d e4 = -e2^e3 and omega =
+    e1^e2 + e3^e4 (e1^e4 is *not* closed here, so it cannot appear in
+    omega).  cp2 is Λ(x)/(x^3) with omega = x, and s2xs2 is
+    Λ(x, y)/(x^2, y^2) with omega = x + y.
     """
     if name == "t2":
         m = ce_complex(2, {})
@@ -627,26 +520,20 @@ def builtin(name: str):
         m = ce_complex(4, {(2, 3, 4): 1})
         return m, m.form([(1, ["e1", "e2"]), (1, ["e3", "e4"])])
     if name == "cp2":
-        one = SparseMat.identity(1)
-        m = FormalModel((1, 0, 1, 0, 1),
-                        [one, SparseMat.zeros(0, 0), one])
-        return m, m.omega_vector()
+        m = CDGAModel([("x", 2)], None, 4, power_cap=2)
+        return m, m.gen("x")
     if name == "s2xs2":
-        s2 = FormalModel((1, 0, 1), [SparseMat.identity(1)])
-        m = _tensor_formal(s2, s2)
-        return m, m.omega_vector()
+        m = CDGAModel([("x", 2), ("y", 2)], None, 4, power_cap=1)
+        return m, m.form([(1, ["x"]), (1, ["y"])])
     raise UnknownName(name)
 
 
 BUILTIN_NAMES = ("cp2", "s2xs2", "t2", "t4", "kodaira_thurston")
 
 
-def model_cone_inputs(model, w=None) -> tuple[GradedComplex, OmegaMap]:
-    """Uniform access to (complex, omega map) for any model kind."""
-    if isinstance(model, CDGAModel):
-        if w is None:
-            raise ShapeMismatch("CDGA models need an explicit 2-form")
-        return model.complex(), multiplication_matrix(model, w)
-    if isinstance(model, FormalModel):
-        return model.complex(), model.omega_map()
-    raise ShapeMismatch("unrecognised model kind")
+def model_cone_inputs(model: CDGAModel, w: Element | None = None
+                      ) -> tuple[GradedComplex, OmegaMap]:
+    """The (complex, omega map) pair that the cone is built from."""
+    if w is None:
+        raise ShapeMismatch("the cone needs an explicit 2-form")
+    return model.complex(), multiplication_matrix(model, w)

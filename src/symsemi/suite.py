@@ -21,7 +21,7 @@ from .cliffordlab import (Sector, eta_scaling, kernel_and_parity, model_L,
                           verify_volume_omega, verify_volume_star)
 from .complexes import (betti, cone, euler_characteristic,
                         harmonic_dimensions, semi_characteristic)
-from .models import (Element, builtin, check_symplectic, model_cone_inputs,
+from .models import (builtin, check_symplectic, model_cone_inputs,
                      multiplication_matrix, random_closed_two_form,
                      random_nilpotent_ce)
 from .qlinalg import SparseMat, skew_kernel_parity
@@ -47,8 +47,7 @@ class CriterionResult:
 
 def _builtin_cone(name: str):
     model, w = builtin(name)
-    cx, wmap = model_cone_inputs(
-        model, w if isinstance(w, Element) else None)
+    cx, wmap = model_cone_inputs(model, w)
     cn = cone(cx, wmap)
     b = betti(cn)
     return model, cx, wmap, cn, b, semi_characteristic(b)
@@ -247,24 +246,26 @@ def criteria_names() -> list[str]:
     return [f"{num:2d}  {name}" for num, name, _ in CRITERIA]
 
 
+def _timed(num: int, name: str, func) -> CriterionResult:
+    start = perf_counter()
+    ok, detail, data = func()
+    return CriterionResult(num, name, ok, detail, perf_counter() - start,
+                           data)
+
+
 def run_criterion(number: int) -> CriterionResult:
     for num, name, func in CRITERIA:
         if num == number:
-            start = perf_counter()
-            ok, detail, data = func()
-            return CriterionResult(num, name, ok, detail,
-                                   perf_counter() - start, data)
+            return _timed(num, name, func)
     raise ValueError(f"no criterion number {number}")
 
 
 def run_all(emit=None) -> list[CriterionResult]:
     results = []
-    for num, name, func in CRITERIA:
-        start = perf_counter()
-        ok, detail, data = func()
-        result = CriterionResult(num, name, ok, detail,
-                                 perf_counter() - start, data)
+    for criterion in CRITERIA:
+        result = _timed(*criterion)
         results.append(result)
         if emit is not None:
-            emit(f"{result.label}  ({result.elapsed:.2f} s)  {detail}")
+            emit(f"{result.label}  ({result.elapsed:.2f} s)  "
+                 f"{result.detail}")
     return results

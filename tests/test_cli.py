@@ -27,6 +27,9 @@ def test_compute_builtin_cp2(capsys):
     assert payload["semi_characteristic"] == 1
     assert payload["euler_characteristic"] == 0
     assert payload["counting_applicable"] is True
+    assert payload["omega"] == [["1", ["x"]]]
+    assert payload["symplectic"] == {"closed": True, "degree_ok": True,
+                                     "detail": "", "nondegenerate": True}
 
 
 def test_compute_json_is_byte_stable(capsys):

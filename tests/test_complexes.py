@@ -21,9 +21,7 @@ from oracles import (bareiss_rank, dense_betti, dense_cone, dense_from_sparse,
 
 
 def builtin_inputs(name):
-    from symsemi.models import Element
-    model, w = builtin(name)
-    return model_cone_inputs(model, w if isinstance(w, Element) else None)
+    return model_cone_inputs(*builtin(name))
 
 
 def oracle_cone_betti(cx, wmap, p=0):

@@ -8,13 +8,14 @@ from random import Random
 
 import pytest
 
-from symsemi.complexes import betti, cone, euler_characteristic
-from symsemi.models import (CDGAModel, Element, FormalModel, JacobiViolation,
-                            NotClosed, ShapeMismatch, UnknownName, builtin,
+from symsemi.complexes import (betti, cone, euler_characteristic,
+                               semi_characteristic)
+from symsemi.models import (CDGAModel, Element, JacobiViolation, NotClosed,
+                            ShapeMismatch, UnknownName, builtin,
                             BUILTIN_NAMES, ce_complex, check_symplectic,
-                            formal_model, model_cone_inputs,
-                            multiplication_matrix, random_closed_two_form,
-                            random_nilpotent_ce, tensor_product)
+                            model_cone_inputs, multiplication_matrix,
+                            random_closed_two_form, random_nilpotent_ce,
+                            tensor_product)
 from symsemi.qlinalg import SparseMat
 
 from oracles import dense_betti, dense_from_sparse
@@ -134,33 +135,64 @@ def test_tensor_product_renames_colliding_generators():
     assert len(set(names)) == 4
 
 
-def test_tensor_product_of_formal_spheres():
-    s2 = FormalModel((1, 0, 1), [SparseMat.identity(1)])
-    product = tensor_product(s2, s2)
-    assert tuple(product.dims) == (1, 0, 2, 0, 1)
+def sphere():
+    """H*(S^2) = Λ(x)/(x^2)."""
+    return CDGAModel([("x", 2)], None, 2, power_cap=1)
+
+
+def test_tensor_product_of_truncated_spheres():
+    product = tensor_product(sphere(), sphere())
+    assert tuple(product.complex().dims) == (1, 0, 2, 0, 1)
     assert product.manifold_dim == 4
+    assert underlying_betti(product) == underlying_betti(builtin("s2xs2")[0])
 
 
-def test_formal_model_shape_guards():
+def test_tensor_product_rejects_mismatched_caps():
+    cp2, _ = builtin("cp2")
     with pytest.raises(ShapeMismatch):
-        FormalModel((1, 0, 1), [])
-    with pytest.raises(ShapeMismatch):
-        FormalModel((1, 0, 1), [SparseMat.zeros(2, 1)])
-    with pytest.raises(ShapeMismatch):
-        FormalModel((1, 0, 1), [SparseMat.identity(1)], manifold_dim=4)
+        tensor_product(cp2, sphere())
 
 
-def test_formal_model_distinguished_class():
-    model = formal_model((1, 0, 1, 0, 1),
-                         [SparseMat.identity(1), SparseMat.zeros(0, 0),
-                          SparseMat.identity(1)])
-    vec = model.omega_vector()
-    assert vec.shape == (1, 1)
-    assert vec.get(0, 0) == 1
+def convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@pytest.mark.parametrize("left, right, forms, k", [
+    ("cp2", "cp2",
+     ([(1, ["x"]), (1, ["x_2"])],
+      [(2, ["x"]), (-3, ["x_2"])]), 1),
+    ("cp2", "kodaira_thurston",
+     ([(1, ["x"]), (1, ["e1", "e2"]), (1, ["e3", "e4"])],
+      [(3, ["x"]), (1, ["e1", "e2"]), (-2, ["e3", "e4"]),
+       (1, ["e1", "e3"])]), 0),
+    ("s2xs2", "t4",
+     ([(1, ["x"]), (1, ["y"]), (1, ["e1", "e2"]), (1, ["e3", "e4"])],
+      [(3, ["x"]), (-1, ["y"]), (1, ["e1", "e4"]), (1, ["e2", "e3"])]),
+     0),
+])
+def test_counting_formula_on_8_dimensional_products(left, right, forms, k):
+    # k(p = 0) = chi(M) mod 2 on each product, for two closed
+    # nondegenerate forms that are not multiples of each other.
+    a, b = builtin(left)[0], builtin(right)[0]
+    model = tensor_product(a, b)
+    manifold_b = underlying_betti(model)
+    assert manifold_b == convolve(underlying_betti(a), underlying_betti(b))
+    ks = []
+    for terms in forms:
+        w = model.form(terms)
+        assert check_symplectic(model, w).passed
+        ks.append(semi_characteristic(
+            betti(cone(*model_cone_inputs(model, w)))))
+    assert ks == [k, k]
+    assert k % 2 == euler_characteristic(manifold_b) % 2
 
 
 def test_check_symplectic_accepts_standard_forms():
-    for name in ("t2", "t4", "kodaira_thurston"):
+    for name in ("t2", "t4", "kodaira_thurston", "cp2", "s2xs2"):
         model, w = builtin(name)
         verdict = check_symplectic(model, w)
         assert verdict.closed and verdict.nondegenerate and verdict.degree_ok
