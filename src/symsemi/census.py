@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InputError
 
-class MissingSigns(ValueError):
+
+class MissingSigns(InputError):
     """A signed count was requested but some determinant signs are unknown."""
 
 
-class OddDimension(ValueError):
+class OddDimension(InputError):
     """The mod-2 zero count is a statement about even-dimensional models."""
 
 

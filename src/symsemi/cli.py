@@ -7,9 +7,11 @@ spectrum scaling and eta scaling for a coefficient matrix), ``suite``
 (the ten builtin acceptance criteria).
 
 Exit codes: 0 success, 1 assertion, invariant or verdict failure (never a
-traceback), 2 invalid input.  Only the input-error classes in
-``_USAGE_ERRORS`` exit 2; any other ``ValueError`` or ``RuntimeError`` is a
-broken internal invariant and exits 1.
+traceback), 2 invalid input.  Only ``InputError`` (see ``errors``) and
+``OSError`` exit 2; any other ``ValueError`` or ``RuntimeError`` is a
+broken internal invariant and exits 1.  Each subcommand imports the modules
+it runs, so ``--help`` loads no engine module and ``compute``/``verify``
+never load the Clifford and oscillator code.
 The arithmetic mode defaults to the SYMSEMI_MODE environment variable
 ("exact" unless set otherwise); ``--mode`` wins over the environment.
 """
@@ -19,43 +21,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
-from random import Random
 from time import perf_counter
 
-from .census import MissingSigns, OddDimension, counting_check, \
-    euler_cross_check
-from .cliffordlab import (EXACT_DIM_LIMIT, FLOAT_DIM_LIMIT, BadDimension,
-                          NoRationalRoot, NotUnit, Singular,
-                          TruncationTooSmall, UnexpectedKernel, eta_scaling,
-                          kernel_and_parity, model_L,
-                          random_rational_unit_vector, spectrum_scaling,
-                          verify_car, verify_complex_structure,
-                          verify_volume_omega, verify_volume_star)
-from .complexes import (ChainMapViolation, InvalidComplex, betti, cone,
-                        euler_characteristic, semi_characteristic)
-from .models import JacobiViolation, NotClosed, ShapeMismatch, UnknownName
-from .modelio import (FormatError, format_rational, load_census,
-                      load_matrix_rows, load_model)
-from .qlinalg import NotSkewSymmetric
-from .report import (CliffordReport, ComputeReport, OscillatorReport,
-                     VerifyReport, spectrum_table)
-from .suite import criteria_names, run_all
+from .errors import CheckFailure, InputError
 
 PASS, FAIL, USAGE = 0, 1, 2
 
-_USAGE_ERRORS = (FormatError, OSError, UnknownName, NotClosed,
-                 JacobiViolation, ShapeMismatch, InvalidComplex,
-                 ChainMapViolation, BadDimension, Singular, NoRationalRoot,
-                 NotUnit, NotSkewSymmetric, OddDimension, MissingSigns,
-                 TruncationTooSmall)
+_USAGE_ERRORS = (InputError, OSError)
 
 
 def _resolve_mode(args) -> str:
     mode = getattr(args, "mode", None) \
         or os.environ.get("SYMSEMI_MODE", "exact")
     if mode not in ("exact", "float"):
-        raise FormatError(
+        raise InputError(
             f"mode must be \"exact\" or \"float\", got {mode!r}")
     return mode
 
@@ -79,20 +58,25 @@ def _symplectic_dict(verdict) -> dict:
 
 
 def _symplectic_gate(loaded, spec: str, allow_degenerate: bool = False):
-    """The model's symplectic verdict; FormatError unless it passed or only
+    """The model's symplectic verdict; InputError unless it passed or only
     nondegeneracy failed and ``allow_degenerate`` waives that."""
     verdict = loaded.symplectic_verdict()
     if verdict.passed or (allow_degenerate and verdict.closed
                           and verdict.degree_ok):
         return verdict
     extra = f": {verdict.detail}" if verdict.detail else ""
-    raise FormatError(f"symplectic check failed for {spec}{extra}")
+    raise InputError(f"symplectic check failed for {spec}{extra}")
 
 
 def cmd_compute(args) -> int:
+    from .complexes import (betti, cone, euler_characteristic,
+                            semi_characteristic)
+    from .modelio import load_model
+    from .report import ComputeReport
+
     start = perf_counter()
     if args.p < 0:
-        raise FormatError("--p must be >= 0")
+        raise InputError("--p must be >= 0")
     loaded = load_model(args.model)
     verdict = _symplectic_gate(loaded, args.model, args.allow_degenerate)
     warnings = [] if verdict.passed else \
@@ -123,6 +107,12 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .census import MissingSigns, counting_check, euler_cross_check
+    from .complexes import (betti, cone, euler_characteristic,
+                            semi_characteristic)
+    from .modelio import load_census, load_model
+    from .report import VerifyReport
+
     start = perf_counter()
     loaded = load_model(args.model)
     census = load_census(args.census)
@@ -171,17 +161,26 @@ _CLIFFORD_CHECKS = ("car", "star", "omega", "complex-structure")
 
 
 def cmd_clifford(args) -> int:
+    from fractions import Fraction
+    from random import Random
+
+    from .cliffordlab import (EXACT_DIM_LIMIT, FLOAT_DIM_LIMIT,
+                              random_rational_unit_vector, verify_car,
+                              verify_complex_structure, verify_volume_omega,
+                              verify_volume_star)
+    from .report import CliffordReport
+
     start = perf_counter()
     mode = _resolve_mode(args)
     m = 4 * args.n
     if args.n < 1:
-        raise FormatError("--n must be >= 1")
+        raise InputError("--n must be >= 1")
     if m > FLOAT_DIM_LIMIT:
-        raise FormatError(
+        raise InputError(
             f"dimension 4n = {m} exceeds the float-mode limit "
             f"{FLOAT_DIM_LIMIT}")
     if mode == "exact" and m > EXACT_DIM_LIMIT:
-        raise FormatError(
+        raise InputError(
             f"dimension 4n = {m} exceeds the exact-mode limit "
             f"{EXACT_DIM_LIMIT}; rerun with --mode float")
     wanted = []
@@ -191,7 +190,7 @@ def cmd_clifford(args) -> int:
             wanted = list(_CLIFFORD_CHECKS)
             break
         if name not in _CLIFFORD_CHECKS:
-            raise FormatError(
+            raise InputError(
                 f"unknown check {name!r}; choose from "
                 f"{', '.join(_CLIFFORD_CHECKS + ('all',))}")
         if name not in wanted:
@@ -223,14 +222,21 @@ def cmd_clifford(args) -> int:
 
 
 def cmd_oscillator(args) -> int:
+    from fractions import Fraction
+
+    from .cliffordlab import (eta_scaling, kernel_and_parity, model_L,
+                              spectrum_scaling)
+    from .modelio import format_rational, load_matrix_rows
+    from .report import OscillatorReport, spectrum_table
+
     start = perf_counter()
     mode = _resolve_mode(args)
     rows = load_matrix_rows(args.matrix)
     ts = tuple(args.T) if args.T else (Fraction(1), Fraction(4), Fraction(16))
     if len(set(ts)) < 3:
-        raise FormatError("--T needs at least 3 distinct couplings")
+        raise InputError("--T needs at least 3 distinct couplings")
     if args.degree_cap < 2:
-        raise FormatError("--degree-cap must be >= 2 (spectrum window)")
+        raise InputError("--degree-cap must be >= 2 (spectrum window)")
     op = model_L(rows, ts[0], mode)
     ker_dim, parity = kernel_and_parity(op)
     parity_ok = parity == (0 if op.det_sign > 0 else 1)
@@ -268,10 +274,12 @@ def cmd_oscillator(args) -> int:
     return PASS if passed else FAIL
 
 
-def _coupling(text: str) -> Fraction:
+def _coupling(text: str):
     """argparse type of --T: a positive Fraction literal, with a zero
     denominator reported as a usage error like every other malformed
     value."""
+    from fractions import Fraction
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -284,6 +292,8 @@ def _coupling(text: str) -> Fraction:
 
 
 def cmd_suite(args) -> int:
+    from .suite import criteria_names, run_all
+
     if args.list:
         for line in criteria_names():
             print(line)
@@ -362,7 +372,7 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else PASS
     try:
         return args.func(args)
-    except UnexpectedKernel as exc:
+    except CheckFailure as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return FAIL
     except _USAGE_ERRORS as exc:

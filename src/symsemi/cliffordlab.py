@@ -57,6 +57,7 @@ from fractions import Fraction
 from random import Random
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from .errors import CheckFailure, InputError
 from .qlinalg import SparseMat, det, inverse, kernel_basis, solve
 
 if TYPE_CHECKING:
@@ -67,27 +68,27 @@ class DimensionMismatch(ValueError):
     """Vector length does not match the operator dimension."""
 
 
-class BadDimension(ValueError):
+class BadDimension(InputError):
     """Dimension not a multiple of 4, or beyond the supported range."""
 
 
-class NotUnit(ValueError):
+class NotUnit(InputError):
     """A unit vector was required."""
 
 
-class Singular(ValueError):
+class Singular(InputError):
     """The coefficient matrix A must be invertible."""
 
 
-class NoRationalRoot(ValueError):
+class NoRationalRoot(InputError):
     """Exact mode needs a rational square root of A^t A."""
 
 
-class TruncationTooSmall(ValueError):
+class TruncationTooSmall(InputError):
     """The polynomial degree cap cannot hold a required output."""
 
 
-class UnexpectedKernel(RuntimeError):
+class UnexpectedKernel(CheckFailure):
     """The model kernel failed to be 1-dimensional."""
 
 

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import InputError
 from .qlinalg import SparseMat, rank
 
 
-class InvalidComplex(ValueError):
+class InvalidComplex(InputError):
     """Shapes inconsistent or the differential fails d(d(x)) = 0."""
 
 
-class ChainMapViolation(ValueError):
+class ChainMapViolation(InputError):
     """A degree +2 map failed to commute with the differentials."""
 
 

@@ -24,12 +24,13 @@ from pathlib import Path
 
 from .census import Zero, ZeroCensus
 from .complexes import GradedComplex, OmegaMap
+from .errors import InputError
 from .models import (BUILTIN_NAMES, CDGAModel, Element, SymplecticVerdict,
                      builtin, check_symplectic, model_cone_inputs)
 from .qlinalg import SparseMat
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     """An input file does not match its schema."""
 
 

@@ -4,12 +4,17 @@ Two flavours feed the cone machinery, both ``CDGAModel``:
 
 * A free graded-commutative algebra on named generators with a
   differential extended by the graded Leibniz rule.  Monomials are sorted
-  generator tuples; reordering picks up Koszul signs, odd generators square
-  to zero, and even generators are capped at a finite power (quotient
-  semantics: Λ(x)/(x^3) is CP^2 with ``power_cap=2``).
+  generator tuples; odd generators square to zero, and even generators are
+  capped at a finite power (quotient semantics: Λ(x)/(x^3) is CP^2 with
+  ``power_cap=2``).
 * Chevalley-Eilenberg complexes ``ce_complex(n, structure)`` of Lie
   algebras, a CDGAModel on degree-1 generators with d e^k determined by the
   structure constants; d^2 = 0 is exactly the Jacobi identity.
+
+One kernel multiplies monomials: ``CDGAModel._merge`` merges two sorted
+monomials and takes the Koszul sign from the odd generators that cross.
+The product, the Leibniz differential, the ω multiplication matrices and
+``form`` all go through it, each accumulating one coefficient dict.
 """
 
 from __future__ import annotations
@@ -19,24 +24,25 @@ from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
 
+from .errors import InputError
 from .qlinalg import SparseMat, kernel_basis
 from .complexes import GradedComplex, OmegaMap
 
 
-class JacobiViolation(ValueError):
+class JacobiViolation(InputError):
     """The differential fails d(d(x)) = 0; for Chevalley-Eilenberg input
     this is a failure of the Jacobi identity."""
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(InputError):
     """Graded dimensions, degrees and supplied matrices disagree."""
 
 
-class NotClosed(ValueError):
+class NotClosed(InputError):
     """A form required to be closed has nonzero differential."""
 
 
-class UnknownName(KeyError):
+class UnknownName(InputError, KeyError):
     """Generator or builtin-model name not recognised."""
 
 
@@ -44,6 +50,13 @@ class UnknownName(KeyError):
 class Generator:
     name: str
     degree: int
+
+
+def _accumulate(out: dict, mono: tuple[int, ...], value: Fraction) -> None:
+    """Add ``value`` to ``out[mono]``; zero sums stay for ``Element`` to
+    drop."""
+    prev = out.get(mono)
+    out[mono] = value if prev is None else prev + value
 
 
 class Element:
@@ -77,11 +90,7 @@ class Element:
             raise ValueError("elements of different models")
         out = dict(self.coeffs)
         for mono, v in other.coeffs.items():
-            s = out.get(mono, 0) + v
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            _accumulate(out, mono, v)
         return Element(self.model, out)
 
     def __neg__(self) -> "Element":
@@ -98,19 +107,14 @@ class Element:
         """Graded-commutative product with Koszul signs."""
         if other.model is not self.model:
             raise ValueError("elements of different models")
-        model = self.model
+        merge = self.model._merge
         out: dict[tuple[int, ...], Fraction] = {}
         for m1, a in self.coeffs.items():
             for m2, b in other.coeffs.items():
-                mono, sign = model.sort_sign(m1 + m2)
-                if not sign:
-                    continue
-                s = out.get(mono, 0) + sign * a * b
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return Element(model, out)
+                mono, sign = merge(m1, m2)
+                if sign:
+                    _accumulate(out, mono, a * b if sign > 0 else -(a * b))
+        return Element(self.model, out)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element) and other.model is self.model
@@ -156,6 +160,7 @@ class CDGAModel:
             raise ValueError("manifold_dim must be >= 0")
         self.manifold_dim = manifold_dim
         self.power_cap = manifold_dim if power_cap is None else power_cap
+        self._odd = tuple(g.degree % 2 for g in self.generators)
         self._basis_cache: dict[int, list[tuple[int, ...]]] = {}
         self._complex: GradedComplex | None = None
 
@@ -191,72 +196,81 @@ class CDGAModel:
 
     def form(self, terms: Sequence) -> Element:
         """Build an element from ``[(coeff, [generator names...]), ...]``."""
-        out = self.zero()
+        out: dict[tuple[int, ...], Fraction] = {}
         for coeff, factors in terms:
-            seq = []
+            mono, sign = (), 1
             for name in factors:
                 if name not in self.index:
                     raise UnknownName(name)
-                seq.append(self.index[name])
-            mono, sign = self.sort_sign(tuple(seq))
+                if sign:
+                    mono, s = self._merge(mono, (self.index[name],))
+                    sign *= s
             if sign:
-                out = out + Element(self, {mono: sign * Fraction(coeff)})
-        return out
+                _accumulate(out, mono, sign * Fraction(coeff))
+        return Element(self, out)
 
     # -- monomial arithmetic ---------------------------------------------
 
     def mono_degree(self, mono: tuple[int, ...]) -> int:
         return sum(self.generators[i].degree for i in mono)
 
-    def sort_sign(self, seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """Canonical sorted monomial and Koszul sign; sign 0 if the monomial
-        dies (odd generator repeated, or an even power above the cap)."""
-        arr = list(seq)
+    def _merge(self, a: tuple[int, ...], b: tuple[int, ...]
+               ) -> tuple[tuple[int, ...], int]:
+        """The product a·b of two sorted monomials: the sorted monomial and
+        its Koszul sign, (-1) to the number of odd generators of b that
+        pass an odd generator of a.  The sign is 0 if the product dies: an
+        odd generator repeats, or an even power exceeds ``power_cap``."""
+        if not a or not b or a[-1] < b[0]:
+            return a + b, 1
+        odd = self._odd
+        left = 0                    # odd generators of a still to place
+        for x in a:
+            left += odd[x]
+        out = []
         sign = 1
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and arr[j - 1] > arr[j]:
-                if (self.generators[arr[j - 1]].degree % 2
-                        and self.generators[arr[j]].degree % 2):
-                    sign = -sign
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                j -= 1
-        count = 1
-        for k in range(1, len(arr) + 1):
-            if k < len(arr) and arr[k] == arr[k - 1]:
-                count += 1
-                continue
-            if count > 1:
-                if self.generators[arr[k - 1]].degree % 2:
+        i, na = 0, len(a)
+        for y in b:
+            while i < na and a[i] < y:
+                left -= odd[a[i]]
+                out.append(a[i])
+                i += 1
+            if i < na and a[i] == y:
+                if odd[y] or a.count(y) + b.count(y) > self.power_cap:
                     return (), 0
-                if count > self.power_cap:
-                    return (), 0
-            count = 1
-        return tuple(arr), sign
+            elif odd[y] and left & 1:
+                sign = -sign
+            out.append(y)
+        out.extend(a[i:])
+        return tuple(out), sign
 
     def d_mono(self, mono: tuple[int, ...]) -> Element:
-        """Leibniz rule: d picks up (-1)^(degree of the passed prefix)."""
-        out = self.zero()
+        """Leibniz rule.  d(g_i) replaces the i-th factor with sign
+        (-1)^(|prefix|); moving it past the suffix gives (-1)^(|d g_i||suffix|)
+        and merging it into the rest gives the merge sign."""
+        degree = [self.generators[gi].degree for gi in mono]
+        total = sum(degree)
+        out: dict[tuple[int, ...], Fraction] = {}
         prefix_deg = 0
         for i, gi in enumerate(mono):
-            dg = self._dgen[gi]
-            if not dg.is_zero():
-                sign0 = -1 if prefix_deg % 2 else 1
-                terms: dict[tuple[int, ...], Fraction] = {}
-                for dmono, c in dg.coeffs.items():
-                    combined, s = self.sort_sign(
-                        mono[:i] + dmono + mono[i + 1:])
+            dg = self._dgen[gi].coeffs
+            if dg:
+                rest = mono[:i] + mono[i + 1:]
+                suffix_deg = total - prefix_deg - degree[i]
+                flip = (prefix_deg + (degree[i] + 1) * suffix_deg) % 2
+                for dmono, c in dg.items():
+                    combined, s = self._merge(rest, dmono)
                     if s:
-                        terms[combined] = terms.get(combined, 0) + sign0 * s * c
-                out = out + Element(self, terms)
-            prefix_deg += self.generators[gi].degree
-        return out
+                        _accumulate(out, combined,
+                                    -c if (s < 0) != flip else c)
+            prefix_deg += degree[i]
+        return Element(self, out)
 
     def d(self, elt: Element) -> Element:
-        out = self.zero()
+        out: dict[tuple[int, ...], Fraction] = {}
         for mono, c in elt.coeffs.items():
-            out = out + self.d_mono(mono).scale(c)
-        return out
+            for dmono, v in self.d_mono(mono).coeffs.items():
+                _accumulate(out, dmono, c * v)
+        return Element(self, out)
 
     # -- graded bases and matrices ---------------------------------------
 
@@ -384,11 +398,7 @@ def random_closed_two_form(m: CDGAModel, rng: Random) -> Element:
     if closed.cols and all(w == 0 for w in weights):
         weights[rng.randrange(closed.cols)] = Fraction(1)
     for (row, col), v in closed.entries.items():
-        s = out.get(basis2[row], 0) + weights[col] * v
-        if s:
-            out[basis2[row]] = s
-        else:
-            out.pop(basis2[row], None)
+        _accumulate(out, basis2[row], weights[col] * v)
     return Element(m, out)
 
 
@@ -400,8 +410,11 @@ def tensor_product(a: CDGAModel, b: CDGAModel) -> CDGAModel:
 
     Generator lists are concatenated (colliding names from the right factor
     get a ``_2`` suffix).  The product keeps the power cap shared by the
-    factors that have even generators; ShapeMismatch if those caps differ,
-    since one global cap cannot truncate both factors correctly.
+    factors that have even generators.  One global cap cannot truncate both
+    factors correctly, so ShapeMismatch if those caps differ, or if the
+    product would keep a power g^j that g's own factor truncates by degree
+    (j·|g| above its manifold_dim, as y^2 in Λ(y) on S^2 with the default
+    cap).
     """
     caps = {m.power_cap for m in (a, b)
             if any(g.degree % 2 == 0 for g in m.generators)}
@@ -409,6 +422,15 @@ def tensor_product(a: CDGAModel, b: CDGAModel) -> CDGAModel:
         raise ShapeMismatch(
             f"factors truncate even generators at different powers "
             f"{sorted(caps)}")
+    top = a.manifold_dim + b.manifold_dim
+    cap = caps.pop() if caps else top
+    for m in (a, b):
+        for g in m.generators:
+            kept = min(1 if g.degree % 2 else cap, top // g.degree)
+            if kept * g.degree > m.manifold_dim:
+                raise ShapeMismatch(
+                    f"the product keeps {g.name}^{kept}, which its factor "
+                    f"truncates by degree (manifold_dim {m.manifold_dim})")
     taken = {g.name for g in a.generators}
     rename = {}
     for g in b.generators:
@@ -429,8 +451,7 @@ def tensor_product(a: CDGAModel, b: CDGAModel) -> CDGAModel:
             diff[rename[g.name]] = [
                 (c, [rename[b.generators[i].name] for i in mono])
                 for mono, c in dg.coeffs.items()]
-    return CDGAModel(gens, diff, a.manifold_dim + b.manifold_dim,
-                     power_cap=caps.pop() if caps else None)
+    return CDGAModel(gens, diff, top, power_cap=cap)
 
 
 # -- symplectic checks ---------------------------------------------------
@@ -467,9 +488,12 @@ def multiplication_matrix(m: CDGAModel, w: Element) -> OmegaMap:
         tgt = {mono: i for i, mono in enumerate(m.basis(k + 2))}
         entries = {}
         for j, mono in enumerate(m.basis(k)):
-            prod = w * Element(m, {mono: Fraction(1)})
-            for out_mono, c in prod.coeffs.items():
-                entries[(tgt[out_mono], j)] = c
+            # Distinct terms of w give distinct products w_t·mono, so each
+            # entry is one signed coefficient.
+            for wmono, c in w.coeffs.items():
+                out_mono, sign = m._merge(wmono, mono)
+                if sign:
+                    entries[(tgt[out_mono], j)] = c if sign > 0 else -c
         maps.append(SparseMat(len(tgt), cx.dim(k), entries))
     return OmegaMap(cx, maps)
 

@@ -27,8 +27,10 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
+from .errors import InputError
 
-class NotSkewSymmetric(ValueError):
+
+class NotSkewSymmetric(InputError):
     """Raised when an operation requires m^T = -m and the input fails it."""
 
 

@@ -206,7 +206,6 @@ def test_oscillator_builds_the_model_once(capsys, monkeypatch):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr("symsemi.cli.model_L", counting_model_L)
     monkeypatch.setattr("symsemi.cliffordlab.model_L", counting_model_L)
     for mode in ("exact", "float"):
         calls.clear()
@@ -250,7 +249,7 @@ def test_internal_invariant_breach_exits_one(capsys, monkeypatch):
     def broken_cone(*args, **kwargs):
         raise RuntimeError("cone differential does not square to zero")
 
-    monkeypatch.setattr("symsemi.cli.cone", broken_cone)
+    monkeypatch.setattr("symsemi.complexes.cone", broken_cone)
     code, out, err = run(capsys, "compute", "builtin:cp2")
     assert code == 1
     assert out == ""
@@ -265,7 +264,7 @@ def test_stray_value_error_is_an_internal_breach(capsys, monkeypatch):
     def broken_check(*args, **kwargs):
         raise ValueError("kind must be 'c' or 'chat', got 'x'")
 
-    monkeypatch.setattr("symsemi.cli.verify_car", broken_check)
+    monkeypatch.setattr("symsemi.cliffordlab.verify_car", broken_check)
     code, out, err = run(capsys, "clifford", "--checks", "car")
     assert code == 1
     assert out == ""

@@ -1,0 +1,193 @@
+"""What each subcommand imports, and the two error families behind the exit
+codes.
+
+Start-up is part of every job's cost, so a subcommand loads only the
+modules it runs: ``--help`` loads no engine module, ``compute`` and
+``verify`` never load the Clifford/oscillator code, the suite or numpy,
+and ``clifford`` never loads the CDGA and cone code.  Each case runs in a
+fresh interpreter and reads ``sys.modules`` after the command.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from symsemi import (census, cli, cliffordlab, complexes, modelio, models,
+                     qlinalg)
+from symsemi.errors import CheckFailure, InputError
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
+ENGINE = {"symsemi.qlinalg", "symsemi.complexes", "symsemi.models",
+          "symsemi.census", "symsemi.cliffordlab", "symsemi.modelio",
+          "symsemi.report", "symsemi.suite"}
+
+
+def loaded_after(*argv: str) -> set[str]:
+    """symsemi modules (and "numpy") loaded by one ``main(argv)`` call in a
+    fresh interpreter."""
+    script = f"""
+import contextlib, io, json, sys
+from symsemi.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({list(argv)!r})
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "numpy" or m.startswith("symsemi"))]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    assert code == 0
+    return set(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "builtin:kodaira_thurston", "--p", "1"),
+    ("verify", "builtin:s2xs2", "--census",
+     str(SAMPLES / "census_s2xs2_morse.json")),
+])
+def test_cone_jobs_load_no_clifford_suite_or_numpy(argv):
+    modules = loaded_after(*argv)
+    assert "symsemi.models" in modules and "symsemi.complexes" in modules
+    assert not modules & {"symsemi.cliffordlab", "symsemi.suite", "numpy"}
+
+
+def test_clifford_loads_no_cdga_or_cone_code():
+    modules = loaded_after("clifford", "--n", "1")
+    assert "symsemi.cliffordlab" in modules
+    assert not modules & {"symsemi.models", "symsemi.complexes",
+                          "symsemi.modelio", "symsemi.suite", "numpy"}
+
+
+@pytest.mark.parametrize("sub", ["compute", "verify", "clifford",
+                                 "oscillator", "suite"])
+def test_help_loads_no_engine_module(sub):
+    modules = loaded_after(sub, "--help")
+    assert "symsemi.cli" in modules
+    assert not modules & (ENGINE | {"numpy"})
+
+
+def test_every_public_name_resolves():
+    script = """
+import json, sys
+import symsemi
+bare = sorted(m for m in sys.modules if m.startswith("symsemi."))
+missing = [n for n in symsemi.__all__ if getattr(symsemi, n, None) is None]
+namespace = {}
+exec("from symsemi import *", namespace)
+print(json.dumps([bare, missing, sorted(set(symsemi.__all__) - set(namespace)),
+                  hasattr(symsemi, "no_such_name")]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    bare, missing, unstarred, bogus = json.loads(done.stdout)
+    assert bare == []                   # importing the package loads nothing
+    assert missing == [] and unstarred == [] and not bogus
+
+
+def test_exit_codes_follow_the_two_error_families():
+    assert cli._USAGE_ERRORS == (InputError, OSError)
+    for cls in (modelio.FormatError, models.UnknownName, models.NotClosed,
+                models.JacobiViolation, models.ShapeMismatch,
+                complexes.InvalidComplex, complexes.ChainMapViolation,
+                cliffordlab.BadDimension, cliffordlab.Singular,
+                cliffordlab.NoRationalRoot, cliffordlab.NotUnit,
+                cliffordlab.TruncationTooSmall, qlinalg.NotSkewSymmetric,
+                census.OddDimension, census.MissingSigns):
+        assert issubclass(cls, InputError), cls
+    assert issubclass(models.UnknownName, KeyError)
+    assert issubclass(cliffordlab.UnexpectedKernel, CheckFailure)
+    assert not issubclass(cliffordlab.UnexpectedKernel, InputError)
+    assert not issubclass(cliffordlab.DimensionMismatch, InputError)
+
+
+def _cdga(gens, differential, omega, manifold_dim=4):
+    return {"kind": "cdga", "manifold_dim": manifold_dim,
+            "generators": [{"name": n, "degree": d} for n, d in gens],
+            "differential": differential, "omega": omega}
+
+
+_E = [(f"e{i}", 1) for i in range(1, 5)]
+_FILES = {
+    "unknown_name.json": _cdga(_E, {}, [["1", ["e1", "zz"]]]),
+    "not_closed.json": _cdga(_E, {"e4": [["-1", ["e2", "e3"]]]},
+                             [["1", ["e1", "e4"]]]),
+    "jacobi.json": _cdga(_E, {"e4": [["-1", ["e2", "e3"]]],
+                              "e3": [["-1", ["e1", "e4"]]]},
+                         [["1", ["e1", "e2"]]]),
+    "shape.json": _cdga([("x", 1), ("y", 1), ("z", 1)],
+                        {"z": [["1", ["x"]]]}, [["1", ["x", "y"]]], 3),
+    "invalid_complex.json": {"kind": "matrix", "manifold_dim": 2,
+                             "dims": [1, 1, 1], "d": [[["1"]], [["1"]]],
+                             "omega": [[["1"]]]},
+    "chain_map.json": {"kind": "matrix", "manifold_dim": 3,
+                       "dims": [1, 1, 0, 1], "d": [[["1"]], [], [[]]],
+                       "omega": [[], [["1"]]]},
+    "odd_dim.json": {"kind": "matrix", "manifold_dim": 3,
+                     "dims": [1, 0, 1, 0], "d": [[], [[]], []],
+                     "omega": [[["1"]], []]},
+    "two.txt": "1 0\n0 1\n",
+    "singular.txt": "0 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+    "shear.txt": "1 1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+}
+_KT_CENSUS = str(SAMPLES / "census_kt_nonvanishing.json")
+
+
+def _case(error, argv, message):
+    return pytest.param(argv, message, id=error)
+
+
+@pytest.mark.parametrize("argv, message", [
+    _case("FormatError", ["compute", "builtin:nosuch"],
+          "unknown builtin 'nosuch'; choose from cp2, s2xs2, t2, t4, "
+          "kodaira_thurston"),
+    _case("OSError", ["verify", "builtin:t4", "--census", "no_census.json"],
+          "[Errno 2] No such file or directory: 'no_census.json'"),
+    _case("UnknownName", ["compute", "unknown_name.json"], "'zz'"),
+    _case("NotClosed", ["compute", "not_closed.json"],
+          "d w = (1)*e1^e2^e3 != 0"),
+    _case("JacobiViolation", ["compute", "jacobi.json"],
+          "d(d e3) = (-1)*e1^e2^e3 != 0"),
+    _case("ShapeMismatch", ["compute", "shape.json"],
+          "d z has degree 1, expected 2"),
+    _case("InvalidComplex", ["compute", "invalid_complex.json"],
+          "d[1] d[0] != 0"),
+    _case("ChainMapViolation", ["compute", "chain_map.json"],
+          "d L != L d at degree 0 (is the 2-form closed?)"),
+    _case("OddDimension", ["verify", "odd_dim.json", "--census", _KT_CENSUS],
+          "manifold_dim 3 is odd"),
+    _case("BadDimension", ["oscillator", "--matrix", "two.txt"],
+          "A is 2x2; the model needs a multiple of 4"),
+    _case("Singular", ["oscillator", "--matrix", "singular.txt"],
+          "det A = 0"),
+    _case("NoRationalRoot", ["oscillator", "--matrix", "shear.txt"],
+          "A^t A has no auto-detectable rational square root; supply "
+          "sqrt_gram or use float mode"),
+    _case("InputError-option", ["compute", "builtin:t4", "--p", "-1"],
+          "--p must be >= 0"),
+    _case("InputError-limit", ["clifford", "--n", "3"],
+          "dimension 4n = 12 exceeds the exact-mode limit 8; rerun with "
+          "--mode float"),
+])
+def test_input_errors_exit_two_with_their_message(argv, message, tmp_path,
+                                                  monkeypatch, capsys):
+    for name, content in _FILES.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -153,6 +153,19 @@ def test_tensor_product_rejects_mismatched_caps():
         tensor_product(cp2, sphere())
 
 
+def test_tensor_product_rejects_a_power_truncated_by_degree():
+    # Λ(y) on S^2 with the default cap 2 drops y^2 only by degree; the
+    # shared cap of cp2 x S^2 would keep it and give wrong Betti numbers.
+    cp2, _ = builtin("cp2")
+    with pytest.raises(ShapeMismatch, match="y\\^2"):
+        tensor_product(cp2, CDGAModel([("y", 2)], None, 2))
+    # The minimal model of CP^2 (dy = x^3) keeps x^3 only above its top
+    # degree, so its product with a 4-manifold would keep it as well.
+    minimal = CDGAModel([("x", 2), ("y", 5)], {"y": [(1, ["x"] * 3)]}, 4)
+    with pytest.raises(ShapeMismatch, match="x\\^4"):
+        tensor_product(minimal, builtin("kodaira_thurston")[0])
+
+
 def convolve(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
