@@ -35,18 +35,20 @@ square root of A^t A), the operator reads
     L_hat = -laplacian + 2T (Sx).grad + T * L2,
     L2    = tr(S) + sum_j c(e_j) chat(A e_j),
 
-acting on (polynomials of bounded degree) tensor (forms).  T multiplies
-every term but the Laplacian, so a sector splits into two coupling-free
-parts, lap = -laplacian and flow = 2 (Sx).grad + L2, with
-L_hat = lap + T flow and L_hat / T = flow + lap / T; the spectrum scaling
-check assembles them once per model and only rescales lap for each
-coupling.  All assembly is exact rational, and the spectrum scaling
-certificate is exact in both modes.  "float" mode means only that an
-irrational square root S is approximated numerically (entering the exact
-arithmetic as binary rationals); without an exact S the kernel is then
-found by SVD and the eta correction by a least-squares solve, and those
-two comparisons carry tolerances.  numpy is imported inside the functions
-that use it, so importing this module does not load it.
+acting on (polynomials of bounded degree) tensor (forms).  It is a
+product: with lap = -laplacian and flow = 2 (Sx).grad acting on the
+polynomials alone, L_hat = (lap + T flow) tensor 1 + T (1 tensor L2).  So
+the sector parts are k x k polynomial matrices (k monomials, not k 2^m
+basis vectors), assembled once per model; the spectrum scaling check runs
+on them, only rescaling lap for each coupling, and a degree block's
+spectrum is the sum set of its polynomial eigenvalues and those of L2.
+All assembly is exact rational, and the spectrum scaling certificate is
+exact in both modes.  "float" mode means only that an irrational square
+root S is approximated numerically (entering the exact arithmetic as
+binary rationals); without an exact S the kernel is then found by SVD and
+the eta correction by a least-squares solve, and those two comparisons
+carry tolerances.  numpy is imported inside the functions that use it, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from random import Random
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -562,17 +565,10 @@ class Sector:
             raise ValueError("cap must be >= 0")
         self.m = m
         self.cap = cap
-        monos: list[tuple[int, ...]] = []
-
-        def extend(pos: int, left: int, current: list[int]):
-            if pos == m:
-                monos.append(tuple(current))
-                return
-            for e in range(left + 1):
-                extend(pos + 1, left - e, current + [e])
-
-        extend(0, cap, [])
-        monos.sort(key=lambda t: (sum(t), t))
+        monos = sorted((tuple(c.count(i) for i in range(m))
+                        for d in range(cap + 1)
+                        for c in combinations_with_replacement(range(m), d)),
+                       key=lambda t: (sum(t), t))
         self.monomials = tuple(monos)
         self.mono_index = {t: i for i, t in enumerate(monos)}
         self.size = len(monos) << m
@@ -593,15 +589,15 @@ def _linear_mult_terms(matrix_rows: list[list[Fraction]], i: int,
 
 def _sector_parts(op: ModelOperator, sec: Sector
                   ) -> tuple[SparseMat, SparseMat]:
-    """The coupling-free parts (lap, flow) of the conjugated model operator
-    on ``sec``: lap = -laplacian lowers the total degree by exactly 2, and
-    flow = 2 (Sx).grad + L2 keeps it, so L_hat = lap + T flow."""
-    n = 1 << op.m
+    """The coupling-free polynomial factors (lap, flow) of the conjugated
+    model operator on ``sec``, k x k over the k = len(sec.monomials)
+    monomials: lap = -laplacian lowers the total degree by exactly 2, and
+    flow = 2 (Sx).grad keeps it.  The sector operator is
+    (lap + T flow) tensor 1 + T (1 tensor L2)."""
     s_rows = op.sqrt_gram.to_rows()
     lap: dict[tuple[int, int], Fraction] = {}
     flow: dict[tuple[int, int], Fraction] = {}
     for mi, mono in enumerate(sec.monomials):
-        base = mi << op.m
         for i in range(op.m):
             e = mono[i]
             if e >= 2:
@@ -609,32 +605,39 @@ def _sector_parts(op: ModelOperator, sec: Sector
                 # every lap entry is written once.
                 low = list(mono)
                 low[i] -= 2
-                li = sec.mono_index[tuple(low)] << op.m
-                coeff = Fraction(-e * (e - 1))
-                for mask in range(n):
-                    lap[(li + mask, base + mask)] = coeff
+                lap[(sec.mono_index[tuple(low)], mi)] = Fraction(-e * (e - 1))
             if e >= 1:
                 down = list(mono)
                 down[i] -= 1
                 for out_mono, c in _linear_mult_terms(s_rows, i, tuple(down)):
-                    oi = sec.mono_index[out_mono] << op.m
-                    coeff = 2 * e * c
-                    for mask in range(n):
-                        key = (oi + mask, base + mask)
-                        flow[key] = flow.get(key, 0) + coeff
-        for (r, c), v in op.form_op.entries.items():
+                    key = (sec.mono_index[out_mono], mi)
+                    flow[key] = flow.get(key, 0) + 2 * e * c
+    k = len(sec.monomials)
+    return SparseMat(k, k, lap), SparseMat(k, k, flow)
+
+
+def _tensor_form(poly: SparseMat, form: SparseMat, m: int) -> SparseMat:
+    """poly tensor 1 + 1 tensor form on (monomials) x (2^m form masks),
+    index mono_index * 2^m + mask."""
+    entries: dict[tuple[int, int], Fraction] = {}
+    for (r, c), v in poly.entries.items():
+        for mask in range(1 << m):
+            entries[((r << m) + mask, (c << m) + mask)] = v
+    for base in range(0, poly.rows << m, 1 << m):
+        for (r, c), v in form.entries.items():
             key = (base + r, base + c)
-            flow[key] = flow.get(key, 0) + v
-    return (SparseMat(sec.size, sec.size, lap),
-            SparseMat(sec.size, sec.size, flow))
+            entries[key] = entries.get(key, 0) + v
+    return SparseMat(poly.rows << m, poly.cols << m, entries)
 
 
 def sector_matrix_L(op: ModelOperator, cap: int) -> SparseMat:
     """Conjugated model operator -laplacian + 2T (Sx).grad + T L2 on the
-    degree <= cap sector.  The polynomial filtration is preserved (entries
-    keep or lower the total degree), so no truncation error arises."""
+    degree <= cap sector, assembled from the polynomial factors of
+    ``_sector_parts`` and the form factor L2.  The polynomial filtration is
+    preserved (entries keep or lower the total degree), so no truncation
+    error arises."""
     lap, flow = _sector_parts(op, Sector(op.m, cap))
-    return lap + flow.scale(op.T)
+    return _tensor_form(lap + flow.scale(op.T), op.form_op.scale(op.T), op.m)
 
 
 def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int) -> SparseMat:
@@ -729,24 +732,17 @@ def gaussian_gram(op: ModelOperator, cap: int) -> SparseMat:
 
 def sector_inner(op: ModelOperator, gram: SparseMat,
                  u: SparseMat, v: SparseMat) -> Fraction:
-    """Gaussian inner product of two sector columns."""
+    """Gaussian inner product of two sector columns (gram tensor 1)."""
     n = 1 << op.m
-    acc = Fraction(0)
-    by_mask_u: dict[int, dict[int, Fraction]] = {}
-    for (idx, _), val in u.entries.items():
-        by_mask_u.setdefault(idx % n, {})[idx // n] = val
     by_mask_v: dict[int, dict[int, Fraction]] = {}
     for (idx, _), val in v.entries.items():
         by_mask_v.setdefault(idx % n, {})[idx // n] = val
-    for mask, ucoef in by_mask_u.items():
-        vcoef = by_mask_v.get(mask)
-        if not vcoef:
-            continue
-        for i, uv in ucoef.items():
-            for j, vv in vcoef.items():
-                g = gram.get(i, j)
-                if g:
-                    acc += uv * g * vv
+    acc = Fraction(0)
+    for (idx, _), uv in u.entries.items():
+        for j, vv in by_mask_v.get(idx % n, {}).items():
+            g = gram.get(idx // n, j)
+            if g:
+                acc += uv * g * vv
     return acc
 
 
@@ -848,14 +844,15 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
                      ) -> SpectrumVerdict:
     """Certify that spectrum(model operator)/T does not depend on T.
 
-    The coupling-free sector parts of ``op`` are assembled once, and the
-    scaled sector matrix for each T is L_hat / T = flow + lap / T, exact
-    rational in both modes.  It is block upper-triangular for the
-    polynomial degree filtration (off-diagonal entries lower the degree by
-    exactly 2, from the Laplacian), so its spectrum is the union of the
-    diagonal blocks' spectra; those blocks are verified entrywise identical
-    across the given T values, and max_deviation is the largest entry
-    difference between them.  Only the reported spectrum is numeric.
+    L_hat / T = P_T tensor 1 + 1 tensor L2 with P_T = flow + lap / T, exact
+    rational in both modes.  1 tensor L2 keeps the degree and is the same
+    for every T, so the checks run on the k x k factors, assembled once:
+    P_T is block upper-triangular for the degree filtration (off-diagonal
+    entries lower the degree by exactly 2, from the Laplacian; a failure
+    detail names the monomial indices), its diagonal blocks are verified
+    entrywise identical across the given T values, and max_deviation is
+    the largest entry difference between them.  Only the spectrum, the
+    union of the diagonal blocks' spectra, is numeric.
     """
     ts = _validate_ts(Ts, 3)
     if cap < 2:
@@ -864,11 +861,11 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     lap, flow = _sector_parts(op, sec)
     mats = [flow + lap.scale(Fraction(1) / t) for t in ts]
     bad = ""
-    degree = [sec.degree_of(idx) for idx in range(sec.size)]
+    degree = [sum(mono) for mono in sec.monomials]
     for (r, c) in mats[0].entries:
         dr, dc = degree[r], degree[c]
         if dr != dc and dr != dc - 2:
-            bad = f"entry ({r},{c}) maps degree {dc} to {dr}"
+            bad = f"monomial entry ({r},{c}) maps degree {dc} to {dr}"
             break
     structure_ok = not bad
     diags = [{k: v for k, v in mat.entries.items()
@@ -877,7 +874,7 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     dev = 0 if blocks_match else max(
         abs(d.get(k, 0) - diags[0].get(k, 0))
         for d in diags[1:] for k in d.keys() | diags[0].keys())
-    spectrum = _block_spectrum(mats[0], sec)
+    spectrum = _block_spectrum(diags[0], op, cap)
     passed = structure_ok and blocks_match
     detail = bad if not structure_ok else (
         "" if blocks_match else "diagonal blocks differ across T")
@@ -887,26 +884,24 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
                            blocks_match, float(dev), spectrum, gap, detail)
 
 
-def _block_spectrum(mat: SparseMat, sec: Sector) -> tuple[float, ...]:
-    """Eigenvalues of the degree-diagonal blocks, numerically, sorted.
-
-    Monomials are ordered by degree and the C(m + d, d) monomials of degree
-    <= d come first, so each degree's block is one contiguous index range.
-    One pass over the entries splits them by block; only one block at a
-    time is dense."""
+def _block_spectrum(diag: dict, op: ModelOperator, cap: int
+                    ) -> tuple[float, ...]:
+    """Eigenvalues of the degree-diagonal blocks P_d tensor 1 + 1 tensor L2,
+    numerically, sorted; ``diag`` holds the degree-preserving entries of P.
+    A block's spectrum is the sum set {p + l} of the eigenvalues p of P_d
+    and l of L2.  The C(m + d, d) monomials of degree <= d come first, so
+    each degree's block is one contiguous index range."""
     import numpy as np
 
-    ends = [math.comb(sec.m + deg, deg) << sec.m for deg in range(sec.cap + 1)]
+    ends = [math.comb(op.m + deg, deg) for deg in range(cap + 1)]
     starts = [0] + ends[:-1]
-    blocks: list[dict] = [{} for _ in ends]
-    for (r, c), v in mat.entries.items():
-        deg = sec.degree_of(r)
-        if sec.degree_of(c) == deg:
-            blocks[deg][(r - starts[deg], c - starts[deg])] = v
+    form = np.linalg.eigvals(_dense(op.form_op)).real
     out: list[float] = []
-    for lo, hi, entries in zip(starts, ends, blocks):
-        block = _dense(SparseMat(hi - lo, hi - lo, entries))
-        out.extend(float(x) for x in np.linalg.eigvals(block).real)
+    for lo, hi in zip(starts, ends):
+        block = SparseMat(hi - lo, hi - lo, {
+            (r - lo, c - lo): v for (r, c), v in diag.items() if lo <= r < hi})
+        poly = np.linalg.eigvals(_dense(block)).real
+        out.extend((poly[:, None] + form).ravel().tolist())
     out.sort()
     return tuple(out)
 

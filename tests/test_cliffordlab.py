@@ -1,6 +1,7 @@
 """Tests for the Clifford identities and the finite oscillator model."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 
 from symsemi import cliffordlab as cl
 from symsemi.qlinalg import SparseMat, kernel_basis
+from symsemi.report import spectrum_table
 from symsemi.cliffordlab import (
     BadDimension,
     DimensionMismatch,
@@ -442,12 +444,13 @@ def test_spectrum_scaling_catches_a_coupling_in_a_diagonal_block(
         monkeypatch):
     # An entry of lap inside a diagonal block makes that block of
     # flow + lap / T depend on T; the exact block comparison must see it
-    # in both modes.
+    # in both modes.  lap is the k x k polynomial factor.
     sector_parts = cl._sector_parts
 
     def leaky_lap(op, sec):
         lap, flow = sector_parts(op, sec)
-        leak = SparseMat(sec.size, sec.size, {(0, 0): Fraction(1)})
+        k = len(sec.monomials)
+        leak = SparseMat(k, k, {(0, 0): Fraction(1)})
         return lap + leak, flow
 
     monkeypatch.setattr(cl, "_sector_parts", leaky_lap)
@@ -458,6 +461,62 @@ def test_spectrum_scaling_catches_a_coupling_in_a_diagonal_block(
         assert verdict.structure_ok and not verdict.blocks_match
         assert verdict.detail == "diagonal blocks differ across T"
         assert verdict.max_deviation == 0.99
+
+
+def dense_block_spectrum(op, cap, t):
+    """Reference spectrum: each degree-diagonal block of the full sector
+    operator divided by t, solved densely, with no use of its product
+    structure."""
+    import numpy as np
+
+    sec = Sector(op.m, cap)
+    mat = sector_matrix_L(replace(op, T=Fraction(t)), cap).scale(
+        Fraction(1, t))
+    out = []
+    for deg in range(cap + 1):
+        idx = [i for i in range(sec.size) if sec.degree_of(i) == deg]
+        pos = {i: n for n, i in enumerate(idx)}
+        block = np.zeros((len(idx), len(idx)))
+        for (r, c), v in mat.entries.items():
+            if r in pos and c in pos:
+                block[pos[r], pos[c]] = float(v)
+        out.extend(np.linalg.eigvals(block).real.tolist())
+    return sorted(out)
+
+
+def test_factored_spectrum_matches_the_dense_blocks():
+    # The sum set of polynomial-block and L2 eigenvalues against the
+    # eigenvalues of the full degree blocks, at a coupling T = 10 that the
+    # diagonal blocks must not see.
+    shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    rng = Random(41)
+    ops = [model_L(a, 1, "exact", sqrt_gram=s) for a, s in
+           (random_model_matrix(4, rng, sign) for sign in (1, -1))]
+    ops.append(model_L(shear, 1, "float"))
+    for op in ops:
+        for cap in (2, 3, 4):
+            got = spectrum_scaling(op, (1, 10, 100), cap=cap).spectrum
+            want = dense_block_spectrum(op, cap, 10)
+            assert len(got) == len(want) == Sector(4, cap).size
+            assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-9
+            assert spectrum_table(got) == spectrum_table(want)
+
+
+def test_spectrum_scaling_in_dimension_eight():
+    import numpy as np
+
+    values = (2, Fraction(1, 2), 3, -1, 5, Fraction(3, 2), 7, 4)
+    diag = [[values[i] if i == j else 0 for j in range(8)] for i in range(8)]
+    a, s = random_model_matrix(8, Random(1), -1)
+    for op in (model_L(diag, 1, "exact"),
+               model_L(a, 1, "exact", sqrt_gram=s)):
+        verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
+        assert verdict.passed and verdict.mode == "exact"
+        assert len(verdict.spectrum) == Sector(8, 2).size
+        assert sum(abs(x) <= 1e-8 for x in verdict.spectrum) == 1
+        s_min = float(np.linalg.eigvalsh(
+            np.array(op.sqrt_gram.to_rows(), dtype=float)).min())
+        assert abs(verdict.gap - 2 * s_min) <= 1e-9
 
 
 def test_eta_scaling_identity_matrix():
