@@ -13,7 +13,9 @@ broken internal invariant and exits 1.  Each subcommand imports the modules
 it runs, so ``--help`` loads no engine module and ``compute``/``verify``
 never load the Clifford and oscillator code.
 The arithmetic mode defaults to the SYMSEMI_MODE environment variable
-("exact" unless set otherwise); ``--mode`` wins over the environment.
+("exact" unless set otherwise); ``--mode`` wins over the environment.  It
+matters only to ``oscillator``: the Clifford checks are always exact, and
+``clifford`` validates the mode and echoes it in its report.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def cmd_clifford(args) -> int:
     from fractions import Fraction
     from random import Random
 
-    from .cliffordlab import (EXACT_DIM_LIMIT, FLOAT_DIM_LIMIT,
+    from .cliffordlab import (CLIFFORD_DIM_LIMIT,
                               random_rational_unit_vector, verify_car,
                               verify_complex_structure, verify_volume_omega,
                               verify_volume_star)
@@ -175,14 +177,9 @@ def cmd_clifford(args) -> int:
     m = 4 * args.n
     if args.n < 1:
         raise InputError("--n must be >= 1")
-    if m > FLOAT_DIM_LIMIT:
-        raise InputError(
-            f"dimension 4n = {m} exceeds the float-mode limit "
-            f"{FLOAT_DIM_LIMIT}")
-    if mode == "exact" and m > EXACT_DIM_LIMIT:
-        raise InputError(
-            f"dimension 4n = {m} exceeds the exact-mode limit "
-            f"{EXACT_DIM_LIMIT}; rerun with --mode float")
+    if m > CLIFFORD_DIM_LIMIT:
+        raise InputError(f"dimension 4n = {m} exceeds the Clifford limit "
+                         f"{CLIFFORD_DIM_LIMIT}")
     wanted = []
     for name in args.checks.split(","):
         name = name.strip()
@@ -198,18 +195,18 @@ def cmd_clifford(args) -> int:
     verdicts = []
     for name in wanted:
         if name == "car":
-            verdicts.append(verify_car(m, mode))
+            verdicts.append(verify_car(m))
         elif name == "star":
-            verdicts.append(verify_volume_star(m, mode))
+            verdicts.append(verify_volume_star(m))
         elif name == "omega":
-            verdicts.append(verify_volume_omega(m, mode))
+            verdicts.append(verify_volume_omega(m))
         else:
             canonical = [Fraction(3, 5), Fraction(4, 5)] \
                 + [Fraction(0)] * (m - 2)
             rng = Random(0)
             vectors = [canonical] + [random_rational_unit_vector(m, rng)
                                      for _ in range(5)]
-            verdicts += [verify_complex_structure(v, mode) for v in vectors]
+            verdicts += [verify_complex_structure(v) for v in vectors]
     identities = tuple(
         {"name": v.name, "passed": v.passed,
          "max_residual": v.max_residual, "detail": v.detail}

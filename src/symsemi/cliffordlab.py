@@ -19,12 +19,13 @@ Every one of these operators is monomial: it sends each basis form to
 +-1 times one basis form, or kills it.  Internally such an operator is a
 pair of int tuples, a permutation of the masks and a sign per mask (0 for
 a killed form), so composing two is one gather over the 2^m masks.  The
-identity checks run on this representation, exactly in both modes:
-anticommutators compare two composites; omega wedge and contraction are
-sums of m/2 such terms; chat(v) for a general v is the sum of the
-v_i chat(e_i), so chat(v)^2 is a sum of m^2 composites, whose integer
-signs are summed per permutation before the rational weights v_i v_j
-enter.  The public builders return the same operators as
+identity checks run on this representation in exact arithmetic only, and
+pass only when every residual is exactly zero: anticommutators compare two
+composites; omega wedge and contraction are sums of m/2 such terms;
+chat(v) for a general v is the sum of the v_i chat(e_i), so chat(v)^2 is a
+sum of m^2 composites, whose integer signs are summed per permutation
+before the rational weights v_i v_j enter.  They accept dimensions up to
+``CLIFFORD_DIM_LIMIT``.  The public builders return the same operators as
 ``SparseMat`` matrices for the oscillator model and for callers.
 
 The oscillator model replaces the deformed de Rham operator on the manifold
@@ -47,7 +48,8 @@ exact in both modes.  "float" mode means only that an irrational square
 root S is approximated numerically (entering the exact arithmetic as
 binary rationals); without an exact S the kernel is then found by SVD and
 the eta correction by a least-squares solve, and those two comparisons
-carry tolerances.  numpy is imported inside the functions that use it, so
+carry tolerances.  A is at most ``MODEL_DIM_LIMIT`` x ``MODEL_DIM_LIMIT`` in
+both modes.  numpy is imported inside the functions that use it, so
 importing this module does not load it.
 """
 
@@ -95,25 +97,23 @@ class UnexpectedKernel(CheckFailure):
     """The model kernel failed to be 1-dimensional."""
 
 
-EXACT_DIM_LIMIT = 8
-FLOAT_DIM_LIMIT = 12
+# The largest m for each operator family: the Clifford checks act on
+# 2^m x 2^m monomial operators; the model's sectors grow with the number
+# of monomials times 2^m, and float mode solves one of them densely.
+CLIFFORD_DIM_LIMIT = 12
+MODEL_DIM_LIMIT = 8
+
+# Singular values below this, relative to the largest, count as kernel.
+_SVD_CUT = 1e-9
 
 
-def _check_mode(mode: str):
-    if mode not in ("exact", "float"):
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-
-
-def _check_dim(m: int, mode: str, multiple_of_four: bool = True):
-    _check_mode(mode)
+def _check_dim(m: int, limit: int, multiple_of_four: bool = True):
     if m < 1:
         raise BadDimension("dimension must be positive")
     if multiple_of_four and m % 4:
         raise BadDimension(f"dimension {m} is not a multiple of 4")
-    limit = EXACT_DIM_LIMIT if mode == "exact" else FLOAT_DIM_LIMIT
     if m > limit:
-        raise BadDimension(
-            f"dimension {m} exceeds the {mode}-mode limit {limit}")
+        raise BadDimension(f"dimension {m} exceeds the limit {limit}")
 
 
 # -- exterior-algebra operators ------------------------------------------
@@ -246,19 +246,7 @@ def _max_entry(terms) -> Fraction:
     return Fraction(max(map(abs, values), default=0), den)
 
 
-@dataclass(frozen=True)
-class ExtOp:
-    """Linear operator on the exterior algebra of R^m (2^m x 2^m matrix)."""
-
-    m: int
-    mat: SparseMat
-
-    def __matmul__(self, other: "ExtOp") -> "ExtOp":
-        if other.m != self.m:
-            raise DimensionMismatch("operators on different algebras")
-        return ExtOp(self.m, self.mat @ other.mat)
-
-def clifford(v: Sequence, kind: str) -> ExtOp:
+def clifford(v: Sequence, kind: str) -> SparseMat:
     """Clifford action of a covector: kind 'chat' = wedge + contraction,
     kind 'c' = wedge - contraction."""
     if kind not in ("c", "chat"):
@@ -267,36 +255,35 @@ def clifford(v: Sequence, kind: str) -> ExtOp:
     if m < 1:
         raise DimensionMismatch("empty vector")
     flip = 1 if kind == "chat" else -1
-    return ExtOp(m, _to_sparse(m, [(Fraction(x), _generator(m, i, 1, flip))
-                                   for i, x in enumerate(v) if x]))
+    return _to_sparse(m, [(Fraction(x), _generator(m, i, 1, flip))
+                          for i, x in enumerate(v) if x])
 
 
-def hodge_star(m: int) -> ExtOp:
+def hodge_star(m: int) -> SparseMat:
     """Star on subsets: e^S -> sign(S, S^c) e^(S^c), the sign ordering the
     concatenation [S ascending, S^c ascending] against 0..m-1."""
     if m < 1:
         raise BadDimension("dimension must be positive")
-    return ExtOp(m, _to_sparse(m, [(1, _star(m))]))
+    return _to_sparse(m, [(1, _star(m))])
 
 
-def dvol_action(m: int) -> ExtOp:
+def dvol_action(m: int) -> SparseMat:
     """chat of the volume form: chat(e_1) ... chat(e_m), rightmost first."""
     if m % 4:
         raise BadDimension("volume-operator identities need m = 4n")
-    return ExtOp(m, _to_sparse(m, [(1, _dvol(m))]))
+    return _to_sparse(m, [(1, _dvol(m))])
 
 
-def omega_wedge(m: int) -> ExtOp:
+def omega_wedge(m: int) -> SparseMat:
     """Wedge by the standard 2-form, pairing coordinates (0,1), (2,3), ..."""
-    return ExtOp(m, _to_sparse(m, [(1, w) for w in _omega_terms(m)]))
+    return _to_sparse(m, [(1, w) for w in _omega_terms(m)])
 
 
-def omega_skew(m: int) -> ExtOp:
+def omega_skew(m: int) -> SparseMat:
     """Skew part (contraction - wedge)/2 of the standard 2-form action."""
     half = Fraction(1, 2)
-    return ExtOp(m, _to_sparse(m, [
-        term for w in _omega_terms(m)
-        for term in ((half, _transpose(w)), (-half, w))]))
+    return _to_sparse(m, [term for w in _omega_terms(m)
+                          for term in ((half, _transpose(w)), (-half, w))])
 
 
 # -- identity verdicts ---------------------------------------------------
@@ -306,33 +293,31 @@ def omega_skew(m: int) -> ExtOp:
 class IdentityVerdict:
     name: str
     m: int
-    mode: str
     passed: bool
     max_residual: float
     detail: str = ""
 
 
-def _verdict(name: str, m: int, mode: str, tol: float,
+def _verdict(name: str, m: int,
              residuals: Iterable[tuple[str, Fraction]]) -> IdentityVerdict:
     """Verdict from (label, largest |entry| of that identity's difference)
-    pairs; the culprit is the first label with the largest residual."""
-    worst = 0.0
+    pairs; it passes only when every residual is exactly 0, and the
+    culprit is the first label with the largest residual."""
+    worst = Fraction(0)
     culprit = ""
     for label, residual in residuals:
-        r = float(residual)
-        if r > worst:
-            worst, culprit = r, label
-    ok = (worst == 0.0) if mode == "exact" else (worst <= tol)
-    detail = "" if ok else f"largest residual {worst:.3e} in {culprit}"
-    return IdentityVerdict(name, m, mode, ok, worst, detail)
+        if residual > worst:
+            worst, culprit = residual, label
+    detail = f"largest residual {float(worst):.3e} in {culprit}" \
+        if worst else ""
+    return IdentityVerdict(name, m, not worst, float(worst), detail)
 
 
-def verify_car(m: int, mode: str = "exact",
-               tol: float = 1e-9) -> IdentityVerdict:
+def verify_car(m: int) -> IdentityVerdict:
     """Canonical anticommutation relations of the two Clifford actions:
     {chat_i, chat_j} = 2 delta_ij, {c_i, c_j} = -2 delta_ij, mixed pairs
     anticommute to zero."""
-    _check_dim(m, mode, multiple_of_four=False)
+    _check_dim(m, CLIFFORD_DIM_LIMIT, multiple_of_four=False)
     one = _identity(m)
     chat = [_generator(m, i, 1, 1) for i in range(m)]
     cc = [_generator(m, i, 1, -1) for i in range(m)]
@@ -354,14 +339,13 @@ def verify_car(m: int, mode: str = "exact",
                 yield (f"mixed anticommutator ({i},{j})",
                        anticommutator(cc[i], chat[j], 0))
 
-    return _verdict("car", m, mode, tol, residuals())
+    return _verdict("car", m, residuals())
 
 
-def verify_volume_star(m: int, mode: str = "exact",
-                       tol: float = 1e-9) -> IdentityVerdict:
+def verify_volume_star(m: int) -> IdentityVerdict:
     """chat(dvol) acts on k-forms as (-1)^(k(k+1)/2) star, and is its own
     transpose."""
-    _check_dim(m, mode)
+    _check_dim(m, CLIFFORD_DIM_LIMIT)
     vol = _dvol(m)
     star = _star(m)
     # (-1)^(k(k+1)/2) is -1 exactly when the degree k is 1 or 2 mod 4.
@@ -371,40 +355,33 @@ def verify_volume_star(m: int, mode: str = "exact",
                   _max_entry([(1, vol), (-1, signed)])),
                  ("chat(dvol) symmetry",
                   _max_entry([(1, vol), (-1, _transpose(vol))]))]
-    return _verdict("star", m, mode, tol, residuals)
+    return _verdict("star", m, residuals)
 
 
-def verify_volume_omega(m: int, mode: str = "exact",
-                        tol: float = 1e-9) -> IdentityVerdict:
+def verify_volume_omega(m: int) -> IdentityVerdict:
     """chat(dvol) intertwines contraction and wedge by the standard 2-form:
     chat(dvol) (omega contract) = - (omega wedge) chat(dvol)."""
-    _check_dim(m, mode)
+    _check_dim(m, CLIFFORD_DIM_LIMIT)
     vol = _dvol(m)
     terms = []
     for w in _omega_terms(m):
         terms += [(1, _compose(vol, _transpose(w))), (1, _compose(w, vol))]
-    return _verdict("omega", m, mode, tol,
-                    [("intertwining", _max_entry(terms))])
+    return _verdict("omega", m, [("intertwining", _max_entry(terms))])
 
 
-def verify_complex_structure(v: Sequence, mode: str = "exact",
-                             tol: float = 1e-9) -> IdentityVerdict:
+def verify_complex_structure(v: Sequence) -> IdentityVerdict:
     """The block operator J = [[0, -chat(v)], [chat(v), 0]] squares to -1
     for a unit vector v (an almost-complex structure on the doubled space).
     J^2 = diag(-chat(v)^2, -chat(v)^2), so J^2 + 1 is checked through
     1 - chat(v)^2."""
     m = len(v)
-    _check_dim(m, mode, multiple_of_four=False)
+    _check_dim(m, CLIFFORD_DIM_LIMIT, multiple_of_four=False)
     vals = [Fraction(x) for x in v]
     norm2 = sum(x * x for x in vals)
-    if mode == "exact":
-        if norm2 != 1:
-            raise NotUnit(f"|v|^2 = {norm2} != 1")
-    elif abs(float(norm2) - 1.0) > tol:
-        raise NotUnit(f"|v|^2 = {float(norm2)} != 1")
+    if norm2 != 1:
+        raise NotUnit(f"|v|^2 = {norm2} != 1")
     terms = [(1, _identity(m))] + [(-c, op) for c, op in _chat_square(vals)]
-    return _verdict("complex-structure", m, mode, tol,
-                    [("J^2 + 1", _max_entry(terms))])
+    return _verdict("complex-structure", m, [("J^2 + 1", _max_entry(terms))])
 
 
 # -- the finite oscillator model -----------------------------------------
@@ -508,6 +485,7 @@ def model_L(a, T, mode: str = "auto", sqrt_gram: SparseMat | None = None
     m = a.rows
     if m % 4:
         raise BadDimension(f"A is {m}x{m}; the model needs a multiple of 4")
+    _check_dim(m, MODEL_DIM_LIMIT)
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"bad mode {mode!r}")
     t_val = Fraction(T)
@@ -538,7 +516,6 @@ def model_L(a, T, mode: str = "auto", sqrt_gram: SparseMat | None = None
         else:
             s, residual = _numeric_sqrt(gram)
             resolved = "float"
-    _check_dim(m, resolved)
     # L2 = tr(S) + sum over entries A_ij of A_ij c(e_j) chat(e_i).
     trace_s = sum((s.get(i, i) for i in range(m)), Fraction(0))
     cs = [_generator(m, i, 1, -1) for i in range(m)]
@@ -760,7 +737,7 @@ def _ground_exact(op: ModelOperator) -> tuple[SparseMat, SparseMat]:
             f"form-operator kernel has dimension {ker.cols}, expected 1")
     first = min(r for (r, _) in ker.entries)
     delta = ker.scale(Fraction(1) / ker.get(first, 0))
-    return delta, omega_skew(op.m).mat @ delta
+    return delta, omega_skew(op.m) @ delta
 
 
 def _ground_float(op: ModelOperator):
@@ -768,22 +745,21 @@ def _ground_float(op: ModelOperator):
     import numpy as np
 
     _, svals, vt = np.linalg.svd(_dense(op.form_op))
-    if int((svals < 1e-9 * max(float(svals.max()), 1.0)).sum()) != 1:
+    if int((svals < _SVD_CUT * max(float(svals.max()), 1.0)).sum()) != 1:
         raise UnexpectedKernel("form-operator kernel is not 1-dimensional")
     delta = vt[-1]
-    return delta, _dense(omega_skew(op.m).mat) @ delta
+    return delta, _dense(omega_skew(op.m)) @ delta
 
 
-def kernel_and_parity(op: ModelOperator, cap: int = 0,
-                      tol: float = 1e-9) -> tuple[int, int]:
+def kernel_and_parity(op: ModelOperator, cap: int = 0) -> tuple[int, int]:
     """Kernel dimension (asserted 1) and form parity (0 even, 1 odd) of the
     model operator.
 
     The kernel generator has constant polynomial part (the Gaussian ground
     state times a constant form), so it lives in the degree-0 sector; pass
     cap > 0 to additionally confirm no further kernel appears among higher
-    polynomial degrees.  Float mode counts singular values below tol
-    (relative to the largest).
+    polynomial degrees.  Float mode counts singular values below
+    ``_SVD_CUT`` times the largest.
     """
     if cap == 0:
         mat = op.form_op
@@ -800,7 +776,7 @@ def kernel_and_parity(op: ModelOperator, cap: int = 0,
         import numpy as np
 
         _, svals, vt = np.linalg.svd(_dense(mat))
-        cut = tol * max(float(svals.max()), 1.0)
+        cut = _SVD_CUT * max(float(svals.max()), 1.0)
         ker_dim = int((svals < cut).sum())
         if ker_dim != 1:
             raise UnexpectedKernel(

@@ -179,8 +179,6 @@ class CliffordReport:
         for ident in self.identities:
             status = "pass" if ident["passed"] else "FAIL"
             line = f"  {ident['name']:<24} {status}"
-            if self.mode == "float":
-                line += f"  residual {ident['max_residual']:.3e}"
             if ident["detail"]:
                 line += f"  ({ident['detail']})"
             lines.append(line)

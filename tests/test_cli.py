@@ -127,9 +127,30 @@ def test_clifford_identities_pass(capsys):
 
 def test_clifford_dimension_gates(capsys):
     code, _, err = run(capsys, "clifford", "--n", "4")
-    assert code == 2 and "12" in err
-    code, _, err = run(capsys, "clifford", "--n", "3")
-    assert code == 2 and "float" in err
+    assert code == 2 and "limit 12" in err
+    code, _, err = run(capsys, "clifford", "--n", "3", "--checks", "star")
+    assert code == 0 and err == ""
+
+
+def test_clifford_n3_runs_exact(capsys):
+    code, out, _ = run(capsys, "clifford", "--n", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mode"] == "exact" and payload["passed"] is True
+    assert len(payload["identities"]) == 9
+    assert all(v["passed"] and v["max_residual"] == 0.0
+               for v in payload["identities"])
+
+
+def test_clifford_mode_only_echoes(capsys):
+    # The checks are exact in either mode; only the echoed mode differs.
+    _, exact, _ = run(capsys, "clifford", "--n", "2", "--format", "json")
+    code, approx, _ = run(capsys, "clifford", "--n", "2", "--mode", "float",
+                          "--format", "json")
+    assert code == 0
+    exact, approx = json.loads(exact), json.loads(approx)
+    assert exact.pop("mode") == "exact" and approx.pop("mode") == "float"
+    assert approx == exact
 
 
 def test_clifford_check_selection(capsys):

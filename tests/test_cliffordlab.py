@@ -12,9 +12,9 @@ from symsemi.qlinalg import SparseMat, kernel_basis
 from symsemi.report import spectrum_table
 from symsemi.cliffordlab import (
     BadDimension,
+    CLIFFORD_DIM_LIMIT,
     DimensionMismatch,
-    EXACT_DIM_LIMIT,
-    FLOAT_DIM_LIMIT,
+    MODEL_DIM_LIMIT,
     NoRationalRoot,
     NotUnit,
     Sector,
@@ -45,6 +45,7 @@ from oracles import (car_oracle, gaussian_matching_oracle,
                      gaussian_moment_oracle, star_sign_oracle)
 
 EYE4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+EYE12 = [[1 if i == j else 0 for j in range(12)] for i in range(12)]
 
 
 def basis_vector(m, i):
@@ -57,13 +58,13 @@ def basis_vector(m, i):
 def test_chat_on_scalar_is_wedge():
     # chat(e_1) applied to the empty form is e^1 (mask 1).
     op = clifford(basis_vector(4, 0), "chat")
-    col = {r: v for (r, c), v in op.mat.entries.items() if c == 0}
+    col = {r: v for (r, c), v in op.entries.items() if c == 0}
     assert col == {1: Fraction(1)}
 
 
 def test_c_on_scalar_is_wedge_too():
     op = clifford(basis_vector(4, 0), "c")
-    col = {r: v for (r, c), v in op.mat.entries.items() if c == 0}
+    col = {r: v for (r, c), v in op.entries.items() if c == 0}
     assert col == {1: Fraction(1)}
 
 
@@ -77,18 +78,18 @@ def test_clifford_rejects_bad_input():
 def test_volume_action_examples():
     vol = dvol_action(4)
     # On the empty form it produces the volume form with sign +1.
-    assert {r: v for (r, c), v in vol.mat.entries.items() if c == 0} == {
+    assert {r: v for (r, c), v in vol.entries.items() if c == 0} == {
         15: Fraction(1)}
     # On e^1 it produces -e^{234} (mask 0b1110 = 14).
-    assert {r: v for (r, c), v in vol.mat.entries.items() if c == 1} == {
+    assert {r: v for (r, c), v in vol.entries.items() if c == 1} == {
         14: Fraction(-1)}
 
 
 def test_volume_action_is_its_own_transpose():
     vol = dvol_action(4)
-    assert vol.mat == vol.mat.transpose()
+    assert vol == vol.transpose()
     vol8 = dvol_action(8)
-    assert vol8.mat == vol8.mat.transpose()
+    assert vol8 == vol8.transpose()
 
 
 def test_volume_action_needs_multiple_of_four():
@@ -98,7 +99,7 @@ def test_volume_action_needs_multiple_of_four():
 
 def test_double_star_sign_by_degree():
     m = 4
-    twice = (hodge_star(m) @ hodge_star(m)).mat
+    twice = hodge_star(m) @ hodge_star(m)
     for mask in range(1 << m):
         k = bin(mask).count("1")
         expect = Fraction(-1 if (k * (m - k)) % 2 else 1)
@@ -109,7 +110,7 @@ def test_double_star_sign_by_degree():
 
 def test_star_signs_match_permutation_oracle():
     m = 4
-    star = hodge_star(m).mat
+    star = hodge_star(m)
     full = (1 << m) - 1
     for mask in range(1 << m):
         assert star.get(full & ~mask, mask) == star_sign_oracle(mask, m)
@@ -117,12 +118,12 @@ def test_star_signs_match_permutation_oracle():
 
 def test_omega_wedge_on_scalar():
     # The standard form pairs coordinates (1,2) and (3,4).
-    col = {r: v for (r, c), v in omega_wedge(4).mat.entries.items() if c == 0}
+    col = {r: v for (r, c), v in omega_wedge(4).entries.items() if c == 0}
     assert col == {0b0011: Fraction(1), 0b1100: Fraction(1)}
 
 
 def test_omega_skew_is_skew_symmetric():
-    sk = omega_skew(4).mat
+    sk = omega_skew(4)
     assert sk.transpose() == sk.scale(-1)
     z = SparseMat.zeros(16, 16)
     block = SparseMat.block([[sk, z], [z, sk.scale(-1)]])
@@ -136,7 +137,6 @@ def test_car_identities_exact_m4_and_m8():
     for m in (4, 8):
         verdict = verify_car(m)
         assert verdict.passed
-        assert verdict.mode == "exact"
         assert verdict.max_residual == 0.0
         # Independent signed-permutation check of the same relations.
         assert car_oracle(m)
@@ -155,14 +155,23 @@ def test_volume_identities_reject_m6():
 
 
 def test_dimension_limits():
-    assert EXACT_DIM_LIMIT == 8 and FLOAT_DIM_LIMIT == 12
-    with pytest.raises(BadDimension):
-        verify_car(EXACT_DIM_LIMIT + 4, "exact")
-    with pytest.raises(BadDimension):
-        verify_car(FLOAT_DIM_LIMIT + 4, "float")
-    with pytest.raises(BadDimension):
-        model_L([[1 if i == j else 0 for j in range(12)] for i in range(12)],
-                1, "exact")
+    # One limit per operator family, whatever the arithmetic mode.
+    assert CLIFFORD_DIM_LIMIT == 12 and MODEL_DIM_LIMIT == 8
+    for verify in (verify_car, verify_volume_star, verify_volume_omega):
+        with pytest.raises(BadDimension, match="exceeds the limit 12"):
+            verify(CLIFFORD_DIM_LIMIT + 4)
+    with pytest.raises(BadDimension, match="exceeds the limit 12"):
+        verify_complex_structure([1] + [0] * CLIFFORD_DIM_LIMIT)
+    with pytest.raises(BadDimension, match="exceeds the limit 8"):
+        model_L(EYE12, 1, "exact")
+
+
+def test_model_limit_holds_in_float_mode():
+    # A float solve at m = 12 would need a dense 53,248-wide sector, so the
+    # model refuses it up front in every mode.
+    for mode in ("float", "auto"):
+        with pytest.raises(BadDimension, match="exceeds the limit 8"):
+            model_L(EYE12, 1, mode)
 
 
 def test_complex_structure_canonical_vector():
@@ -220,15 +229,15 @@ def test_signed_permutations_match_sparse_products():
                 ref = ref_chat(m, i, kind)
                 op = cl._generator(m, i, wedge, contract)
                 assert cl._to_sparse(m, [(1, op)]) == ref
-                assert clifford(basis_vector(m, i), kind).mat == ref
+                assert clifford(basis_vector(m, i), kind) == ref
         vol = ref_dvol(m)
         assert cl._to_sparse(m, [(1, cl._dvol(m))]) == vol
-        assert dvol_action(m).mat == vol
+        assert dvol_action(m) == vol
         form = SparseMat.zeros(1 << m, 1 << m)
         for i in range(0, m, 2):
             form = form + ref_wedge(m, i) @ ref_wedge(m, i + 1)
         assert cl._to_sparse(m, [(1, w) for w in cl._omega_terms(m)]) == form
-        assert omega_wedge(m).mat == form
+        assert omega_wedge(m) == form
         v = random_rational_unit_vector(m, Random(m))
         ch = SparseMat.zeros(1 << m, 1 << m)
         for i, x in enumerate(v):
@@ -250,8 +259,8 @@ def sparse_verdicts(m, v):
 
     n = 1 << m
     eye, zero = SparseMat.identity(n), SparseMat.zeros(n, n)
-    chat = [clifford(basis_vector(m, i), "chat").mat for i in range(m)]
-    cc = [clifford(basis_vector(m, i), "c").mat for i in range(m)]
+    chat = [clifford(basis_vector(m, i), "chat") for i in range(m)]
+    cc = [clifford(basis_vector(m, i), "c") for i in range(m)]
     car = []
     for i in range(m):
         for j in range(i, m):
@@ -273,9 +282,9 @@ def sparse_verdicts(m, v):
         return -1 if (k * (k + 1) // 2) % 2 else 1
 
     signed = SparseMat(n, n, {(r, c): x * degree_sign(c) for (r, c), x
-                              in hodge_star(m).mat.entries.items()})
-    form = omega_wedge(m).mat
-    ch = clifford(v, "chat").mat
+                              in hodge_star(m).entries.items()})
+    form = omega_wedge(m)
+    ch = clifford(v, "chat")
     j = SparseMat.block([[zero, -ch], [ch, zero]])
     return {
         "car": verdict(car),
@@ -384,7 +393,7 @@ def test_form_operator_matches_clifford_products():
             for j in range(m):
                 col = [cols[i][j] for i in range(m)]
                 want = want + (clifford(basis_vector(m, j), "c")
-                               @ clifford(col, "chat")).mat
+                               @ clifford(col, "chat"))
             assert op.form_op.entries == want.entries
 
 
@@ -573,7 +582,7 @@ def test_eta_source_orthogonal_to_ground_state():
     # The skew form action applied to the ground form is orthogonal to it,
     # for random coefficient matrices of both determinant signs.
     rng = Random(19)
-    skew = omega_skew(4).mat
+    skew = omega_skew(4)
     for trial in range(20):
         a, s = random_model_matrix(4, rng, 1 if trial % 2 else -1)
         op = model_L(a, 1, "exact", sqrt_gram=s)

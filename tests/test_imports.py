@@ -141,6 +141,8 @@ _FILES = {
     "two.txt": "1 0\n0 1\n",
     "singular.txt": "0 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
     "shear.txt": "1 1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+    "eye12.txt": "".join(" ".join("1" if i == j else "0" for j in range(12))
+                         + "\n" for i in range(12)),
 }
 _KT_CENSUS = str(SAMPLES / "census_kt_nonvanishing.json")
 
@@ -177,9 +179,11 @@ def _case(error, argv, message):
           "sqrt_gram or use float mode"),
     _case("InputError-option", ["compute", "builtin:t4", "--p", "-1"],
           "--p must be >= 0"),
-    _case("InputError-limit", ["clifford", "--n", "3"],
-          "dimension 4n = 12 exceeds the exact-mode limit 8; rerun with "
-          "--mode float"),
+    _case("InputError-limit", ["clifford", "--n", "4"],
+          "dimension 4n = 16 exceeds the Clifford limit 12"),
+    _case("BadDimension-limit",
+          ["oscillator", "--matrix", "eye12.txt", "--mode", "float"],
+          "dimension 12 exceeds the limit 8"),
 ])
 def test_input_errors_exit_two_with_their_message(argv, message, tmp_path,
                                                   monkeypatch, capsys):
