@@ -9,9 +9,8 @@ an Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
+from .record import Record
 
 
 class MissingSigns(InputError):
@@ -25,21 +24,17 @@ class OddDimension(InputError):
 _SIGNS = ("+", "-", "unknown")
 
 
-@dataclass(frozen=True)
-class Zero:
-    label: str
-    det_sign: str = "unknown"
+class Zero(Record):
+    __slots__ = ("label", "det_sign")
+    _defaults = {"det_sign": "unknown"}
 
     def __post_init__(self):
         if self.det_sign not in _SIGNS:
             raise ValueError(f"det_sign must be one of {_SIGNS}")
 
 
-@dataclass(frozen=True)
-class ZeroCensus:
-    source: str
-    nonvanishing: bool
-    zeros: tuple[Zero, ...]
+class ZeroCensus(Record):
+    __slots__ = ("source", "nonvanishing", "zeros")  # zeros: tuple of Zero
 
     def __post_init__(self):
         if self.nonvanishing and self.zeros:
@@ -49,13 +44,11 @@ class ZeroCensus:
         return 0 if self.nonvanishing else len(self.zeros)
 
 
-@dataclass(frozen=True)
-class CountingVerdict:
-    status: str              # "pass" | "fail" | "not_applicable"
-    semi_characteristic: int
-    zero_count: int
-    parity_match: bool
-    detail: str = ""
+class CountingVerdict(Record):
+    # status is "pass", "fail" or "not_applicable"
+    __slots__ = ("status", "semi_characteristic", "zero_count",
+                 "parity_match", "detail")
+    _defaults = {"detail": ""}
 
     @property
     def passed(self) -> bool:
@@ -89,11 +82,8 @@ def counting_check(k: int, census: ZeroCensus,
     return CountingVerdict(status, k, count, match, detail)
 
 
-@dataclass(frozen=True)
-class EulerVerdict:
-    passed: bool
-    signed_sum: int
-    expected: int
+class EulerVerdict(Record):
+    __slots__ = ("passed", "signed_sum", "expected")
 
     @property
     def detail(self) -> str:

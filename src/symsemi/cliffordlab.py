@@ -56,7 +56,6 @@ importing this module does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
@@ -64,6 +63,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import CheckFailure, InputError
 from .qlinalg import SparseMat, det, inverse, kernel_basis, solve
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -289,13 +289,9 @@ def omega_skew(m: int) -> SparseMat:
 # -- identity verdicts ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
-    name: str
-    m: int
-    passed: bool
-    max_residual: float
-    detail: str = ""
+class IdentityVerdict(Record):
+    __slots__ = ("name", "m", "passed", "max_residual", "detail")
+    _defaults = {"detail": ""}
 
 
 def _verdict(name: str, m: int,
@@ -449,21 +445,14 @@ def _numeric_sqrt(gram: SparseMat) -> tuple[SparseMat, float]:
     return SparseMat(gram.rows, gram.rows, entries), residual
 
 
-@dataclass(frozen=True)
-class ModelOperator:
+class ModelOperator(Record):
     """The finite model at one coupling T: coefficient matrix A, exact or
-    approximated square root S of A^t A, and the constant-form part L2.
-    No field but T depends on the coupling, so ``dataclasses.replace(op,
-    T=t)`` is the model at coupling t."""
+    approximated square root S of A^t A, and the constant-form part L2
+    (``form_op``), all SparseMat.  No field but T depends on the coupling,
+    so ``op.replace(T=t)`` is the model at coupling t."""
 
-    a: SparseMat
-    sqrt_gram: SparseMat
-    T: Fraction
-    mode: str
-    m: int
-    det_sign: int
-    form_op: SparseMat
-    sqrt_residual: float
+    __slots__ = ("a", "sqrt_gram", "T", "mode", "m", "det_sign", "form_op",
+                 "sqrt_residual")
 
     def trace_sqrt(self) -> Fraction:
         return sum((self.sqrt_gram.get(i, i) for i in range(self.m)),
@@ -794,18 +783,11 @@ def kernel_and_parity(op: ModelOperator, cap: int = 0) -> tuple[int, int]:
     return ker_dim, parities.pop()
 
 
-@dataclass(frozen=True)
-class SpectrumVerdict:
-    passed: bool
-    mode: str
-    Ts: tuple
-    cap: int
-    structure_ok: bool
-    blocks_match: bool
-    max_deviation: float
-    spectrum: tuple[float, ...]
-    gap: float
-    detail: str = ""
+class SpectrumVerdict(Record):
+    __slots__ = ("passed", "mode", "Ts", "cap", "structure_ok",
+                 "blocks_match", "max_deviation", "spectrum", "gap",
+                 "detail")
+    _defaults = {"detail": ""}
 
 
 def _validate_ts(ts, minimum: int):
@@ -882,17 +864,10 @@ def _block_spectrum(diag: dict, op: ModelOperator, cap: int
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EtaVerdict:
-    passed: bool
-    mode: str
-    Ts: tuple
-    c1_squared_list: tuple
-    c1: float
-    constant: bool
-    source_vanished: bool
-    orthogonal: bool
-    detail: str = ""
+class EtaVerdict(Record):
+    __slots__ = ("passed", "mode", "Ts", "c1_squared_list", "c1", "constant",
+                 "source_vanished", "orthogonal", "detail")
+    _defaults = {"detail": ""}
 
     @property
     def c1_squared(self):
@@ -926,7 +901,7 @@ def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
         ground, once = _ground_float, _eta_once_float
     delta, source = ground(op)
     for t in ts:
-        value, ortho, gone = once(replace(op, T=t), cap, delta, source)
+        value, ortho, gone = once(op.replace(T=t), cap, delta, source)
         c1sq.append(value)
         ortho_all = ortho_all and ortho
         vanished = vanished or gone

@@ -124,8 +124,10 @@ class OmegaMap:
 
     def power_map(self, k: int, power: int) -> SparseMat:
         """Composite L^power starting at degree k (degree k -> k + 2*power)."""
-        out = SparseMat.identity(self.source.dim(k))
-        for step in range(power):
+        if power == 0:
+            return SparseMat.identity(self.source.dim(k))
+        out = self.map(k)
+        for step in range(1, power):
             out = self.map(k + 2 * step) @ out
         return out
 

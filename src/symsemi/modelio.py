@@ -18,7 +18,6 @@ as ``builtin:<name>`` instead of a file path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .errors import InputError
 from .models import (BUILTIN_NAMES, CDGAModel, Element, SymplecticVerdict,
                      builtin, check_symplectic, model_cone_inputs)
 from .qlinalg import SparseMat
+from .record import Record
 
 
 class FormatError(InputError):
@@ -113,18 +113,17 @@ def element_terms(w: Element) -> list:
             for mono in sorted(w.coeffs)]
 
 
-@dataclass
-class LoadedModel:
-    """A parsed model together with its cone-ready complex and omega map."""
+class LoadedModel(Record):
+    """A parsed model together with its cone-ready complex and omega map.
 
-    source: str
-    kind: str                    # "builtin" | "matrix" | "cdga"
-    name: str
-    manifold_dim: int
-    complex: GradedComplex
-    omega_map: OmegaMap
-    model: CDGAModel | None = None  # None for matrix files
-    omega: Element | None = None    # None for matrix files
+    ``kind`` is "builtin", "matrix" or "cdga"; ``complex`` is the
+    GradedComplex and ``omega_map`` its OmegaMap.  ``model`` (the
+    CDGAModel) and ``omega`` (its 2-form Element) are None for matrix
+    files."""
+
+    __slots__ = ("source", "kind", "name", "manifold_dim", "complex",
+                 "omega_map", "model", "omega")
+    _defaults = {"model": None, "omega": None}
 
     def symplectic_verdict(self) -> SymplecticVerdict:
         if self.model is not None:

@@ -19,7 +19,6 @@ The product, the Leibniz differential, the ω multiplication matrices and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
@@ -27,6 +26,7 @@ from typing import Mapping, Sequence
 from .errors import InputError
 from .qlinalg import SparseMat, kernel_basis
 from .complexes import GradedComplex, OmegaMap
+from .record import Record
 
 
 class JacobiViolation(InputError):
@@ -46,10 +46,8 @@ class UnknownName(InputError, KeyError):
     """Generator or builtin-model name not recognised."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
+class Generator(Record):
+    __slots__ = ("name", "degree")
 
 
 def _accumulate(out: dict, mono: tuple[int, ...], value: Fraction) -> None:
@@ -457,12 +455,9 @@ def tensor_product(a: CDGAModel, b: CDGAModel) -> CDGAModel:
 # -- symplectic checks ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymplecticVerdict:
-    closed: bool
-    nondegenerate: bool
-    degree_ok: bool
-    detail: str = ""
+class SymplecticVerdict(Record):
+    __slots__ = ("closed", "nondegenerate", "degree_ok", "detail")
+    _defaults = {"detail": ""}
 
     @property
     def passed(self) -> bool:

@@ -9,7 +9,8 @@ table that additionally carries the elapsed time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .record import Record
 
 
 def stable_json(payload) -> str:
@@ -33,19 +34,10 @@ def spectrum_table(values) -> list[tuple[float, int]]:
     return sorted(counts.items())
 
 
-@dataclass(frozen=True)
-class ComputeReport:
-    model: dict
-    p: int
-    betti: tuple
-    euler_characteristic: int
-    semi_characteristic: int
-    applicable: bool
-    palindromic: bool
-    symplectic: dict
-    omega: list | None
-    warnings: tuple
-    elapsed: float
+class ComputeReport(Record):
+    __slots__ = ("model", "p", "betti", "euler_characteristic",
+                 "semi_characteristic", "applicable", "palindromic",
+                 "symplectic", "omega", "warnings", "elapsed")
 
     def to_payload(self) -> dict:
         payload = {
@@ -92,16 +84,9 @@ class ComputeReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    model: dict
-    semi_characteristic: int
-    manifold_euler: int
-    census: dict
-    counting: dict
-    euler: dict
-    warnings: tuple
-    elapsed: float
+class VerifyReport(Record):
+    __slots__ = ("model", "semi_characteristic", "manifold_euler", "census",
+                 "counting", "euler", "warnings", "elapsed")
 
     @property
     def passed(self) -> bool:
@@ -151,14 +136,8 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CliffordReport:
-    n: int
-    m: int
-    mode: str
-    identities: tuple
-    passed: bool
-    elapsed: float
+class CliffordReport(Record):
+    __slots__ = ("n", "m", "mode", "identities", "passed", "elapsed")
 
     def to_payload(self) -> dict:
         return {
@@ -188,18 +167,9 @@ class CliffordReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class OscillatorReport:
-    matrix: dict
-    Ts: tuple
-    degree_cap: int
-    kernel_dimension: int
-    parity: str
-    parity_matches_det: bool
-    spectrum: dict
-    eta: dict
-    passed: bool
-    elapsed: float
+class OscillatorReport(Record):
+    __slots__ = ("matrix", "Ts", "degree_cap", "kernel_dimension", "parity",
+                 "parity_matches_det", "spectrum", "eta", "passed", "elapsed")
 
     def to_payload(self) -> dict:
         return {

@@ -8,7 +8,6 @@ callers can layer further cross-checks on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 from time import perf_counter
@@ -25,16 +24,11 @@ from .models import (builtin, check_symplectic, model_cone_inputs,
                      multiplication_matrix, random_closed_two_form,
                      random_nilpotent_ce)
 from .qlinalg import SparseMat, skew_kernel_parity
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
-    data: dict
+class CriterionResult(Record):
+    __slots__ = ("number", "name", "passed", "detail", "elapsed", "data")
 
     @property
     def label(self) -> str:
@@ -149,7 +143,7 @@ def _oscillator_kernel_spectrum():
             # so one matrix per sign also tests the operator itself, at a
             # coupling other than 1 so that misplaced factors of T show.
             if trial == 0 and not _dirac_squares_to_model(
-                    replace(op, T=Fraction(10)), 2):
+                    op.replace(T=Fraction(10)), 2):
                 failures.append((sign, "D o D != L"))
     ok = not failures
     detail = ("50 random A: kernel dim 1, parity = sign(det), "

@@ -1,7 +1,6 @@
 """Tests for the Clifford identities and the finite oscillator model."""
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -479,7 +478,7 @@ def dense_block_spectrum(op, cap, t):
     import numpy as np
 
     sec = Sector(op.m, cap)
-    mat = sector_matrix_L(replace(op, T=Fraction(t)), cap).scale(
+    mat = sector_matrix_L(op.replace(T=Fraction(t)), cap).scale(
         Fraction(1, t))
     out = []
     for deg in range(cap + 1):

@@ -168,6 +168,26 @@ def test_cone_d_squared_check_catches_a_wrong_sign(monkeypatch):
         cone(cx, wmap, 0)
 
 
+def test_cone_multiplies_no_identity(monkeypatch):
+    # L^1 is L itself: the corner blocks at p = 0 need no sparse product,
+    # and none of the products the cone does make has an identity operand.
+    rng = Random(0)
+    model = random_nilpotent_ce(6, rng)
+    cx, wmap = model_cone_inputs(model, random_closed_two_form(model, rng))
+    real = SparseMat.__matmul__
+    operands = []
+
+    def recording(self, other):
+        operands.extend((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(SparseMat, "__matmul__", recording)
+    cone(cx, wmap, 0)
+    assert operands
+    assert not [m for m in operands
+                if m.rows == m.cols and m == SparseMat.identity(m.rows)]
+
+
 def test_graded_complex_validates_composition():
     d0 = SparseMat.from_rows([[1]])
     d1 = SparseMat.from_rows([[1]])

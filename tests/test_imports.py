@@ -4,8 +4,12 @@ codes.
 Start-up is part of every job's cost, so a subcommand loads only the
 modules it runs: ``--help`` loads no engine module, ``compute`` and
 ``verify`` never load the Clifford/oscillator code, the suite or numpy,
-and ``clifford`` never loads the CDGA and cone code.  Each case runs in a
-fresh interpreter and reads ``sys.modules`` after the command.
+and ``clifford`` never loads the CDGA and cone code.  No subcommand loads
+``dataclasses`` (reports and verdicts are ``symsemi.record`` records), and
+``compute``, ``verify``, ``clifford`` and ``--help`` load no ``inspect``
+either; only numpy brings that in, for ``oscillator`` and ``suite``.  Each
+case runs in a fresh interpreter and reads ``sys.modules`` after the
+command.
 """
 from __future__ import annotations
 
@@ -25,19 +29,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
 ENGINE = {"symsemi.qlinalg", "symsemi.complexes", "symsemi.models",
           "symsemi.census", "symsemi.cliffordlab", "symsemi.modelio",
-          "symsemi.report", "symsemi.suite"}
+          "symsemi.record", "symsemi.report", "symsemi.suite"}
+# Standard modules a job must not pay for: dataclasses builds code for each
+# class it decorates, and inspect brings ast, dis and tokenize with it.
+HEAVY = {"dataclasses", "inspect"}
 
 
 def loaded_after(*argv: str) -> set[str]:
-    """symsemi modules (and "numpy") loaded by one ``main(argv)`` call in a
-    fresh interpreter."""
+    """symsemi modules (and numpy, dataclasses and inspect) loaded by one
+    ``main(argv)`` call in a fresh interpreter."""
     script = f"""
 import contextlib, io, json, sys
 from symsemi.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main({list(argv)!r})
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m == "numpy" or m.startswith("symsemi"))]))
+print(json.dumps([code, sorted(
+    m for m in sys.modules
+    if m in ("numpy", "dataclasses", "inspect") or m.startswith("symsemi"))]))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -59,14 +67,27 @@ print(json.dumps([code, sorted(m for m in sys.modules
 def test_cone_jobs_load_no_clifford_suite_or_numpy(argv):
     modules = loaded_after(*argv)
     assert "symsemi.models" in modules and "symsemi.complexes" in modules
-    assert not modules & {"symsemi.cliffordlab", "symsemi.suite", "numpy"}
+    assert not modules & ({"symsemi.cliffordlab", "symsemi.suite", "numpy"}
+                          | HEAVY)
 
 
 def test_clifford_loads_no_cdga_or_cone_code():
     modules = loaded_after("clifford", "--n", "1")
     assert "symsemi.cliffordlab" in modules
-    assert not modules & {"symsemi.models", "symsemi.complexes",
-                          "symsemi.modelio", "symsemi.suite", "numpy"}
+    assert not modules & ({"symsemi.models", "symsemi.complexes",
+                           "symsemi.modelio", "symsemi.suite", "numpy"}
+                          | HEAVY)
+
+
+@pytest.mark.parametrize("argv", [
+    ("oscillator", "--matrix", str(SAMPLES / "matrix_diag_1234.txt"),
+     "--mode", "float", "--degree-cap", "2"),
+    ("suite",),
+])
+def test_numpy_jobs_load_no_dataclasses(argv):
+    modules = loaded_after(*argv)
+    assert "numpy" in modules and "symsemi.cliffordlab" in modules
+    assert "dataclasses" not in modules
 
 
 @pytest.mark.parametrize("sub", ["compute", "verify", "clifford",
@@ -74,7 +95,7 @@ def test_clifford_loads_no_cdga_or_cone_code():
 def test_help_loads_no_engine_module(sub):
     modules = loaded_after(sub, "--help")
     assert "symsemi.cli" in modules
-    assert not modules & (ENGINE | {"numpy"})
+    assert not modules & (ENGINE | {"numpy"} | HEAVY)
 
 
 def test_every_public_name_resolves():
