@@ -44,13 +44,14 @@ basis vectors), assembled once per model; the spectrum scaling check runs
 on them, only rescaling lap for each coupling, and a degree block's
 spectrum is the sum set of its polynomial eigenvalues and those of L2.
 All assembly is exact rational, and the spectrum scaling certificate is
-exact in both modes.  "float" mode means only that an irrational square
-root S is approximated numerically (entering the exact arithmetic as
-binary rationals); without an exact S the kernel is then found by SVD and
-the eta correction by a least-squares solve, and those two comparisons
-carry tolerances.  A is at most ``MODEL_DIM_LIMIT`` x ``MODEL_DIM_LIMIT`` in
-both modes.  numpy is imported inside the functions that use it, so
-importing this module does not load it.
+exact in both modes.  "exact" mode needs a rational S; "float" mode
+approximates S numerically (entering the exact arithmetic as binary
+rationals), finds the kernel by SVD and the eta correction by a
+least-squares solve, and those two comparisons carry tolerances.  One
+routine finds the kernel vector, in either mode, for both the kernel check
+and the eta correction.  A is at most ``MODEL_DIM_LIMIT`` x
+``MODEL_DIM_LIMIT`` in both modes.  numpy is imported inside the functions
+that use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -426,7 +427,7 @@ def _dense(mat: SparseMat) -> np.ndarray:
     return out
 
 
-def _numeric_sqrt(gram: SparseMat) -> tuple[SparseMat, float]:
+def _numeric_sqrt(gram: SparseMat) -> SparseMat:
     import numpy as np
 
     dense = _dense(gram)
@@ -442,7 +443,7 @@ def _numeric_sqrt(gram: SparseMat) -> tuple[SparseMat, float]:
     entries = {(i, j): Fraction(root[i, j])
                for i in range(gram.rows) for j in range(gram.rows)
                if root[i, j] != 0.0}
-    return SparseMat(gram.rows, gram.rows, entries), residual
+    return SparseMat(gram.rows, gram.rows, entries)
 
 
 class ModelOperator(Record):
@@ -451,21 +452,20 @@ class ModelOperator(Record):
     (``form_op``), all SparseMat.  No field but T depends on the coupling,
     so ``op.replace(T=t)`` is the model at coupling t."""
 
-    __slots__ = ("a", "sqrt_gram", "T", "mode", "m", "det_sign", "form_op",
-                 "sqrt_residual")
+    __slots__ = ("a", "sqrt_gram", "T", "mode", "m", "det_sign", "form_op")
 
     def trace_sqrt(self) -> Fraction:
         return sum((self.sqrt_gram.get(i, i) for i in range(self.m)),
                    Fraction(0))
 
 
-def model_L(a, T, mode: str = "auto", sqrt_gram: SparseMat | None = None
+def model_L(a, T, mode: str = "exact", sqrt_gram: SparseMat | None = None
             ) -> ModelOperator:
     """Assemble the model operator for an invertible A and coupling T > 0.
 
-    mode 'exact' demands a rational S with S^2 = A^t A (auto-detected for
-    diagonal A^t A, or supplied and verified via sqrt_gram); 'float' builds
-    S numerically; 'auto' picks exact when possible.
+    mode 'exact' demands a rational S with S^2 = A^t A: found for diagonal
+    A^t A, or supplied as sqrt_gram and verified, else NoRationalRoot.
+    mode 'float' always builds S numerically and takes no sqrt_gram.
     """
     if not isinstance(a, SparseMat):
         a = SparseMat.from_rows(a)
@@ -475,8 +475,10 @@ def model_L(a, T, mode: str = "auto", sqrt_gram: SparseMat | None = None
     if m % 4:
         raise BadDimension(f"A is {m}x{m}; the model needs a multiple of 4")
     _check_dim(m, MODEL_DIM_LIMIT)
-    if mode not in ("auto", "exact", "float"):
+    if mode not in ("exact", "float"):
         raise ValueError(f"bad mode {mode!r}")
+    if mode == "float" and sqrt_gram is not None:
+        raise ValueError("sqrt_gram is accepted in exact mode only")
     t_val = Fraction(T)
     if t_val <= 0:
         raise ValueError("T must be positive")
@@ -484,8 +486,9 @@ def model_L(a, T, mode: str = "auto", sqrt_gram: SparseMat | None = None
     if not deta:
         raise Singular("det A = 0")
     gram = a.transpose() @ a
-    residual = 0.0
-    if sqrt_gram is not None:
+    if mode == "float":
+        s = _numeric_sqrt(gram)
+    elif sqrt_gram is not None:
         s = sqrt_gram
         if s.shape != (m, m) or s != s.transpose():
             raise ValueError("sqrt_gram must be symmetric of matching shape")
@@ -493,26 +496,19 @@ def model_L(a, T, mode: str = "auto", sqrt_gram: SparseMat | None = None
             raise ValueError("sqrt_gram does not square to A^t A")
         if not _leading_minors_positive(s):
             raise ValueError("sqrt_gram is not positive definite")
-        resolved = "exact" if mode in ("auto", "exact") else "float"
     else:
         s = _exact_sqrt_gram(gram)
-        if s is not None and mode != "float":
-            resolved = "exact"
-        elif mode == "exact":
+        if s is None:
             raise NoRationalRoot(
                 "A^t A has no auto-detectable rational square root; "
                 "supply sqrt_gram or use float mode")
-        else:
-            s, residual = _numeric_sqrt(gram)
-            resolved = "float"
     # L2 = tr(S) + sum over entries A_ij of A_ij c(e_j) chat(e_i).
     trace_s = sum((s.get(i, i) for i in range(m)), Fraction(0))
     cs = [_generator(m, i, 1, -1) for i in range(m)]
     chats = [_generator(m, i, 1, 1) for i in range(m)]
     form = _to_sparse(m, [(trace_s, _identity(m))] + [
         (v, _compose(cs[j], chats[i])) for (i, j), v in a.entries.items()])
-    return ModelOperator(a, s, t_val, resolved, m,
-                         1 if deta > 0 else -1, form, residual)
+    return ModelOperator(a, s, t_val, mode, m, 1 if deta > 0 else -1, form)
 
 
 # -- polynomial-form sectors ---------------------------------------------
@@ -715,72 +711,48 @@ def sector_inner(op: ModelOperator, gram: SparseMat,
 # -- kernel, spectrum, eta -----------------------------------------------
 
 
-def _ground_exact(op: ModelOperator) -> tuple[SparseMat, SparseMat]:
-    """The ground form and its skew omega image, neither of which depends
-    on T.  The ground form is the unique (asserted) kernel vector of L2,
-    first component scaled to 1; raises UnexpectedKernel if the kernel is
-    not 1-dimensional."""
-    ker = kernel_basis(op.form_op)
-    if ker.cols != 1:
-        raise UnexpectedKernel(
-            f"form-operator kernel has dimension {ker.cols}, expected 1")
-    first = min(r for (r, _) in ker.entries)
-    delta = ker.scale(Fraction(1) / ker.get(first, 0))
-    return delta, omega_skew(op.m) @ delta
+def _kernel_vector(op: ModelOperator, mat: SparseMat, cap: int):
+    """The kernel vector of ``mat``, an operator on the degree <= cap sector
+    of ``op``, and its form parity (0 even, 1 odd).
 
-
-def _ground_float(op: ModelOperator):
-    """Numeric counterpart of _ground_exact (smallest singular vector)."""
-    import numpy as np
-
-    _, svals, vt = np.linalg.svd(_dense(op.form_op))
-    if int((svals < _SVD_CUT * max(float(svals.max()), 1.0)).sum()) != 1:
-        raise UnexpectedKernel("form-operator kernel is not 1-dimensional")
-    delta = vt[-1]
-    return delta, _dense(omega_skew(op.m)) @ delta
-
-
-def kernel_and_parity(op: ModelOperator, cap: int = 0) -> tuple[int, int]:
-    """Kernel dimension (asserted 1) and form parity (0 even, 1 odd) of the
-    model operator.
-
-    The kernel generator has constant polynomial part (the Gaussian ground
-    state times a constant form), so it lives in the degree-0 sector; pass
-    cap > 0 to additionally confirm no further kernel appears among higher
-    polynomial degrees.  Float mode counts singular values below
-    ``_SVD_CUT`` times the largest.
-    """
-    if cap == 0:
-        mat = op.form_op
-    else:
-        mat = sector_matrix_L(op, cap)
+    Exact mode returns the ``kernel_basis`` column as a SparseMat; float
+    mode returns the right singular vector of the smallest singular value
+    as an array, counting singular values below ``_SVD_CUT`` times the
+    largest as kernel and components above 1e-6 times its peak as its
+    support.  Raises UnexpectedKernel when the kernel is not 1-dimensional
+    or its vector mixes form parities."""
     if op.mode == "exact":
-        ker = kernel_basis(mat)
-        ker_dim = ker.cols
-        if ker_dim != 1:
-            raise UnexpectedKernel(
-                f"kernel dimension {ker_dim} at cap {cap}, expected 1")
-        comps = [(idx, float(v)) for (idx, _), v in ker.entries.items()]
+        vec = kernel_basis(mat)
+        dim = vec.cols
+        support = [r for (r, _) in vec.entries]
     else:
         import numpy as np
 
         _, svals, vt = np.linalg.svd(_dense(mat))
-        cut = _SVD_CUT * max(float(svals.max()), 1.0)
-        ker_dim = int((svals < cut).sum())
-        if ker_dim != 1:
-            raise UnexpectedKernel(
-                f"kernel dimension {ker_dim} at cap {cap}, expected 1")
+        dim = int((svals < _SVD_CUT * max(float(svals.max()), 1.0)).sum())
         vec = vt[-1]
-        peak = float(np.abs(vec).max())
-        comps = [(idx, float(x)) for idx, x in enumerate(vec)
-                 if abs(x) > 1e-6 * peak]
-    parities = set()
-    for idx, _ in comps:
-        mask = idx & ((1 << op.m) - 1)
-        parities.add(bin(mask).count("1") % 2)
+        support = np.flatnonzero(np.abs(vec) > 1e-6 * np.abs(vec).max())
+    if dim != 1:
+        raise UnexpectedKernel(
+            f"kernel dimension {dim} at cap {cap}, expected 1")
+    low = (1 << op.m) - 1
+    parities = {(int(r) & low).bit_count() & 1 for r in support}
     if len(parities) != 1:
         raise UnexpectedKernel("kernel vector mixes form parities")
-    return ker_dim, parities.pop()
+    return vec, parities.pop()
+
+
+def kernel_and_parity(op: ModelOperator, cap: int = 0) -> tuple[int, int]:
+    """Kernel dimension (asserted 1) and form parity (0 even, 1 odd) of the
+    model operator, from ``_kernel_vector``.
+
+    The kernel generator has constant polynomial part (the Gaussian ground
+    state times a constant form), so it lives in the degree-0 sector; pass
+    cap > 0 to additionally confirm no further kernel appears among higher
+    polynomial degrees.
+    """
+    mat = op.form_op if cap == 0 else sector_matrix_L(op, cap)
+    return 1, _kernel_vector(op, mat, cap)[1]
 
 
 class SpectrumVerdict(Record):
@@ -879,33 +851,41 @@ def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
     """Solve for the first-order correction to the ground state of ``op``
     and certify the T^(-1/2) decay of its norm.
 
-    The ground form (the kernel of L2) and the source, its skew omega
-    image, do not depend on T and are computed once.  Per coupling T: the
-    correction eta solves L_hat eta = D_hat(source) with eta Gaussian-
-    orthogonal to the ground state.  The report carries C1^2 =
-    T ||eta||^2 / ||ground||^2, which must be the same for every T (exactly
-    in exact mode; float mode solves by least squares and compares at rel
-    1e-9).  A vanishing source yields C1 = 0 with a flag.  cap < 1 cannot
-    hold the degree-raising image and raises TruncationTooSmall.
+    The ground form (the kernel vector of L2, asserted unique and of one
+    form parity), the source (its skew omega image), and whether the
+    source vanished or is orthogonal to the ground form do not depend on
+    T and are worked out once.  Per coupling T: the correction eta
+    solves L_hat eta = D_hat(source) with eta Gaussian-orthogonal to the
+    ground state.  The report carries C1^2 = T ||eta||^2 / ||ground||^2,
+    which must be the same for every T (exactly in exact mode; float mode
+    solves by least squares and compares at rel 1e-9).  A vanishing source
+    yields C1 = 0 with a flag.  cap < 1 cannot hold the degree-raising
+    image and raises TruncationTooSmall.
     """
     ts = _validate_ts(Ts, 2)
     if cap < 1:
         raise TruncationTooSmall(
             "the Dirac image of the source needs polynomial degree >= 1")
-    c1sq: list = []
-    ortho_all = True
-    vanished = False
-    if op.mode == "exact":
-        ground, once = _ground_exact, _eta_once_exact
+    delta, _ = _kernel_vector(op, op.form_op, 0)
+    skew = omega_skew(op.m)
+    exact = op.mode == "exact"
+    if exact:
+        source = skew @ delta
+        vanished = source.is_zero()
+        orthogonal = sum((v * delta.get(r, 0)
+                          for (r, _), v in source.entries.items()),
+                         Fraction(0)) == 0
+        once, zero = _eta_once_exact, Fraction(0)
     else:
-        ground, once = _ground_float, _eta_once_float
-    delta, source = ground(op)
-    for t in ts:
-        value, ortho, gone = once(op.replace(T=t), cap, delta, source)
-        c1sq.append(value)
-        ortho_all = ortho_all and ortho
-        vanished = vanished or gone
-    if op.mode == "exact":
+        import numpy as np
+
+        source = _dense(skew) @ delta
+        vanished = float(np.abs(source).max()) <= 1e-12
+        orthogonal = abs(float(source @ delta)) <= 1e-9
+        once, zero = _eta_once_float, 0.0
+    c1sq = [zero if vanished else once(op.replace(T=t), cap, delta, source)
+            for t in ts]
+    if exact:
         constant = all(v == c1sq[0] for v in c1sq[1:])
         dev_note = ""
     else:
@@ -915,24 +895,19 @@ def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
                   default=0.0)
         constant = dev <= 1e-9
         dev_note = f" (rel deviation {dev:.3e})" if not constant else ""
-    passed = constant and ortho_all
+    passed = constant and orthogonal
     detail = "" if passed else (
         ("C1 varies with T" + dev_note if not constant
          else "source not orthogonal to the ground state"))
     return EtaVerdict(passed, op.mode, tuple(ts), tuple(c1sq),
                       math.sqrt(float(c1sq[0])), constant, vanished,
-                      ortho_all, detail)
+                      orthogonal, detail)
 
 
 def _eta_once_exact(op: ModelOperator, cap: int, delta: SparseMat,
-                    source: SparseMat):
-    """One exact correction solve from the ground form ``delta`` and its
-    ``source``; returns (C1^2, orthogonality, vanished)."""
-    n = 1 << op.m
-    if source.is_zero():
-        return Fraction(0), True, True
-    dot = sum((source.get(r, 0) * delta.get(r, 0) for r in range(n)),
-              Fraction(0))
+                    source: SparseMat) -> Fraction:
+    """C1^2 from one exact correction solve, given the ground form
+    ``delta`` and its nonzero ``source``."""
     rhs = sector_matrix_D(op, 0, cap) @ source
     lmat = sector_matrix_L(op, cap)
     y = solve(lmat, rhs)
@@ -947,17 +922,14 @@ def _eta_once_exact(op: ModelOperator, cap: int, delta: SparseMat,
     if (lmat @ eta) != rhs:
         raise UnexpectedKernel("projection left the solution space")
     norm_eta = sector_inner(op, gram, eta, eta)
-    return op.T * norm_eta / norm_ground, dot == 0, False
+    return op.T * norm_eta / norm_ground
 
 
-def _eta_once_float(op: ModelOperator, cap: int, delta, source):
+def _eta_once_float(op: ModelOperator, cap: int, delta, source) -> float:
     """Numeric counterpart of _eta_once_exact (least-squares solve)."""
     import numpy as np
 
     n = 1 << op.m
-    if float(np.abs(source).max()) <= 1e-12:
-        return 0.0, True, True
-    ortho = abs(float(source @ delta)) <= 1e-9
     rhs = _dense(sector_matrix_D(op, 0, cap)) @ source
     y, *_ = np.linalg.lstsq(_dense(sector_matrix_L(op, cap)), rhs, rcond=None)
     big_gram = np.kron(_dense(gaussian_gram(op, cap)), np.eye(n))
@@ -967,7 +939,7 @@ def _eta_once_float(op: ModelOperator, cap: int, delta, source):
     proj = float(y @ big_gram @ delta_hat) / norm_ground
     eta = y - proj * delta_hat
     norm_eta = float(eta @ big_gram @ eta)
-    return float(op.T) * norm_eta / norm_ground, ortho, False
+    return float(op.T) * norm_eta / norm_ground
 
 
 # -- rational random sources ---------------------------------------------

@@ -81,9 +81,6 @@ class GradedComplex:
             return self.d[k]
         return SparseMat.zeros(self.dim(k + 1), self.dim(k))
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def __repr__(self) -> str:
         return f"GradedComplex(dims={self.dims})"
 

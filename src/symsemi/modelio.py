@@ -215,34 +215,33 @@ def _load_builtin(name: str, source: str) -> LoadedModel:
                        cx, wmap, model, w)
 
 
-def load_model(spec: str) -> LoadedModel:
-    """Model from a ``builtin:<name>`` URI or a JSON file path."""
-    if spec.startswith("builtin:"):
-        return _load_builtin(spec.split(":", 1)[1], spec)
-    path = Path(spec)
+def _read_object(spec: str) -> dict:
+    """The JSON object in the file ``spec``."""
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(Path(spec).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{spec}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise FormatError(f"{spec}: top level must be an object")
+    return data
+
+
+def load_model(spec: str) -> LoadedModel:
+    """Model from a ``builtin:<name>`` URI or a JSON file path."""
+    if spec.startswith("builtin:"):
+        return _load_builtin(spec.split(":", 1)[1], spec)
+    data = _read_object(spec)
     kind = data.get("kind")
     if kind == "matrix":
-        return _load_matrix_model(data, spec, path.stem)
+        return _load_matrix_model(data, spec, Path(spec).stem)
     if kind == "cdga":
-        return _load_cdga_model(data, spec, path.stem)
+        return _load_cdga_model(data, spec, Path(spec).stem)
     raise FormatError(f"{spec}: kind must be \"matrix\" or \"cdga\"")
 
 
 def load_census(spec: str) -> ZeroCensus:
     """Census from a JSON file: source, nonvanishing flag, zero list."""
-    path = Path(spec)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{spec}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise FormatError(f"{spec}: top level must be an object")
+    data = _read_object(spec)
     source = data.get("source", "")
     if not isinstance(source, str):
         raise FormatError(f"{spec}: source must be a string")

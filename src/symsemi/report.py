@@ -21,10 +21,6 @@ def _flag(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def spectrum_table(values) -> list[tuple[float, int]]:
     """Distinct spectrum values (rounded) with multiplicities, ascending."""
     counts: dict[float, int] = {}

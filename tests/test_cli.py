@@ -266,6 +266,28 @@ def test_oscillator_finds_the_ground_form_once_per_check(capsys,
         assert sorted(calls) == ["kernel", "kernel", "omega_skew"]
 
 
+def test_oscillator_broken_kernel_exits_one(capsys, monkeypatch):
+    # A form operator with a 2-dimensional kernel breaks the model's
+    # invariant: one assertion failure line and exit 1, no traceback.
+    from fractions import Fraction
+
+    from symsemi.qlinalg import SparseMat
+
+    build = cliffordlab.model_L
+    two_dim = SparseMat(16, 16, {(i, i): Fraction(1) for i in range(2, 16)})
+
+    def broken_model_L(*args, **kwargs):
+        return build(*args, **kwargs).replace(form_op=two_dim)
+
+    monkeypatch.setattr("symsemi.cliffordlab.model_L", broken_model_L)
+    code, out, err = run(capsys, "oscillator", "--matrix",
+                         str(SAMPLES / "matrix_diag_1234.txt"))
+    assert code == 1
+    assert out == ""
+    assert err == ("assertion failure: kernel dimension 2 at cap 0, "
+                   "expected 1\n")
+
+
 def test_internal_invariant_breach_exits_one(capsys, monkeypatch):
     def broken_cone(*args, **kwargs):
         raise RuntimeError("cone differential does not square to zero")

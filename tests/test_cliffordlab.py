@@ -19,6 +19,7 @@ from symsemi.cliffordlab import (
     Sector,
     Singular,
     TruncationTooSmall,
+    UnexpectedKernel,
     clifford,
     dvol_action,
     eta_scaling,
@@ -45,6 +46,7 @@ from oracles import (car_oracle, gaussian_matching_oracle,
 
 EYE4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 EYE12 = [[1 if i == j else 0 for j in range(12)] for i in range(12)]
+SHEAR = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def basis_vector(m, i):
@@ -359,13 +361,24 @@ def test_model_rejects_bad_inputs():
 
 
 def test_model_exact_mode_needs_rational_root():
-    shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    import numpy as np
+
     with pytest.raises(NoRationalRoot):
-        model_L(shear, 1, "exact")
+        model_L(SHEAR, 1, "exact")
     # Float mode happily approximates the same matrix.
-    op = model_L(shear, 1, "float")
+    op = model_L(SHEAR, 1, "float")
     assert op.mode == "float"
-    assert op.sqrt_residual <= 1e-9
+    s = np.array(op.sqrt_gram.to_rows(), dtype=float)
+    a = np.array(op.a.to_rows(), dtype=float)
+    assert np.abs(s @ s - a.T @ a).max() <= 1e-9
+
+
+def test_model_has_two_modes():
+    with pytest.raises(ValueError, match="bad mode 'auto'"):
+        model_L(EYE4, 1, "auto")
+    # Float mode takes its square root from numpy, never a supplied one.
+    with pytest.raises(ValueError, match="exact mode only"):
+        model_L(EYE4, 1, "float", sqrt_gram=SparseMat.identity(4))
 
 
 def test_model_sqrt_gram_validation():
@@ -417,6 +430,30 @@ def test_kernel_and_parity_float_mode():
     assert kernel_and_parity(op) == (1, 0)
 
 
+def broken_form_ops(op):
+    """Two corruptions of L2 on the 16 masks of m = 4: identity on masks
+    2-15 only (a 2-dimensional kernel), and row 0 = e0 - e1 with row 1
+    empty (a 1-dimensional kernel spanning the even mask 0 and the odd
+    mask 1)."""
+    rest = {(i, i): Fraction(1) for i in range(2, 16)}
+    two_dim = SparseMat(16, 16, rest)
+    mixed = SparseMat(16, 16, {**rest, (0, 0): Fraction(1),
+                               (0, 1): Fraction(-1)})
+    return ((op.replace(form_op=two_dim), "kernel dimension 2 at cap 0"),
+            (op.replace(form_op=mixed), "mixes form parities"))
+
+
+def test_broken_kernels_raise_in_both_modes():
+    # The kernel check and the ground form of the eta correction share
+    # one kernel routine, so both refuse either corruption in both modes.
+    for op in (model_L(EYE4, 1, "exact"), model_L(SHEAR, 1, "float")):
+        for broken, message in broken_form_ops(op):
+            with pytest.raises(UnexpectedKernel, match=message):
+                kernel_and_parity(broken)
+            with pytest.raises(UnexpectedKernel, match=message):
+                eta_scaling(broken, (1, 4, 16))
+
+
 # -- spectrum and eta scaling --------------------------------------------
 
 
@@ -462,8 +499,7 @@ def test_spectrum_scaling_catches_a_coupling_in_a_diagonal_block(
         return lap + leak, flow
 
     monkeypatch.setattr(cl, "_sector_parts", leaky_lap)
-    shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    for op in (model_L(EYE4, 1, "exact"), model_L(shear, 1, "float")):
+    for op in (model_L(EYE4, 1, "exact"), model_L(SHEAR, 1, "float")):
         verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
         assert not verdict.passed
         assert verdict.structure_ok and not verdict.blocks_match
@@ -496,11 +532,10 @@ def test_factored_spectrum_matches_the_dense_blocks():
     # The sum set of polynomial-block and L2 eigenvalues against the
     # eigenvalues of the full degree blocks, at a coupling T = 10 that the
     # diagonal blocks must not see.
-    shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     rng = Random(41)
     ops = [model_L(a, 1, "exact", sqrt_gram=s) for a, s in
            (random_model_matrix(4, rng, sign) for sign in (1, -1))]
-    ops.append(model_L(shear, 1, "float"))
+    ops.append(model_L(SHEAR, 1, "float"))
     for op in ops:
         for cap in (2, 3, 4):
             got = spectrum_scaling(op, (1, 10, 100), cap=cap).spectrum
