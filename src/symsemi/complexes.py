@@ -154,29 +154,6 @@ def cone(c: GradedComplex, w: OmegaMap, p: int = 0) -> GradedComplex:
     return GradedComplex(dims2, diffs)
 
 
-def cone_adjoint(c: GradedComplex, w: OmegaMap, p: int = 0) -> list[SparseMat]:
-    """Blockwise adjoints [[d^T, 0], [L^T, -d^T]] of the cone differentials.
-
-    Bases are orthonormal, so each adjoint must equal the plain transpose of
-    the corresponding cone differential; a breach raises RuntimeError.
-    """
-    shift = 2 * p + 1
-    cx = cone(c, w, p)
-    out = []
-    for k in range(cx.top):
-        j = k - shift
-        blocks = [
-            [c.d_map(k).transpose(), SparseMat.zeros(c.dim(k), c.dim(j + 1))],
-            [w.power_map(j, p + 1).transpose(), -c.d_map(j).transpose()],
-        ]
-        adj = SparseMat.block(blocks)
-        if adj != cx.d_map(k).transpose():
-            raise RuntimeError(
-                f"blockwise adjoint disagrees with transpose at degree {k}")
-        out.append(adj)
-    return out
-
-
 def betti(c: GradedComplex) -> BettiVector:
     """Betti numbers b_k = dim_k - rank d_k - rank d_{k-1} (exact ranks)."""
     ranks = [rank(m) for m in c.d]

@@ -20,6 +20,7 @@ from .cliffordlab import (Sector, eta_scaling, kernel_and_parity, model_L,
                           verify_volume_omega, verify_volume_star)
 from .complexes import (betti, cone, euler_characteristic,
                         harmonic_dimensions, semi_characteristic)
+from .errors import CheckFailure
 from .models import (builtin, check_symplectic, model_cone_inputs,
                      multiplication_matrix, random_closed_two_form,
                      random_nilpotent_ce)
@@ -134,10 +135,10 @@ def _oscillator_kernel_spectrum():
         for trial in range(25):
             a, s = random_model_matrix(4, rng, det_sign=sign)
             op = model_L(a, 1, "exact", sqrt_gram=s)
-            ker_dim, parity = kernel_and_parity(op)
+            parity = kernel_and_parity(op)
             want = 0 if sign > 0 else 1
             verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
-            if ker_dim != 1 or parity != want or not verdict.passed:
+            if parity != want or not verdict.passed:
                 failures.append((sign, trial))
             # The scaling check holds by construction of the sector parts,
             # so one matrix per sign also tests the operator itself, at a
@@ -240,8 +241,13 @@ def criteria_names() -> list[str]:
 
 
 def _timed(num: int, name: str, func) -> CriterionResult:
+    """Run one criterion; a failed assertion inside it fails the criterion
+    instead of ending the run."""
     start = perf_counter()
-    ok, detail, data = func()
+    try:
+        ok, detail, data = func()
+    except CheckFailure as exc:
+        ok, detail, data = False, f"assertion failure: {exc}", {}
     return CriterionResult(num, name, ok, detail, perf_counter() - start,
                            data)
 

@@ -345,22 +345,49 @@ print(json.dumps([codes, loaded]))
     assert loaded == [False, False, False, False, True]
 
 
-def test_mode_environment_variable(tmp_path, capsys, monkeypatch):
-    shear = tmp_path / "shear.txt"
-    shear.write_text("1 1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+def test_mode_comes_from_the_flag_alone(capsys, monkeypatch):
+    shear = str(SAMPLES / "matrix_shear_4.txt")
     # Exact mode (the default) cannot take this square root.
-    assert run(capsys, "oscillator", "--matrix", str(shear))[0] == 2
-    monkeypatch.setenv("SYMSEMI_MODE", "float")
-    code, out, _ = run(capsys, "oscillator", "--matrix", str(shear),
-                       "--format", "json")
+    assert run(capsys, "oscillator", "--matrix", shear)[0] == 2
+    code, out, _ = run(capsys, "oscillator", "--matrix", shear,
+                       "--mode", "float", "--format", "json")
     assert code == 0
     assert json.loads(out)["matrix"]["mode"] == "float"
-    # An explicit flag beats the environment.
-    code, _, err = run(capsys, "oscillator", "--matrix", str(shear),
-                       "--mode", "exact")
-    assert code == 2
-    monkeypatch.setenv("SYMSEMI_MODE", "quantum")
-    assert run(capsys, "clifford", "--n", "1")[0] == 2
+    # The environment does not choose the mode.
+    monkeypatch.setenv("SYMSEMI_MODE", "float")
+    assert run(capsys, "oscillator", "--matrix", shear)[0] == 2
+    code, out, _ = run(capsys, "clifford", "--n", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["mode"] == "exact"
+    assert run(capsys, "clifford", "--n", "1", "--mode", "quantum")[0] == 2
+
+
+def test_report_top_level_keys(capsys):
+    # A report's JSON keys are its field names, plus "report".
+    compute = ["betti", "counting_applicable", "euler_characteristic",
+               "model", "p", "palindromic", "report", "semi_characteristic",
+               "symplectic", "warnings"]
+    cases = (
+        (("compute", "builtin:cp2"), sorted(compute + ["omega"])),
+        # A matrix model has no form terms, so no "omega" key.
+        (("compute", str(SAMPLES / "s2_matrix.json")), compute),
+        (("verify", "builtin:s2xs2", "--census",
+          str(SAMPLES / "census_s2xs2_morse.json")),
+         ["census", "counting", "euler_cross_check",
+          "manifold_euler_characteristic", "model", "report",
+          "semi_characteristic", "warnings"]),
+        (("clifford", "--n", "1"),
+         ["dimension", "identities", "mode", "n", "passed", "report"]),
+        (("oscillator", "--matrix", str(SAMPLES / "matrix_diag_1234.txt")),
+         ["T", "degree_cap", "eta", "kernel_dimension", "matrix", "parity",
+          "parity_matches_det", "passed", "report", "spectrum"]),
+    )
+    for argv, keys in cases:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(payload) == keys
+        assert payload["report"] == argv[0]
 
 
 def test_report_file_output(tmp_path, capsys):
@@ -382,6 +409,29 @@ def test_suite_listing(capsys):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert len(lines) == 10
     assert any("cp2-reproduction" in ln for ln in lines)
+
+
+def test_suite_survives_a_failed_assertion(capsys, monkeypatch):
+    # A criterion that raises a CheckFailure fails on its own line; the
+    # criteria after it still run and the summary is printed.
+    message = "kernel dimension 2 at cap 0, expected 1"
+
+    def broken_kernel(op):
+        raise cliffordlab.UnexpectedKernel(message)
+
+    monkeypatch.setattr("symsemi.suite.kernel_and_parity", broken_kernel)
+    code, out, err = run(capsys, "suite")
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    criteria = [ln for ln in lines if ln.startswith("criterion")]
+    assert len(criteria) == 10
+    failed = [ln for ln in criteria if "[FAIL]" in ln]
+    assert failed == [criteria[6]]
+    assert criteria[6].startswith(
+        "criterion  7 [FAIL] oscillator-kernel-spectrum")
+    assert criteria[6].endswith(f"assertion failure: {message}")
+    assert lines[-1].startswith("suite: 9/10 criteria passed")
 
 
 def test_argparse_level_errors(capsys):

@@ -10,8 +10,8 @@ import pytest
 
 from symsemi.complexes import (BettiVector, ChainMapViolation, GradedComplex,
                                InvalidComplex, OmegaMap, betti, cone,
-                               cone_adjoint, euler_characteristic,
-                               harmonic_dimensions, semi_characteristic)
+                               euler_characteristic, harmonic_dimensions,
+                               semi_characteristic)
 from symsemi.models import (builtin, model_cone_inputs, multiplication_matrix,
                             random_closed_two_form, random_nilpotent_ce)
 from symsemi.qlinalg import SparseMat
@@ -92,25 +92,6 @@ def test_higher_cone_parameter_on_t4():
     assert oracle_b == list(b)
     # degree k pairs with degree k - 3 once p = 1
     assert cn.top == cx.top + 3
-
-
-def test_cone_adjoint_is_plain_transpose():
-    for name in ("cp2", "kodaira_thurston"):
-        cx, wmap = builtin_inputs(name)
-        cn = cone(cx, wmap)
-        adjoints = cone_adjoint(cx, wmap)
-        assert len(adjoints) == cn.top
-        for k, adj in enumerate(adjoints):
-            assert adj == cn.d_map(k).transpose()
-
-
-def test_cone_adjoint_raises_on_transpose_mismatch(monkeypatch):
-    cx, wmap = builtin_inputs("cp2")
-    real = cone(cx, wmap)
-    flipped = GradedComplex(real.dims, [-m for m in real.d])
-    monkeypatch.setattr("symsemi.complexes.cone", lambda c, w, p=0: flipped)
-    with pytest.raises(RuntimeError, match="disagrees with transpose"):
-        cone_adjoint(cx, wmap)
 
 
 def test_harmonic_dimensions_equal_betti_on_builtins():
