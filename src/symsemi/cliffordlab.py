@@ -41,17 +41,20 @@ product: with lap = -laplacian and flow = 2 (Sx).grad acting on the
 polynomials alone, L_hat = (lap + T flow) tensor 1 + T (1 tensor L2).  So
 the sector parts are k x k polynomial matrices (k monomials, not k 2^m
 basis vectors), assembled once per model; the spectrum scaling check runs
-on them, only rescaling lap for each coupling, and a degree block's
-spectrum is the sum set of its polynomial eigenvalues and those of L2.
-All assembly is exact rational, and the spectrum scaling certificate is
-exact in both modes.  "exact" mode needs a rational S; "float" mode
-approximates S numerically (entering the exact arithmetic as binary
-rationals), finds the kernel by SVD and the eta correction by a
-least-squares solve, and those two comparisons carry tolerances.  One
-routine finds the kernel vector, in either mode, for both the kernel check
-and the eta correction.  A is at most ``MODEL_DIM_LIMIT`` x
-``MODEL_DIM_LIMIT`` in both modes.  numpy is imported inside the functions
-that use it, so importing this module does not load it.
+on them, only rescaling lap for each coupling.  The reported spectrum is
+the closed form of ``_block_spectrum`` in the eigenvalues of S, tied to
+the assembled factors by exact trace identities; no eigen-solver runs on
+an assembled block.  All assembly is exact rational, and the spectrum
+scaling certificate is exact in both modes.  "exact" mode needs a
+rational S; "float" mode approximates S numerically (entering the exact
+arithmetic as binary rationals), finds the kernel by SVD and the eta
+correction by a least-squares solve, and those two comparisons carry
+tolerances.  One routine finds the kernel vector, in either mode, for both
+the kernel check and the eta correction.  A is at most
+``MODEL_DIM_LIMIT`` x ``MODEL_DIM_LIMIT`` in both modes.  numpy is
+imported inside the functions that use it, so importing this module does
+not load it, and neither does exact mode with a diagonal S (every S that
+``model_L`` finds itself): its spectrum is exact, from the diagonal of S.
 """
 
 from __future__ import annotations
@@ -778,8 +781,11 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     entries lower the degree by exactly 2, from the Laplacian; a failure
     detail names the monomial indices), its diagonal blocks are verified
     entrywise identical across the given T values, and max_deviation is
-    the largest entry difference between them.  Only the spectrum, the
-    union of the diagonal blocks' spectra, is numeric.
+    the largest entry difference between them.  The spectrum, the union of
+    the diagonal blocks' spectra, is the closed form of ``_block_spectrum``
+    after ``_trace_guard`` has tied it to flow and L2; it is exact up to
+    one rounding per value when S is diagonal, and otherwise as accurate as
+    the eigenvalues of the m x m S.
     """
     ts = _validate_ts(Ts, 3)
     if cap < 2:
@@ -801,7 +807,8 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     dev = 0 if blocks_match else max(
         abs(d.get(k, 0) - diags[0].get(k, 0))
         for d in diags[1:] for k in d.keys() | diags[0].keys())
-    spectrum = _block_spectrum(diags[0], op, cap)
+    _trace_guard(op, flow, degree, cap)
+    spectrum = _block_spectrum(op, cap)
     passed = structure_ok and blocks_match
     detail = bad if not structure_ok else (
         "" if blocks_match else "diagonal blocks differ across T")
@@ -811,26 +818,70 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
                            blocks_match, float(dev), spectrum, gap, detail)
 
 
-def _block_spectrum(diag: dict, op: ModelOperator, cap: int
-                    ) -> tuple[float, ...]:
+def _block_spectrum(op: ModelOperator, cap: int) -> tuple[float, ...]:
     """Eigenvalues of the degree-diagonal blocks P_d tensor 1 + 1 tensor L2,
-    numerically, sorted; ``diag`` holds the degree-preserving entries of P.
-    A block's spectrum is the sum set {p + l} of the eigenvalues p of P_d
-    and l of L2.  The C(m + d, d) monomials of degree <= d come first, so
-    each degree's block is one contiguous index range."""
-    import numpy as np
+    d <= cap, sorted, in closed form from the eigenvalues sigma of S:
 
-    ends = [math.comb(op.m + deg, deg) for deg in range(cap + 1)]
-    starts = [0] + ends[:-1]
-    form = np.linalg.eigvals(_dense(op.form_op)).real
-    out: list[float] = []
-    for lo, hi in zip(starts, ends):
-        block = SparseMat(hi - lo, hi - lo, {
-            (r - lo, c - lo): v for (r, c), v in diag.items() if lo <= r < hi})
-        poly = np.linalg.eigvals(_dense(block)).real
-        out.extend((poly[:, None] + form).ravel().tolist())
-    out.sort()
-    return tuple(out)
+        spec L2  = {2 sum_(k in I) sigma_k : I subset of {1..m}},
+        spec P_d = {2 alpha.sigma : |alpha| = d},
+
+    and a block's spectrum is the sum set {p + l}, each sum counted once.
+    Proof: with A = U Sigma V^t, sum_ij A_ij c(e_j) chat(e_i) is
+    sum_k sigma_k c(v_k) chat(u_k), a sum of commuting involutions of
+    which c(v_k) flips the k-th alone, so L2 = tr S + sum_k +-sigma_k with
+    every sign pattern once; P_d = flow on Sym^d is the derivation of 2S,
+    diagonal on the monomials in the eigenbasis of S.  sigma is the
+    diagonal of S when S is diagonal, else ``eigvalsh`` of S taken as the
+    binary rationals it returns; the values are summed exactly over one
+    common denominator and rounded once each."""
+    s = op.sqrt_gram
+    if all(r == c for (r, c) in s.entries):
+        sigma = [s.get(i, i) for i in range(op.m)]
+    else:
+        import numpy as np
+
+        sigma = [Fraction(x) for x in np.linalg.eigvalsh(_dense(s))]
+    den = math.lcm(*(x.denominator for x in sigma))
+    twice = [2 * x.numerator * (den // x.denominator) for x in sigma]
+    form = [0]
+    for t in twice:
+        form += [f + t for f in form]
+    out = sorted(p + f for d in range(cap + 1)
+                 for p in map(sum, combinations_with_replacement(twice, d))
+                 for f in form)
+    return tuple(n / den for n in out)
+
+
+def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int],
+                 cap: int):
+    """Tie the closed form of ``_block_spectrum`` to the assembled factors
+    by three trace identities, exact on their sparse entries:
+
+        tr L2   = 2^m tr S,
+        tr L2^2 = 2^m ((tr S)^2 + tr A^t A),
+        tr P_d  = 2d C(m + d - 1, d) tr S / m   for each d <= cap,
+
+    P_d being the degree-d diagonal block of flow (``degree`` gives each
+    monomial's degree).  Raises CheckFailure on the first mismatch."""
+    n = 1 << op.m
+    tr_s = op.trace_sqrt()
+    form = op.form_op.entries
+    checks = [("tr L2", sum(form.get((i, i), 0) for i in range(n)),
+               n * tr_s),
+              ("tr L2^2", sum(v * form.get((c, r), 0)
+                              for (r, c), v in form.items()),
+               n * (tr_s * tr_s + sum(v * v for v in op.a.entries.values())))]
+    poly = [Fraction(0)] * (cap + 1)
+    for (r, c), v in flow.entries.items():
+        if r == c:
+            poly[degree[r]] += v
+    checks += [(f"tr P_{d}", poly[d],
+                2 * d * math.comb(op.m + d - 1, d) * tr_s / op.m)
+               for d in range(cap + 1)]
+    for label, got, want in checks:
+        if got != want:
+            raise CheckFailure(f"spectrum trace guard: {label} = {got}, "
+                               f"the closed form needs {want}")
 
 
 class EtaVerdict(Record):

@@ -13,6 +13,9 @@ Two model schemas are supported, both JSON:
 Rational values are decimal strings "p" or "p/q" with q > 0 (plain JSON
 integers are also accepted).  The five named example models are addressed
 as ``builtin:<name>`` instead of a file path.
+
+Each model loader imports the CDGA and cone modules it builds on, so
+reading a matrix row file loads neither.
 """
 
 from __future__ import annotations
@@ -20,14 +23,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# census stays a module import: it is small, and the traced benchmark run
+# (bench/spans.py) finds it in sys.modules through this module.
 from .census import Zero, ZeroCensus
-from .complexes import GradedComplex, OmegaMap
 from .errors import InputError
-from .models import (BUILTIN_NAMES, CDGAModel, Element, SymplecticVerdict,
-                     builtin, check_symplectic, model_cone_inputs)
 from .qlinalg import SparseMat
 from .record import Record
+
+if TYPE_CHECKING:
+    from .models import Element, SymplecticVerdict
 
 
 class FormatError(InputError):
@@ -126,6 +132,8 @@ class LoadedModel(Record):
     _defaults = {"model": None, "omega": None}
 
     def symplectic_verdict(self) -> SymplecticVerdict:
+        from .models import SymplecticVerdict, check_symplectic
+
         if self.model is not None:
             return check_symplectic(self.model, self.omega)
         # Matrix-mode files carry the multiplication operator only.  The
@@ -150,6 +158,8 @@ class LoadedModel(Record):
 
 
 def _load_matrix_model(data: dict, source: str, name: str) -> LoadedModel:
+    from .complexes import GradedComplex, OmegaMap
+
     where = "matrix model"
     dims_json = _require(data, "dims", where)
     if (not isinstance(dims_json, list) or not dims_json
@@ -177,6 +187,8 @@ def _load_matrix_model(data: dict, source: str, name: str) -> LoadedModel:
 
 
 def _load_cdga_model(data: dict, source: str, name: str) -> LoadedModel:
+    from .models import CDGAModel, model_cone_inputs
+
     where = "cdga model"
     gens_json = _require(data, "generators", where)
     if not isinstance(gens_json, list) or not gens_json:
@@ -206,6 +218,8 @@ def _load_cdga_model(data: dict, source: str, name: str) -> LoadedModel:
 
 
 def _load_builtin(name: str, source: str) -> LoadedModel:
+    from .models import BUILTIN_NAMES, builtin, model_cone_inputs
+
     if name not in BUILTIN_NAMES:
         raise FormatError(
             f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}")

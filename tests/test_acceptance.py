@@ -15,6 +15,7 @@ from pathlib import Path
 from symsemi import cliffordlab, suite
 from symsemi.suite import run_criterion
 from symsemi.cliffordlab import gaussian_moment
+from symsemi.qlinalg import SparseMat
 
 from oracles import (dense_betti, dense_cone, dense_from_sparse,
                      gaussian_moment_oracle)
@@ -88,15 +89,29 @@ def test_criterion_07_oscillator_kernel_spectrum(monkeypatch):
 
 
 def test_criterion_07_catches_a_wrong_sector_operator(monkeypatch):
-    # flow + lap / T passes the spectrum scaling check whatever flow is;
-    # the criterion must still notice a wrong flow coefficient.
+    # flow + lap / T passes the block comparison whatever flow is; the
+    # criterion must still notice a wrong flow coefficient.  Scaling all of
+    # flow changes the traces of its degree blocks, which the spectrum's
+    # trace guard compares with the closed form; scaling only the entries
+    # off the diagonal keeps those traces, and D o D = L must catch it.
     sector_parts = cliffordlab._sector_parts
 
     def wrong_flow(op, sec):
         lap, flow = sector_parts(op, sec)
         return lap, flow.scale(Fraction(3, 2))
 
+    def wrong_off_diagonal_flow(op, sec):
+        lap, flow = sector_parts(op, sec)
+        return lap, SparseMat(flow.rows, flow.cols, {
+            (r, c): v if r == c else v * Fraction(3, 2)
+            for (r, c), v in flow.entries.items()})
+
     monkeypatch.setattr(cliffordlab, "_sector_parts", wrong_flow)
+    result = run_criterion(7)
+    assert not result.passed
+    assert result.detail.startswith(
+        "assertion failure: spectrum trace guard: tr P_1 = ")
+    monkeypatch.setattr(cliffordlab, "_sector_parts", wrong_off_diagonal_flow)
     result = run_criterion(7)
     assert not result.passed
     assert "D o D != L" in result.detail

@@ -5,10 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from symsemi import cliffordlab
 from symsemi.cli import main
+from symsemi.qlinalg import SparseMat
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -269,10 +273,6 @@ def test_oscillator_finds_the_ground_form_once_per_check(capsys,
 def test_oscillator_broken_kernel_exits_one(capsys, monkeypatch):
     # A form operator with a 2-dimensional kernel breaks the model's
     # invariant: one assertion failure line and exit 1, no traceback.
-    from fractions import Fraction
-
-    from symsemi.qlinalg import SparseMat
-
     build = cliffordlab.model_L
     two_dim = SparseMat(16, 16, {(i, i): Fraction(1) for i in range(2, 16)})
 
@@ -286,6 +286,40 @@ def test_oscillator_broken_kernel_exits_one(capsys, monkeypatch):
     assert out == ""
     assert err == ("assertion failure: kernel dimension 2 at cap 0, "
                    "expected 1\n")
+
+
+def _bumped_form_op(build):
+    def model(*args, **kwargs):
+        op = build(*args, **kwargs)
+        top = (1 << op.m) - 1
+        return op.replace(form_op=op.form_op + SparseMat(
+            1 << op.m, 1 << op.m, {(top, top): Fraction(1)}))
+    return model
+
+
+def _leaky_flow(parts):
+    def sector_parts(op, sec):
+        lap, flow = parts(op, sec)
+        k = len(sec.monomials)
+        return lap, flow + SparseMat(k, k, {(0, 0): Fraction(1)})
+    return sector_parts
+
+
+@pytest.mark.parametrize("attr, mutant, message", [
+    ("model_L", _bumped_form_op, "tr L2 = 161, the closed form needs 160"),
+    ("_sector_parts", _leaky_flow, "tr P_0 = 1, the closed form needs 0"),
+])
+def test_oscillator_trace_guard_exits_one(attr, mutant, message, capsys,
+                                          monkeypatch):
+    # The reported spectrum is a closed form that reads neither L2 nor the
+    # flow factor, so a changed entry of either must trip the trace guard.
+    # The L2 entry sits off the kernel's form, so the kernel check passes.
+    monkeypatch.setattr(cliffordlab, attr, mutant(getattr(cliffordlab, attr)))
+    code, out, err = run(capsys, "oscillator", "--matrix",
+                         str(SAMPLES / "matrix_diag_1234.txt"))
+    assert code == 1
+    assert out == ""
+    assert err == f"assertion failure: spectrum trace guard: {message}\n"
 
 
 def test_internal_invariant_breach_exits_one(capsys, monkeypatch):
@@ -316,7 +350,9 @@ def test_stray_value_error_is_an_internal_breach(capsys, monkeypatch):
 
 
 def test_numpy_loads_only_for_the_oscillator(tmp_path):
-    # numpy costs start-up time, so only the float paths import it.
+    # numpy costs start-up time, so only the float paths import it: an
+    # exact oscillator run on a diagonal or a rotated A takes its spectrum
+    # from the diagonal of S.
     src = Path(__file__).resolve().parent.parent / "src"
     script = f"""
 import contextlib, io, json, sys
@@ -326,7 +362,11 @@ runs = (["compute", "builtin:cp2"],
         ["verify", "builtin:s2xs2", "--census",
          {str(SAMPLES / "census_s2xs2_morse.json")!r}],
         ["clifford", "--n", "1"],
-        ["oscillator", "--matrix", {str(SAMPLES / "matrix_diag_1234.txt")!r}])
+        ["oscillator", "--matrix", {str(SAMPLES / "matrix_diag_1234.txt")!r}],
+        ["oscillator", "--matrix", {str(SAMPLES / "matrix_rotated_4.txt")!r},
+         "--degree-cap", "4"],
+        ["oscillator", "--matrix", {str(SAMPLES / "matrix_diag_1234.txt")!r},
+         "--mode", "float"])
 codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -341,8 +381,8 @@ print(json.dumps([codes, loaded]))
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     codes, loaded = json.loads(done.stdout)
-    assert codes == [0, 0, 0, 0]
-    assert loaded == [False, False, False, False, True]
+    assert codes == [0, 0, 0, 0, 0, 0]
+    assert loaded == [False, False, False, False, False, False, True]
 
 
 def test_mode_comes_from_the_flag_alone(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from symsemi import cliffordlab as cl
+from symsemi.errors import CheckFailure
 from symsemi.qlinalg import SparseMat, kernel_basis
 from symsemi.report import spectrum_table
 from symsemi.cliffordlab import (
@@ -510,7 +511,9 @@ def test_spectrum_scaling_catches_a_coupling_in_a_diagonal_block(
 def dense_block_spectrum(op, cap, t):
     """Reference spectrum: each degree-diagonal block of the full sector
     operator divided by t, solved densely, with no use of its product
-    structure."""
+    structure.  A block is first split into the connected components of
+    its nonzero pattern, a reordering of the basis that changes no
+    eigenvalue."""
     import numpy as np
 
     sec = Sector(op.m, cap)
@@ -520,29 +523,84 @@ def dense_block_spectrum(op, cap, t):
     for deg in range(cap + 1):
         idx = [i for i in range(sec.size) if sec.degree_of(i) == deg]
         pos = {i: n for n, i in enumerate(idx)}
-        block = np.zeros((len(idx), len(idx)))
-        for (r, c), v in mat.entries.items():
-            if r in pos and c in pos:
-                block[pos[r], pos[c]] = float(v)
-        out.extend(np.linalg.eigvals(block).real.tolist())
+        inside = [(pos[r], pos[c], v) for (r, c), v in mat.entries.items()
+                  if r in pos and c in pos]
+        root = list(range(len(idx)))
+
+        def find(x):
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for r, c, _ in inside:
+            root[find(r)] = find(c)
+        groups: dict[int, list[int]] = {}
+        for i in range(len(idx)):
+            groups.setdefault(find(i), []).append(i)
+        where = {i: n for members in groups.values()
+                 for n, i in enumerate(members)}
+        blocks = {g: np.zeros((len(members), len(members)))
+                  for g, members in groups.items()}
+        for r, c, v in inside:
+            blocks[find(r)][where[r], where[c]] = float(v)
+        for block in blocks.values():
+            out.extend(np.linalg.eigvals(block).real.tolist())
     return sorted(out)
 
 
+def rotated_diagonal(rng, sign):
+    """A = Q D with Q rational orthogonal and D positive diagonal, the
+    first row negated for sign -1: A is not diagonal, A^t A = D^2 is."""
+    q = random_rational_orthogonal(4, rng)
+    d = SparseMat(4, 4, {(i, i): Fraction(rng.randint(1, 6),
+                                          rng.randint(1, 3))
+                         for i in range(4)})
+    a = q @ d
+    return SparseMat(4, 4, {(r, c): -v if r == 0 and sign < 0 else v
+                            for (r, c), v in a.entries.items()})
+
+
 def test_factored_spectrum_matches_the_dense_blocks():
-    # The sum set of polynomial-block and L2 eigenvalues against the
-    # eigenvalues of the full degree blocks, at a coupling T = 10 that the
-    # diagonal blocks must not see.
+    # The closed-form spectrum against the eigenvalues of the full degree
+    # blocks, at a coupling T = 10 that the diagonal blocks must not see.
     rng = Random(41)
-    ops = [model_L(a, 1, "exact", sqrt_gram=s) for a, s in
-           (random_model_matrix(4, rng, sign) for sign in (1, -1))]
-    ops.append(model_L(SHEAR, 1, "float"))
-    for op in ops:
-        for cap in (2, 3, 4):
+    cases = [(model_L(a, 1, "exact", sqrt_gram=s), (2, 3, 4)) for a, s in
+             (random_model_matrix(4, rng, sign) for sign in (1, -1))]
+    cases.append((model_L(SHEAR, 1, "float"), (2, 3, 4)))
+    # The exact path of the CLI: a non-diagonal A whose S is diagonal.
+    for sign in (1, -1):
+        op = model_L(rotated_diagonal(rng, sign), 1, "exact")
+        assert any(r != c for (r, c) in op.a.entries)
+        assert all(r == c for (r, c) in op.sqrt_gram.entries)
+        assert op.det_sign == sign
+        cases.append((op, (2, 3, 4, 5)))
+    values = (2, Fraction(1, 2), 3, -1, 5, Fraction(3, 2), 7, 4)
+    cases.append((model_L([[values[i] if i == j else 0 for j in range(8)]
+                           for i in range(8)], 1, "exact"), (2,)))
+    for op, caps in cases:
+        for cap in caps:
             got = spectrum_scaling(op, (1, 10, 100), cap=cap).spectrum
             want = dense_block_spectrum(op, cap, 10)
-            assert len(got) == len(want) == Sector(4, cap).size
+            assert len(got) == len(want) == Sector(op.m, cap).size
             assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-9
             assert spectrum_table(got) == spectrum_table(want)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_trace_guard_catches_a_changed_form_operator(mode):
+    # The closed form never reads the assembled L2, so the trace guard
+    # must: one entry added off the diagonal, where its transpose is
+    # nonzero, changes tr L2^2 alone.
+    rng = Random(5)
+    op = model_L(rotated_diagonal(rng, -1), 1, mode)
+    form = op.form_op.entries
+    r, c = next(k for k in sorted(form) if k[0] != k[1] and k[::-1] in form)
+    bumped = op.replace(form_op=op.form_op + SparseMat(
+        16, 16, {(r, c): Fraction(1)}))
+    assert spectrum_scaling(op, (1, 10, 100), cap=2).passed
+    with pytest.raises(CheckFailure, match=r"trace guard: tr L2\^2 = "):
+        spectrum_scaling(bumped, (1, 10, 100), cap=2)
 
 
 def test_spectrum_scaling_in_dimension_eight():

@@ -4,12 +4,14 @@ codes.
 Start-up is part of every job's cost, so a subcommand loads only the
 modules it runs: ``--help`` loads no engine module, ``compute`` and
 ``verify`` never load the Clifford/oscillator code, the suite or numpy,
-and ``clifford`` never loads the CDGA and cone code.  No subcommand loads
-``dataclasses`` (reports and verdicts are ``symsemi.record`` records), and
-``compute``, ``verify``, ``clifford`` and ``--help`` load no ``inspect``
-either; only numpy brings that in, for ``oscillator`` and ``suite``.  Each
-case runs in a fresh interpreter and reads ``sys.modules`` after the
-command.
+and neither ``clifford`` nor ``oscillator`` loads the CDGA and cone code.
+An exact ``oscillator`` job takes its spectrum in closed form from the
+diagonal of S and loads no numpy.  No subcommand loads ``dataclasses``
+(reports and verdicts are ``symsemi.record`` records), and ``compute``,
+``verify``, ``clifford``, exact ``oscillator`` and ``--help`` load no
+``inspect`` either; only numpy brings that in, for float ``oscillator``
+and ``suite``.  Each case runs in a fresh interpreter and reads
+``sys.modules`` after the command.
 """
 from __future__ import annotations
 
@@ -77,6 +79,16 @@ def test_clifford_loads_no_cdga_or_cone_code():
     assert not modules & ({"symsemi.models", "symsemi.complexes",
                            "symsemi.modelio", "symsemi.suite", "numpy"}
                           | HEAVY)
+
+
+@pytest.mark.parametrize("sample", ["matrix_diag_1234.txt",
+                                    "matrix_rotated_4.txt"])
+def test_exact_oscillator_loads_no_numpy_or_cdga_code(sample):
+    modules = loaded_after("oscillator", "--matrix", str(SAMPLES / sample),
+                           "--degree-cap", "3")
+    assert "symsemi.cliffordlab" in modules and "symsemi.modelio" in modules
+    assert not modules & ({"symsemi.models", "symsemi.complexes",
+                           "symsemi.suite", "numpy"} | HEAVY)
 
 
 @pytest.mark.parametrize("argv", [
