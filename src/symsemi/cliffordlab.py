@@ -807,7 +807,7 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     dev = 0 if blocks_match else max(
         abs(d.get(k, 0) - diags[0].get(k, 0))
         for d in diags[1:] for k in d.keys() | diags[0].keys())
-    _trace_guard(op, flow, degree, cap)
+    _trace_guard(op, flow, degree)
     spectrum = _block_spectrum(op, cap)
     passed = structure_ok and blocks_match
     detail = bad if not structure_ok else (
@@ -852,17 +852,17 @@ def _block_spectrum(op: ModelOperator, cap: int) -> tuple[float, ...]:
     return tuple(n / den for n in out)
 
 
-def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int],
-                 cap: int):
+def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int]):
     """Tie the closed form of ``_block_spectrum`` to the assembled factors
     by three trace identities, exact on their sparse entries:
 
         tr L2   = 2^m tr S,
         tr L2^2 = 2^m ((tr S)^2 + tr A^t A),
-        tr P_d  = 2d C(m + d - 1, d) tr S / m   for each d <= cap,
+        tr P_d  = 2d C(m + d - 1, d) tr S / m   for each degree d,
 
     P_d being the degree-d diagonal block of flow (``degree`` gives each
-    monomial's degree).  Raises CheckFailure on the first mismatch."""
+    monomial's degree, in ascending order).  Raises CheckFailure on the
+    first mismatch."""
     n = 1 << op.m
     tr_s = op.trace_sqrt()
     form = op.form_op.entries
@@ -871,13 +871,13 @@ def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int],
               ("tr L2^2", sum(v * form.get((c, r), 0)
                               for (r, c), v in form.items()),
                n * (tr_s * tr_s + sum(v * v for v in op.a.entries.values())))]
-    poly = [Fraction(0)] * (cap + 1)
+    poly = [Fraction(0)] * (degree[-1] + 1)
     for (r, c), v in flow.entries.items():
         if r == c:
             poly[degree[r]] += v
     checks += [(f"tr P_{d}", poly[d],
                 2 * d * math.comb(op.m + d - 1, d) * tr_s / op.m)
-               for d in range(cap + 1)]
+               for d in range(len(poly))]
     for label, got, want in checks:
         if got != want:
             raise CheckFailure(f"spectrum trace guard: {label} = {got}, "
