@@ -41,16 +41,19 @@ product: with lap = -laplacian and flow = 2 (Sx).grad acting on the
 polynomials alone, L_hat = (lap + T flow) tensor 1 + T (1 tensor L2).  So
 the sector parts are k x k polynomial matrices (k monomials, not k 2^m
 basis vectors), assembled once per model; the spectrum scaling check runs
-on them, only rescaling lap for each coupling.  The reported spectrum is
+on their entries once, for all couplings together.  The reported spectrum is
 the closed form of ``_block_spectrum`` in the eigenvalues of S, tied to
 the assembled factors by exact trace identities; no eigen-solver runs on
 an assembled block.  All assembly is exact rational, and the spectrum
-scaling certificate is exact in both modes.  "exact" mode needs a
-rational S; "float" mode approximates S numerically (entering the exact
-arithmetic as binary rationals), finds the kernel by SVD and the eta
-correction by a least-squares solve, and those two comparisons carry
-tolerances.  One routine finds the kernel vector, in either mode, for both
-the kernel check and the eta correction.  A is at most
+scaling certificate is exact in both modes.  The eta correction lives on
+the cap-1 sector, where the operators are exactly T times fixed ones
+(asserted, not assumed), so it is solved once, on the nonsingular degree-1
+block, and its C1^2 is a closed expression free of T.  "exact" mode needs
+a rational S; "float" mode approximates S numerically (entering the exact
+arithmetic as binary rationals), finds the kernel by SVD and solves the
+degree-1 block densely, and only its kernel cut and its tests of the eta
+source carry tolerances.  One routine finds the kernel vector, in either
+mode, for both the kernel check and the eta correction.  A is at most
 ``MODEL_DIM_LIMIT`` x ``MODEL_DIM_LIMIT`` in both modes.  numpy is
 imported inside the functions that use it, so importing this module does
 not load it, and neither does exact mode with a diagonal S (every S that
@@ -103,7 +106,8 @@ class UnexpectedKernel(CheckFailure):
 
 # The largest m for each operator family: the Clifford checks act on
 # 2^m x 2^m monomial operators; the model's sectors grow with the number
-# of monomials times 2^m, and float mode solves one of them densely.
+# of monomials times 2^m, and float mode solves the m 2^m wide degree-1
+# block of the cap-1 sector densely (2,048 wide at m = 8, 49,152 at 12).
 CLIFFORD_DIM_LIMIT = 12
 MODEL_DIM_LIMIT = 8
 
@@ -648,69 +652,6 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int) -> SparseMat:
     return SparseMat(sec_out.size, sec_in.size, entries)
 
 
-def gaussian_moment(cov_rows: list[list[Fraction]], alpha: tuple[int, ...],
-                    cache: dict) -> Fraction:
-    """Centered-Gaussian moment E[x^alpha] by pairwise reduction
-    (Isserlis): E[x_a rest] = sum_b C_ab E[rest / x_b]."""
-    key = alpha
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    total = sum(alpha)
-    if total == 0:
-        return Fraction(1)
-    if total % 2:
-        cache[key] = Fraction(0)
-        return cache[key]
-    a = next(i for i, e in enumerate(alpha) if e)
-    rest = list(alpha)
-    rest[a] -= 1
-    out = Fraction(0)
-    for b in range(len(alpha)):
-        if rest[b] and cov_rows[a][b]:
-            sub = list(rest)
-            sub[b] -= 1
-            out += rest[b] * cov_rows[a][b] * gaussian_moment(
-                cov_rows, tuple(sub), cache)
-    cache[key] = out
-    return out
-
-
-def gaussian_gram(op: ModelOperator, cap: int) -> SparseMat:
-    """Gram matrix of the monomials under the normalized Gaussian weight
-    exp(-T x^t S x), covariance (2TS)^(-1).  Forms are orthonormal, so the
-    sector inner product is this matrix tensor the identity on masks."""
-    sec = Sector(op.m, cap)
-    cov = inverse(op.sqrt_gram.scale(2 * op.T)).to_rows()
-    cache: dict = {}
-    k = len(sec.monomials)
-    entries = {}
-    for i in range(k):
-        for j in range(k):
-            alpha = tuple(a + b for a, b in
-                          zip(sec.monomials[i], sec.monomials[j]))
-            v = gaussian_moment(cov, alpha, cache)
-            if v:
-                entries[(i, j)] = v
-    return SparseMat(k, k, entries)
-
-
-def sector_inner(op: ModelOperator, gram: SparseMat,
-                 u: SparseMat, v: SparseMat) -> Fraction:
-    """Gaussian inner product of two sector columns (gram tensor 1)."""
-    n = 1 << op.m
-    by_mask_v: dict[int, dict[int, Fraction]] = {}
-    for (idx, _), val in v.entries.items():
-        by_mask_v.setdefault(idx % n, {})[idx // n] = val
-    acc = Fraction(0)
-    for (idx, _), uv in u.entries.items():
-        for j, vv in by_mask_v.get(idx % n, {}).items():
-            g = gram.get(idx // n, j)
-            if g:
-                acc += uv * g * vv
-    return acc
-
-
 # -- kernel, spectrum, eta -----------------------------------------------
 
 
@@ -777,11 +718,12 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     L_hat / T = P_T tensor 1 + 1 tensor L2 with P_T = flow + lap / T, exact
     rational in both modes.  1 tensor L2 keeps the degree and is the same
     for every T, so the checks run on the k x k factors, assembled once:
-    P_T is block upper-triangular for the degree filtration (off-diagonal
-    entries lower the degree by exactly 2, from the Laplacian; a failure
-    detail names the monomial indices), its diagonal blocks are verified
-    entrywise identical across the given T values, and max_deviation is
-    the largest entry difference between them.  The spectrum, the union of
+    P_T is block upper-triangular for the degree filtration (every entry
+    of lap and flow keeps the degree or lowers it by exactly 2; a failure
+    detail names the monomial indices), and its diagonal blocks are the
+    same for every T because lap has no entry inside one.  max_deviation
+    is the largest entry difference such entries would make between the
+    diagonal blocks at the given T values.  The spectrum, the union of
     the diagonal blocks' spectra, is the closed form of ``_block_spectrum``
     after ``_trace_guard`` has tied it to flow and L2; it is exact up to
     one rounding per value when S is diagonal, and otherwise as accurate as
@@ -792,21 +734,18 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
         raise ValueError("cap must be >= 2 for the scaling check")
     sec = Sector(op.m, cap)
     lap, flow = _sector_parts(op, sec)
-    mats = [flow + lap.scale(Fraction(1) / t) for t in ts]
-    bad = ""
     degree = [sum(mono) for mono in sec.monomials]
-    for (r, c) in mats[0].entries:
-        dr, dc = degree[r], degree[c]
-        if dr != dc and dr != dc - 2:
-            bad = f"monomial entry ({r},{c}) maps degree {dc} to {dr}"
-            break
+    bad = next((f"monomial entry ({r},{c}) maps degree {degree[c]} to "
+                f"{degree[r]}"
+                for part in (lap, flow) for (r, c) in part.entries
+                if degree[r] not in (degree[c], degree[c] - 2)), "")
     structure_ok = not bad
-    diags = [{k: v for k, v in mat.entries.items()
-              if degree[k[0]] == degree[k[1]]} for mat in mats]
-    blocks_match = all(d == diags[0] for d in diags[1:])
-    dev = 0 if blocks_match else max(
-        abs(d.get(k, 0) - diags[0].get(k, 0))
-        for d in diags[1:] for k in d.keys() | diags[0].keys())
+    # flow is the same for every T, so a diagonal block of P_T changes
+    # with T exactly where lap has an entry inside it.
+    leak = max((abs(v) for (r, c), v in lap.entries.items()
+                if degree[r] == degree[c]), default=Fraction(0))
+    blocks_match = not leak
+    dev = leak * max(abs(1 / t - 1 / ts[0]) for t in ts[1:])
     _trace_guard(op, flow, degree)
     spectrum = _block_spectrum(op, cap)
     passed = structure_ok and blocks_match
@@ -895,95 +834,114 @@ class EtaVerdict(Record):
 
 
 def eta_scaling(op: ModelOperator, Ts: Sequence) -> EtaVerdict:
-    """Solve for the first-order correction to the ground state of ``op``
-    and certify the T^(-1/2) decay of its norm.
+    """Solve for the first-order correction eta to the ground state of
+    ``op`` and report C1^2 = T ||eta||^2 / ||ground||^2, the square of the
+    coefficient of its T^(-1/2) decay.
 
-    The ground form (the kernel vector of L2, asserted unique and of one
-    form parity), the source (its skew omega image), and whether the
-    source vanished or is orthogonal to the ground form do not depend on
-    T and are worked out once.  Per coupling T: the correction eta
-    solves L_hat eta = D_hat(source) with eta Gaussian-orthogonal to the
-    ground state, on the degree <= 1 sector, which holds the Dirac image
-    of the source.  The report carries C1^2 = T ||eta||^2 / ||ground||^2,
-    which must be the same for every T (exactly in exact mode; float mode
-    solves by least squares and compares at rel 1e-9).  A vanishing source
-    yields C1 = 0 with a flag.
+    The ground form delta (the kernel vector of L2, asserted unique and of
+    one form parity) and the source (its skew omega image) do not depend
+    on T.  eta solves L_hat eta = D_hat(source), Gaussian-orthogonal to the
+    ground state, on the cap-1 sector, which holds the Dirac image of the
+    source.  ``_cap1_blocks`` asserts exactly that lap has no entries there,
+    so L_hat = T (flow tensor 1 + 1 tensor L2), block-diagonal by degree,
+    and that D_hat(source) = T r with r on the degree-1 rows alone.  The
+    degree-1 block 2S tensor 1 + 1 tensor L2 has eigenvalues
+    2 sigma_j + lambda(L2) >= 2 sigma_min > 0, so it is nonsingular.  The
+    degree-0 part of a solution lies in the kernel of L2, spanned by delta,
+    so orthogonality makes it 0 and eta is the block's solution y.  Under
+    the weight exp(-T x^t S x) the cap-1 Gram is 1 on degree 0, 0 across
+    degrees and (2TS)^(-1) on degree 1, so
+
+        C1^2 = 1/2 sum_ab (S^(-1))_ab <y_a, y_b> / |delta|^2,
+
+    y_a the form part of y at the monomial x_a: one value, free of T,
+    reported for every T.  Exact mode solves exactly and checks the
+    solution by one product; float mode solves the dense block with
+    ``np.linalg.solve``.  The verdict passes when the source is orthogonal
+    to the ground form; a vanishing source yields C1 = 0 with a flag.
     """
     ts = _validate_ts(Ts, 2)
     delta, _ = _kernel_vector(op)
     skew = omega_skew(op.m)
-    exact = op.mode == "exact"
-    if exact:
+    if op.mode == "exact":
         source = skew @ delta
         vanished = source.is_zero()
         orthogonal = sum((v * delta.get(r, 0)
                           for (r, _), v in source.entries.items()),
                          Fraction(0)) == 0
-        once, zero = _eta_once_exact, Fraction(0)
+        norm = sum((v * v for v in delta.entries.values()), Fraction(0))
+        zero = Fraction(0)
     else:
         import numpy as np
 
         source = _dense(skew) @ delta
         vanished = float(np.abs(source).max()) <= 1e-12
         orthogonal = abs(float(source @ delta)) <= 1e-9
-        once, zero = _eta_once_float, 0.0
-    c1sq = [zero if vanished else once(op.replace(T=t), delta, source)
-            for t in ts]
-    if exact:
-        constant = all(v == c1sq[0] for v in c1sq[1:])
-        dev_note = ""
+        norm, zero = float(delta @ delta), 0.0
+    c1sq = zero if vanished else _c1_squared(op, ts, source) / norm
+    detail = "" if orthogonal else "source not orthogonal to the ground state"
+    # C1 constant in T is certified by _cap1_blocks, which raises otherwise.
+    return EtaVerdict(orthogonal, op.mode, tuple(ts), (c1sq,) * len(ts),
+                      math.sqrt(float(c1sq)), True, vanished, orthogonal,
+                      detail)
+
+
+def _c1_squared(op: ModelOperator, ts: list[Fraction], source
+                ) -> Fraction | float:
+    """1/2 sum_ab (S^(-1))_ab <y_a, y_b> for the solution y of the degree-1
+    block of ``_cap1_blocks`` with right-hand side D(source): exact, checked
+    by one product, or in float mode by ``np.linalg.solve`` (a float)."""
+    block, dmat = _cap1_blocks(op, ts)
+    if op.mode == "exact":
+        rhs = dmat @ source
+        y = solve(block, rhs)
+        if y is None or block @ y != rhs:
+            raise UnexpectedKernel("model equation L y = D source unsolvable")
+        ys = {r: v for (r, _), v in y.entries.items()}
     else:
-        ref = float(c1sq[0])
-        scale = max(abs(ref), 1e-30)
-        dev = max((abs(float(v) - ref) / scale for v in c1sq[1:]),
-                  default=0.0)
-        constant = dev <= 1e-9
-        dev_note = f" (rel deviation {dev:.3e})" if not constant else ""
-    passed = constant and orthogonal
-    detail = "" if passed else (
-        ("C1 varies with T" + dev_note if not constant
-         else "source not orthogonal to the ground state"))
-    return EtaVerdict(passed, op.mode, tuple(ts), tuple(c1sq),
-                      math.sqrt(float(c1sq[0])), constant, vanished,
-                      orthogonal, detail)
+        import numpy as np
 
-
-def _eta_once_exact(op: ModelOperator, delta: SparseMat,
-                    source: SparseMat) -> Fraction:
-    """C1^2 from one exact correction solve on the degree <= 1 sector,
-    given the ground form ``delta`` and its nonzero ``source``."""
-    rhs = sector_matrix_D(op, 0, 1) @ source
-    lmat = sector_matrix_L(op, 1)
-    y = solve(lmat, rhs)
-    if y is None:
-        raise UnexpectedKernel("model equation L y = D source unsolvable")
-    gram = gaussian_gram(op, 1)
-    delta_hat = SparseMat(Sector(op.m, 1).size, 1,
-                          {(r, 0): v for (r, _), v in delta.entries.items()})
-    proj = sector_inner(op, gram, y, delta_hat)
-    norm_ground = sector_inner(op, gram, delta_hat, delta_hat)
-    eta = y - delta_hat.scale(proj / norm_ground)
-    if (lmat @ eta) != rhs:
-        raise UnexpectedKernel("projection left the solution space")
-    norm_eta = sector_inner(op, gram, eta, eta)
-    return op.T * norm_eta / norm_ground
-
-
-def _eta_once_float(op: ModelOperator, delta, source) -> float:
-    """Numeric counterpart of _eta_once_exact (least-squares solve)."""
-    import numpy as np
-
+        ys = dict(enumerate(np.linalg.solve(
+            _dense(block), _dense(dmat) @ source).tolist()))
     n = 1 << op.m
-    rhs = _dense(sector_matrix_D(op, 0, 1)) @ source
-    y, *_ = np.linalg.lstsq(_dense(sector_matrix_L(op, 1)), rhs, rcond=None)
-    big_gram = np.kron(_dense(gaussian_gram(op, 1)), np.eye(n))
-    delta_hat = np.zeros(len(y))
-    delta_hat[:n] = delta
-    norm_ground = float(delta_hat @ big_gram @ delta_hat)
-    proj = float(y @ big_gram @ delta_hat) / norm_ground
-    eta = y - proj * delta_hat
-    norm_eta = float(eta @ big_gram @ eta)
-    return float(op.T) * norm_eta / norm_ground
+    inv_s = inverse(op.sqrt_gram).to_rows()
+    # Degree-1 position i (row i 2^m + mask of the block) is the monomial
+    # x_var[i]; the monomial order is not the variable order.
+    var = [mono.index(1) for mono in Sector(op.m, 1).monomials[1:]]
+    by_mask: dict[int, list] = {}
+    for r, v in ys.items():
+        by_mask.setdefault(r % n, []).append((var[r // n], v))
+    return sum((inv_s[a][b] * u * w for col in by_mask.values()
+                for a, u in col for b, w in col), Fraction(0)) / 2
+
+
+def _cap1_blocks(op: ModelOperator, ts: list[Fraction]
+                 ) -> tuple[SparseMat, SparseMat]:
+    """The degree-1 block of ``sector_matrix_L`` at cap 1 and the degree-1
+    rows of ``sector_matrix_D`` from cap 0, both at coupling ts[0], after
+    asserting exactly that both operators at every T in ts are t / ts[0]
+    times those at ts[0], that L has no entry across degrees and that D has
+    no degree-0 row.  Raises CheckFailure otherwise."""
+    first = op.replace(T=ts[0])
+    lmat, dmat = sector_matrix_L(first, 1), sector_matrix_D(first, 0, 1)
+    for t in ts[1:]:
+        ratio = t / ts[0]
+        at = op.replace(T=t)
+        if (sector_matrix_L(at, 1) != lmat.scale(ratio)
+                or sector_matrix_D(at, 0, 1) != dmat.scale(ratio)):
+            raise CheckFailure(
+                f"eta check: the cap-1 operators at T = {t} are not {ratio} "
+                f"times those at T = {ts[0]}")
+    n = 1 << op.m
+    if any((r < n) != (c < n) for (r, c) in lmat.entries):
+        raise CheckFailure("eta check: the cap-1 L couples degrees 0 and 1")
+    if any(r < n for (r, _) in dmat.entries):
+        raise CheckFailure("eta check: the cap-1 D has a degree-0 row")
+    size = op.m * n
+    return (SparseMat(size, size, {(r - n, c - n): v for (r, c), v
+                                   in lmat.entries.items() if r >= n}),
+            SparseMat(size, n, {(r - n, c): v for (r, c), v
+                                in dmat.entries.items()}))
 
 
 # -- rational random sources ---------------------------------------------

@@ -322,6 +322,31 @@ def test_oscillator_trace_guard_exits_one(attr, mutant, message, capsys,
     assert err == f"assertion failure: spectrum trace guard: {message}\n"
 
 
+def _t_squared_term(build):
+    """``build`` plus T^2 in row 2^m, the first degree-1 row, and in the
+    column of the same index if there is one (L) or else column 0 (D)."""
+    def mutant(op, *caps):
+        mat = build(op, *caps)
+        n = 1 << op.m
+        col = n if mat.cols > n else 0
+        return mat + SparseMat(mat.rows, mat.cols, {(n, col): op.T ** 2})
+    return mutant
+
+
+@pytest.mark.parametrize("attr", ["sector_matrix_L", "sector_matrix_D"])
+def test_oscillator_eta_homogeneity_exits_one(attr, capsys, monkeypatch):
+    # C1^2 is solved once because the cap-1 operators are exactly T times
+    # fixed ones; a T^2 term in either must exit 1, not change C1.
+    monkeypatch.setattr(cliffordlab, attr,
+                        _t_squared_term(getattr(cliffordlab, attr)))
+    code, out, err = run(capsys, "oscillator", "--matrix",
+                         str(SAMPLES / "matrix_diag_1234.txt"))
+    assert code == 1
+    assert out == ""
+    assert err == ("assertion failure: eta check: the cap-1 operators at "
+                   "T = 4 are not 4 times those at T = 1\n")
+
+
 def test_internal_invariant_breach_exits_one(capsys, monkeypatch):
     def broken_cone(*args, **kwargs):
         raise RuntimeError("cone differential does not square to zero")

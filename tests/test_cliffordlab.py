@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from symsemi import cliffordlab as cl
 from symsemi.errors import CheckFailure
-from symsemi.qlinalg import SparseMat, kernel_basis
+from symsemi.modelio import load_matrix_rows
+from symsemi.qlinalg import SparseMat, inverse, kernel_basis, solve
 from symsemi.report import spectrum_table
 from symsemi.cliffordlab import (
     BadDimension,
@@ -24,8 +26,6 @@ from symsemi.cliffordlab import (
     clifford,
     dvol_action,
     eta_scaling,
-    gaussian_gram,
-    gaussian_moment,
     hodge_star,
     kernel_and_parity,
     model_L,
@@ -45,6 +45,7 @@ from symsemi.cliffordlab import (
 from oracles import (car_oracle, gaussian_matching_oracle,
                      gaussian_moment_oracle, star_sign_oracle)
 
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 EYE4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 EYE12 = [[1 if i == j else 0 for j in range(12)] for i in range(12)]
 SHEAR = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -169,11 +170,10 @@ def test_dimension_limits():
 
 
 def test_model_limit_holds_in_float_mode():
-    # A float solve at m = 12 would need a dense 53,248-wide sector, so the
-    # model refuses it up front in every mode.
-    for mode in ("float", "auto"):
-        with pytest.raises(BadDimension, match="exceeds the limit 8"):
-            model_L(EYE12, 1, mode)
+    # A float solve at m = 12 would need a dense 49,152-wide degree-1
+    # block, so the model refuses it up front in float mode too.
+    with pytest.raises(BadDimension, match="exceeds the limit 8"):
+        model_L(EYE12, 1, "float")
 
 
 def test_complex_structure_canonical_vector():
@@ -724,44 +724,97 @@ def test_dirac_truncation_guard():
         sector_matrix_D(op, 0, 0)
 
 
-def test_gaussian_gram_low_degrees():
-    op = model_L(EYE4, 1)
-    gram = gaussian_gram(op, 1)
-    # Constant monomial then the four coordinates, variance 1/2 each.
-    expect = [[Fraction(1), 0, 0, 0, 0]] + [
-        [0] * (1 + i) + [Fraction(1, 2)] + [0] * (3 - i) for i in range(4)]
-    assert gram.to_rows() == [[Fraction(x) for x in row] for row in expect]
+def old_definition_c1_squared(op, t, moment):
+    """C1^2 = T ||eta||^2 / ||delta_hat||^2 on the whole degree <= 1
+    sector at coupling t: one solution y of L_hat y = D_hat(source), eta
+    its part Gaussian-orthogonal to the ground state delta_hat, and the
+    Gram of the monomials under the weight exp(-t x^t S x) taken from
+    ``moment(covariance, alpha)``."""
+    op = op.replace(T=Fraction(t))
+    sec = Sector(op.m, 1)
+    n = 1 << op.m
+    delta = kernel_basis(op.form_op)
+    rhs = sector_matrix_D(op, 0, 1) @ (omega_skew(op.m) @ delta)
+    y = solve(sector_matrix_L(op, 1), rhs)
+    cov = inverse(op.sqrt_gram.scale(2 * op.T)).to_rows()
+    gram = [[Fraction(str(moment(cov, tuple(x + z for x, z in zip(a, b)))))
+             for b in sec.monomials] for a in sec.monomials]
+
+    def inner(u, v):
+        return sum((x * gram[p // n][q // n] * z for p, x in u.items()
+                    for q, z in v.items() if p % n == q % n), Fraction(0))
+
+    ground = {r: v for (r, _), v in delta.entries.items()}
+    sol = {r: v for (r, _), v in y.entries.items()}
+    norm = inner(ground, ground)
+    proj = inner(sol, ground) / norm
+    eta = {r: sol.get(r, 0) - proj * ground.get(r, 0)
+           for r in sol.keys() | ground.keys()}
+    return op.T * inner(eta, eta) / norm
 
 
-def test_gaussian_moments_match_symbolic_integration():
-    half = [[Fraction(1, 2)]]
-    cache: dict = {}
-    for alpha, expect in (((2,), Fraction(1, 2)), ((4,), Fraction(3, 4)),
-                          ((6,), Fraction(15, 8)), ((3,), Fraction(0))):
-        got = gaussian_moment(half, alpha, cache)
-        assert got == expect
-        assert got == gaussian_moment_oracle(half, alpha)
-    cov = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert gaussian_moment(cov, (1, 1), {}) == gaussian_moment_oracle(
-        cov, (1, 1)) == 1
+def test_c1_squared_matches_the_gaussian_norm_definition():
+    # The closed form on the degree-1 block against the definition it
+    # replaces, with moments from the two Gaussian oracles.  Symbolic
+    # integration costs about 0.2 s a moment, so it covers A = I at T = 1
+    # and Wick pairings cover every case at T = 1, 4 and 16.
+    ops = [model_L(EYE4, 1, "exact")]
+    for sign in (1, -1):
+        a, s = random_model_matrix(4, Random(11), sign)
+        assert any(r != c for (r, c) in s.entries)
+        ops.append(model_L(a, 1, "exact", sqrt_gram=s))
+    want = [eta_scaling(op, (1, 4, 16)).c1_squared for op in ops]
+    assert want[0] == Fraction(1, 8)
+    assert old_definition_c1_squared(ops[0], 1, gaussian_moment_oracle) \
+        == want[0]
+    for op, value in zip(ops, want):
+        for t in (1, 4, 16):
+            assert old_definition_c1_squared(
+                op, t, gaussian_matching_oracle) == value
 
 
-def test_gaussian_moments_match_wick_pairings():
-    cov = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    cache: dict = {}
-    for alpha, expect in (((1, 1), Fraction(1)), ((2, 2), Fraction(4)),
-                          ((3, 1), Fraction(6)), ((1, 2), Fraction(0))):
-        got = gaussian_moment(cov, alpha, cache)
-        assert got == expect
-        assert got == gaussian_matching_oracle(cov, alpha)
-    rng = Random(37)
-    dense = [[Fraction(rng.randint(-2, 2)) for _ in range(3)]
-             for _ in range(3)]
-    sym = [[dense[i][j] + dense[j][i] for j in range(3)] for i in range(3)]
-    cache = {}
-    for alpha in ((2, 0, 0), (1, 1, 0), (2, 1, 1), (0, 2, 2), (1, 1, 2)):
-        assert gaussian_moment(sym, alpha, cache) == \
-            gaussian_matching_oracle(sym, alpha)
+def cap1_mutants():
+    """(name, mutant, message) triples: a T^2 term added at cap 1, in
+    L_hat or in D_hat, on a degree-1 diagonal entry; then T-linear terms
+    that break the degree structure alone, an entry of L_hat across
+    degrees and a degree-0 row of D_hat."""
+    def bump(name, entry, message):
+        original = getattr(cl, name)
+
+        def mutant(op, *caps):
+            mat = original(op, *caps)
+            r, c, power = entry(1 << op.m)
+            return mat + SparseMat(mat.rows, mat.cols,
+                                   {(r, c): op.T ** power})
+        return name, mutant, "eta check: the cap-1 " + message
+
+    scaled = "operators at T = 4 are not 4 times those at T = 1"
+    return [bump("sector_matrix_L", lambda n: (n, n, 2), scaled),
+            bump("sector_matrix_D", lambda n: (n, 0, 2), scaled),
+            bump("sector_matrix_L", lambda n: (0, n, 1),
+                 "L couples degrees 0 and 1"),
+            bump("sector_matrix_D", lambda n: (0, 0, 1),
+                 "D has a degree-0 row")]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_eta_homogeneity_is_asserted(mode, monkeypatch):
+    op = model_L(EYE4 if mode == "exact" else SHEAR, 1, mode)
+    assert eta_scaling(op, (1, 4, 16)).passed
+    for name, mutant, message in cap1_mutants():
+        with monkeypatch.context() as patch:
+            patch.setattr(cl, name, mutant)
+            with pytest.raises(CheckFailure, match=message):
+                eta_scaling(op, (1, 4, 16))
+
+
+def test_float_eta_at_the_model_limit():
+    rows = load_matrix_rows(str(SAMPLES / "matrix_diag_8.txt"))
+    assert eta_scaling(model_L(rows, 1, "exact"), (1, 4, 16)).c1_squared \
+        == Fraction(61, 770)
+    verdict = eta_scaling(model_L(rows, 1, "float"), (1, 4, 16))
+    assert verdict.passed and verdict.mode == "float"
+    assert abs(verdict.c1_squared - 61 / 770) <= 1e-12
 
 
 # -- rational random sources ----------------------------------------------
