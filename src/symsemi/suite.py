@@ -132,13 +132,12 @@ def _oscillator_kernel_spectrum():
     rng = Random(73)
     failures = []
     for sign in (1, -1):
-        for trial in range(25):
-            a, s = random_model_matrix(4, rng, det_sign=sign)
-            op = model_L(a, 1, "exact", sqrt_gram=s)
-            parity = kernel_and_parity(op)
-            want = 0 if sign > 0 else 1
+        mats = [random_model_matrix(4, rng, sign) for _ in range(25)]
+        for trial, a in enumerate(mats + [random_model_matrix(8, Random(1),
+                                                              sign)]):
+            op = model_L(a, 1)
             verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
-            if parity != want or not verdict.passed:
+            if kernel_and_parity(op) != (sign < 0) or not verdict.passed:
                 failures.append((sign, trial))
             # The scaling check holds by construction of the sector parts,
             # so one matrix per sign also tests the operator itself, at a
@@ -147,9 +146,9 @@ def _oscillator_kernel_spectrum():
                     op.replace(T=Fraction(10)), 2):
                 failures.append((sign, "D o D != L"))
     ok = not failures
-    detail = ("50 random A: kernel dim 1, parity = sign(det), "
-              "spectrum/T constant over T = 1, 10, 100; D o D = L at T = 10 "
-              "for one A per sign"
+    detail = ("50 random 4x4 A and one 8x8 A per sign: kernel dim 1, "
+              "parity = sign(det), spectrum/T constant over T = 1, 10, 100; "
+              "D o D = L at T = 10 for one 4x4 A per sign"
               if ok else f"failures at {failures}")
     return ok, detail, {"failures": failures}
 

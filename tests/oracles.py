@@ -95,6 +95,59 @@ def dense_det(rows) -> Fraction:
     return total
 
 
+def dense_gauss_jordan(rows, rhs):
+    """Gauss-Jordan elimination on [rows | rhs] with Fraction entries,
+    pivoting on the first nonzero entry of each column.  Returns
+    (reduced rows, reduced rhs, pivot columns)."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    b = [[Fraction(v) for v in row] for row in rhs]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p], b[r], b[p] = a[p], a[r], b[p], b[r]
+        lead = a[r][c]
+        a[r] = [v / lead for v in a[r]]
+        b[r] = [v / lead for v in b[r]]
+        # Only the nonzero entries of the pivot row change the others.
+        hits = [(j, y) for j, y in enumerate(a[r]) if y]
+        rhs_hits = [(j, y) for j, y in enumerate(b[r]) if y]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f:
+                for j, y in hits:
+                    a[i][j] -= f * y
+                for j, y in rhs_hits:
+                    b[i][j] -= f * y
+        pivots.append(c)
+        r += 1
+    return a, b, pivots
+
+
+def dense_solve(rows, rhs):
+    """One solution x of rows @ x = rhs (rhs a list of numbers), with 0 in
+    every free slot, or None when the system is inconsistent."""
+    a, b, pivots = dense_gauss_jordan(rows, [[v] for v in rhs])
+    if any(b[i][0] for i in range(len(pivots), len(a))):
+        return None
+    x = [Fraction(0)] * (len(a[0]) if a else 0)
+    for i, c in enumerate(pivots):
+        x[c] = b[i][0]
+    return x
+
+
+def dense_inverse(rows):
+    """The inverse of a nonsingular square matrix, by Gauss-Jordan."""
+    n = len(rows)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    _, inv, pivots = dense_gauss_jordan(rows, eye)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return inv
+
+
 # -- by-hand cone assembly -----------------------------------------------
 
 

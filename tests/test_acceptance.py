@@ -83,7 +83,7 @@ def test_criterion_06_clifford_identities():
 def test_criterion_07_oscillator_kernel_spectrum(monkeypatch):
     calls = count_model_builds(monkeypatch)
     check(7)
-    assert len(calls) == 50     # one model per random matrix
+    assert len(calls) == 52     # one model per random matrix
 
 
 def test_criterion_07_catches_a_wrong_sector_operator(monkeypatch):

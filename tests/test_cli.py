@@ -243,36 +243,35 @@ def test_oscillator_builds_the_model_once(capsys, monkeypatch):
 
 def test_oscillator_finds_the_ground_form_once_per_check(capsys,
                                                          monkeypatch):
-    # The ground form (kernel of L2) and omega_skew do not depend on T:
-    # the kernel check finds the kernel once, and eta_scaling finds it and
-    # builds omega_skew once for all its couplings.
-    import numpy as np
-
+    # The ground form (kernel of L2) and the cap-1 operators do not depend
+    # on T: the kernel check finds the ground form once, and eta_scaling
+    # finds it and assembles the cap-1 L and D once for all its couplings.
     calls = []
 
-    def counting(name, fn):
+    def counting(name):
+        fn = getattr(cliffordlab, name)
+
         def wrapper(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(cliffordlab, name, wrapper)
 
-    monkeypatch.setattr("symsemi.cliffordlab.kernel_basis",
-                        counting("kernel", cliffordlab.kernel_basis))
-    monkeypatch.setattr(np.linalg, "svd", counting("kernel", np.linalg.svd))
-    monkeypatch.setattr("symsemi.cliffordlab.omega_skew",
-                        counting("omega_skew", cliffordlab.omega_skew))
+    for name in ("_kernel_vector", "sector_matrix_L", "sector_matrix_D"):
+        counting(name)
     for mode in ("exact", "float"):
         calls.clear()
         code, _, _ = run(capsys, "oscillator", "--matrix",
-                         str(SAMPLES / "matrix_diag_1234.txt"),
+                         str(SAMPLES / "matrix_rotated_4.txt"),
                          "--mode", mode)
         assert code == 0
-        assert sorted(calls) == ["kernel", "kernel", "omega_skew"]
+        assert sorted(calls) == ["_kernel_vector", "_kernel_vector",
+                                 "sector_matrix_D", "sector_matrix_L"]
 
 
 def test_oscillator_broken_kernel_exits_one(capsys, monkeypatch):
     # A form operator with a 2-dimensional kernel breaks the model's
-    # invariant: one assertion failure line and exit 1, no traceback.
+    # invariant L2 = tr S + sum_k sigma_k J_k: one assertion failure line
+    # and exit 1, no traceback.
     build = cliffordlab.model_L
     two_dim = SparseMat(16, 16, {(i, i): Fraction(1) for i in range(2, 16)})
 
@@ -284,8 +283,66 @@ def test_oscillator_broken_kernel_exits_one(capsys, monkeypatch):
                          str(SAMPLES / "matrix_diag_1234.txt"))
     assert code == 1
     assert out == ""
-    assert err == ("assertion failure: kernel dimension 2 at cap 0, "
-                   "expected 1\n")
+    assert err == ("assertion failure: L2 is not tr S + sum_k sigma_k J_k "
+                   "(largest entry of the difference 1.900e+01)\n")
+
+
+def test_oscillator_broken_involution_exits_one(capsys, monkeypatch):
+    # J_0 negated through its factor a_0 breaks the L2 identity: exit 1.
+    build = cliffordlab.model_L
+
+    def flipped(*args):
+        op = build(*args)
+        f = op.factors
+        return op.replace(factors=f._replace(
+            a=(tuple(-x for x in f.a[0]),) + f.a[1:]))
+
+    monkeypatch.setattr(cliffordlab, "model_L", flipped)
+    for mode in ("exact", "float"):
+        code, out, err = run(capsys, "oscillator", "--matrix",
+                             str(SAMPLES / "matrix_rotated_4.txt"),
+                             "--mode", mode)
+        assert code == 1 and out == ""
+        assert err.startswith("assertion failure: L2 is not tr S + sum_k "
+                              "sigma_k J_k")
+
+
+def test_oscillator_rejects_unchecked_factors(capsys, monkeypatch):
+    # Exact mode certifies the factors it found: a wrong singular value or
+    # a non-orthogonal eigenbasis is input it cannot certify, so exit 2.
+    find = cliffordlab._rational_eigenbasis
+    matrix = str(SAMPLES / "matrix_rational_svd_4.txt")
+
+    def wrong_sigma(gram):
+        sigma, w = find(gram)
+        return [sigma[0] + 1] + sigma[1:], w
+
+    def slanted(gram):
+        # w[1] and w[2] span the eigenspace of the repeated value 2.
+        sigma, w = find(gram)
+        assert sigma[1] == sigma[2] == 2
+        return sigma, w[:2] + [[x + y for x, y in zip(w[1], w[2])], w[3]]
+
+    assert run(capsys, "oscillator", "--matrix", matrix)[0] == 0
+    for mutant, message in ((wrong_sigma, "is not a singular value of A"),
+                            (slanted, "not orthogonal")):
+        monkeypatch.setattr(cliffordlab, "_rational_eigenbasis", mutant)
+        code, out, err = run(capsys, "oscillator", "--matrix", matrix)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_oscillator_changed_form_op_exits_one(capsys, monkeypatch):
+    # An entry added to L2 breaks L2 = tr S + sum_k sigma_k J_k, which the
+    # kernel check tests before the spectrum's trace guard could.
+    monkeypatch.setattr(cliffordlab, "model_L",
+                        _bumped_form_op(cliffordlab.model_L))
+    code, out, err = run(capsys, "oscillator", "--matrix",
+                         str(SAMPLES / "matrix_diag_1234.txt"))
+    assert code == 1
+    assert out == ""
+    assert err == ("assertion failure: L2 is not tr S + sum_k sigma_k J_k "
+                   "(largest entry of the difference 1.000e+00)\n")
 
 
 def _bumped_form_op(build):
@@ -306,14 +363,14 @@ def _leaky_flow(parts):
 
 
 @pytest.mark.parametrize("attr, mutant, message", [
-    ("model_L", _bumped_form_op, "tr L2 = 161, the closed form needs 160"),
     ("_sector_parts", _leaky_flow, "tr P_0 = 1, the closed form needs 0"),
 ])
 def test_oscillator_trace_guard_exits_one(attr, mutant, message, capsys,
                                           monkeypatch):
-    # The reported spectrum is a closed form that reads neither L2 nor the
-    # flow factor, so a changed entry of either must trip the trace guard.
-    # The L2 entry sits off the kernel's form, so the kernel check passes.
+    # The reported spectrum is a closed form that does not read the flow
+    # factor, so a changed entry of it must trip the trace guard.  (A
+    # changed L2 trips the kernel check first, see
+    # test_oscillator_changed_form_op_exits_one.)
     monkeypatch.setattr(cliffordlab, attr, mutant(getattr(cliffordlab, attr)))
     code, out, err = run(capsys, "oscillator", "--matrix",
                          str(SAMPLES / "matrix_diag_1234.txt"))
@@ -336,15 +393,18 @@ def _t_squared_term(build):
 @pytest.mark.parametrize("attr", ["sector_matrix_L", "sector_matrix_D"])
 def test_oscillator_eta_homogeneity_exits_one(attr, capsys, monkeypatch):
     # C1^2 is solved once because the cap-1 operators are exactly T times
-    # fixed ones; a T^2 term in either must exit 1, not change C1.
+    # fixed ones, checked against their closed forms; a T^2 term in either
+    # must exit 1, not change C1.
     monkeypatch.setattr(cliffordlab, attr,
                         _t_squared_term(getattr(cliffordlab, attr)))
     code, out, err = run(capsys, "oscillator", "--matrix",
                          str(SAMPLES / "matrix_diag_1234.txt"))
     assert code == 1
     assert out == ""
-    assert err == ("assertion failure: eta check: the cap-1 operators at "
-                   "T = 4 are not 4 times those at T = 1\n")
+    want = {"sector_matrix_L": "L is not T (flow tensor 1 + 1 tensor L2)",
+            "sector_matrix_D": "D is not T sum_j x_j (chat(A e_j) - "
+                               "c(S e_j))"}
+    assert err == f"assertion failure: eta check: the cap-1 {want[attr]}\n"
 
 
 def test_internal_invariant_breach_exits_one(capsys, monkeypatch):
@@ -375,9 +435,9 @@ def test_stray_value_error_is_an_internal_breach(capsys, monkeypatch):
 
 
 def test_numpy_loads_only_for_the_oscillator(tmp_path):
-    # numpy costs start-up time, so only the float paths import it: an
-    # exact oscillator run on a diagonal or a rotated A takes its spectrum
-    # from the diagonal of S.
+    # numpy costs start-up time.  The oscillator was its last user, and
+    # now runs on a pure-Python eigen-solve of the m x m A^t A in float
+    # mode too, so no subcommand loads it.
     src = Path(__file__).resolve().parent.parent / "src"
     script = f"""
 import contextlib, io, json, sys
@@ -407,7 +467,7 @@ print(json.dumps([codes, loaded]))
     assert done.returncode == 0, done.stderr
     codes, loaded = json.loads(done.stdout)
     assert codes == [0, 0, 0, 0, 0, 0]
-    assert loaded == [False, False, False, False, False, False, True]
+    assert loaded == [False, False, False, False, False, False, False]
 
 
 def test_mode_comes_from_the_flag_alone(capsys, monkeypatch):

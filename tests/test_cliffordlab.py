@@ -10,7 +10,7 @@ import pytest
 from symsemi import cliffordlab as cl
 from symsemi.errors import CheckFailure
 from symsemi.modelio import load_matrix_rows
-from symsemi.qlinalg import SparseMat, inverse, kernel_basis, solve
+from symsemi.qlinalg import SparseMat, kernel_basis
 from symsemi.report import spectrum_table
 from symsemi.cliffordlab import (
     BadDimension,
@@ -42,7 +42,8 @@ from symsemi.cliffordlab import (
     verify_volume_omega,
     verify_volume_star,
 )
-from oracles import (car_oracle, gaussian_matching_oracle,
+from oracles import (car_oracle, dense_from_sparse, dense_inverse,
+                     dense_solve, gaussian_matching_oracle,
                      gaussian_moment_oracle, star_sign_oracle)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -170,8 +171,8 @@ def test_dimension_limits():
 
 
 def test_model_limit_holds_in_float_mode():
-    # A float solve at m = 12 would need a dense 49,152-wide degree-1
-    # block, so the model refuses it up front in float mode too.
+    # The model's cost grows like 4^m in either arithmetic, so it refuses
+    # m = 12 up front in float mode too.
     with pytest.raises(BadDimension, match="exceeds the limit 8"):
         model_L(EYE12, 1, "float")
 
@@ -377,20 +378,93 @@ def test_model_exact_mode_needs_rational_root():
 def test_model_has_two_modes():
     with pytest.raises(ValueError, match="bad mode 'auto'"):
         model_L(EYE4, 1, "auto")
-    # Float mode takes its square root from numpy, never a supplied one.
-    with pytest.raises(ValueError, match="exact mode only"):
-        model_L(EYE4, 1, "float", sqrt_gram=SparseMat.identity(4))
+
+
+def repeated_singular_value_matrix(sign):
+    """A = R diag(1, 2, 2, 3/2) Q with R, Q rational rotations, the first
+    row negated for sign -1: A^t A is not diagonal, and its eigenvalue 4
+    has a 2-dimensional eigenspace."""
+    rng = Random(61)
+    r, q = (random_rational_orthogonal(4, rng) for _ in range(2))
+    d = SparseMat(4, 4, dict(zip(((i, i) for i in range(4)),
+                                 (1, 2, 2, Fraction(3, 2)))))
+    a = r @ d @ q
+    return SparseMat(4, 4, {(i, j): -v if i == 0 and sign < 0 else v
+                            for (i, j), v in a.entries.items()})
 
 
 def test_model_sqrt_gram_validation():
-    bad = SparseMat.from_rows([[2, 0, 0, 0], [0, 1, 0, 0],
-                               [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(ValueError):
-        model_L(EYE4, 1, "exact", sqrt_gram=bad)
-    asym = SparseMat.from_rows([[1, 1, 0, 0], [0, 1, 0, 0],
-                                [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(ValueError):
-        model_L(EYE4, 1, "exact", sqrt_gram=asym)
+    # S comes from factors of A that are checked exactly: a wrong singular
+    # value, a non-orthogonal eigenbasis of the repeated one, or too few
+    # vectors is refused.
+    a = repeated_singular_value_matrix(1)
+    gram = a.transpose() @ a
+    sigma, w = cl._rational_eigenbasis(gram)
+    assert sigma == [Fraction(1), Fraction(3, 2), 2, 2]
+    op = model_L(a, 1, "exact")
+    assert op.sqrt_gram == op.sqrt_gram.transpose()
+    assert op.sqrt_gram @ op.sqrt_gram == gram
+    wrong = [sigma[0] + 1] + sigma[1:]
+    slanted = w[:3] + [[x + y for x, y in zip(w[2], w[3])]]
+    for bad_sigma, bad_w, message in (
+            (wrong, w, "2 is not a singular value of A"),
+            (sigma, slanted, "not orthogonal"),
+            (sigma[:3], w[:3], "found them on 3 of 4 dimensions")):
+        with pytest.raises(NoRationalRoot, match=message):
+            cl._checked_factors(a, gram, bad_sigma, bad_w)
+
+
+def test_a_repeated_singular_value_passes_exactly():
+    # Gram-Schmidt inside the repeated singular value gives the eta
+    # expansion an orthogonal joint eigenbasis; the closed form agrees
+    # with float mode and with the Gaussian-norm definition.
+    for sign in (1, -1):
+        a = repeated_singular_value_matrix(sign)
+        op = model_L(a, 1, "exact")
+        assert kernel_and_parity(op) == (0 if sign > 0 else 1)
+        assert spectrum_scaling(op, (1, 10, 100), cap=3).passed
+        verdict = eta_scaling(op, (1, 4, 16))
+        assert verdict.passed and verdict.mode == "exact"
+        approx = eta_scaling(model_L(a, 1, "float"), (1, 4, 16))
+        assert abs(approx.c1_squared / verdict.c1_squared - 1) <= 1e-12
+        assert old_definition_c1_squared(
+            op, 4, gaussian_matching_oracle) == verdict.c1_squared
+
+
+def flipped_involution(op):
+    """op with J_0 negated through its factor a_0: still an involution
+    that commutes with the other J_k, but L2 is no longer
+    tr S + sum_k sigma_k J_k."""
+    f = op.factors
+    a = (tuple(-x for x in f.a[0]),) + f.a[1:]
+    return op.replace(factors=f._replace(a=a))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_broken_involution_breaks_the_l2_identity(mode):
+    op = model_L(random_model_matrix(4, Random(7), -1), 1, mode)
+    assert eta_scaling(op, (1, 4)).passed
+    broken = flipped_involution(op)
+    for check in (kernel_and_parity, lambda op: eta_scaling(op, (1, 4))):
+        with pytest.raises(UnexpectedKernel,
+                           match=r"L2 is not tr S \+ sum_k sigma_k J_k"):
+            check(broken)
+
+
+def test_jacobi_matches_numpy_eigh():
+    import numpy as np
+
+    rng = Random(67)
+    for n in (4, 8, 4, 8):
+        rows = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(n)]
+        g = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+        values, vectors = cl._jacobi_eigh(SparseMat.from_rows(g))
+        want, _ = np.linalg.eigh(np.array(g))
+        assert np.allclose(sorted(values), want, rtol=0, atol=1e-12)
+        v = np.array(vectors)
+        assert np.allclose(v @ v.T, np.eye(n), rtol=0, atol=1e-13)
+        assert np.allclose(np.array(g) @ v.T, v.T * np.array(values),
+                           rtol=0, atol=1e-12)
 
 
 def test_form_operator_matches_clifford_products():
@@ -399,8 +473,8 @@ def test_form_operator_matches_clifford_products():
     for m in (4, 8):
         rng = Random(m)
         for sign in (1, -1, 1):
-            a, s = random_model_matrix(m, rng, sign)
-            op = model_L(a, 1, "exact", sqrt_gram=s)
+            a = random_model_matrix(m, rng, sign)
+            op = model_L(a, 1, "exact")
             want = SparseMat.identity(1 << m).scale(op.trace_sqrt())
             cols = a.to_rows()
             for j in range(m):
@@ -435,18 +509,20 @@ def broken_form_ops(op):
     """Two corruptions of L2 on the 16 masks of m = 4: identity on masks
     2-15 only (a 2-dimensional kernel), and row 0 = e0 - e1 with row 1
     empty (a 1-dimensional kernel spanning the even mask 0 and the odd
-    mask 1)."""
+    mask 1).  Neither is tr S + sum_k sigma_k J_k."""
     rest = {(i, i): Fraction(1) for i in range(2, 16)}
     two_dim = SparseMat(16, 16, rest)
     mixed = SparseMat(16, 16, {**rest, (0, 0): Fraction(1),
                                (0, 1): Fraction(-1)})
-    return ((op.replace(form_op=two_dim), "kernel dimension 2 at cap 0"),
-            (op.replace(form_op=mixed), "mixes form parities"))
+    message = r"L2 is not tr S \+ sum_k sigma_k J_k"
+    return ((op.replace(form_op=two_dim), message),
+            (op.replace(form_op=mixed), message))
 
 
 def test_broken_kernels_raise_in_both_modes():
     # The kernel check and the ground form of the eta correction share
-    # one kernel routine, so both refuse either corruption in both modes.
+    # one kernel routine, whose L2 identity refuses either corruption in
+    # both modes.
     for op in (model_L(EYE4, 1, "exact"), model_L(SHEAR, 1, "float")):
         for broken, message in broken_form_ops(op):
             with pytest.raises(UnexpectedKernel, match=message):
@@ -565,8 +641,8 @@ def test_factored_spectrum_matches_the_dense_blocks():
     # The closed-form spectrum against the eigenvalues of the full degree
     # blocks, at a coupling T = 10 that the diagonal blocks must not see.
     rng = Random(41)
-    cases = [(model_L(a, 1, "exact", sqrt_gram=s), (2, 3, 4)) for a, s in
-             (random_model_matrix(4, rng, sign) for sign in (1, -1))]
+    cases = [(model_L(random_model_matrix(4, rng, sign), 1, "exact"),
+              (2, 3, 4)) for sign in (1, -1)]
     cases.append((model_L(SHEAR, 1, "float"), (2, 3, 4)))
     # The exact path of the CLI: a non-diagonal A whose S is diagonal.
     for sign in (1, -1):
@@ -608,9 +684,8 @@ def test_spectrum_scaling_in_dimension_eight():
 
     values = (2, Fraction(1, 2), 3, -1, 5, Fraction(3, 2), 7, 4)
     diag = [[values[i] if i == j else 0 for j in range(8)] for i in range(8)]
-    a, s = random_model_matrix(8, Random(1), -1)
-    for op in (model_L(diag, 1, "exact"),
-               model_L(a, 1, "exact", sqrt_gram=s)):
+    a = random_model_matrix(8, Random(1), -1)
+    for op in (model_L(diag, 1, "exact"), model_L(a, 1, "exact")):
         verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
         assert verdict.passed and verdict.mode == "exact"
         assert len(verdict.spectrum) == Sector(8, 2).size
@@ -625,7 +700,7 @@ def test_eta_scaling_identity_matrix():
     assert verdict.passed
     assert verdict.mode == "exact"
     assert verdict.c1_squared == Fraction(1, 8)
-    assert verdict.constant and verdict.orthogonal
+    assert verdict.orthogonal
     assert not verdict.source_vanished
     assert abs(verdict.c1 - 0.3535533905932738) < 1e-15
 
@@ -637,12 +712,12 @@ def test_eta_scaling_float_mode():
 
 
 def test_float_mode_matches_exact_mode_on_non_diagonal_gram():
-    # A^t A is not diagonal here, so float mode takes a numeric square root
-    # and its own correction solve; exact mode gets S supplied.
+    # A^t A is not diagonal here: exact mode checks rational factors found
+    # from a float hint, float mode runs on the float factors.
     for sign in (1, -1):
-        a, s = random_model_matrix(4, Random(11), sign)
+        a = random_model_matrix(4, Random(11), sign)
         assert any(r != c for (r, c) in (a.transpose() @ a).entries)
-        exact_op = model_L(a, 1, "exact", sqrt_gram=s)
+        exact_op = model_L(a, 1, "exact")
         float_op = model_L(a, 1, "float")
         exact = eta_scaling(exact_op, (1, 4, 16))
         approx = eta_scaling(float_op, (1, 4, 16))
@@ -674,8 +749,7 @@ def test_eta_source_orthogonal_to_ground_state():
     rng = Random(19)
     skew = omega_skew(4)
     for trial in range(20):
-        a, s = random_model_matrix(4, rng, 1 if trial % 2 else -1)
-        op = model_L(a, 1, "exact", sqrt_gram=s)
+        op = model_L(random_model_matrix(4, rng, 1 if trial % 2 else -1), 1)
         ker = kernel_basis(op.form_op)
         assert ker.cols == 1
         src = skew @ ker
@@ -695,12 +769,11 @@ def test_sector_bases_are_prefix_compatible():
 
 
 def test_dirac_squares_to_laplacian():
-    rng = Random(5)
-    a, s = random_model_matrix(4, rng, -1)
+    a = random_model_matrix(4, Random(5), -1)
     size = Sector(4, 2).size
     # At T = 1 a coupling factor on the wrong sector part goes unnoticed.
     for t in (1, Fraction(7, 3), 10):
-        op = model_L(a, t, "exact", sqrt_gram=s)
+        op = model_L(a, t, "exact")
         comp = sector_matrix_D(op, 3, 4) @ sector_matrix_D(op, 2, 3)
         lap = sector_matrix_L(op, 2)
         # The composite never escapes the degree <= 2 block ...
@@ -711,9 +784,7 @@ def test_dirac_squares_to_laplacian():
 
 
 def test_dirac_annihilates_ground_state():
-    rng = Random(5)
-    a, s = random_model_matrix(4, rng, -1)
-    op = model_L(a, 1, "exact", sqrt_gram=s)
+    op = model_L(random_model_matrix(4, Random(5), -1), 1, "exact")
     delta = kernel_basis(op.form_op)
     assert (sector_matrix_D(op, 0, 1) @ delta).is_zero()
 
@@ -735,8 +806,9 @@ def old_definition_c1_squared(op, t, moment):
     n = 1 << op.m
     delta = kernel_basis(op.form_op)
     rhs = sector_matrix_D(op, 0, 1) @ (omega_skew(op.m) @ delta)
-    y = solve(sector_matrix_L(op, 1), rhs)
-    cov = inverse(op.sqrt_gram.scale(2 * op.T)).to_rows()
+    y = SparseMat.column(dense_solve(dense_from_sparse(sector_matrix_L(op, 1)),
+                                     [rhs.get(r, 0) for r in range(rhs.rows)]))
+    cov = dense_inverse(dense_from_sparse(op.sqrt_gram.scale(2 * op.T)))
     gram = [[Fraction(str(moment(cov, tuple(x + z for x, z in zip(a, b)))))
              for b in sec.monomials] for a in sec.monomials]
 
@@ -760,9 +832,8 @@ def test_c1_squared_matches_the_gaussian_norm_definition():
     # and Wick pairings cover every case at T = 1, 4 and 16.
     ops = [model_L(EYE4, 1, "exact")]
     for sign in (1, -1):
-        a, s = random_model_matrix(4, Random(11), sign)
-        assert any(r != c for (r, c) in s.entries)
-        ops.append(model_L(a, 1, "exact", sqrt_gram=s))
+        ops.append(model_L(random_model_matrix(4, Random(11), sign), 1))
+        assert any(r != c for (r, c) in ops[-1].sqrt_gram.entries)
     want = [eta_scaling(op, (1, 4, 16)).c1_squared for op in ops]
     assert want[0] == Fraction(1, 8)
     assert old_definition_c1_squared(ops[0], 1, gaussian_moment_oracle) \
@@ -777,7 +848,8 @@ def cap1_mutants():
     """(name, mutant, message) triples: a T^2 term added at cap 1, in
     L_hat or in D_hat, on a degree-1 diagonal entry; then T-linear terms
     that break the degree structure alone, an entry of L_hat across
-    degrees and a degree-0 row of D_hat."""
+    degrees and a degree-0 row of D_hat.  The one exact comparison with
+    the closed forms catches each."""
     def bump(name, entry, message):
         original = getattr(cl, name)
 
@@ -788,13 +860,12 @@ def cap1_mutants():
                                    {(r, c): op.T ** power})
         return name, mutant, "eta check: the cap-1 " + message
 
-    scaled = "operators at T = 4 are not 4 times those at T = 1"
-    return [bump("sector_matrix_L", lambda n: (n, n, 2), scaled),
-            bump("sector_matrix_D", lambda n: (n, 0, 2), scaled),
-            bump("sector_matrix_L", lambda n: (0, n, 1),
-                 "L couples degrees 0 and 1"),
-            bump("sector_matrix_D", lambda n: (0, 0, 1),
-                 "D has a degree-0 row")]
+    wrong_l = r"L is not T \(flow tensor 1 \+ 1 tensor L2\)"
+    wrong_d = r"D is not T sum_j x_j"
+    return [bump("sector_matrix_L", lambda n: (n, n, 2), wrong_l),
+            bump("sector_matrix_D", lambda n: (n, 0, 2), wrong_d),
+            bump("sector_matrix_L", lambda n: (0, n, 1), wrong_l),
+            bump("sector_matrix_D", lambda n: (0, 0, 1), wrong_d)]
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -806,6 +877,22 @@ def test_eta_homogeneity_is_asserted(mode, monkeypatch):
             patch.setattr(cl, name, mutant)
             with pytest.raises(CheckFailure, match=message):
                 eta_scaling(op, (1, 4, 16))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_random_8x8_model_passes_exactly(sign):
+    # A^t A is a full 8 x 8 matrix with one repeated singular value; every
+    # check runs exact, with no elimination on the 256 x 256 L2.
+    a = random_model_matrix(8, Random(1), sign)
+    op = model_L(a, 1, "exact")
+    assert any(r != c for (r, c) in op.sqrt_gram.entries)
+    assert kernel_and_parity(op) == (0 if sign > 0 else 1)
+    assert spectrum_scaling(op, (1, 10, 100), cap=2).passed
+    verdict = eta_scaling(op, (1, 4, 16))
+    assert verdict.passed and verdict.mode == "exact"
+    assert abs(float(verdict.c1_squared) - (0.04380150457583586 if sign > 0
+                                            else 0.036750805240422985)) \
+        <= 1e-15
 
 
 def test_float_eta_at_the_model_limit():
@@ -835,8 +922,9 @@ def test_random_orthogonal_is_orthogonal():
 def test_random_model_matrix_contract():
     rng = Random(29)
     for sign in (1, -1):
-        a, s = random_model_matrix(4, rng, sign)
+        a = random_model_matrix(4, rng, sign)
+        op = model_L(a, 1, "exact")
+        assert op.det_sign == sign
+        s = op.sqrt_gram
         assert s == s.transpose()
         assert s @ s == a.transpose() @ a
-        op = model_L(a, 1, "exact", sqrt_gram=s)
-        assert op.det_sign == sign
