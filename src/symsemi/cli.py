@@ -221,11 +221,11 @@ def cmd_oscillator(args) -> int:
         raise InputError("--T needs at least 3 distinct couplings")
     if args.degree_cap < 2:
         raise InputError("--degree-cap must be >= 2 (spectrum window)")
-    op = model_L(rows, ts[0], args.mode)
+    op = model_L(rows, args.mode)
     parity = kernel_and_parity(op)
     parity_ok = parity == (0 if op.det_sign > 0 else 1)
     spec = spectrum_scaling(op, ts, cap=args.degree_cap)
-    eta = eta_scaling(op, ts)
+    eta = eta_scaling(op)
     exact = op.mode == "exact"
     passed = parity_ok and spec.passed and eta.passed
     report = OscillatorReport(

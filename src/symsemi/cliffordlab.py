@@ -35,14 +35,17 @@ exp(-T x^t S x), S the positive square root of A^t A, it is
     L_hat = (lap + T flow) tensor 1 + T (1 tensor L2),
     L2    = tr(S) + sum_j c(e_j) chat(A e_j),
 
-with lap = -laplacian and flow = 2 (Sx).grad on polynomials alone.  With
-A = sum_k sigma_k u_k v_k^t (``Factors``), L2 = tr S + sum_k sigma_k J_k
-for the commuting involutions J_k = c(v_k) chat(u_k), whose joint
-eigenspaces are lines: the kernel is one line, the spectrum a closed form,
-and eta is solved where L2 is diagonal; each step is checked, none
-eliminates.  "exact" mode certifies rational factors and works on integer
-numerators; "float" mode runs the same code on pure-Python Jacobi factors
-with residuals up to ``_FLOAT_CUT`` of each check's scale.  No numpy.
+with lap = -laplacian and flow = 2 (Sx).grad on polynomials alone.  The
+model (``ModelOperator``) holds only these T-free parts; the coupling T
+enters only the sector builders ``sector_matrix_L`` and
+``sector_matrix_D``.  With A = sum_k sigma_k u_k v_k^t (``Factors``),
+L2 = tr S + sum_k sigma_k J_k for the commuting involutions
+J_k = c(v_k) chat(u_k), whose joint eigenspaces are lines: the kernel is
+one line, the spectrum a closed form, and eta is solved where L2 is
+diagonal; each step is checked, none eliminates.  "exact" mode certifies
+rational factors and works on integer numerators; "float" mode runs the
+same code on pure-Python Jacobi factors with residuals up to
+``_FLOAT_CUT`` of each check's scale.  No numpy.
 """
 
 from __future__ import annotations
@@ -87,12 +90,15 @@ class UnexpectedKernel(CheckFailure):
 
 
 # The largest m for each operator family.  The Clifford checks act on
-# 2^m x 2^m monomial operators.  The model's work grows like 4^m: L2 has
-# about m^2/2 rational entries in each of 2^m columns, and eta assembles
-# (m + 1) 2^m wide cap-1 operators and 2^m joint eigenvectors of 2^m
-# entries: seconds for a random 8 x 8 A, far more at m = 12.
+# 2^m x 2^m monomial operators.  The model's work grows like 4^m: L2 and
+# the right side of its identity have about m^2/2 rational entries in each
+# of 2^m columns, and eta builds 2^m joint eigenvectors of 2^m entries:
+# about a second for a random 8 x 8 A, far more at m = 12.
 CLIFFORD_DIM_LIMIT = 12
 MODEL_DIM_LIMIT = 8
+# The largest sector, in forms: C(m + cap, m) 2^m of them, one float each
+# in ``_block_spectrum``.
+SECTOR_LIMIT = 1 << 20
 
 # Float mode accepts a residual up to this times the scale of its check.
 _FLOAT_CUT = 1e-9
@@ -486,23 +492,41 @@ def _checked_factors(a: SparseMat, gram: SparseMat, sigma: list, w: list
 
 
 class ModelOperator(Record):
-    """The finite model at coupling T: A, S and L2 (``form_op``) as
-    SparseMat, and the ``Factors`` of A; ``op.replace(T=t)`` is the model
-    at coupling t."""
+    """The finite model, free of the coupling T: A, S and L2 (``form_op``)
+    as SparseMat, and the ``Factors`` of A.  Building one, or any
+    ``replace`` of one, checks L2 == tr S + sum_k sigma_k J_k, the right
+    side built like L2 from sum_k (sigma_k / norm[k]) a_k w_k^t; else
+    UnexpectedKernel.  T enters only the sector builders."""
 
-    __slots__ = ("a", "sqrt_gram", "T", "mode", "m", "det_sign", "form_op",
+    __slots__ = ("a", "sqrt_gram", "mode", "m", "det_sign", "form_op",
                  "factors")
+
+    def __post_init__(self):
+        f = self.factors
+        weights = [s / n for s, n in zip(f.sigma, f.norm)]
+        b = {(i, j): sum(x * a[i] * w[j] for x, w, a in zip(weights, f.w, f.a))
+             for i in range(self.m) for j in range(self.m)}
+        diff = self.form_op - _form_operator(self.m, self.trace_sqrt(), b)
+        worst = max(map(abs, diff.entries.values()), default=0)
+        if worst > self.tolerance():
+            raise UnexpectedKernel(
+                f"L2 is not tr S + sum_k sigma_k J_k (largest entry of the "
+                f"difference {float(worst):.3e})")
 
     def trace_sqrt(self) -> Fraction:
         return sum((self.sqrt_gram.get(i, i) for i in range(self.m)),
                    Fraction(0))
 
+    def tolerance(self):
+        """0 if exact, else ``_FLOAT_CUT`` times the gap 2 sigma_min of L2."""
+        return 0 if self.mode == "exact" else \
+            _FLOAT_CUT * 2 * min(self.factors.sigma)
 
-def model_L(a, T, mode: str = "exact") -> ModelOperator:
-    """Assemble the model operator for an invertible A and coupling T > 0,
-    on certified rational factors ('exact') or on Jacobi ones, a[k] =
-    A v_k, with S^2 = A^t A to a relative 1e-12 ('float'); else
-    NoRationalRoot."""
+
+def model_L(a, mode: str = "exact") -> ModelOperator:
+    """Assemble the model operator for an invertible A, on certified
+    rational factors ('exact') or on Jacobi ones, a[k] = A v_k, with
+    S^2 = A^t A to a relative 1e-12 ('float'); else NoRationalRoot."""
     if not isinstance(a, SparseMat):
         a = SparseMat.from_rows(a)
     if a.rows != a.cols:
@@ -513,9 +537,6 @@ def model_L(a, T, mode: str = "exact") -> ModelOperator:
     _check_dim(m, MODEL_DIM_LIMIT)
     if mode not in ("exact", "float"):
         raise ValueError(f"bad mode {mode!r}")
-    t_val = Fraction(T)
-    if t_val <= 0:
-        raise ValueError("T must be positive")
     deta = det(a)
     if not deta:
         raise Singular("det A = 0")
@@ -541,8 +562,7 @@ def model_L(a, T, mode: str = "exact") -> ModelOperator:
             raise NoRationalRoot(f"numeric square root residual "
                                  f"{float(residual):.3e} too large")
     form = _form_operator(m, sum(s.get(i, i) for i in range(m)), a.entries)
-    return ModelOperator(a, s, t_val, mode, m, 1 if deta > 0 else -1, form,
-                         factors)
+    return ModelOperator(a, s, mode, m, 1 if deta > 0 else -1, form, factors)
 
 
 def _form_operator(m: int, trace_s, entries) -> SparseMat:
@@ -558,11 +578,17 @@ def _form_operator(m: int, trace_s, entries) -> SparseMat:
 class Sector:
     """Basis (monomials of total degree <= cap) x (form masks), index
     mono_index * 2^m + mask.  Monomials are exponent tuples ordered by
-    (total degree, lex): a smaller cap's basis is a prefix of a larger's."""
+    (total degree, lex): a smaller cap's basis is a prefix of a larger's.
+    A sector over ``SECTOR_LIMIT`` forms is refused before it is built."""
 
     def __init__(self, m: int, cap: int):
         if cap < 0:
             raise ValueError("cap must be >= 0")
+        self.size = math.comb(m + cap, m) << m
+        if self.size > SECTOR_LIMIT:
+            raise BadDimension(
+                f"the degree <= {cap} sector in dimension {m} holds "
+                f"{self.size} forms, over the budget of {SECTOR_LIMIT}")
         self.m = m
         self.cap = cap
         monos = sorted((tuple(c.count(i) for i in range(m))
@@ -571,10 +597,6 @@ class Sector:
                        key=lambda t: (sum(t), t))
         self.monomials = tuple(monos)
         self.mono_index = {t: i for i, t in enumerate(monos)}
-        self.size = len(monos) << m
-
-    def degree_of(self, basis_index: int) -> int:
-        return sum(self.monomials[basis_index >> self.m])
 
 
 def _linear_mult_terms(matrix_rows: list[list[Fraction]], i: int,
@@ -627,18 +649,19 @@ def _tensor_form(poly: SparseMat, form: SparseMat, m: int) -> SparseMat:
     return SparseMat(poly.rows << m, poly.cols << m, entries)
 
 
-def sector_matrix_L(op: ModelOperator, cap: int) -> SparseMat:
+def sector_matrix_L(op: ModelOperator, cap: int, T) -> SparseMat:
     """Conjugated model operator (lap + T flow) tensor 1 + T (1 tensor L2)
-    on the degree <= cap sector; it keeps or lowers the degree, so no
-    truncation error arises."""
+    at coupling T on the degree <= cap sector; it keeps or lowers the
+    degree, so no truncation error arises."""
     lap, flow = _sector_parts(op, Sector(op.m, cap))
-    return _tensor_form(lap + flow.scale(op.T), op.form_op.scale(op.T), op.m)
+    return _tensor_form(lap + flow.scale(T), op.form_op.scale(T), op.m)
 
 
-def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int) -> SparseMat:
-    """Conjugated Dirac-type operator d + d* + T chat(X0) from the cap_in
-    into the cap_out sector; TruncationTooSmall when an output monomial
-    exceeds cap_out (it raises the degree by one)."""
+def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
+                    ) -> SparseMat:
+    """Conjugated Dirac-type operator d + d* + T chat(X0) at coupling T
+    from the cap_in into the cap_out sector; TruncationTooSmall when an
+    output monomial exceeds cap_out (it raises the degree by one)."""
     sec_in, sec_out = Sector(op.m, cap_in), Sector(op.m, cap_out)
     s_rows, a_rows = op.sqrt_gram.to_rows(), op.a.to_rows()
     cs, chats = _clifford_gens(op.m)
@@ -666,9 +689,9 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int) -> SparseMat:
                 down[i] -= 1
                 add_block(tuple(down), base, Fraction(mono[i]), cs[i])
             for out_mono, c in _linear_mult_terms(s_rows, i, mono):
-                add_block(out_mono, base, -op.T * c, cs[i])
+                add_block(out_mono, base, -T * c, cs[i])
             for out_mono, c in _linear_mult_terms(a_rows, i, mono):
-                add_block(out_mono, base, op.T * c, chats[i])
+                add_block(out_mono, base, T * c, chats[i])
     return SparseMat(sec_out.size, sec_in.size, entries)
 
 
@@ -749,25 +772,15 @@ def _kernel_vector(op: ModelOperator) -> tuple[dict, int]:
 
     By CAR and orthonormality the J_k commute and c(v_k) flips J_k alone,
     so the joint eigenspaces are the lines of f_eps = prod_(k in eps)
-    c(v_k) delta.  Once L2 = tr S + sum_k sigma_k J_k is checked (built
-    like L2 from sum_k (sigma_k / norm[k]) a_k w_k^t), L2 f_eps =
-    2 sum_(k in eps) sigma_k f_eps, so the kernel is the line of delta;
-    L2 delta == 0 is checked too (float: to ``_FLOAT_CUT`` 2 sigma_min).
-    Each J_k is even, so delta has its basis form's parity."""
-    f = op.factors
-    tol = 0 if op.mode == "exact" else _FLOAT_CUT * 2 * min(f.sigma)
-    weights = [s / n for s, n in zip(f.sigma, f.norm)]
-    b = {(i, j): sum(x * a[i] * w[j] for x, w, a in zip(weights, f.w, f.a))
-         for i in range(op.m) for j in range(op.m)}
-    diff = op.form_op - _form_operator(op.m, op.trace_sqrt(), b)
-    worst = max(map(abs, diff.entries.values()), default=0)
-    if worst > tol:
-        raise UnexpectedKernel(
-            f"L2 is not tr S + sum_k sigma_k J_k (largest entry of the "
-            f"difference {float(worst):.3e})")
+    c(v_k) delta.  As ``ModelOperator`` checked L2 = tr S +
+    sum_k sigma_k J_k, L2 f_eps = 2 sum_(k in eps) sigma_k f_eps, so the
+    kernel is the line of delta; L2 delta == 0 is checked too, to the
+    model's ``tolerance`` times |delta|.  Each J_k is even, so delta has
+    its basis form's parity."""
     delta = _ground_form(op)
     image, den = _apply(op.form_op, delta, op.mode == "exact")
     residual = Fraction(_residual(image, {})) / den
+    tol = op.tolerance()
     if residual > (tol and tol * _norm(delta)):
         raise UnexpectedKernel(f"L2 does not annihilate the ground form "
                                f"(largest entry {float(residual):.3e})")
@@ -787,14 +800,6 @@ class SpectrumVerdict(Record):
     _defaults = {"detail": ""}
 
 
-def _validate_ts(ts, minimum: int):
-    vals = [Fraction(t) for t in ts]
-    if len(set(vals)) < minimum or any(t <= 0 for t in vals):
-        raise ValueError(
-            f"need at least {minimum} distinct positive couplings")
-    return vals
-
-
 def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
                      ) -> SpectrumVerdict:
     """Certify that spectrum(model operator)/T does not depend on T:
@@ -804,7 +809,9 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     one (max_deviation: what such entries would make).  The spectrum is
     the closed form ``_block_spectrum``, tied to flow and L2 by
     ``_trace_guard``."""
-    ts = _validate_ts(Ts, 3)
+    ts = [Fraction(t) for t in Ts]
+    if len(set(ts)) < 3 or any(t <= 0 for t in ts):
+        raise ValueError("need at least 3 distinct positive couplings")
     if cap < 2:
         raise ValueError("cap must be >= 2 for the scaling check")
     sec = Sector(op.m, cap)
@@ -824,8 +831,7 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     _trace_guard(op, flow, degree)
     spectrum = _block_spectrum(op, cap)
     passed = structure_ok and blocks_match
-    detail = bad if not structure_ok else (
-        "" if blocks_match else "diagonal blocks differ across T")
+    detail = bad or ("" if blocks_match else "diagonal blocks differ across T")
     gap = min((x for x in spectrum if abs(x) > 1e-8), default=0.0)
     return SpectrumVerdict(passed, op.mode, tuple(ts), cap, structure_ok,
                            blocks_match, float(dev), spectrum, gap, detail)
@@ -877,12 +883,12 @@ def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int]):
 
 
 class EtaVerdict(Record):
-    __slots__ = ("passed", "mode", "Ts", "c1_squared", "c1",
-                 "source_vanished", "orthogonal", "detail")
+    __slots__ = ("passed", "mode", "c1_squared", "c1", "source_vanished",
+                 "orthogonal", "detail")
     _defaults = {"detail": ""}
 
 
-def eta_scaling(op: ModelOperator, Ts: Sequence) -> EtaVerdict:
+def eta_scaling(op: ModelOperator) -> EtaVerdict:
     """C1^2 = T ||eta||^2 / ||ground||^2, one value free of T, for the
     correction eta solving L_hat eta = D_hat(skew(omega) delta) on the
     cap-1 sector, Gaussian-orthogonal to the ground state.  By
@@ -891,7 +897,7 @@ def eta_scaling(op: ModelOperator, Ts: Sequence) -> EtaVerdict:
     1/2 sum_j |z_j|^2 / (sigma_j |delta|^2), z_j the part of y along v_j.
     The verdict passes when the source is orthogonal to delta; a
     vanishing source gives C1 = 0 and a flag."""
-    ts, exact = _validate_ts(Ts, 2), op.mode == "exact"
+    exact = op.mode == "exact"
     delta, _ = _kernel_vector(op)
     _check_cap1(op)
     source, src_den = _apply(omega_skew(op.m), delta, exact)
@@ -905,8 +911,8 @@ def eta_scaling(op: ModelOperator, Ts: Sequence) -> EtaVerdict:
         c1sq = _c1_squared(op, delta, source, src_den) / _dot(
             delta.values(), delta.values())
     detail = "" if orthogonal else "source not orthogonal to the ground state"
-    return EtaVerdict(orthogonal, op.mode, tuple(ts), c1sq,
-                      math.sqrt(float(c1sq)), vanished, orthogonal, detail)
+    return EtaVerdict(orthogonal, op.mode, c1sq, math.sqrt(float(c1sq)),
+                      vanished, orthogonal, detail)
 
 
 def _c1_squared(op: ModelOperator, delta: dict, source: dict, src_den):
@@ -957,38 +963,30 @@ def _c1_squared(op: ModelOperator, delta: dict, source: dict, src_den):
 
 
 def _check_cap1(op: ModelOperator):
-    """Assemble the cap-1 L and the cap-0 to cap-1 D once and check them
-    exactly against the closed forms eta uses, T times fixed operators:
-    L = T (flow tensor 1 + 1 tensor L2), flow x_b -> 2 sum_a S_ba x_a,
-    D = T sum_j x_j (chat(A e_j) - c(S e_j))."""
-    m, t, sec = op.m, op.T, Sector(op.m, 1)
+    """Check the cap-1 sector exactly against the closed forms eta uses, T
+    times fixed operators: lap has no entry and flow is x_b -> 2 sum_a S_ba
+    x_a, so ``sector_matrix_L`` is T (flow tensor 1 + 1 tensor L2) at every
+    T; the cap-0 to cap-1 ``sector_matrix_D`` at T = 1 is sum_j x_j
+    (chat(A e_j) - c(S e_j)), which that builder scales by T."""
+    m, sec = op.m, Sector(op.m, 1)
     # Degree-1 monomials are ordered by exponent tuple, not by variable.
     var = [mono.index(1) for mono in sec.monomials[1:]]
     s_rows, a_rows = op.sqrt_gram.to_rows(), op.a.to_rows()
-    flow = SparseMat(m + 1, m + 1, {
-        (i + 1, k + 1): 2 * t * s_rows[var[k]][var[i]]
-        for i in range(m) for k in range(m)})
-    if sector_matrix_L(op, 1) != _tensor_form(flow, op.form_op.scale(t), m):
+    lap, flow = _sector_parts(op, sec)
+    if lap.entries or flow != SparseMat(m + 1, m + 1, {
+            (i + 1, k + 1): 2 * s_rows[var[k]][var[i]]
+            for i in range(m) for k in range(m)}):
         raise CheckFailure("eta check: the cap-1 L is not "
                            "T (flow tensor 1 + 1 tensor L2)")
     rows = [SparseMat.zeros(1 << m, 1 << m)] + [
-        clifford([t * row[j] for row in a_rows], "chat")
-        - clifford([t * row[j] for row in s_rows], "c") for j in var]
-    if sector_matrix_D(op, 0, 1) != SparseMat.block([[r] for r in rows]):
+        clifford([row[j] for row in a_rows], "chat")
+        - clifford([row[j] for row in s_rows], "c") for j in var]
+    if sector_matrix_D(op, 0, 1, 1) != SparseMat.block([[r] for r in rows]):
         raise CheckFailure("eta check: the cap-1 D is not "
                            "T sum_j x_j (chat(A e_j) - c(S e_j))")
 
 
 # -- rational random sources ---------------------------------------------
-
-
-def _givens(m: int, i: int, j: int, cos: Fraction, sin: Fraction) -> SparseMat:
-    entries = {(k, k): Fraction(1) for k in range(m) if k not in (i, j)}
-    entries[(i, i)] = cos
-    entries[(j, j)] = cos
-    entries[(i, j)] = -sin
-    entries[(j, i)] = sin
-    return SparseMat(m, m, entries)
 
 
 def _random_rotations(m: int, rng: Random):
@@ -1004,42 +1002,43 @@ def _random_rotations(m: int, rng: Random):
         yield min(i, j), max(i, j), p * p - q * q, sin, p * p + q * q
 
 
+def _rotated_columns(m: int, rng: Random, count: int) -> list[list]:
+    """The first ``count`` columns of the product of the
+    ``_random_rotations`` (each applied after the ones before), on integer
+    numerators over one running denominator."""
+    cols = [[int(i == k) for i in range(m)] for k in range(count)]
+    den = 1
+    for i, j, c, s, d in _random_rotations(m, rng):
+        for col in cols:
+            a, b = col[i], col[j]
+            col[:] = [x * d for x in col]
+            col[i], col[j] = c * a - s * b, s * a + c * b
+        den *= d
+    return [[Fraction(x, den) for x in col] for col in cols]
+
+
 def random_rational_orthogonal(m: int, rng: Random) -> SparseMat:
     """Product of the ``_random_rotations``, whose cosine/sine pairs are
     Pythagorean: exactly orthogonal with determinant +1."""
-    out = SparseMat.identity(m)
-    for i, j, c, s, d in _random_rotations(m, rng):
-        out = _givens(m, i, j, Fraction(c, d), Fraction(s, d)) @ out
-    return out
+    cols = _rotated_columns(m, rng, m)
+    return SparseMat(m, m, {(i, k): col[i] for k, col in enumerate(cols)
+                            for i in range(m)})
 
 
 def random_rational_unit_vector(m: int, rng: Random) -> list[Fraction]:
-    """First column of random_rational_orthogonal(m, rng): exact norm 1.
-    The rotations are applied to e_1 instead of being multiplied out, on
-    integer numerators over one running denominator."""
-    num = [1] + [0] * (m - 1)
-    den = 1
-    for i, j, c, s, d in _random_rotations(m, rng):
-        a, b = num[i], num[j]
-        num = [x * d for x in num]
-        num[i], num[j] = c * a - s * b, s * a + c * b
-        den *= d
-    return [Fraction(x, den) for x in num]
+    """First column of random_rational_orthogonal(m, rng): exact norm 1."""
+    return _rotated_columns(m, rng, 1)[0]
 
 
 def random_model_matrix(m: int, rng: Random, det_sign: int = 1
                         ) -> SparseMat:
     """Random invertible A = R diag Q, R and Q rational orthogonal, with
-    the positive diagonal as singular values; det_sign < 0 negates a
-    column of R."""
+    the absolute values of the diagonal as singular values; det_sign < 0
+    negates its first entry."""
     if det_sign not in (1, -1):
         raise ValueError("det_sign must be +1 or -1")
-    r = random_rational_orthogonal(m, rng)
-    q = random_rational_orthogonal(m, rng)
-    d = SparseMat(m, m, {(i, i): Fraction(rng.randint(1, 6),
-                                          rng.randint(1, 3))
-                         for i in range(m)})
-    if det_sign == -1:
-        r = r @ SparseMat(m, m, {(i, i): Fraction(-1 if i == 0 else 1)
-                                 for i in range(m)})
+    r, q = (random_rational_orthogonal(m, rng) for _ in range(2))
+    d = SparseMat(m, m, {(i, i): Fraction(
+        rng.randint(1, 6) * (det_sign if i == 0 else 1), rng.randint(1, 3))
+        for i in range(m)})
     return r @ d @ q

@@ -200,6 +200,17 @@ def test_oscillator_rejects_bad_matrices(tmp_path, capsys):
     assert run(capsys, "oscillator", "--matrix", str(wrong))[0] == 2
 
 
+def test_oscillator_refuses_a_sector_over_budget(capsys):
+    # The cap-7 sector of an 8 x 8 A holds 1,647,360 forms, over the
+    # budget of 2^20: bad input, refused before the sector is built.
+    code, out, err = run(capsys, "oscillator", "--matrix",
+                         str(SAMPLES / "matrix_diag_8.txt"),
+                         "--degree-cap", "7")
+    assert code == 2 and out == ""
+    assert err == ("error: the degree <= 7 sector in dimension 8 holds "
+                   "1647360 forms, over the budget of 1048576\n")
+
+
 def test_oscillator_coupling_arguments(capsys):
     matrix = str(SAMPLES / "matrix_diag_1234.txt")
     code, _, err = run(capsys, "oscillator", "--matrix", matrix,
@@ -243,9 +254,11 @@ def test_oscillator_builds_the_model_once(capsys, monkeypatch):
 
 def test_oscillator_finds_the_ground_form_once_per_check(capsys,
                                                          monkeypatch):
-    # The ground form (kernel of L2) and the cap-1 operators do not depend
-    # on T: the kernel check finds the ground form once, and eta_scaling
-    # finds it and assembles the cap-1 L and D once for all its couplings.
+    # Nothing the checks build depends on T.  The model builds L2 and the
+    # right side of its identity (``_form_operator``) once each; the
+    # kernel check finds the ground form once, and eta_scaling finds it
+    # and builds the cap-0 to cap-1 D once, checking the cap-1 L on its
+    # T-free parts with neither sector_matrix_L nor _tensor_form.
     calls = []
 
     def counting(name):
@@ -256,7 +269,8 @@ def test_oscillator_finds_the_ground_form_once_per_check(capsys,
             return fn(*args, **kwargs)
         monkeypatch.setattr(cliffordlab, name, wrapper)
 
-    for name in ("_kernel_vector", "sector_matrix_L", "sector_matrix_D"):
+    for name in ("_form_operator", "_kernel_vector", "sector_matrix_L",
+                 "sector_matrix_D", "_tensor_form"):
         counting(name)
     for mode in ("exact", "float"):
         calls.clear()
@@ -264,8 +278,9 @@ def test_oscillator_finds_the_ground_form_once_per_check(capsys,
                          str(SAMPLES / "matrix_rotated_4.txt"),
                          "--mode", mode)
         assert code == 0
-        assert sorted(calls) == ["_kernel_vector", "_kernel_vector",
-                                 "sector_matrix_D", "sector_matrix_L"]
+        assert sorted(calls) == ["_form_operator", "_form_operator",
+                                 "_kernel_vector", "_kernel_vector",
+                                 "sector_matrix_D"]
 
 
 def test_oscillator_broken_kernel_exits_one(capsys, monkeypatch):
@@ -379,32 +394,46 @@ def test_oscillator_trace_guard_exits_one(attr, mutant, message, capsys,
     assert err == f"assertion failure: spectrum trace guard: {message}\n"
 
 
+def _cap1_lap_entry(parts):
+    """``parts`` plus a lap entry at cap 1, where lap must be empty."""
+    def sector_parts(op, sec):
+        lap, flow = parts(op, sec)
+        if sec.cap == 1:
+            k = len(sec.monomials)
+            lap = lap + SparseMat(k, k, {(0, 1): Fraction(1)})
+        return lap, flow
+    return sector_parts
+
+
 def _t_squared_term(build):
-    """``build`` plus T^2 in row 2^m, the first degree-1 row, and in the
-    column of the same index if there is one (L) or else column 0 (D)."""
-    def mutant(op, *caps):
-        mat = build(op, *caps)
-        n = 1 << op.m
-        col = n if mat.cols > n else 0
-        return mat + SparseMat(mat.rows, mat.cols, {(n, col): op.T ** 2})
+    """``build`` plus T^2 in row 2^m, the first degree-1 row, column 0."""
+    def mutant(op, cap_in, cap_out, t):
+        mat = build(op, cap_in, cap_out, t)
+        return mat + SparseMat(mat.rows, mat.cols, {(1 << op.m, 0): t ** 2})
     return mutant
 
 
-@pytest.mark.parametrize("attr", ["sector_matrix_L", "sector_matrix_D"])
-def test_oscillator_eta_homogeneity_exits_one(attr, capsys, monkeypatch):
+# The cap-1 L is checked on the parts that sector_matrix_L builds it from,
+# so its mutant changes those parts.
+@pytest.mark.parametrize("attr, mutant, want", [
+    pytest.param("_sector_parts", _cap1_lap_entry,
+                 "L is not T (flow tensor 1 + 1 tensor L2)",
+                 id="sector_matrix_L"),
+    pytest.param("sector_matrix_D", _t_squared_term,
+                 "D is not T sum_j x_j (chat(A e_j) - c(S e_j))",
+                 id="sector_matrix_D")])
+def test_oscillator_eta_homogeneity_exits_one(attr, mutant, want, capsys,
+                                              monkeypatch):
     # C1^2 is solved once because the cap-1 operators are exactly T times
-    # fixed ones, checked against their closed forms; a T^2 term in either
-    # must exit 1, not change C1.
+    # fixed ones, checked against their closed forms; a wrong term in
+    # either must exit 1, not change C1.
     monkeypatch.setattr(cliffordlab, attr,
-                        _t_squared_term(getattr(cliffordlab, attr)))
+                        mutant(getattr(cliffordlab, attr)))
     code, out, err = run(capsys, "oscillator", "--matrix",
                          str(SAMPLES / "matrix_diag_1234.txt"))
     assert code == 1
     assert out == ""
-    want = {"sector_matrix_L": "L is not T (flow tensor 1 + 1 tensor L2)",
-            "sector_matrix_D": "D is not T sum_j x_j (chat(A e_j) - "
-                               "c(S e_j))"}
-    assert err == f"assertion failure: eta check: the cap-1 {want[attr]}\n"
+    assert err == f"assertion failure: eta check: the cap-1 {want}\n"
 
 
 def test_internal_invariant_breach_exits_one(capsys, monkeypatch):

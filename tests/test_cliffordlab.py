@@ -19,6 +19,7 @@ from symsemi.cliffordlab import (
     MODEL_DIM_LIMIT,
     NoRationalRoot,
     NotUnit,
+    SECTOR_LIMIT,
     Sector,
     Singular,
     TruncationTooSmall,
@@ -167,14 +168,14 @@ def test_dimension_limits():
     with pytest.raises(BadDimension, match="exceeds the limit 12"):
         verify_complex_structure([1] + [0] * CLIFFORD_DIM_LIMIT)
     with pytest.raises(BadDimension, match="exceeds the limit 8"):
-        model_L(EYE12, 1, "exact")
+        model_L(EYE12, "exact")
 
 
 def test_model_limit_holds_in_float_mode():
     # The model's cost grows like 4^m in either arithmetic, so it refuses
     # m = 12 up front in float mode too.
     with pytest.raises(BadDimension, match="exceeds the limit 8"):
-        model_L(EYE12, 1, "float")
+        model_L(EYE12, "float")
 
 
 def test_complex_structure_canonical_vector():
@@ -344,7 +345,7 @@ def test_max_entry_merges_terms_on_different_permutations():
 
 
 def test_model_operator_diag_1234():
-    op = model_L([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]], 1)
+    op = model_L([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
     assert op.mode == "exact"
     assert op.det_sign == 1
     assert op.trace_sqrt() == 10
@@ -353,22 +354,20 @@ def test_model_operator_diag_1234():
 
 def test_model_rejects_bad_inputs():
     with pytest.raises(Singular):
-        model_L([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1)
+        model_L([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(BadDimension):
-        model_L([[1 if i == j else 0 for j in range(6)] for i in range(6)], 1)
+        model_L([[1 if i == j else 0 for j in range(6)] for i in range(6)])
     with pytest.raises(ValueError):
-        model_L(EYE4, 0)
-    with pytest.raises(ValueError):
-        model_L(EYE4, 1, "sideways")
+        model_L(EYE4, "sideways")
 
 
 def test_model_exact_mode_needs_rational_root():
     import numpy as np
 
     with pytest.raises(NoRationalRoot):
-        model_L(SHEAR, 1, "exact")
+        model_L(SHEAR, "exact")
     # Float mode happily approximates the same matrix.
-    op = model_L(SHEAR, 1, "float")
+    op = model_L(SHEAR, "float")
     assert op.mode == "float"
     s = np.array(op.sqrt_gram.to_rows(), dtype=float)
     a = np.array(op.a.to_rows(), dtype=float)
@@ -377,7 +376,7 @@ def test_model_exact_mode_needs_rational_root():
 
 def test_model_has_two_modes():
     with pytest.raises(ValueError, match="bad mode 'auto'"):
-        model_L(EYE4, 1, "auto")
+        model_L(EYE4, "auto")
 
 
 def repeated_singular_value_matrix(sign):
@@ -401,7 +400,7 @@ def test_model_sqrt_gram_validation():
     gram = a.transpose() @ a
     sigma, w = cl._rational_eigenbasis(gram)
     assert sigma == [Fraction(1), Fraction(3, 2), 2, 2]
-    op = model_L(a, 1, "exact")
+    op = model_L(a, "exact")
     assert op.sqrt_gram == op.sqrt_gram.transpose()
     assert op.sqrt_gram @ op.sqrt_gram == gram
     wrong = [sigma[0] + 1] + sigma[1:]
@@ -420,12 +419,12 @@ def test_a_repeated_singular_value_passes_exactly():
     # with float mode and with the Gaussian-norm definition.
     for sign in (1, -1):
         a = repeated_singular_value_matrix(sign)
-        op = model_L(a, 1, "exact")
+        op = model_L(a, "exact")
         assert kernel_and_parity(op) == (0 if sign > 0 else 1)
         assert spectrum_scaling(op, (1, 10, 100), cap=3).passed
-        verdict = eta_scaling(op, (1, 4, 16))
+        verdict = eta_scaling(op)
         assert verdict.passed and verdict.mode == "exact"
-        approx = eta_scaling(model_L(a, 1, "float"), (1, 4, 16))
+        approx = eta_scaling(model_L(a, "float"))
         assert abs(approx.c1_squared / verdict.c1_squared - 1) <= 1e-12
         assert old_definition_c1_squared(
             op, 4, gaussian_matching_oracle) == verdict.c1_squared
@@ -442,13 +441,13 @@ def flipped_involution(op):
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_a_broken_involution_breaks_the_l2_identity(mode):
-    op = model_L(random_model_matrix(4, Random(7), -1), 1, mode)
-    assert eta_scaling(op, (1, 4)).passed
-    broken = flipped_involution(op)
-    for check in (kernel_and_parity, lambda op: eta_scaling(op, (1, 4))):
-        with pytest.raises(UnexpectedKernel,
-                           match=r"L2 is not tr S \+ sum_k sigma_k J_k"):
-            check(broken)
+    # The model checks its L2 identity whenever it is built, ``replace``
+    # included, so no check ever runs on a broken J_k.
+    op = model_L(random_model_matrix(4, Random(7), -1), mode)
+    assert eta_scaling(op).passed
+    with pytest.raises(UnexpectedKernel,
+                       match=r"L2 is not tr S \+ sum_k sigma_k J_k"):
+        flipped_involution(op)
 
 
 def test_jacobi_matches_numpy_eigh():
@@ -474,7 +473,7 @@ def test_form_operator_matches_clifford_products():
         rng = Random(m)
         for sign in (1, -1, 1):
             a = random_model_matrix(m, rng, sign)
-            op = model_L(a, 1, "exact")
+            op = model_L(a, "exact")
             want = SparseMat.identity(1 << m).scale(op.trace_sqrt())
             cols = a.to_rows()
             for j in range(m):
@@ -485,13 +484,13 @@ def test_form_operator_matches_clifford_products():
 
 
 def test_kernel_and_parity_examples():
-    op = model_L(EYE4, 1)
+    op = model_L(EYE4)
     assert kernel_and_parity(op) == 0
     flipped = model_L([[-1, 0, 0, 0], [0, 1, 0, 0],
-                       [0, 0, 1, 0], [0, 0, 0, 1]], 1)
+                       [0, 0, 1, 0], [0, 0, 0, 1]])
     assert kernel_and_parity(flipped) == 1
     # A higher polynomial cap finds no additional kernel.
-    assert kernel_basis(sector_matrix_L(op, 1)).cols == 1
+    assert kernel_basis(sector_matrix_L(op, 1, 1)).cols == 1
 
 
 def test_kernel_and_parity_float_mode():
@@ -500,42 +499,38 @@ def test_kernel_and_parity_float_mode():
              for j in range(4)] for i in range(4)]
     for i in range(4):
         rows[i][i] = Fraction(rng.randint(1, 3))
-    op = model_L(rows, 1, "float")
+    op = model_L(rows, "float")
     assert op.det_sign == 1
     assert kernel_and_parity(op) == 0
 
 
-def broken_form_ops(op):
+def broken_form_ops():
     """Two corruptions of L2 on the 16 masks of m = 4: identity on masks
     2-15 only (a 2-dimensional kernel), and row 0 = e0 - e1 with row 1
     empty (a 1-dimensional kernel spanning the even mask 0 and the odd
     mask 1).  Neither is tr S + sum_k sigma_k J_k."""
     rest = {(i, i): Fraction(1) for i in range(2, 16)}
-    two_dim = SparseMat(16, 16, rest)
-    mixed = SparseMat(16, 16, {**rest, (0, 0): Fraction(1),
-                               (0, 1): Fraction(-1)})
-    message = r"L2 is not tr S \+ sum_k sigma_k J_k"
-    return ((op.replace(form_op=two_dim), message),
-            (op.replace(form_op=mixed), message))
+    return (SparseMat(16, 16, rest),
+            SparseMat(16, 16, {**rest, (0, 0): Fraction(1),
+                               (0, 1): Fraction(-1)}))
 
 
 def test_broken_kernels_raise_in_both_modes():
-    # The kernel check and the ground form of the eta correction share
-    # one kernel routine, whose L2 identity refuses either corruption in
-    # both modes.
-    for op in (model_L(EYE4, 1, "exact"), model_L(SHEAR, 1, "float")):
-        for broken, message in broken_form_ops(op):
-            with pytest.raises(UnexpectedKernel, match=message):
-                kernel_and_parity(broken)
-            with pytest.raises(UnexpectedKernel, match=message):
-                eta_scaling(broken, (1, 4, 16))
+    # The kernel and eta checks both rest on the L2 identity, which the
+    # model checks when it is built: it refuses either corruption in both
+    # modes before any check could run on it.
+    for op in (model_L(EYE4, "exact"), model_L(SHEAR, "float")):
+        for broken in broken_form_ops():
+            with pytest.raises(UnexpectedKernel,
+                               match=r"L2 is not tr S \+ sum_k sigma_k J_k"):
+                op.replace(form_op=broken)
 
 
 # -- spectrum and eta scaling --------------------------------------------
 
 
 def test_spectrum_scaling_identity_matrix():
-    verdict = spectrum_scaling(model_L(EYE4, 1, "exact"), (1, 10, 100),
+    verdict = spectrum_scaling(model_L(EYE4, "exact"), (1, 10, 100),
                                cap=2)
     assert verdict.passed
     assert verdict.mode == "exact"
@@ -547,13 +542,13 @@ def test_spectrum_scaling_identity_matrix():
 
 def test_spectrum_scaling_degenerate_diagonal():
     op = model_L([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
-                 1, "exact")
+                 "exact")
     verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
     assert verdict.passed and verdict.blocks_match
 
 
 def test_spectrum_scaling_input_guards():
-    op = model_L(EYE4, 1)
+    op = model_L(EYE4)
     with pytest.raises(ValueError):
         spectrum_scaling(op, (1, 10), cap=2)
     with pytest.raises(ValueError):
@@ -576,7 +571,7 @@ def test_spectrum_scaling_catches_a_coupling_in_a_diagonal_block(
         return lap + leak, flow
 
     monkeypatch.setattr(cl, "_sector_parts", leaky_lap)
-    for op in (model_L(EYE4, 1, "exact"), model_L(SHEAR, 1, "float")):
+    for op in (model_L(EYE4, "exact"), model_L(SHEAR, "float")):
         verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
         assert not verdict.passed
         assert verdict.structure_ok and not verdict.blocks_match
@@ -593,11 +588,11 @@ def dense_block_spectrum(op, cap, t):
     import numpy as np
 
     sec = Sector(op.m, cap)
-    mat = sector_matrix_L(op.replace(T=Fraction(t)), cap).scale(
-        Fraction(1, t))
+    mat = sector_matrix_L(op, cap, t).scale(Fraction(1, t))
     out = []
     for deg in range(cap + 1):
-        idx = [i for i in range(sec.size) if sec.degree_of(i) == deg]
+        idx = [i for i in range(sec.size)
+               if sum(sec.monomials[i >> op.m]) == deg]
         pos = {i: n for n, i in enumerate(idx)}
         inside = [(pos[r], pos[c], v) for (r, c), v in mat.entries.items()
                   if r in pos and c in pos]
@@ -641,19 +636,19 @@ def test_factored_spectrum_matches_the_dense_blocks():
     # The closed-form spectrum against the eigenvalues of the full degree
     # blocks, at a coupling T = 10 that the diagonal blocks must not see.
     rng = Random(41)
-    cases = [(model_L(random_model_matrix(4, rng, sign), 1, "exact"),
+    cases = [(model_L(random_model_matrix(4, rng, sign), "exact"),
               (2, 3, 4)) for sign in (1, -1)]
-    cases.append((model_L(SHEAR, 1, "float"), (2, 3, 4)))
+    cases.append((model_L(SHEAR, "float"), (2, 3, 4)))
     # The exact path of the CLI: a non-diagonal A whose S is diagonal.
     for sign in (1, -1):
-        op = model_L(rotated_diagonal(rng, sign), 1, "exact")
+        op = model_L(rotated_diagonal(rng, sign), "exact")
         assert any(r != c for (r, c) in op.a.entries)
         assert all(r == c for (r, c) in op.sqrt_gram.entries)
         assert op.det_sign == sign
         cases.append((op, (2, 3, 4, 5)))
     values = (2, Fraction(1, 2), 3, -1, 5, Fraction(3, 2), 7, 4)
     cases.append((model_L([[values[i] if i == j else 0 for j in range(8)]
-                           for i in range(8)], 1, "exact"), (2,)))
+                           for i in range(8)], "exact"), (2,)))
     for op, caps in cases:
         for cap in caps:
             got = spectrum_scaling(op, (1, 10, 100), cap=cap).spectrum
@@ -664,16 +659,21 @@ def test_factored_spectrum_matches_the_dense_blocks():
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_trace_guard_catches_a_changed_form_operator(mode):
+def test_trace_guard_catches_a_changed_form_operator(mode, monkeypatch):
     # The closed form never reads the assembled L2, so the trace guard
-    # must: one entry added off the diagonal, where its transpose is
-    # nonzero, changes tr L2^2 alone.
-    rng = Random(5)
-    op = model_L(rotated_diagonal(rng, -1), 1, mode)
+    # must.  ``_form_operator`` builds both L2 and the right side of its
+    # identity, so an entry it adds passes the model's own check; one
+    # added off the diagonal, where its transpose is nonzero, changes
+    # tr L2^2 alone.
+    a = rotated_diagonal(Random(5), -1)
+    op = model_L(a, mode)
     form = op.form_op.entries
     r, c = next(k for k in sorted(form) if k[0] != k[1] and k[::-1] in form)
-    bumped = op.replace(form_op=op.form_op + SparseMat(
-        16, 16, {(r, c): Fraction(1)}))
+    build = cl._form_operator
+    monkeypatch.setattr(cl, "_form_operator", lambda *args: build(
+        *args) + SparseMat(16, 16, {(r, c): Fraction(1)}))
+    bumped = model_L(a, mode)
+    assert bumped.form_op - op.form_op == SparseMat(16, 16, {(r, c): 1})
     assert spectrum_scaling(op, (1, 10, 100), cap=2).passed
     with pytest.raises(CheckFailure, match=r"trace guard: tr L2\^2 = "):
         spectrum_scaling(bumped, (1, 10, 100), cap=2)
@@ -685,7 +685,7 @@ def test_spectrum_scaling_in_dimension_eight():
     values = (2, Fraction(1, 2), 3, -1, 5, Fraction(3, 2), 7, 4)
     diag = [[values[i] if i == j else 0 for j in range(8)] for i in range(8)]
     a = random_model_matrix(8, Random(1), -1)
-    for op in (model_L(diag, 1, "exact"), model_L(a, 1, "exact")):
+    for op in (model_L(diag, "exact"), model_L(a, "exact")):
         verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
         assert verdict.passed and verdict.mode == "exact"
         assert len(verdict.spectrum) == Sector(8, 2).size
@@ -696,7 +696,7 @@ def test_spectrum_scaling_in_dimension_eight():
 
 
 def test_eta_scaling_identity_matrix():
-    verdict = eta_scaling(model_L(EYE4, 1, "exact"), (1, 4, 16))
+    verdict = eta_scaling(model_L(EYE4, "exact"))
     assert verdict.passed
     assert verdict.mode == "exact"
     assert verdict.c1_squared == Fraction(1, 8)
@@ -706,7 +706,7 @@ def test_eta_scaling_identity_matrix():
 
 
 def test_eta_scaling_float_mode():
-    verdict = eta_scaling(model_L(EYE4, 1, "float"), (1, 4, 16))
+    verdict = eta_scaling(model_L(EYE4, "float"))
     assert verdict.passed
     assert abs(verdict.c1 - 0.35355339059327373) <= 1e-6
 
@@ -717,10 +717,10 @@ def test_float_mode_matches_exact_mode_on_non_diagonal_gram():
     for sign in (1, -1):
         a = random_model_matrix(4, Random(11), sign)
         assert any(r != c for (r, c) in (a.transpose() @ a).entries)
-        exact_op = model_L(a, 1, "exact")
-        float_op = model_L(a, 1, "float")
-        exact = eta_scaling(exact_op, (1, 4, 16))
-        approx = eta_scaling(float_op, (1, 4, 16))
+        exact_op = model_L(a, "exact")
+        float_op = model_L(a, "float")
+        exact = eta_scaling(exact_op)
+        approx = eta_scaling(float_op)
         assert exact.passed and approx.passed and approx.mode == "float"
         want = float(exact.c1_squared)
         assert abs(approx.c1_squared - want) <= 1e-9 * want
@@ -737,19 +737,13 @@ def test_float_mode_matches_exact_mode_on_non_diagonal_gram():
                    zip(approx.spectrum, exact.spectrum)) <= 1e-9 * scale
 
 
-def test_eta_scaling_input_guards():
-    op = model_L(EYE4, 1)
-    with pytest.raises(ValueError):
-        eta_scaling(op, (5,))
-
-
 def test_eta_source_orthogonal_to_ground_state():
     # The skew form action applied to the ground form is orthogonal to it,
     # for random coefficient matrices of both determinant signs.
     rng = Random(19)
     skew = omega_skew(4)
     for trial in range(20):
-        op = model_L(random_model_matrix(4, rng, 1 if trial % 2 else -1), 1)
+        op = model_L(random_model_matrix(4, rng, 1 if trial % 2 else -1))
         ker = kernel_basis(op.form_op)
         assert ker.cols == 1
         src = skew @ ker
@@ -761,21 +755,35 @@ def test_eta_source_orthogonal_to_ground_state():
 # -- sector machinery -----------------------------------------------------
 
 
+def test_sector_budget_is_checked_before_assembly(monkeypatch):
+    # A sector holds C(m + cap, m) 2^m forms; one over SECTOR_LIMIT is
+    # refused from that count, before a monomial is listed.  At m = 8 the
+    # limit falls between caps 6 and 7.
+    assert SECTOR_LIMIT == 1 << 20
+    assert Sector(8, 6).size == 768768
+    with pytest.raises(BadDimension, match="holds 1647360 forms, over the "
+                                           "budget of 1048576"):
+        Sector(8, 7)
+    monkeypatch.setattr(cl, "SECTOR_LIMIT", 560)
+    assert Sector(4, 3).size == 560
+    with pytest.raises(BadDimension, match="holds 1120 forms"):
+        Sector(4, 4)
+
+
 def test_sector_bases_are_prefix_compatible():
     small = Sector(4, 1)
     large = Sector(4, 2)
     assert large.monomials[:len(small.monomials)] == small.monomials
-    assert small.degree_of((len(small.monomials) - 1) << 4) == 1
+    assert sum(small.monomials[-1]) == 1
 
 
 def test_dirac_squares_to_laplacian():
-    a = random_model_matrix(4, Random(5), -1)
+    op = model_L(random_model_matrix(4, Random(5), -1), "exact")
     size = Sector(4, 2).size
     # At T = 1 a coupling factor on the wrong sector part goes unnoticed.
     for t in (1, Fraction(7, 3), 10):
-        op = model_L(a, t, "exact")
-        comp = sector_matrix_D(op, 3, 4) @ sector_matrix_D(op, 2, 3)
-        lap = sector_matrix_L(op, 2)
+        comp = sector_matrix_D(op, 3, 4, t) @ sector_matrix_D(op, 2, 3, t)
+        lap = sector_matrix_L(op, 2, t)
         # The composite never escapes the degree <= 2 block ...
         assert all(r < size for (r, _) in comp.entries)
         # ... and agrees with the second-order operator there, exactly.
@@ -784,15 +792,15 @@ def test_dirac_squares_to_laplacian():
 
 
 def test_dirac_annihilates_ground_state():
-    op = model_L(random_model_matrix(4, Random(5), -1), 1, "exact")
+    op = model_L(random_model_matrix(4, Random(5), -1), "exact")
     delta = kernel_basis(op.form_op)
-    assert (sector_matrix_D(op, 0, 1) @ delta).is_zero()
+    assert (sector_matrix_D(op, 0, 1, 1) @ delta).is_zero()
 
 
 def test_dirac_truncation_guard():
-    op = model_L(EYE4, 1)
+    op = model_L(EYE4)
     with pytest.raises(TruncationTooSmall):
-        sector_matrix_D(op, 0, 0)
+        sector_matrix_D(op, 0, 0, 1)
 
 
 def old_definition_c1_squared(op, t, moment):
@@ -801,14 +809,14 @@ def old_definition_c1_squared(op, t, moment):
     its part Gaussian-orthogonal to the ground state delta_hat, and the
     Gram of the monomials under the weight exp(-t x^t S x) taken from
     ``moment(covariance, alpha)``."""
-    op = op.replace(T=Fraction(t))
     sec = Sector(op.m, 1)
     n = 1 << op.m
     delta = kernel_basis(op.form_op)
-    rhs = sector_matrix_D(op, 0, 1) @ (omega_skew(op.m) @ delta)
-    y = SparseMat.column(dense_solve(dense_from_sparse(sector_matrix_L(op, 1)),
-                                     [rhs.get(r, 0) for r in range(rhs.rows)]))
-    cov = dense_inverse(dense_from_sparse(op.sqrt_gram.scale(2 * op.T)))
+    rhs = sector_matrix_D(op, 0, 1, t) @ (omega_skew(op.m) @ delta)
+    y = SparseMat.column(dense_solve(
+        dense_from_sparse(sector_matrix_L(op, 1, t)),
+        [rhs.get(r, 0) for r in range(rhs.rows)]))
+    cov = dense_inverse(dense_from_sparse(op.sqrt_gram.scale(2 * t)))
     gram = [[Fraction(str(moment(cov, tuple(x + z for x, z in zip(a, b)))))
              for b in sec.monomials] for a in sec.monomials]
 
@@ -822,7 +830,7 @@ def old_definition_c1_squared(op, t, moment):
     proj = inner(sol, ground) / norm
     eta = {r: sol.get(r, 0) - proj * ground.get(r, 0)
            for r in sol.keys() | ground.keys()}
-    return op.T * inner(eta, eta) / norm
+    return t * inner(eta, eta) / norm
 
 
 def test_c1_squared_matches_the_gaussian_norm_definition():
@@ -830,11 +838,11 @@ def test_c1_squared_matches_the_gaussian_norm_definition():
     # replaces, with moments from the two Gaussian oracles.  Symbolic
     # integration costs about 0.2 s a moment, so it covers A = I at T = 1
     # and Wick pairings cover every case at T = 1, 4 and 16.
-    ops = [model_L(EYE4, 1, "exact")]
+    ops = [model_L(EYE4, "exact")]
     for sign in (1, -1):
-        ops.append(model_L(random_model_matrix(4, Random(11), sign), 1))
+        ops.append(model_L(random_model_matrix(4, Random(11), sign)))
         assert any(r != c for (r, c) in ops[-1].sqrt_gram.entries)
-    want = [eta_scaling(op, (1, 4, 16)).c1_squared for op in ops]
+    want = [eta_scaling(op).c1_squared for op in ops]
     assert want[0] == Fraction(1, 8)
     assert old_definition_c1_squared(ops[0], 1, gaussian_moment_oracle) \
         == want[0]
@@ -845,38 +853,60 @@ def test_c1_squared_matches_the_gaussian_norm_definition():
 
 
 def cap1_mutants():
-    """(name, mutant, message) triples: a T^2 term added at cap 1, in
-    L_hat or in D_hat, on a degree-1 diagonal entry; then T-linear terms
-    that break the degree structure alone, an entry of L_hat across
-    degrees and a degree-0 row of D_hat.  The one exact comparison with
-    the closed forms catches each."""
-    def bump(name, entry, message):
-        original = getattr(cl, name)
+    """(name, mutant, message) triples that break the cap-1 sector eta
+    relies on.  In ``_sector_parts`` at cap 1: a lap entry, an entry of
+    flow off its diagonal (zero there for A = I) and one across degrees.
+    In ``sector_matrix_D``: a T^2 term on a degree-1 row and a T-linear
+    term on the degree-0 row, both seen at the T = 1 of the check.  The
+    exact comparisons with the closed forms catch each."""
+    parts, build_d = cl._sector_parts, cl.sector_matrix_D
+    wrong_l = (r"eta check: the cap-1 L is not "
+               r"T \(flow tensor 1 \+ 1 tensor L2\)")
+    wrong_d = r"eta check: the cap-1 D is not T sum_j x_j"
 
-        def mutant(op, *caps):
-            mat = original(op, *caps)
+    def bump_parts(part, r, c):
+        def mutant(op, sec):
+            pair = list(parts(op, sec))
+            if sec.cap == 1:
+                k = len(sec.monomials)
+                pair[part] += SparseMat(k, k, {(r, c): Fraction(1)})
+            return tuple(pair)
+        return "_sector_parts", mutant, wrong_l
+
+    def bump_d(entry):
+        def mutant(op, cap_in, cap_out, t):
+            mat = build_d(op, cap_in, cap_out, t)
             r, c, power = entry(1 << op.m)
-            return mat + SparseMat(mat.rows, mat.cols,
-                                   {(r, c): op.T ** power})
-        return name, mutant, "eta check: the cap-1 " + message
+            return mat + SparseMat(mat.rows, mat.cols, {(r, c): t ** power})
+        return "sector_matrix_D", mutant, wrong_d
 
-    wrong_l = r"L is not T \(flow tensor 1 \+ 1 tensor L2\)"
-    wrong_d = r"D is not T sum_j x_j"
-    return [bump("sector_matrix_L", lambda n: (n, n, 2), wrong_l),
-            bump("sector_matrix_D", lambda n: (n, 0, 2), wrong_d),
-            bump("sector_matrix_L", lambda n: (0, n, 1), wrong_l),
-            bump("sector_matrix_D", lambda n: (0, 0, 1), wrong_d)]
+    return [bump_parts(0, 0, 1), bump_parts(1, 1, 2), bump_parts(1, 0, 1),
+            bump_d(lambda n: (n, 0, 2)), bump_d(lambda n: (0, 0, 1))]
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_eta_homogeneity_is_asserted(mode, monkeypatch):
-    op = model_L(EYE4 if mode == "exact" else SHEAR, 1, mode)
-    assert eta_scaling(op, (1, 4, 16)).passed
+    op = model_L(EYE4 if mode == "exact" else SHEAR, mode)
+    assert eta_scaling(op).passed
     for name, mutant, message in cap1_mutants():
         with monkeypatch.context() as patch:
             patch.setattr(cl, name, mutant)
             with pytest.raises(CheckFailure, match=message):
-                eta_scaling(op, (1, 4, 16))
+                eta_scaling(op)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_sector_builders_are_affine_in_T(mode):
+    # eta checks the cap-1 L on its T-free parts and the cap-1 D at T = 1;
+    # that certifies every T only because both builders are affine in T:
+    # equal steps in T give equal, nonzero steps in the matrix.
+    op = model_L(random_model_matrix(4, Random(13), -1), mode)
+    assert any(r != c for (r, c) in op.a.entries)
+    for build in (lambda t: sector_matrix_L(op, 2, t),
+                  lambda t: sector_matrix_D(op, 1, 2, t)):
+        one, two, three = map(build, (1, 2, 3))
+        assert not (two - one).is_zero()
+        assert three - two == two - one
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -884,22 +914,42 @@ def test_random_8x8_model_passes_exactly(sign):
     # A^t A is a full 8 x 8 matrix with one repeated singular value; every
     # check runs exact, with no elimination on the 256 x 256 L2.
     a = random_model_matrix(8, Random(1), sign)
-    op = model_L(a, 1, "exact")
+    op = model_L(a, "exact")
     assert any(r != c for (r, c) in op.sqrt_gram.entries)
     assert kernel_and_parity(op) == (0 if sign > 0 else 1)
     assert spectrum_scaling(op, (1, 10, 100), cap=2).passed
-    verdict = eta_scaling(op, (1, 4, 16))
+    verdict = eta_scaling(op)
     assert verdict.passed and verdict.mode == "exact"
     assert abs(float(verdict.c1_squared) - (0.04380150457583586 if sign > 0
                                             else 0.036750805240422985)) \
         <= 1e-15
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_random_8x8_model_passes_in_float_mode(sign):
+    # Float mode at the model limit on a full A^t A: the parity of exact
+    # mode, and its spectrum and C1^2 to within rounding.
+    a = random_model_matrix(8, Random(1), sign)
+    exact_op, float_op = model_L(a, "exact"), model_L(a, "float")
+    assert kernel_and_parity(float_op) == kernel_and_parity(exact_op) \
+        == (0 if sign > 0 else 1)
+    exact = spectrum_scaling(exact_op, (1, 10, 100), cap=2)
+    approx = spectrum_scaling(float_op, (1, 10, 100), cap=2)
+    assert approx.passed and approx.mode == "float"
+    assert len(approx.spectrum) == len(exact.spectrum)
+    assert max(abs(x - y) for x, y in
+               zip(approx.spectrum, exact.spectrum)) <= 1e-9
+    want = eta_scaling(exact_op).c1_squared
+    verdict = eta_scaling(float_op)
+    assert verdict.passed and verdict.mode == "float"
+    assert abs(verdict.c1_squared - want) <= 1e-12 * want
+
+
 def test_float_eta_at_the_model_limit():
     rows = load_matrix_rows(str(SAMPLES / "matrix_diag_8.txt"))
-    assert eta_scaling(model_L(rows, 1, "exact"), (1, 4, 16)).c1_squared \
+    assert eta_scaling(model_L(rows, "exact")).c1_squared \
         == Fraction(61, 770)
-    verdict = eta_scaling(model_L(rows, 1, "float"), (1, 4, 16))
+    verdict = eta_scaling(model_L(rows, "float"))
     assert verdict.passed and verdict.mode == "float"
     assert abs(verdict.c1_squared - 61 / 770) <= 1e-12
 
@@ -923,7 +973,7 @@ def test_random_model_matrix_contract():
     rng = Random(29)
     for sign in (1, -1):
         a = random_model_matrix(4, rng, sign)
-        op = model_L(a, 1, "exact")
+        op = model_L(a, "exact")
         assert op.det_sign == sign
         s = op.sqrt_gram
         assert s == s.transpose()
