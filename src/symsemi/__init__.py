@@ -21,9 +21,9 @@ _SOURCES = {
     "models": ("CDGAModel", "Element", "ce_complex", "tensor_product",
                "multiplication_matrix", "check_symplectic", "builtin"),
     "census": ("Zero", "ZeroCensus", "counting_check", "euler_cross_check"),
-    "cliffordlab": ("clifford", "hodge_star", "dvol_action", "verify_car",
-                    "verify_volume_star", "verify_volume_omega",
-                    "verify_complex_structure", "model_L",
+    "exterior": ("verify_car", "verify_volume_star", "verify_volume_omega",
+                 "verify_complex_structure"),
+    "cliffordlab": ("clifford", "hodge_star", "dvol_action", "model_L",
                     "kernel_and_parity", "spectrum_scaling", "eta_scaling"),
     "modelio": ("load_model", "load_census", "load_matrix_rows"),
 }

@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 assertion, invariant or verdict failure (never a
 traceback), 2 invalid input.  Only ``InputError`` (see ``errors``) and
 ``OSError`` exit 2; any other ``ValueError`` or ``RuntimeError`` is a
 broken internal invariant and exits 1.  Each subcommand imports the modules
-it runs, so ``--help`` loads no engine module and ``compute``/``verify``
-never load the Clifford and oscillator code.
+it runs, so ``--help`` loads no engine module, ``compute``/``verify``
+never load the Clifford and oscillator code, and ``clifford`` loads the
+exterior algebra (``exterior``) but no oscillator or ``qlinalg`` code.
 The arithmetic mode comes from ``--mode`` alone ("exact" by default).  It
 matters only to ``oscillator``: the Clifford checks are always exact, and
 ``clifford`` echoes the mode in its report.
@@ -155,10 +156,9 @@ def cmd_clifford(args) -> int:
     from fractions import Fraction
     from random import Random
 
-    from .cliffordlab import (CLIFFORD_DIM_LIMIT,
-                              random_rational_unit_vector, verify_car,
-                              verify_complex_structure, verify_volume_omega,
-                              verify_volume_star)
+    from .exterior import (CLIFFORD_DIM_LIMIT, random_rational_unit_vector,
+                           verify_car, verify_complex_structure,
+                           verify_volume_omega, verify_volume_star)
     from .report import CliffordReport
 
     start = perf_counter()

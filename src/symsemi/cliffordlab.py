@@ -1,32 +1,12 @@
-"""Clifford actions on the exterior algebra and the finite oscillator model.
+"""Clifford actions as sparse matrices and the finite oscillator model.
 
-Basis conventions
------------------
-The exterior algebra of R^m is spanned by subsets of {0..m-1}, encoded as
-bitmasks and ordered by increasing mask, so index 0 is the empty product and
-index 2^m - 1 the volume form.  Wedging by e_i and contracting by e_i both
-carry the sign (-1)^(number of set bits below i).  The two Clifford actions
-of a covector v are
-
-    chat(v) = v wedge + v contract        (squares to +|v|^2)
-    c(v)    = v wedge - v contract        (squares to -|v|^2)
-
-``dvol_action`` is the composite chat(e_1) ... chat(e_m) in index order
-(rightmost factor applied first), and omega refers to the standard 2-form
-e^1^e^2 + e^3^e^4 + ... in coordinate order (x1, y1, x2, y2, ...).
-
-Every one of these operators is monomial: it sends each basis form to
-+-1 times one basis form, or kills it.  Internally such an operator is a
-pair of int tuples, a permutation of the masks and a sign per mask (0 for
-a killed form), so composing two is one gather over the 2^m masks.  The
-identity checks run on this representation in exact arithmetic only, and
-pass only when every residual is exactly zero: anticommutators compare two
-composites; omega wedge and contraction are sums of m/2 such terms;
-chat(v) for a general v is the sum of the v_i chat(e_i), so chat(v)^2 is a
-sum of m^2 composites, whose integer signs are summed per permutation
-before the rational weights v_i v_j enter.  They accept dimensions up to
-``CLIFFORD_DIM_LIMIT``.  The public builders return the same operators as
-``SparseMat`` matrices for the oscillator model and for callers.
+The exterior algebra, its monomial operators and the four Clifford
+identity checks live in ``exterior``, which loads no matrix code; see its
+docstring for the basis conventions.  This module turns those operators
+into ``SparseMat`` matrices (``clifford``, ``hodge_star``, ``dvol_action``,
+``omega_wedge``, ``omega_skew``) for the oscillator model and for callers.
+It re-exports the ``verify_*`` checks as well, because the benchmark's
+layer spans look them up under this module's name.
 
 The oscillator model replaces the deformed de Rham operator by polynomial
 coefficients times constant forms.  Conjugated by the Gaussian ground state
@@ -54,23 +34,21 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CheckFailure, InputError
+from .exterior import (BadDimension, _check_dim, _compose, _dvol, _generator,
+                       _identity, _Mono, _omega_terms, _rotated_columns,
+                       _star, _transpose)
+# Re-exported: the benchmark's layer spans find the identity checks here.
+from .exterior import (verify_car, verify_complex_structure,  # noqa: F401
+                       verify_volume_omega, verify_volume_star)
 from .qlinalg import SparseMat, det, kernel_basis
 from .record import Record
 
 
 class DimensionMismatch(ValueError):
     """Vector length does not match the operator dimension."""
-
-
-class BadDimension(InputError):
-    """Dimension not a multiple of 4, or beyond the supported range."""
-
-
-class NotUnit(InputError):
-    """A unit vector was required."""
 
 
 class Singular(InputError):
@@ -89,12 +67,10 @@ class UnexpectedKernel(CheckFailure):
     """A check behind the 1-dimensional model kernel failed."""
 
 
-# The largest m for each operator family.  The Clifford checks act on
-# 2^m x 2^m monomial operators.  The model's work grows like 4^m: L2 and
-# the right side of its identity have about m^2/2 rational entries in each
-# of 2^m columns, and eta builds 2^m joint eigenvectors of 2^m entries:
-# about a second for a random 8 x 8 A, far more at m = 12.
-CLIFFORD_DIM_LIMIT = 12
+# The largest m of the model.  Its work grows like 4^m: L2 and the right
+# side of its identity have about m^2/2 rational entries in each of 2^m
+# columns, and eta builds 2^m joint eigenvectors of 2^m entries: about a
+# second for a random 8 x 8 A, far more at m = 12.
 MODEL_DIM_LIMIT = 8
 # The largest sector, in forms: C(m + cap, m) 2^m of them, one float each
 # in ``_block_spectrum``.
@@ -106,99 +82,6 @@ _FLOAT_CUT = 1e-9
 # up to this, then checks them exactly.
 _SIGMA_DENOMINATOR = 10 ** 6
 _JACOBI_SWEEPS = 60
-
-
-def _check_dim(m: int, limit: int, multiple_of_four: bool = True):
-    if m < 1:
-        raise BadDimension("dimension must be positive")
-    if multiple_of_four and m % 4:
-        raise BadDimension(f"dimension {m} is not a multiple of 4")
-    if m > limit:
-        raise BadDimension(f"dimension {m} exceeds the limit {limit}")
-
-
-# -- exterior-algebra operators ------------------------------------------
-
-
-class _Mono(NamedTuple):
-    """Monomial operator on the exterior algebra of R^m: the basis form of
-    mask s goes to sign[s] times the basis form of mask perm[s].  perm is a
-    bijection of the 2^m masks; sign[s] = 0 marks a form the operator kills,
-    so wedges and contractions are monomials too (partial signed
-    permutations)."""
-
-    perm: tuple[int, ...]
-    sign: tuple[int, ...]
-
-
-def _generator(m: int, i: int, wedge: int, contract: int) -> _Mono:
-    """wedge * (e_i wedge) + contract * (e_i contract).  Both flip bit i and
-    carry (-1)^(number of set bits below i); the wedge acts where bit i is
-    clear, the contraction where it is set.  Every operator of this module
-    takes its signs from here."""
-    bit = 1 << i
-    below = bit - 1
-    masks = range(1 << m)
-    return _Mono(tuple(s ^ bit for s in masks),
-                 tuple((contract if s & bit else wedge)
-                       * (-1 if (s & below).bit_count() & 1 else 1)
-                       for s in masks))
-
-
-def _identity(m: int) -> _Mono:
-    return _Mono(tuple(range(1 << m)), (1,) * (1 << m))
-
-
-def _compose(a: _Mono, b: _Mono) -> _Mono:
-    """a after b, as one gather over the columns."""
-    return _Mono(tuple([a.perm[p] for p in b.perm]),
-                 tuple([a.sign[p] * x for p, x in zip(b.perm, b.sign)]))
-
-
-def _transpose(a: _Mono) -> _Mono:
-    perm = [0] * len(a.perm)
-    sign = [0] * len(a.perm)
-    for s, (p, x) in enumerate(zip(a.perm, a.sign)):
-        perm[p] = s
-        sign[p] = x
-    return _Mono(tuple(perm), tuple(sign))
-
-
-def _star(m: int) -> _Mono:
-    """The Hodge star of ``hodge_star``."""
-    full = (1 << m) - 1
-    perm, sign = [], []
-    for s in range(1 << m):
-        comp = full ^ s
-        inv = sum((comp & ((1 << i) - 1)).bit_count()
-                  for i in range(m) if s >> i & 1)
-        perm.append(comp)
-        sign.append(-1 if inv % 2 else 1)
-    return _Mono(tuple(perm), tuple(sign))
-
-
-def _dvol(m: int) -> _Mono:
-    """chat(e_1) ... chat(e_m), rightmost factor applied first."""
-    out = _identity(m)
-    for i in range(m):
-        out = _compose(out, _generator(m, i, 1, 1))
-    return out
-
-
-def _omega_terms(m: int) -> list[_Mono]:
-    """The m/2 terms (e_(2k) wedge)(e_(2k+1) wedge) of the standard 2-form."""
-    if m % 2:
-        raise BadDimension("the standard 2-form needs an even dimension")
-    return [_compose(_generator(m, i, 1, 0), _generator(m, i + 1, 1, 0))
-            for i in range(0, m, 2)]
-
-
-def _chat_square(vals: Sequence[Fraction]) -> list[tuple[Fraction, _Mono]]:
-    """chat(v)^2 = sum_ij v_i v_j chat(e_i) chat(e_j), one term per pair."""
-    m = len(vals)
-    gens = [_generator(m, i, 1, 1) for i in range(m)]
-    return [(vals[i] * vals[j], _compose(gens[i], gens[j]))
-            for i in range(m) for j in range(m) if vals[i] and vals[j]]
 
 
 def _to_sparse(m: int, terms) -> SparseMat:
@@ -214,41 +97,6 @@ def _to_sparse(m: int, terms) -> SparseMat:
                 entries[(r, s)] = entries.get((r, s), 0) + k * x
     return SparseMat(1 << m, 1 << m, {key: Fraction(v, den)
                                       for key, v in entries.items()})
-
-
-def _max_entry(terms) -> Fraction:
-    """Largest |entry| of the sum of coeff * op over (coeff, op) in terms,
-    exactly.  The coefficients are brought to one denominator, and terms
-    that share a permutation and a coefficient have their integer signs
-    summed before the one multiplication by that coefficient."""
-    terms = [(Fraction(c), op) for c, op in terms if c]
-    den = math.lcm(*(c.denominator for c, _ in terms))
-    signs: dict[tuple[int, ...], dict[int, list[int]]] = {}
-    for c, op in terms:
-        by_coeff = signs.setdefault(op.perm, {})
-        k = c.numerator * (den // c.denominator)
-        acc = by_coeff.get(k)
-        by_coeff[k] = list(op.sign) if acc is None else \
-            [a + x for a, x in zip(acc, op.sign)]
-    totals = {}
-    for perm, by_coeff in signs.items():
-        total = [0] * len(perm)
-        for k, acc in by_coeff.items():
-            if any(acc):
-                total = [t + k * a for t, a in zip(total, acc)]
-        if any(total):
-            totals[perm] = total
-    if len(totals) > 1:
-        # Different permutations can still meet in single entries.
-        entries: dict[tuple[int, int], int] = {}
-        for perm, total in totals.items():
-            for s, (r, x) in enumerate(zip(perm, total)):
-                if x:
-                    entries[(r, s)] = entries.get((r, s), 0) + x
-        values = entries.values()
-    else:
-        values = [x for total in totals.values() for x in total]
-    return Fraction(max(map(abs, values), default=0), den)
 
 
 def clifford(v: Sequence, kind: str) -> SparseMat:
@@ -289,100 +137,6 @@ def omega_skew(m: int) -> SparseMat:
     half = Fraction(1, 2)
     return _to_sparse(m, [term for w in _omega_terms(m)
                           for term in ((half, _transpose(w)), (-half, w))])
-
-
-# -- identity verdicts ---------------------------------------------------
-
-
-class IdentityVerdict(Record):
-    __slots__ = ("name", "m", "passed", "max_residual", "detail")
-    _defaults = {"detail": ""}
-
-
-def _verdict(name: str, m: int,
-             residuals: Iterable[tuple[str, Fraction]]) -> IdentityVerdict:
-    """Verdict from (label, largest |entry| of that identity's difference)
-    pairs; it passes only when every residual is exactly 0, and the
-    culprit is the first label with the largest residual."""
-    worst = Fraction(0)
-    culprit = ""
-    for label, residual in residuals:
-        if residual > worst:
-            worst, culprit = residual, label
-    detail = f"largest residual {float(worst):.3e} in {culprit}" \
-        if worst else ""
-    return IdentityVerdict(name, m, not worst, float(worst), detail)
-
-
-def verify_car(m: int) -> IdentityVerdict:
-    """Canonical anticommutation relations of the two Clifford actions:
-    {chat_i, chat_j} = 2 delta_ij, {c_i, c_j} = -2 delta_ij, mixed pairs
-    anticommute to zero."""
-    _check_dim(m, CLIFFORD_DIM_LIMIT, multiple_of_four=False)
-    one = _identity(m)
-    chat = [_generator(m, i, 1, 1) for i in range(m)]
-    cc = [_generator(m, i, 1, -1) for i in range(m)]
-
-    def anticommutator(a: _Mono, b: _Mono, want: int) -> Fraction:
-        return _max_entry([(1, _compose(a, b)), (1, _compose(b, a)),
-                           (-want, one)])
-
-    def residuals():
-        for i in range(m):
-            for j in range(i, m):
-                delta = 2 if i == j else 0
-                yield (f"chat anticommutator ({i},{j})",
-                       anticommutator(chat[i], chat[j], delta))
-                yield (f"c anticommutator ({i},{j})",
-                       anticommutator(cc[i], cc[j], -delta))
-        for i in range(m):
-            for j in range(m):
-                yield (f"mixed anticommutator ({i},{j})",
-                       anticommutator(cc[i], chat[j], 0))
-
-    return _verdict("car", m, residuals())
-
-
-def verify_volume_star(m: int) -> IdentityVerdict:
-    """chat(dvol) acts on k-forms as (-1)^(k(k+1)/2) star, and is its own
-    transpose."""
-    _check_dim(m, CLIFFORD_DIM_LIMIT)
-    vol = _dvol(m)
-    star = _star(m)
-    # (-1)^(k(k+1)/2) is -1 exactly when the degree k is 1 or 2 mod 4.
-    signed = _Mono(star.perm, tuple(-x if s.bit_count() % 4 in (1, 2) else x
-                                    for s, x in enumerate(star.sign)))
-    residuals = [("chat(dvol) vs signed star",
-                  _max_entry([(1, vol), (-1, signed)])),
-                 ("chat(dvol) symmetry",
-                  _max_entry([(1, vol), (-1, _transpose(vol))]))]
-    return _verdict("star", m, residuals)
-
-
-def verify_volume_omega(m: int) -> IdentityVerdict:
-    """chat(dvol) intertwines contraction and wedge by the standard 2-form:
-    chat(dvol) (omega contract) = - (omega wedge) chat(dvol)."""
-    _check_dim(m, CLIFFORD_DIM_LIMIT)
-    vol = _dvol(m)
-    terms = []
-    for w in _omega_terms(m):
-        terms += [(1, _compose(vol, _transpose(w))), (1, _compose(w, vol))]
-    return _verdict("omega", m, [("intertwining", _max_entry(terms))])
-
-
-def verify_complex_structure(v: Sequence) -> IdentityVerdict:
-    """The block operator J = [[0, -chat(v)], [chat(v), 0]] squares to -1
-    for a unit vector v (an almost-complex structure on the doubled space).
-    J^2 = diag(-chat(v)^2, -chat(v)^2), so J^2 + 1 is checked through
-    1 - chat(v)^2."""
-    m = len(v)
-    _check_dim(m, CLIFFORD_DIM_LIMIT, multiple_of_four=False)
-    vals = [Fraction(x) for x in v]
-    norm2 = sum(x * x for x in vals)
-    if norm2 != 1:
-        raise NotUnit(f"|v|^2 = {norm2} != 1")
-    terms = [(1, _identity(m))] + [(-c, op) for c, op in _chat_square(vals)]
-    return _verdict("complex-structure", m, [("J^2 + 1", _max_entry(terms))])
 
 
 # -- the finite oscillator model -----------------------------------------
@@ -967,7 +721,8 @@ def _check_cap1(op: ModelOperator):
     times fixed operators: lap has no entry and flow is x_b -> 2 sum_a S_ba
     x_a, so ``sector_matrix_L`` is T (flow tensor 1 + 1 tensor L2) at every
     T; the cap-0 to cap-1 ``sector_matrix_D`` at T = 1 is sum_j x_j
-    (chat(A e_j) - c(S e_j)), which that builder scales by T."""
+    (chat(A e_j) - c(S e_j)), which that builder scales by T, compared
+    entry by entry with a closed form of m^2 weighted generators."""
     m, sec = op.m, Sector(op.m, 1)
     # Degree-1 monomials are ordered by exponent tuple, not by variable.
     var = [mono.index(1) for mono in sec.monomials[1:]]
@@ -978,43 +733,23 @@ def _check_cap1(op: ModelOperator):
             for i in range(m) for k in range(m)}):
         raise CheckFailure("eta check: the cap-1 L is not "
                            "T (flow tensor 1 + 1 tensor L2)")
-    rows = [SparseMat.zeros(1 << m, 1 << m)] + [
-        clifford([row[j] for row in a_rows], "chat")
-        - clifford([row[j] for row in s_rows], "c") for j in var]
-    if sector_matrix_D(op, 0, 1, 1) != SparseMat.block([[r] for r in rows]):
+    want = {}
+    for k, j in enumerate(var, 1):
+        for i in range(m):
+            # A_ij chat(e_i) - S_ij c(e_i) is (A_ij - S_ij) times the wedge
+            # plus (A_ij + S_ij) times the contraction by e_i; the m terms
+            # of one block have different permutations and never meet.
+            a, s = a_rows[i][j], s_rows[i][j]
+            perm, sign = _generator(m, i, a - s, a + s)
+            want.update((((k << m) + r, c), y)
+                        for c, (r, y) in enumerate(zip(perm, sign)) if y)
+    got = sector_matrix_D(op, 0, 1, 1)
+    if got.shape != ((m + 1) << m, 1 << m) or got.entries != want:
         raise CheckFailure("eta check: the cap-1 D is not "
                            "T sum_j x_j (chat(A e_j) - c(S e_j))")
 
 
 # -- rational random sources ---------------------------------------------
-
-
-def _random_rotations(m: int, rng: Random):
-    """2m Givens rotations (i < j, c, s, d) by the angle with cosine c/d and
-    sine s/d, a Pythagorean triple, so that every entry stays rational."""
-    for _ in range(2 * m):
-        i, j = rng.sample(range(m), 2)
-        p = rng.randint(2, 5)
-        q = rng.randint(1, p - 1)
-        sin = 2 * p * q
-        if rng.random() < 0.5:
-            sin = -sin
-        yield min(i, j), max(i, j), p * p - q * q, sin, p * p + q * q
-
-
-def _rotated_columns(m: int, rng: Random, count: int) -> list[list]:
-    """The first ``count`` columns of the product of the
-    ``_random_rotations`` (each applied after the ones before), on integer
-    numerators over one running denominator."""
-    cols = [[int(i == k) for i in range(m)] for k in range(count)]
-    den = 1
-    for i, j, c, s, d in _random_rotations(m, rng):
-        for col in cols:
-            a, b = col[i], col[j]
-            col[:] = [x * d for x in col]
-            col[i], col[j] = c * a - s * b, s * a + c * b
-        den *= d
-    return [[Fraction(x, den) for x in col] for col in cols]
 
 
 def random_rational_orthogonal(m: int, rng: Random) -> SparseMat:
@@ -1023,11 +758,6 @@ def random_rational_orthogonal(m: int, rng: Random) -> SparseMat:
     cols = _rotated_columns(m, rng, m)
     return SparseMat(m, m, {(i, k): col[i] for k, col in enumerate(cols)
                             for i in range(m)})
-
-
-def random_rational_unit_vector(m: int, rng: Random) -> list[Fraction]:
-    """First column of random_rational_orthogonal(m, rng): exact norm 1."""
-    return _rotated_columns(m, rng, 1)[0]
 
 
 def random_model_matrix(m: int, rng: Random, det_sign: int = 1

@@ -14,13 +14,14 @@ from time import perf_counter
 
 from .census import Zero, ZeroCensus, counting_check, euler_cross_check
 from .cliffordlab import (Sector, eta_scaling, kernel_and_parity, model_L,
-                          random_model_matrix, random_rational_unit_vector,
-                          sector_matrix_D, sector_matrix_L, spectrum_scaling,
-                          verify_car, verify_complex_structure,
-                          verify_volume_omega, verify_volume_star)
+                          random_model_matrix, sector_matrix_D,
+                          sector_matrix_L, spectrum_scaling)
 from .complexes import (betti, cone, euler_characteristic,
                         harmonic_dimensions, semi_characteristic)
 from .errors import CheckFailure
+from .exterior import (random_rational_unit_vector, verify_car,
+                       verify_complex_structure, verify_volume_omega,
+                       verify_volume_star)
 from .models import (builtin, check_symplectic, model_cone_inputs,
                      multiplication_matrix, random_closed_two_form,
                      random_nilpotent_ce)

@@ -279,6 +279,48 @@ def car_oracle(m: int) -> bool:
     return True
 
 
+def mono_generator_oracle(m: int, i: int, wedge: int, contract: int):
+    """(perm, sign) of wedge * (e_i wedge) + contract * (e_i contract),
+    one mask at a time: the operators of ``symsemi.exterior`` as they were
+    built before their kernels ran on whole sequences."""
+    bit = 1 << i
+    below = bit - 1
+    masks = range(1 << m)
+    return (tuple(s ^ bit for s in masks),
+            tuple((contract if s & bit else wedge)
+                  * (-1 if (s & below).bit_count() & 1 else 1)
+                  for s in masks))
+
+
+def mono_compose_oracle(a, b):
+    """a after b for (perm, sign) pairs, mask by mask."""
+    return (tuple([a[0][p] for p in b[0]]),
+            tuple([a[1][p] * x for p, x in zip(b[0], b[1])]))
+
+
+def mono_transpose_oracle(a):
+    perm = [0] * len(a[0])
+    sign = [0] * len(a[0])
+    for s, (p, x) in enumerate(zip(a[0], a[1])):
+        perm[p] = s
+        sign[p] = x
+    return tuple(perm), tuple(sign)
+
+
+def mono_star_oracle(m: int):
+    """The Hodge star's (perm, sign), its sign counting, mask by mask, the
+    complement's bits below each set bit."""
+    full = (1 << m) - 1
+    perm, sign = [], []
+    for s in range(1 << m):
+        comp = full ^ s
+        inv = sum((comp & ((1 << i) - 1)).bit_count()
+                  for i in range(m) if s >> i & 1)
+        perm.append(comp)
+        sign.append(-1 if inv % 2 else 1)
+    return tuple(perm), tuple(sign)
+
+
 def star_sign_oracle(mask: int, m: int) -> int:
     """Sign of the permutation sorting [S, complement of S] via sympy."""
     from sympy.combinatorics import Permutation

@@ -455,7 +455,7 @@ def test_stray_value_error_is_an_internal_breach(capsys, monkeypatch):
     def broken_check(*args, **kwargs):
         raise ValueError("kind must be 'c' or 'chat', got 'x'")
 
-    monkeypatch.setattr("symsemi.cliffordlab.verify_car", broken_check)
+    monkeypatch.setattr("symsemi.exterior.verify_car", broken_check)
     code, out, err = run(capsys, "clifford", "--checks", "car")
     assert code == 1
     assert out == ""

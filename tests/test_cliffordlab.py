@@ -8,17 +8,15 @@ from random import Random
 import pytest
 
 from symsemi import cliffordlab as cl
+from symsemi import exterior as ex
 from symsemi.errors import CheckFailure
 from symsemi.modelio import load_matrix_rows
 from symsemi.qlinalg import SparseMat, kernel_basis
 from symsemi.report import spectrum_table
 from symsemi.cliffordlab import (
-    BadDimension,
-    CLIFFORD_DIM_LIMIT,
     DimensionMismatch,
     MODEL_DIM_LIMIT,
     NoRationalRoot,
-    NotUnit,
     SECTOR_LIMIT,
     Sector,
     Singular,
@@ -34,10 +32,15 @@ from symsemi.cliffordlab import (
     omega_wedge,
     random_model_matrix,
     random_rational_orthogonal,
-    random_rational_unit_vector,
     sector_matrix_D,
     sector_matrix_L,
     spectrum_scaling,
+)
+from symsemi.exterior import (
+    BadDimension,
+    CLIFFORD_DIM_LIMIT,
+    NotUnit,
+    random_rational_unit_vector,
     verify_car,
     verify_complex_structure,
     verify_volume_omega,
@@ -45,7 +48,9 @@ from symsemi.cliffordlab import (
 )
 from oracles import (car_oracle, dense_from_sparse, dense_inverse,
                      dense_solve, gaussian_matching_oracle,
-                     gaussian_moment_oracle, star_sign_oracle)
+                     gaussian_moment_oracle, mono_compose_oracle,
+                     mono_generator_oracle, mono_star_oracle,
+                     mono_transpose_oracle, star_sign_oracle)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 EYE4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -231,22 +236,22 @@ def test_signed_permutations_match_sparse_products():
         for i in range(m):
             for wedge, contract, kind in ((1, 1, "chat"), (1, -1, "c")):
                 ref = ref_chat(m, i, kind)
-                op = cl._generator(m, i, wedge, contract)
+                op = ex._generator(m, i, wedge, contract)
                 assert cl._to_sparse(m, [(1, op)]) == ref
                 assert clifford(basis_vector(m, i), kind) == ref
         vol = ref_dvol(m)
-        assert cl._to_sparse(m, [(1, cl._dvol(m))]) == vol
+        assert cl._to_sparse(m, [(1, ex._dvol(m))]) == vol
         assert dvol_action(m) == vol
         form = SparseMat.zeros(1 << m, 1 << m)
         for i in range(0, m, 2):
             form = form + ref_wedge(m, i) @ ref_wedge(m, i + 1)
-        assert cl._to_sparse(m, [(1, w) for w in cl._omega_terms(m)]) == form
+        assert cl._to_sparse(m, [(1, w) for w in ex._omega_terms(m)]) == form
         assert omega_wedge(m) == form
         v = random_rational_unit_vector(m, Random(m))
         ch = SparseMat.zeros(1 << m, 1 << m)
         for i, x in enumerate(v):
             ch = ch + ref_chat(m, i).scale(x)
-        assert cl._to_sparse(m, cl._chat_square(v)) == ch @ ch
+        assert cl._to_sparse(m, ex._chat_square(v)) == ch @ ch
         assert ch @ ch == SparseMat.identity(1 << m)
 
 
@@ -308,23 +313,26 @@ def engine_verdicts(m, v):
 
 
 def test_verdicts_match_sparse_products_with_a_flipped_sign(monkeypatch):
-    generator = cl._generator
+    generator = ex._generator
 
     def flipped(m, i, wedge, contract):
         # One sign of e_2 wedge (and so of chat(e_2) and c(e_2)) is wrong.
         op = generator(m, i, wedge, contract)
         if i != 1:
             return op
-        return cl._Mono(op.perm, (-op.sign[0],) + op.sign[1:])
+        return ex._Mono(op.perm, (-op.sign[0],) + op.sign[1:])
 
     for m in (4, 8):
         v = [Fraction(3, 5), Fraction(4, 5)] + [0] * (m - 2)
         for verdict in engine_verdicts(m, v).values():
             assert verdict.passed and verdict.max_residual == 0.0
-        monkeypatch.setattr(cl, "_generator", flipped)
-        want = sparse_verdicts(m, v)
-        got = engine_verdicts(m, v)
-        monkeypatch.setattr(cl, "_generator", generator)
+        # The checks run on exterior's generator, the sparse builders of
+        # cliffordlab on the name it imported from there.
+        with monkeypatch.context() as patch:
+            patch.setattr(ex, "_generator", flipped)
+            patch.setattr(cl, "_generator", flipped)
+            want = sparse_verdicts(m, v)
+            got = engine_verdicts(m, v)
         for name, (residual, culprit) in want.items():
             assert not got[name].passed
             assert got[name].max_residual == residual > 0
@@ -332,13 +340,39 @@ def test_verdicts_match_sparse_products_with_a_flipped_sign(monkeypatch):
                 f"largest residual {residual:.3e} in {culprit}"
 
 
+def random_mono(m, rng):
+    """A signed partial permutation of the 2^m masks, signs in {-1, 0, 1}."""
+    perm = list(range(1 << m))
+    rng.shuffle(perm)
+    return ex._Mono(tuple(perm), tuple(rng.choice((-1, 0, 1)) for _ in perm))
+
+
+def test_sequence_kernels_match_the_per_mask_oracles():
+    rng = Random(18)
+    for m in range(1, CLIFFORD_DIM_LIMIT + 1):
+        for i in range(m):
+            for wedge, contract in ((1, 1), (1, -1), (1, 0), (0, 1)):
+                assert tuple(ex._generator(m, i, wedge, contract)) == \
+                    mono_generator_oracle(m, i, wedge, contract)
+        assert tuple(ex._star(m)) == mono_star_oracle(m)
+        ops = [random_mono(m, rng) for _ in range(2)] + [
+            ex._generator(m, rng.randrange(m), *rng.choice(
+                ((1, 1), (1, -1), (1, 0), (0, 1)))) for _ in range(2)]
+        for a in ops:
+            assert tuple(ex._transpose(a)) == mono_transpose_oracle(a)
+            for b in ops:
+                ab = ex._compose(a, b)
+                assert tuple(ab) == mono_compose_oracle(a, b)
+                assert tuple(ex._transpose(ab)) == mono_transpose_oracle(ab)
+
+
 def test_max_entry_merges_terms_on_different_permutations():
     # Two monomials with different permutations that meet in one entry.
-    a = cl._Mono((1, 0, 2, 3), (1, 1, 1, 1))
-    b = cl._Mono((1, 2, 0, 3), (1, 1, 1, 1))
-    assert cl._max_entry([(Fraction(1, 2), a), (Fraction(1, 3), b)]) == \
+    a = ex._Mono((1, 0, 2, 3), (1, 1, 1, 1))
+    b = ex._Mono((1, 2, 0, 3), (1, 1, 1, 1))
+    assert ex._max_entry([(Fraction(1, 2), a), (Fraction(1, 3), b)]) == \
         Fraction(5, 6)
-    assert cl._max_entry([(1, a), (-1, a)]) == 0
+    assert ex._max_entry([(1, a), (-1, a)]) == 0
 
 
 # -- the model operator ---------------------------------------------------

@@ -3,8 +3,9 @@ codes.
 
 Start-up is part of every job's cost, so a subcommand loads only the
 modules it runs: ``--help`` loads no engine module, ``compute`` and
-``verify`` never load the Clifford/oscillator code or the suite, and
-neither ``clifford`` nor ``oscillator`` loads the CDGA and cone code.  No
+``verify`` never load the Clifford/oscillator code or the suite,
+neither ``clifford`` nor ``oscillator`` loads the CDGA and cone code, and
+``clifford`` loads the exterior algebra alone, with no matrix code.  No
 subcommand loads numpy: the oscillator takes its singular values from a
 pure-Python eigen-solve of the m x m A^t A in float mode, and from exact
 arithmetic in exact mode.  No subcommand loads ``dataclasses`` (reports and
@@ -22,15 +23,16 @@ from pathlib import Path
 
 import pytest
 
-from symsemi import (census, cli, cliffordlab, complexes, modelio, models,
-                     qlinalg)
+from symsemi import (census, cli, cliffordlab, complexes, exterior, modelio,
+                     models, qlinalg)
 from symsemi.errors import CheckFailure, InputError
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
 ENGINE = {"symsemi.qlinalg", "symsemi.complexes", "symsemi.models",
-          "symsemi.census", "symsemi.cliffordlab", "symsemi.modelio",
-          "symsemi.record", "symsemi.report", "symsemi.suite"}
+          "symsemi.census", "symsemi.cliffordlab", "symsemi.exterior",
+          "symsemi.modelio", "symsemi.record", "symsemi.report",
+          "symsemi.suite"}
 # Standard modules a job must not pay for: dataclasses builds code for each
 # class it decorates, and inspect brings ast, dis and tokenize with it.
 HEAVY = {"dataclasses", "inspect"}
@@ -68,16 +70,27 @@ print(json.dumps([code, sorted(
 def test_cone_jobs_load_no_clifford_suite_or_numpy(argv):
     modules = loaded_after(*argv)
     assert "symsemi.models" in modules and "symsemi.complexes" in modules
-    assert not modules & ({"symsemi.cliffordlab", "symsemi.suite", "numpy"}
-                          | HEAVY)
+    assert not modules & ({"symsemi.cliffordlab", "symsemi.exterior",
+                           "symsemi.suite", "numpy"} | HEAVY)
 
 
 def test_clifford_loads_no_cdga_or_cone_code():
     modules = loaded_after("clifford", "--n", "1")
-    assert "symsemi.cliffordlab" in modules
+    assert "symsemi.exterior" in modules
     assert not modules & ({"symsemi.models", "symsemi.complexes",
-                           "symsemi.modelio", "symsemi.suite", "numpy"}
+                           "symsemi.modelio", "symsemi.suite",
+                           "symsemi.cliffordlab", "symsemi.qlinalg", "numpy"}
                           | HEAVY)
+
+
+@pytest.mark.parametrize("argv", [("clifford", "--n", "1"),
+                                  ("clifford", "--n", "2", "--checks", "all",
+                                   "--format", "json")])
+def test_clifford_loads_exactly_the_exterior_algebra(argv):
+    # The Clifford checks need no matrix or oscillator code.
+    assert loaded_after(*argv) == {
+        "symsemi", "symsemi.cli", "symsemi.errors", "symsemi.record",
+        "symsemi.report", "symsemi.exterior"}
 
 
 @pytest.mark.parametrize("sample", ["matrix_diag_1234.txt",
@@ -129,13 +142,24 @@ print(json.dumps([bare, missing, sorted(set(symsemi.__all__) - set(namespace)),
     assert missing == [] and unstarred == [] and not bogus
 
 
+def test_cliffordlab_re_exports_the_identity_checks():
+    # The benchmark's layer spans wrap the checks under the cliffordlab
+    # name; that reaches the clifford command only if both names are one
+    # object, as the package's lazy export is.
+    import symsemi
+    for name in ("verify_car", "verify_volume_star", "verify_volume_omega",
+                 "verify_complex_structure"):
+        assert getattr(cliffordlab, name) is getattr(exterior, name)
+        assert getattr(symsemi, name) is getattr(exterior, name)
+
+
 def test_exit_codes_follow_the_two_error_families():
     assert cli._USAGE_ERRORS == (InputError, OSError)
     for cls in (modelio.FormatError, models.UnknownName, models.NotClosed,
                 models.JacobiViolation, models.ShapeMismatch,
                 complexes.InvalidComplex, complexes.ChainMapViolation,
-                cliffordlab.BadDimension, cliffordlab.Singular,
-                cliffordlab.NoRationalRoot, cliffordlab.NotUnit,
+                exterior.BadDimension, cliffordlab.Singular,
+                cliffordlab.NoRationalRoot, exterior.NotUnit,
                 cliffordlab.TruncationTooSmall, qlinalg.NotSkewSymmetric,
                 census.OddDimension, census.MissingSigns):
         assert issubclass(cls, InputError), cls
