@@ -23,8 +23,8 @@ _SOURCES = {
     "census": ("Zero", "ZeroCensus", "counting_check", "euler_cross_check"),
     "exterior": ("verify_car", "verify_volume_star", "verify_volume_omega",
                  "verify_complex_structure"),
-    "cliffordlab": ("clifford", "hodge_star", "dvol_action", "model_L",
-                    "kernel_and_parity", "spectrum_scaling", "eta_scaling"),
+    "cliffordlab": ("model_L", "kernel_and_parity", "spectrum_scaling",
+                    "eta_scaling"),
     "modelio": ("load_model", "load_census", "load_matrix_rows"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()

@@ -70,6 +70,10 @@ def cmd_compute(args) -> int:
     if args.p < 0:
         raise InputError("--p must be >= 0")
     loaded = load_model(args.model)
+    # omega^(p+1) = 0 once p >= dim/2, so larger p only repeat the model.
+    if args.p > loaded.manifold_dim // 2:
+        raise InputError(f"--p must be in 0..{loaded.manifold_dim // 2} for "
+                         f"a model of dimension {loaded.manifold_dim}")
     verdict = _symplectic_gate(loaded, args.model, args.allow_degenerate)
     warnings = [] if verdict.passed else \
         ["nondegeneracy waived by --allow-degenerate"]

@@ -28,9 +28,9 @@ two composites; omega wedge and contraction are sums of m/2 such terms;
 chat(v) for a general v is the sum of the v_i chat(e_i), so chat(v)^2 is a
 sum of m^2 composites, whose integer signs are summed per permutation
 before the rational weights v_i v_j enter.  They accept dimensions up to
-``CLIFFORD_DIM_LIMIT``.  The module needs no matrix code: ``cliffordlab``
-turns these operators into ``SparseMat`` matrices for the oscillator
-model, so ``symsemi clifford`` loads this module alone.
+``CLIFFORD_DIM_LIMIT``.  This is the one representation of these
+operators, which the oscillator model (``cliffordlab``) applies to forms
+too; with no matrix code here, ``symsemi clifford`` loads this module alone.
 """
 
 from __future__ import annotations
@@ -138,8 +138,6 @@ def _dvol(m: int) -> _Mono:
 
 def _omega_terms(m: int) -> list[_Mono]:
     """The m/2 terms (e_(2k) wedge)(e_(2k+1) wedge) of the standard 2-form."""
-    if m % 2:
-        raise BadDimension("the standard 2-form needs an even dimension")
     return [_compose(_generator(m, i, 1, 0), _generator(m, i + 1, 1, 0))
             for i in range(0, m, 2)]
 

@@ -21,6 +21,7 @@ reading a matrix row file loads neither.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -45,25 +46,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_rational(value) -> Fraction:
-    """Rational from a file token: int, "p", or "p/q" with q > 0."""
+    """Rational from a file token: int, "p", or "p/q" with q > 0, p and q
+    ASCII integers (``_INTEGER``: int() alone also takes underscores and
+    non-ASCII digits) with whitespace allowed around either."""
     if _is_int(value):
         return Fraction(value)
     if not isinstance(value, str):
         raise FormatError(f"expected a rational string, got {value!r}")
-    text = value.strip()
-    num, sep, den = text.partition("/")
-    try:
-        if sep:
-            p, q = int(num), int(den)
-            if q <= 0:
-                raise ValueError
-            return Fraction(p, q)
-        return Fraction(int(num))
-    except ValueError:
+    num, sep, den = value.partition("/")
+    num, den = num.strip(), den.strip() if sep else "1"
+    if not (_INTEGER.fullmatch(num) and _INTEGER.fullmatch(den)) \
+            or int(den) <= 0:
         raise FormatError(
-            f"bad rational {value!r}: want \"p\" or \"p/q\" with q > 0"
-        ) from None
+            f"bad rational {value!r}: want \"p\" or \"p/q\" with q > 0")
+    return Fraction(int(num), int(den))
 
 
 def format_rational(x) -> str:
@@ -229,11 +229,20 @@ def _load_builtin(name: str, source: str) -> LoadedModel:
                        cx, wmap, model, w)
 
 
+def _read_text(spec: str) -> str:
+    """The text of the file ``spec``, which must be UTF-8."""
+    try:
+        return Path(spec).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{spec}: not UTF-8 text ({exc})") from None
+
+
 def _read_object(spec: str) -> dict:
     """The JSON object in the file ``spec``."""
     try:
-        data = json.loads(Path(spec).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(_read_text(spec))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting past the parser's depth limit.
         raise FormatError(f"{spec}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise FormatError(f"{spec}: top level must be an object")
@@ -286,7 +295,7 @@ def load_matrix_rows(spec: str) -> list[list[Fraction]]:
     Blank lines and lines starting with ``#`` are skipped.
     """
     rows = []
-    for lineno, line in enumerate(Path(spec).read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(spec).splitlines(), 1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

@@ -60,6 +60,36 @@ def test_compute_shifted_pairing(capsys):
     assert run(capsys, "compute", "builtin:t4", "--p", "-1")[0] == 2
 
 
+def test_compute_p_is_bounded_by_half_the_dimension(capsys):
+    # omega^(p+1) = 0 once p >= dim/2, so a larger p is refused up front.
+    for model, p, dim in (("cp2", "3", 4), ("t2", "2", 2)):
+        code, out, err = run(capsys, "compute", f"builtin:{model}", "--p", p)
+        assert code == 2 and not out
+        assert err == (f"error: --p must be in 0..{dim // 2} for a model of "
+                       f"dimension {dim}\n")
+    code, out, _ = run(capsys, "compute", "builtin:cp2", "--p", "2",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["p"] == 2
+
+
+UNREADABLE = {"undecodable": b"\xff{}",
+              "deep": b"[" * 100000 + b"]" * 100000}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("argv", [
+    ("compute", "{}"), ("verify", "builtin:s2xs2", "--census", "{}"),
+    ("oscillator", "--matrix", "{}")], ids=["compute", "verify", "oscillator"])
+def test_unreadable_input_exits_two(argv, kind, tmp_path, capsys):
+    # A file that is not UTF-8, or JSON nested past the parser's recursion
+    # limit, is bad input that names the file, not an internal breach.
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(UNREADABLE[kind])
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2 and not out
+    assert err.startswith(f"error: {path}")
+
+
 def test_compute_input_failures(capsys):
     code, _, err = run(capsys, "compute", "no_such_file.json")
     assert code == 2 and "error:" in err

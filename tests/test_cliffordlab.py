@@ -14,7 +14,6 @@ from symsemi.modelio import load_matrix_rows
 from symsemi.qlinalg import SparseMat, kernel_basis
 from symsemi.report import spectrum_table
 from symsemi.cliffordlab import (
-    DimensionMismatch,
     MODEL_DIM_LIMIT,
     NoRationalRoot,
     SECTOR_LIMIT,
@@ -22,14 +21,9 @@ from symsemi.cliffordlab import (
     Singular,
     TruncationTooSmall,
     UnexpectedKernel,
-    clifford,
-    dvol_action,
     eta_scaling,
-    hodge_star,
     kernel_and_parity,
     model_L,
-    omega_skew,
-    omega_wedge,
     random_model_matrix,
     random_rational_orthogonal,
     sector_matrix_D,
@@ -58,82 +52,77 @@ EYE12 = [[1 if i == j else 0 for j in range(12)] for i in range(12)]
 SHEAR = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
-def basis_vector(m, i):
-    return [1 if j == i else 0 for j in range(m)]
-
-
 # -- exterior-algebra operators ------------------------------------------
+
+
+def column(op, mask):
+    """Where the monomial op sends the basis form of mask: {image: sign}."""
+    return {op.perm[mask]: op.sign[mask]} if op.sign[mask] else {}
 
 
 def test_chat_on_scalar_is_wedge():
     # chat(e_1) applied to the empty form is e^1 (mask 1).
-    op = clifford(basis_vector(4, 0), "chat")
-    col = {r: v for (r, c), v in op.entries.items() if c == 0}
-    assert col == {1: Fraction(1)}
+    assert column(ex._generator(4, 0, 1, 1), 0) == {1: 1}
 
 
 def test_c_on_scalar_is_wedge_too():
-    op = clifford(basis_vector(4, 0), "c")
-    col = {r: v for (r, c), v in op.entries.items() if c == 0}
-    assert col == {1: Fraction(1)}
-
-
-def test_clifford_rejects_bad_input():
-    with pytest.raises(ValueError):
-        clifford([1, 0, 0, 0], "dagger")
-    with pytest.raises(DimensionMismatch):
-        clifford([], "chat")
+    assert column(ex._generator(4, 0, 1, -1), 0) == {1: 1}
 
 
 def test_volume_action_examples():
-    vol = dvol_action(4)
+    vol = ex._dvol(4)
     # On the empty form it produces the volume form with sign +1.
-    assert {r: v for (r, c), v in vol.entries.items() if c == 0} == {
-        15: Fraction(1)}
+    assert column(vol, 0) == {15: 1}
     # On e^1 it produces -e^{234} (mask 0b1110 = 14).
-    assert {r: v for (r, c), v in vol.entries.items() if c == 1} == {
-        14: Fraction(-1)}
+    assert column(vol, 1) == {14: -1}
 
 
 def test_volume_action_is_its_own_transpose():
-    vol = dvol_action(4)
-    assert vol == vol.transpose()
-    vol8 = dvol_action(8)
-    assert vol8 == vol8.transpose()
-
-
-def test_volume_action_needs_multiple_of_four():
-    with pytest.raises(BadDimension):
-        dvol_action(6)
+    for m in (4, 8):
+        vol = ex._dvol(m)
+        assert ex._transpose(vol) == vol
 
 
 def test_double_star_sign_by_degree():
     m = 4
-    twice = hodge_star(m) @ hodge_star(m)
+    twice = ex._compose(ex._star(m), ex._star(m))
     for mask in range(1 << m):
         k = bin(mask).count("1")
-        expect = Fraction(-1 if (k * (m - k)) % 2 else 1)
-        assert twice.get(mask, mask) == expect
+        expect = -1 if (k * (m - k)) % 2 else 1
+        assert column(twice, mask) == {mask: expect}
     # Degree 1 in dimension 4 really does pick up the sign.
-    assert twice.get(1, 1) == -1
+    assert column(twice, 1) == {1: -1}
 
 
 def test_star_signs_match_permutation_oracle():
     m = 4
-    star = hodge_star(m)
+    star = ex._star(m)
     full = (1 << m) - 1
     for mask in range(1 << m):
-        assert star.get(full & ~mask, mask) == star_sign_oracle(mask, m)
+        assert column(star, mask) == {full & ~mask: star_sign_oracle(mask, m)}
 
 
 def test_omega_wedge_on_scalar():
     # The standard form pairs coordinates (1,2) and (3,4).
-    col = {r: v for (r, c), v in omega_wedge(4).entries.items() if c == 0}
-    assert col == {0b0011: Fraction(1), 0b1100: Fraction(1)}
+    col = {}
+    for w in ex._omega_terms(4):
+        col.update(column(w, 0))
+    assert col == {0b0011: 1, 0b1100: 1}
+
+
+def skew_matrix(m):
+    """The eta source operator skew(omega) of the engine, one column per
+    basis form."""
+    entries = {}
+    for c in range(1 << m):
+        out, den = cl._omega_skew(m, {c: 1}, True)
+        entries.update(((r, c), Fraction(x, den)) for r, x in out.items())
+    return SparseMat(1 << m, 1 << m, entries)
 
 
 def test_omega_skew_is_skew_symmetric():
-    sk = omega_skew(4)
+    sk = skew_matrix(4)
+    assert not sk.is_zero()
     assert sk.transpose() == sk.scale(-1)
     z = SparseMat.zeros(16, 16)
     block = SparseMat.block([[sk, z], [z, sk.scale(-1)]])
@@ -231,6 +220,16 @@ def ref_dvol(m):
     return out
 
 
+def ref_omega_skew(m):
+    """skew(omega) = 1/2 sum_k (w_k^t - w_k), w_k = (e_2k wedge)(e_2k+1
+    wedge), from the reference wedges."""
+    out = SparseMat.zeros(1 << m, 1 << m)
+    for i in range(0, m, 2):
+        w = ref_wedge(m, i) @ ref_wedge(m, i + 1)
+        out = out + (w.transpose() - w).scale(Fraction(1, 2))
+    return out
+
+
 def test_signed_permutations_match_sparse_products():
     for m in (4, 8):
         for i in range(m):
@@ -238,15 +237,12 @@ def test_signed_permutations_match_sparse_products():
                 ref = ref_chat(m, i, kind)
                 op = ex._generator(m, i, wedge, contract)
                 assert cl._to_sparse(m, [(1, op)]) == ref
-                assert clifford(basis_vector(m, i), kind) == ref
         vol = ref_dvol(m)
         assert cl._to_sparse(m, [(1, ex._dvol(m))]) == vol
-        assert dvol_action(m) == vol
         form = SparseMat.zeros(1 << m, 1 << m)
         for i in range(0, m, 2):
             form = form + ref_wedge(m, i) @ ref_wedge(m, i + 1)
         assert cl._to_sparse(m, [(1, w) for w in ex._omega_terms(m)]) == form
-        assert omega_wedge(m) == form
         v = random_rational_unit_vector(m, Random(m))
         ch = SparseMat.zeros(1 << m, 1 << m)
         for i, x in enumerate(v):
@@ -256,7 +252,9 @@ def test_signed_permutations_match_sparse_products():
 
 
 def sparse_verdicts(m, v):
-    """The four checks as products of the public sparse operators."""
+    """The four checks as sparse matrix products: the Clifford generators
+    as matrices of ``exterior._generator`` (looked up on each call, so a
+    patched generator reaches them), the star from ``star_sign_oracle``."""
     def verdict(diffs):
         worst, culprit = 0.0, ""
         for label, mat in diffs:
@@ -266,10 +264,13 @@ def sparse_verdicts(m, v):
                 worst, culprit = r, label
         return worst, culprit
 
+    def gen(i, wedge, contract):
+        return cl._to_sparse(m, [(1, ex._generator(m, i, wedge, contract))])
+
     n = 1 << m
     eye, zero = SparseMat.identity(n), SparseMat.zeros(n, n)
-    chat = [clifford(basis_vector(m, i), "chat") for i in range(m)]
-    cc = [clifford(basis_vector(m, i), "c") for i in range(m)]
+    chat = [gen(i, 1, 1) for i in range(m)]
+    cc = [gen(i, 1, -1) for i in range(m)]
     car = []
     for i in range(m):
         for j in range(i, m):
@@ -290,10 +291,13 @@ def sparse_verdicts(m, v):
         k = bin(mask).count("1")
         return -1 if (k * (k + 1) // 2) % 2 else 1
 
-    signed = SparseMat(n, n, {(r, c): x * degree_sign(c) for (r, c), x
-                              in hodge_star(m).entries.items()})
-    form = omega_wedge(m)
-    ch = clifford(v, "chat")
+    signed = SparseMat(n, n, {(c ^ (n - 1), c): star_sign_oracle(c, m)
+                              * degree_sign(c) for c in range(n)})
+    form = zero
+    for i in range(0, m, 2):
+        form = form + gen(i, 1, 0) @ gen(i + 1, 1, 0)
+    ch = cl._to_sparse(m, [(x, ex._generator(m, i, 1, 1))
+                           for i, x in enumerate(v) if x])
     j = SparseMat.block([[zero, -ch], [ch, zero]])
     return {
         "car": verdict(car),
@@ -326,11 +330,8 @@ def test_verdicts_match_sparse_products_with_a_flipped_sign(monkeypatch):
         v = [Fraction(3, 5), Fraction(4, 5)] + [0] * (m - 2)
         for verdict in engine_verdicts(m, v).values():
             assert verdict.passed and verdict.max_residual == 0.0
-        # The checks run on exterior's generator, the sparse builders of
-        # cliffordlab on the name it imported from there.
         with monkeypatch.context() as patch:
             patch.setattr(ex, "_generator", flipped)
-            patch.setattr(cl, "_generator", flipped)
             want = sparse_verdicts(m, v)
             got = engine_verdicts(m, v)
         for name, (residual, culprit) in want.items():
@@ -502,18 +503,21 @@ def test_jacobi_matches_numpy_eigh():
 
 def test_form_operator_matches_clifford_products():
     # L2 = tr(S) + sum_j c(e_j) chat(A e_j), built the long way from the
-    # public Clifford builders.
+    # reference Clifford matrices.
     for m in (4, 8):
         rng = Random(m)
+        chat = [ref_chat(m, i) for i in range(m)]
+        cc = [ref_chat(m, i, "c") for i in range(m)]
         for sign in (1, -1, 1):
             a = random_model_matrix(m, rng, sign)
             op = model_L(a, "exact")
             want = SparseMat.identity(1 << m).scale(op.trace_sqrt())
-            cols = a.to_rows()
+            rows = a.to_rows()
             for j in range(m):
-                col = [cols[i][j] for i in range(m)]
-                want = want + (clifford(basis_vector(m, j), "c")
-                               @ clifford(col, "chat"))
+                image = SparseMat.zeros(1 << m, 1 << m)
+                for i in range(m):
+                    image = image + chat[i].scale(rows[i][j])
+                want = want + cc[j] @ image
             assert op.form_op.entries == want.entries
 
 
@@ -775,7 +779,7 @@ def test_eta_source_orthogonal_to_ground_state():
     # The skew form action applied to the ground form is orthogonal to it,
     # for random coefficient matrices of both determinant signs.
     rng = Random(19)
-    skew = omega_skew(4)
+    skew = ref_omega_skew(4)
     for trial in range(20):
         op = model_L(random_model_matrix(4, rng, 1 if trial % 2 else -1))
         ker = kernel_basis(op.form_op)
@@ -784,6 +788,24 @@ def test_eta_source_orthogonal_to_ground_state():
         dot = sum((src.get(r, 0) * ker.get(r, 0) for r in range(16)),
                   Fraction(0))
         assert dot == 0
+
+
+def test_eta_source_matches_the_sparse_oracle():
+    # The source skew(omega) delta that eta builds from the omega
+    # monomials, against the reference wedges' sparse product.
+    rng = Random(43)
+    ops = [model_L(random_model_matrix(4, rng, 1 if trial % 2 else -1))
+           for trial in range(10)]
+    ops.append(model_L(load_matrix_rows(str(SAMPLES / "matrix_random_8.txt"))))
+    for op in ops:
+        delta, _ = cl._kernel_vector(op)
+        source, src_den = cl._omega_skew(op.m, delta, True)
+        assert src_den == 2 and source
+        assert all(isinstance(x, int) and x for x in source.values())
+        want = ref_omega_skew(op.m) @ SparseMat(1 << op.m, 1, {
+            (t, 0): Fraction(x) for t, x in delta.items()})
+        assert {t: Fraction(x, src_den) for t, x in source.items()} == {
+            r: v for (r, _), v in want.entries.items()}
 
 
 # -- sector machinery -----------------------------------------------------
@@ -846,7 +868,7 @@ def old_definition_c1_squared(op, t, moment):
     sec = Sector(op.m, 1)
     n = 1 << op.m
     delta = kernel_basis(op.form_op)
-    rhs = sector_matrix_D(op, 0, 1, t) @ (omega_skew(op.m) @ delta)
+    rhs = sector_matrix_D(op, 0, 1, t) @ (ref_omega_skew(op.m) @ delta)
     y = SparseMat.column(dense_solve(
         dense_from_sparse(sector_matrix_L(op, 1, t)),
         [rhs.get(r, 0) for r in range(rhs.rows)]))

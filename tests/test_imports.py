@@ -166,7 +166,6 @@ def test_exit_codes_follow_the_two_error_families():
     assert issubclass(models.UnknownName, KeyError)
     assert issubclass(cliffordlab.UnexpectedKernel, CheckFailure)
     assert not issubclass(cliffordlab.UnexpectedKernel, InputError)
-    assert not issubclass(cliffordlab.DimensionMismatch, InputError)
 
 
 def _cdga(gens, differential, omega, manifold_dim=4):

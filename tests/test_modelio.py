@@ -33,10 +33,16 @@ def test_parse_rational_accepts_usual_forms():
     assert parse_rational("0") == 0
     assert parse_rational(4) == 4
     assert parse_rational("10/4") == Fraction(5, 2)
+    # Whitespace around either side and a sign on either side are kept.
+    assert parse_rational(" -7 / 2 ") == Fraction(-7, 2)
+    assert parse_rational("+3/+4") == Fraction(3, 4)
 
 
 def test_parse_rational_rejects_bad_tokens():
-    for bad in ("1.5", "1/0", "1/-2", True, 2.5, "a/b", "", "1/2/3", None):
+    # int() alone would take "1_000" as 1000, "3/0_1" as 3 and the
+    # Arabic-Indic digit three as 3.
+    for bad in ("1.5", "1/0", "1/-2", True, 2.5, "a/b", "", "1/2/3", None,
+                "1_000", "3/0_1", "\u0663", "3/"):
         with pytest.raises(FormatError):
             parse_rational(bad)
 
