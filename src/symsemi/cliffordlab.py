@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import CheckFailure, InputError
 from .exterior import (BadDimension, _check_dim, _compose, _generator,
@@ -517,24 +517,19 @@ def kernel_and_parity(op: ModelOperator) -> int:
 
 
 class SpectrumVerdict(Record):
-    __slots__ = ("passed", "mode", "Ts", "cap", "structure_ok",
-                 "blocks_match", "max_deviation", "spectrum", "gap",
-                 "detail")
+    __slots__ = ("passed", "mode", "cap", "structure_ok", "blocks_match",
+                 "max_deviation", "spectrum", "gap", "detail")
     _defaults = {"detail": ""}
 
 
-def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
-                     ) -> SpectrumVerdict:
-    """Certify that spectrum(model operator)/T does not depend on T:
+def spectrum_scaling(op: ModelOperator, cap: int = 2) -> SpectrumVerdict:
+    """Certify that spectrum(model operator)/T does not depend on T > 0:
     L_hat / T = P_T tensor 1 + 1 tensor L2, P_T = flow + lap / T exact, is
     block upper-triangular by degree (a failure names the monomials), and
-    its diagonal blocks are the same for every T, as lap has no entry in
-    one (max_deviation: what such entries would make).  The spectrum is
-    the closed form ``_block_spectrum``, tied to flow and L2 by
+    its diagonal blocks are those of flow alone, as lap has no entry in
+    one (max_deviation: the largest such entry).  The spectrum is the
+    closed form ``_block_spectrum``, tied to flow and L2 by
     ``_trace_guard``."""
-    ts = [Fraction(t) for t in Ts]
-    if len(set(ts)) < 3 or any(t <= 0 for t in ts):
-        raise ValueError("need at least 3 distinct positive couplings")
     if cap < 2:
         raise ValueError("cap must be >= 2 for the scaling check")
     sec = Sector(op.m, cap)
@@ -550,14 +545,13 @@ def spectrum_scaling(op: ModelOperator, Ts: Sequence, cap: int = 2
     leak = max((abs(v) for (r, c), v in lap.entries.items()
                 if degree[r] == degree[c]), default=Fraction(0))
     blocks_match = not leak
-    dev = leak * max(abs(1 / t - 1 / ts[0]) for t in ts[1:])
     _trace_guard(op, flow, degree)
     spectrum = _block_spectrum(op, cap)
     passed = structure_ok and blocks_match
     detail = bad or ("" if blocks_match else "diagonal blocks differ across T")
     gap = min((x for x in spectrum if abs(x) > 1e-8), default=0.0)
-    return SpectrumVerdict(passed, op.mode, tuple(ts), cap, structure_ok,
-                           blocks_match, float(dev), spectrum, gap, detail)
+    return SpectrumVerdict(passed, op.mode, cap, structure_ok, blocks_match,
+                           float(leak), spectrum, gap, detail)
 
 
 def _block_spectrum(op: ModelOperator, cap: int) -> tuple[float, ...]:

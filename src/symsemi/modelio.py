@@ -49,6 +49,13 @@ def _is_int(value) -> bool:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _echo(value) -> str:
+    """repr(value), or past 40 characters the first 40 and the length."""
+    text = value if isinstance(value, str) else repr(value)
+    return repr(value) if len(text) <= 40 else \
+        f"{text[:40]!r}… ({len(text)} characters)"
+
+
 def parse_rational(value) -> Fraction:
     """Rational from a file token: int, "p", or "p/q" with q > 0, p and q
     ASCII integers (``_INTEGER``: int() alone also takes underscores and
@@ -56,14 +63,18 @@ def parse_rational(value) -> Fraction:
     if _is_int(value):
         return Fraction(value)
     if not isinstance(value, str):
-        raise FormatError(f"expected a rational string, got {value!r}")
+        raise FormatError(f"expected a rational string, got {_echo(value)}")
     num, sep, den = value.partition("/")
     num, den = num.strip(), den.strip() if sep else "1"
-    if not (_INTEGER.fullmatch(num) and _INTEGER.fullmatch(den)) \
-            or int(den) <= 0:
-        raise FormatError(
-            f"bad rational {value!r}: want \"p\" or \"p/q\" with q > 0")
-    return Fraction(int(num), int(den))
+    why = 'want "p" or "p/q" with q > 0'
+    if _INTEGER.fullmatch(num) and _INTEGER.fullmatch(den):
+        try:
+            if int(den) > 0:
+                return Fraction(int(num), int(den))
+        except ValueError:
+            # int() refuses more digits than sys.get_int_max_str_digits().
+            why = "too many digits"
+    raise FormatError(f"bad rational {_echo(value)}: {why}")
 
 
 def format_rational(x) -> str:
@@ -239,10 +250,11 @@ def _read_text(spec: str) -> str:
 
 def _read_object(spec: str) -> dict:
     """The JSON object in the file ``spec``."""
+    text = _read_text(spec)
     try:
-        data = json.loads(_read_text(spec))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting past the parser's depth limit.
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nested too deep; ValueError: an int too long.
         raise FormatError(f"{spec}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise FormatError(f"{spec}: top level must be an object")

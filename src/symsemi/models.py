@@ -29,6 +29,10 @@ from .complexes import GradedComplex, OmegaMap
 from .record import Record
 
 
+# Most basis monomials, or degrees, of a CDGAModel (Λ on 12 odd generators).
+BASIS_LIMIT = 2 ** 12
+
+
 class JacobiViolation(InputError):
     """The differential fails d(d(x)) = 0; for Chevalley-Eilenberg input
     this is a failure of the Jacobi identity."""
@@ -44,6 +48,8 @@ class NotClosed(InputError):
 
 class UnknownName(InputError, KeyError):
     """Generator or builtin-model name not recognised."""
+
+    __str__ = InputError.__str__    # KeyError's would quote the message
 
 
 class Generator(Record):
@@ -158,6 +164,15 @@ class CDGAModel:
             raise ValueError("manifold_dim must be >= 0")
         self.manifold_dim = manifold_dim
         self.power_cap = manifold_dim if power_cap is None else power_cap
+        bound = 1   # prod_g (1 + the most factors g in a monomial)
+        for g in self.generators:
+            if bound <= BASIS_LIMIT:
+                bound *= 2 if g.degree % 2 else \
+                    1 + min(self.power_cap, manifold_dim // g.degree)
+        if max(bound, manifold_dim + 1) > BASIS_LIMIT:
+            raise InputError(f"over the budget of {BASIS_LIMIT} basis "
+                             f"monomials and degrees: {len(names)} "
+                             f"generators in dimension {manifold_dim}")
         self._odd = tuple(g.degree % 2 for g in self.generators)
         self._basis_cache: dict[int, list[tuple[int, ...]]] = {}
         self._complex: GradedComplex | None = None
@@ -166,7 +181,7 @@ class CDGAModel:
         if differential:
             for name, terms in differential.items():
                 if name not in self.index:
-                    raise UnknownName(name)
+                    raise UnknownName(f"unknown generator {name!r}")
                 elt = terms if isinstance(terms, Element) else self.form(terms)
                 gi = self.index[name]
                 want = self.generators[gi].degree + 1
@@ -189,7 +204,7 @@ class CDGAModel:
 
     def gen(self, name: str) -> Element:
         if name not in self.index:
-            raise UnknownName(name)
+            raise UnknownName(f"unknown generator {name!r}")
         return Element(self, {(self.index[name],): Fraction(1)})
 
     def form(self, terms: Sequence) -> Element:
@@ -199,7 +214,7 @@ class CDGAModel:
             mono, sign = (), 1
             for name in factors:
                 if name not in self.index:
-                    raise UnknownName(name)
+                    raise UnknownName(f"unknown generator {name!r}")
                 if sign:
                     mono, s = self._merge(mono, (self.index[name],))
                     sign *= s
@@ -544,7 +559,7 @@ def builtin(name: str) -> tuple[CDGAModel, Element]:
     if name == "s2xs2":
         m = CDGAModel([("x", 2), ("y", 2)], None, 4, power_cap=1)
         return m, m.form([(1, ["x"]), (1, ["y"])])
-    raise UnknownName(name)
+    raise UnknownName(f"unknown builtin model {name!r}")
 
 
 BUILTIN_NAMES = ("cp2", "s2xs2", "t2", "t4", "kodaira_thurston")

@@ -137,7 +137,7 @@ def _oscillator_kernel_spectrum():
         for trial, a in enumerate(mats + [random_model_matrix(8, Random(1),
                                                               sign)]):
             op = model_L(a)
-            verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
+            verdict = spectrum_scaling(op, cap=2)
             if kernel_and_parity(op) != (sign < 0) or not verdict.passed:
                 failures.append((sign, trial))
             # The scaling check holds by construction of the sector parts,
@@ -147,7 +147,7 @@ def _oscillator_kernel_spectrum():
                 failures.append((sign, "D o D != L"))
     ok = not failures
     detail = ("50 random 4x4 A and one 8x8 A per sign: kernel dim 1, "
-              "parity = sign(det), spectrum/T constant over T = 1, 10, 100; "
+              "parity = sign(det), spectrum/T free of T; "
               "D o D = L at T = 10 for one 4x4 A per sign"
               if ok else f"failures at {failures}")
     return ok, detail, {"failures": failures}

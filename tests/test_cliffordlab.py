@@ -456,7 +456,7 @@ def test_a_repeated_singular_value_passes_exactly():
         a = repeated_singular_value_matrix(sign)
         op = model_L(a, "exact")
         assert kernel_and_parity(op) == (0 if sign > 0 else 1)
-        assert spectrum_scaling(op, (1, 10, 100), cap=3).passed
+        assert spectrum_scaling(op, cap=3).passed
         verdict = eta_scaling(op)
         assert verdict.passed and verdict.mode == "exact"
         approx = eta_scaling(model_L(a, "float"))
@@ -568,8 +568,7 @@ def test_broken_kernels_raise_in_both_modes():
 
 
 def test_spectrum_scaling_identity_matrix():
-    verdict = spectrum_scaling(model_L(EYE4, "exact"), (1, 10, 100),
-                               cap=2)
+    verdict = spectrum_scaling(model_L(EYE4, "exact"), cap=2)
     assert verdict.passed
     assert verdict.mode == "exact"
     assert verdict.structure_ok and verdict.blocks_match
@@ -581,18 +580,14 @@ def test_spectrum_scaling_identity_matrix():
 def test_spectrum_scaling_degenerate_diagonal():
     op = model_L([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
                  "exact")
-    verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
+    verdict = spectrum_scaling(op, cap=2)
     assert verdict.passed and verdict.blocks_match
 
 
 def test_spectrum_scaling_input_guards():
     op = model_L(EYE4)
     with pytest.raises(ValueError):
-        spectrum_scaling(op, (1, 10), cap=2)
-    with pytest.raises(ValueError):
-        spectrum_scaling(op, (1, 10, 100), cap=1)
-    with pytest.raises(ValueError):
-        spectrum_scaling(op, (1, 1, 10), cap=2)
+        spectrum_scaling(op, cap=1)
 
 
 def test_spectrum_scaling_catches_a_coupling_in_a_diagonal_block(
@@ -610,11 +605,11 @@ def test_spectrum_scaling_catches_a_coupling_in_a_diagonal_block(
 
     monkeypatch.setattr(cl, "_sector_parts", leaky_lap)
     for op in (model_L(EYE4, "exact"), model_L(SHEAR, "float")):
-        verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
+        verdict = spectrum_scaling(op, cap=2)
         assert not verdict.passed
         assert verdict.structure_ok and not verdict.blocks_match
         assert verdict.detail == "diagonal blocks differ across T"
-        assert verdict.max_deviation == 0.99
+        assert verdict.max_deviation == 1.0
 
 
 def dense_block_spectrum(op, cap, t):
@@ -689,7 +684,7 @@ def test_factored_spectrum_matches_the_dense_blocks():
                            for i in range(8)], "exact"), (2,)))
     for op, caps in cases:
         for cap in caps:
-            got = spectrum_scaling(op, (1, 10, 100), cap=cap).spectrum
+            got = spectrum_scaling(op, cap=cap).spectrum
             want = dense_block_spectrum(op, cap, 10)
             assert len(got) == len(want) == Sector(op.m, cap).size
             assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-9
@@ -712,9 +707,9 @@ def test_trace_guard_catches_a_changed_form_operator(mode, monkeypatch):
         *args) + SparseMat(16, 16, {(r, c): Fraction(1)}))
     bumped = model_L(a, mode)
     assert bumped.form_op - op.form_op == SparseMat(16, 16, {(r, c): 1})
-    assert spectrum_scaling(op, (1, 10, 100), cap=2).passed
+    assert spectrum_scaling(op, cap=2).passed
     with pytest.raises(CheckFailure, match=r"trace guard: tr L2\^2 = "):
-        spectrum_scaling(bumped, (1, 10, 100), cap=2)
+        spectrum_scaling(bumped, cap=2)
 
 
 def test_spectrum_scaling_in_dimension_eight():
@@ -724,7 +719,7 @@ def test_spectrum_scaling_in_dimension_eight():
     diag = [[values[i] if i == j else 0 for j in range(8)] for i in range(8)]
     a = random_model_matrix(8, Random(1), -1)
     for op in (model_L(diag, "exact"), model_L(a, "exact")):
-        verdict = spectrum_scaling(op, (1, 10, 100), cap=2)
+        verdict = spectrum_scaling(op, cap=2)
         assert verdict.passed and verdict.mode == "exact"
         assert len(verdict.spectrum) == Sector(8, 2).size
         assert sum(abs(x) <= 1e-8 for x in verdict.spectrum) == 1
@@ -762,8 +757,8 @@ def test_float_mode_matches_exact_mode_on_non_diagonal_gram():
         assert exact.passed and approx.passed and approx.mode == "float"
         want = float(exact.c1_squared)
         assert abs(approx.c1_squared - want) <= 1e-9 * want
-        exact = spectrum_scaling(exact_op, (1, 10, 100), cap=2)
-        approx = spectrum_scaling(float_op, (1, 10, 100), cap=2)
+        exact = spectrum_scaling(exact_op, cap=2)
+        approx = spectrum_scaling(float_op, cap=2)
         assert exact.passed and approx.passed and approx.mode == "float"
         # The numeric S enters as binary rationals, so the float model's
         # diagonal blocks are compared exactly too.
@@ -973,7 +968,7 @@ def test_random_8x8_model_passes_exactly(sign):
     op = model_L(a, "exact")
     assert any(r != c for (r, c) in op.sqrt_gram.entries)
     assert kernel_and_parity(op) == (0 if sign > 0 else 1)
-    assert spectrum_scaling(op, (1, 10, 100), cap=2).passed
+    assert spectrum_scaling(op, cap=2).passed
     verdict = eta_scaling(op)
     assert verdict.passed and verdict.mode == "exact"
     assert abs(float(verdict.c1_squared) - (0.04380150457583586 if sign > 0
@@ -989,8 +984,8 @@ def test_random_8x8_model_passes_in_float_mode(sign):
     exact_op, float_op = model_L(a, "exact"), model_L(a, "float")
     assert kernel_and_parity(float_op) == kernel_and_parity(exact_op) \
         == (0 if sign > 0 else 1)
-    exact = spectrum_scaling(exact_op, (1, 10, 100), cap=2)
-    approx = spectrum_scaling(float_op, (1, 10, 100), cap=2)
+    exact = spectrum_scaling(exact_op, cap=2)
+    approx = spectrum_scaling(float_op, cap=2)
     assert approx.passed and approx.mode == "float"
     assert len(approx.spectrum) == len(exact.spectrum)
     assert max(abs(x - y) for x, y in

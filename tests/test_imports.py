@@ -196,6 +196,10 @@ _FILES = {
     "two.txt": "1 0\n0 1\n",
     "singular.txt": "0 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
     "shear.txt": "1 1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+    "long_token.txt": "x" * 200_000 + "\n",
+    "long_coefficient.json": _cdga(_E, {}, [["1" * 100_000, ["e1", "e2"]],
+                                           ["1", ["e3", "e4"]]]),
+    "huge_dim.json": _cdga([("x", 2)], {}, [["1", ["x"]]], 10 ** 8),
     "eye12.txt": "".join(" ".join("1" if i == j else "0" for j in range(12))
                          + "\n" for i in range(12)),
 }
@@ -212,7 +216,8 @@ def _case(error, argv, message):
           "kodaira_thurston"),
     _case("OSError", ["verify", "builtin:t4", "--census", "no_census.json"],
           "[Errno 2] No such file or directory: 'no_census.json'"),
-    _case("UnknownName", ["compute", "unknown_name.json"], "'zz'"),
+    _case("UnknownName", ["compute", "unknown_name.json"],
+          "unknown generator 'zz'"),
     _case("NotClosed", ["compute", "not_closed.json"],
           "d w = (1)*e1^e2^e3 != 0"),
     _case("JacobiViolation", ["compute", "jacobi.json"],
@@ -239,6 +244,21 @@ def _case(error, argv, message):
     _case("BadDimension-limit",
           ["oscillator", "--matrix", "eye12.txt", "--mode", "float"],
           "dimension 12 exceeds the limit 8"),
+    # A long token is echoed as its first 40 characters and its length.
+    _case("FormatError-long-token", ["oscillator", "--matrix",
+                                     "long_token.txt"],
+          "long_token.txt:1: bad rational '" + "x" * 40 + "'… (200000 "
+          "characters): want \"p\" or \"p/q\" with q > 0"),
+    _case("FormatError-long-coefficient", ["compute", "long_coefficient.json"],
+          "bad rational '" + "1" * 40 + "'… (100000 characters): too many "
+          "digits"),
+    _case("InputError-budget-dim", ["compute", "huge_dim.json"],
+          "over the budget of 4096 basis monomials and degrees: 1 "
+          "generators in dimension 100000000"),
+    _case("InputError-budget-basis",
+          ["compute", str(SAMPLES / "torus16_cdga.json")],
+          "over the budget of 4096 basis monomials and degrees: 16 "
+          "generators in dimension 16"),
 ])
 def test_input_errors_exit_two_with_their_message(argv, message, tmp_path,
                                                   monkeypatch, capsys):

@@ -42,9 +42,12 @@ def test_parse_rational_rejects_bad_tokens():
     # int() alone would take "1_000" as 1000, "3/0_1" as 3 and the
     # Arabic-Indic digit three as 3.
     for bad in ("1.5", "1/0", "1/-2", True, 2.5, "a/b", "", "1/2/3", None,
-                "1_000", "3/0_1", "\u0663", "3/"):
-        with pytest.raises(FormatError):
+                "1_000", "3/0_1", "\u0663", "3/", "1" * 5000, "x" * 41,
+                list(range(1000))):
+        with pytest.raises(FormatError) as info:
             parse_rational(bad)
+        # A long token shows its first 40 characters and its length.
+        assert len(str(info.value)) < 120
 
 
 def test_format_rational_roundtrip():

@@ -10,12 +10,13 @@ import pytest
 
 from symsemi.complexes import (betti, cone, euler_characteristic,
                                semi_characteristic)
-from symsemi.models import (CDGAModel, Element, JacobiViolation, NotClosed,
-                            ShapeMismatch, UnknownName, builtin,
-                            BUILTIN_NAMES, ce_complex, check_symplectic,
-                            model_cone_inputs, multiplication_matrix,
-                            random_closed_two_form, random_nilpotent_ce,
-                            tensor_product)
+from symsemi.errors import InputError
+from symsemi.models import (BASIS_LIMIT, CDGAModel, Element,
+                            JacobiViolation, NotClosed, ShapeMismatch,
+                            UnknownName, builtin, BUILTIN_NAMES, ce_complex,
+                            check_symplectic, model_cone_inputs,
+                            multiplication_matrix, random_closed_two_form,
+                            random_nilpotent_ce, tensor_product)
 from symsemi.qlinalg import SparseMat
 
 from oracles import dense_betti, dense_from_sparse
@@ -267,6 +268,35 @@ def test_builtin_names_and_unknown():
         assert model.manifold_dim in (2, 4)
     with pytest.raises(UnknownName):
         builtin("t6")
+
+
+def test_unknown_names_say_what_is_unknown():
+    model, _ = builtin("t2")
+    for call, want in ((lambda: builtin("t6"), "unknown builtin model 't6'"),
+                       (lambda: model.gen("zz"), "unknown generator 'zz'"),
+                       (lambda: model.form([(1, ["zz"])]),
+                        "unknown generator 'zz'"),
+                       (lambda: CDGAModel([("x", 1)], {"y": []}, 2),
+                        "unknown generator 'y'")):
+        with pytest.raises(UnknownName) as info:
+            call()
+        assert str(info.value) == want
+        assert isinstance(info.value, KeyError)
+
+
+def test_cdga_basis_budget():
+    # Checked before any basis is listed: prod_g (1 + e_g), e_g = 1 for odd
+    # g and min(power_cap, dim // |g|) for even g, and dim + 1 degrees.
+    assert BASIS_LIMIT == 4096
+    assert len(ce_complex(12, {}).basis(6)) == 924
+    CDGAModel([("x", 2)], None, 4095)
+    CDGAModel([(f"y{i}", 2) for i in range(6)], None, 12, power_cap=3)
+    for args in (([(f"e{i}", 1) for i in range(13)], None, 13),
+                 ([("x", 2)], None, 4096),
+                 ([(f"y{i}", 2) for i in range(6)], None, 12, 4),
+                 ([("x", 1)], None, 10 ** 8)):
+        with pytest.raises(InputError, match="over the budget of 4096"):
+            CDGAModel(*args)
 
 
 def test_model_cone_inputs_requires_form_for_cdga():
