@@ -18,18 +18,22 @@ enters only the sector builders ``sector_matrix_L`` and
 ``sector_matrix_D``.  With A = sum_k sigma_k u_k v_k^t (``Factors``),
 L2 = tr S + sum_k sigma_k J_k for the commuting involutions
 J_k = c(v_k) chat(u_k), whose joint eigenspaces are lines: the kernel is
-one line, the spectrum a closed form, and eta is solved where L2 is
-diagonal; each step is checked, none eliminates.  "exact" mode certifies
-rational factors and works on integer numerators; "float" mode runs the
-same code on pure-Python Jacobi factors with residuals up to
-``_FLOAT_CUT`` of each check's scale.  No numpy.
+one line, and the spectrum and C1^2 are closed forms in the factors; each
+step is checked, none eliminates, and only L2 and the kernel work on all
+2^m forms.  "exact" mode certifies rational factors and works on integer
+numerators; "float" mode runs the same code on pure-Python Jacobi factors
+with residuals up to ``_FLOAT_CUT`` of each check's scale, and adds floats
+left to right (``_fold``), so its digits do not depend on how a Python
+version's ``sum`` adds.  No numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
+from operator import add, mul
 from random import Random
 from typing import NamedTuple
 
@@ -60,11 +64,11 @@ class UnexpectedKernel(CheckFailure):
     """A check behind the 1-dimensional model kernel failed."""
 
 
-# The largest m of the model.  Its work grows like 4^m: L2 and the right
-# side of its identity have about m^2/2 rational entries in each of 2^m
-# columns, and eta builds 2^m joint eigenvectors of 2^m entries: about a
-# second for a random 8 x 8 A, far more at m = 12.
-MODEL_DIM_LIMIT = 8
+# The largest m of the model.  Its work grows like m^2 2^m: L2 has about
+# m^2/2 rational entries in each of 2^m columns, built once, and the
+# kernel applies m projectors to forms of up to 2^m entries: a few seconds
+# for a random 12 x 12 A.
+MODEL_DIM_LIMIT = 12
 # The largest sector, in forms: C(m + cap, m) 2^m of them, one float each
 # in ``_block_spectrum``.
 SECTOR_LIMIT = 1 << 20
@@ -95,8 +99,14 @@ def _to_sparse(m: int, terms) -> SparseMat:
 # -- the finite oscillator model -----------------------------------------
 
 
+def _fold(terms):
+    """The sum of terms added left to right, as ``sum`` did for floats
+    before Python 3.12 made it compensated."""
+    return reduce(add, terms, 0)
+
+
 def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return _fold(map(mul, u, v))
 
 
 def _jacobi_eigh(g: SparseMat) -> tuple[list[float], list[list[float]]]:
@@ -201,24 +211,44 @@ def _checked_factors(a: SparseMat, gram: SparseMat, sigma: list, w: list
 class ModelOperator(Record):
     """The finite model, free of the coupling T: A, S and L2 (``form_op``)
     as SparseMat, and the ``Factors`` of A.  Building one, or any
-    ``replace`` of one, checks L2 == tr S + sum_k sigma_k J_k, the right
-    side built like L2 from sum_k (sigma_k / norm[k]) a_k w_k^t; else
-    UnexpectedKernel.  T enters only the sector builders."""
+    ``replace`` of one, checks L2 == tr S + sum_k sigma_k J_k on m x m
+    data; else UnexpectedKernel.  The right side is the L2 of
+    A' = sum_k (sigma_k / norm[k]) a_k w_k^t = A sum_k w_k w_k^t / |w_k|^2,
+    and B -> sum_ij B_ij c(e_j) chat(e_i) is linear and injective (the
+    products are independent by CAR), so the identity says A' == A:
+    exactly, or to ``tolerance`` / m per entry, which bounds each entry of
+    the difference of the two operators, a +-sum of at most m entries of
+    A' - A, by ``tolerance``.  The exact traces tr L2 = 2^m tr S and
+    tr L2^2 = 2^m ((tr S)^2 + tr A^t A) tie the assembled L2 to A and S.
+    T enters only the sector builders."""
 
     __slots__ = ("a", "sqrt_gram", "mode", "m", "det_sign", "form_op",
                  "factors")
 
     def __post_init__(self):
-        f = self.factors
-        weights = [s / n for s, n in zip(f.sigma, f.norm)]
-        b = {(i, j): sum(x * a[i] * w[j] for x, w, a in zip(weights, f.w, f.a))
-             for i in range(self.m) for j in range(self.m)}
-        diff = self.form_op - _form_operator(self.m, self.trace_sqrt(), b)
-        worst = max(map(abs, diff.entries.values()), default=0)
-        if worst > self.tolerance():
-            raise UnexpectedKernel(
-                f"L2 is not tr S + sum_k sigma_k J_k (largest entry of the "
-                f"difference {float(worst):.3e})")
+        def check(label, off, tol=0):
+            if abs(off) > tol:
+                raise UnexpectedKernel(f"L2 is not tr S + sum_k sigma_k J_k "
+                                       f"({label} = {float(off):.3e})")
+
+        f, m, n = self.factors, self.m, 1 << self.m
+        weights = [s / k for s, k in zip(f.sigma, f.norm)]
+        rows = self.a.to_rows()
+        check("max |A sum_k w_k w_k^t / |w_k|^2 - A|", max(
+            abs(_fold(x * a[i] * w[j] for x, w, a in zip(weights, f.w, f.a))
+                - rows[i][j]) for i in range(m) for j in range(m)),
+            self.tolerance() / m)
+        # The traces of L2 on its integer numerators over their lcm.
+        den = math.lcm(*(v.denominator for v in self.form_op.entries.values()))
+        form = {key: v.numerator * (den // v.denominator)
+                for key, v in self.form_op.entries.items()}
+        tr_s = self.trace_sqrt()
+        tr_ata = sum(v * v for v in self.a.entries.values())
+        check("tr L2 - 2^m tr S", Fraction(sum(
+            form.get((i, i), 0) for i in range(n)), den) - n * tr_s)
+        check("tr L2^2 - 2^m ((tr S)^2 + tr A^t A)", Fraction(sum(
+            v * form.get((c, r), 0) for (r, c), v in form.items()),
+            den * den) - n * (tr_s * tr_s + tr_ata))
 
     def trace_sqrt(self) -> Fraction:
         return sum((self.sqrt_gram.get(i, i) for i in range(self.m)),
@@ -260,7 +290,7 @@ def model_L(a, mode: str = "exact") -> ModelOperator:
             1, sigma)
     # S = sum_k sigma_k w_k w_k^t / |w_k|^2, floats as binary rationals.
     weights = [x / _dot(v, v) for x, v in zip(factors.sigma, factors.w)]
-    s = SparseMat(m, m, {(i, j): sum(
+    s = SparseMat(m, m, {(i, j): _fold(
         c * v[min(i, j)] * v[max(i, j)] for c, v in zip(weights, factors.w))
         for i in range(m) for j in range(m)})
     if mode == "float":
@@ -528,8 +558,8 @@ def spectrum_scaling(op: ModelOperator, cap: int = 2) -> SpectrumVerdict:
     block upper-triangular by degree (a failure names the monomials), and
     its diagonal blocks are those of flow alone, as lap has no entry in
     one (max_deviation: the largest such entry).  The spectrum is the
-    closed form ``_block_spectrum``, tied to flow and L2 by
-    ``_trace_guard``."""
+    closed form ``_block_spectrum``, tied to flow by ``_trace_guard`` and
+    to L2 by the checks of ``ModelOperator``."""
     if cap < 2:
         raise ValueError("cap must be >= 2 for the scaling check")
     sec = Sector(op.m, cap)
@@ -573,29 +603,19 @@ def _block_spectrum(op: ModelOperator, cap: int) -> tuple[float, ...]:
 
 
 def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int]):
-    """Tie ``_block_spectrum`` to the assembled factors by exact traces:
-    tr L2 = 2^m tr S, tr L2^2 = 2^m ((tr S)^2 + tr A^t A), and tr P_d =
-    2d C(m + d - 1, d) tr S / m for the degree-d diagonal block P_d of
-    flow (``degree``: each monomial's degree, ascending); else
-    CheckFailure."""
-    n = 1 << op.m
+    """Tie ``_block_spectrum`` to the assembled flow by exact traces:
+    tr P_d = 2d C(m + d - 1, d) tr S / m for the degree-d diagonal block
+    P_d of flow (``degree``: each monomial's degree, ascending); else
+    CheckFailure.  ``ModelOperator`` ties L2 to the same factors."""
     tr_s = op.trace_sqrt()
-    form = op.form_op.entries
-    checks = [("tr L2", sum(form.get((i, i), 0) for i in range(n)),
-               n * tr_s),
-              ("tr L2^2", sum(v * form.get((c, r), 0)
-                              for (r, c), v in form.items()),
-               n * (tr_s * tr_s + sum(v * v for v in op.a.entries.values())))]
     poly = [Fraction(0)] * (degree[-1] + 1)
     for (r, c), v in flow.entries.items():
         if r == c:
             poly[degree[r]] += v
-    checks += [(f"tr P_{d}", poly[d],
-                2 * d * math.comb(op.m + d - 1, d) * tr_s / op.m)
-               for d in range(len(poly))]
-    for label, got, want in checks:
+    for d, got in enumerate(poly):
+        want = 2 * d * math.comb(op.m + d - 1, d) * tr_s / op.m
         if got != want:
-            raise CheckFailure(f"spectrum trace guard: {label} = {got}, "
+            raise CheckFailure(f"spectrum trace guard: tr P_{d} = {got}, "
                                f"the closed form needs {want}")
 
 
@@ -608,108 +628,60 @@ class EtaVerdict(Record):
 def eta_scaling(op: ModelOperator) -> EtaVerdict:
     """C1^2 = T ||eta||^2 / ||ground||^2, one value free of T, for the
     correction eta solving L_hat eta = D_hat(skew(omega) delta) on the
-    cap-1 sector, Gaussian-orthogonal to the ground state.  By
-    ``_check_cap1`` that is (2S tensor 1 + 1 tensor L2) y = r on degree 1
-    (orthogonality kills degree 0), where the Gram is (2TS)^(-1): C1^2 =
-    1/2 sum_j |z_j|^2 / (sigma_j |delta|^2), z_j the part of y along v_j.
-    The verdict passes when the source is orthogonal to delta; a
-    vanishing source gives C1 = 0 and a flag."""
+    cap-1 sector, Gaussian-orthogonal to the ground state.  On that sector
+    L_hat and D_hat are T times fixed operators, so eta solves
+    (2S tensor 1 + 1 tensor L2) y = r on degree 1 (orthogonality kills
+    degree 0), whose Gram is (2TS)^(-1); ``_c1_squared_on_factors`` gives
+    the result in closed form.  The verdict passes when the source is
+    orthogonal to delta; a vanishing source gives C1 = 0 and a flag."""
     exact = op.mode == "exact"
     delta, _ = _kernel_vector(op)
-    _check_cap1(op)
-    source, src_den = _omega_skew(op.m, delta, exact)
-    overlap = abs(sum(x * delta.get(t, 0) for t, x in source.items()))
+    source, _ = _omega_skew(op.m, delta, exact)
+    overlap = abs(_fold(x * delta.get(t, 0) for t, x in source.items()))
     vanished, orthogonal, c1sq = not source, not overlap, Fraction(0)
     if not exact:
         vanished = _residual(source, {}) <= 1e-12 * _residual(delta, {})
         orthogonal = overlap <= _FLOAT_CUT * _norm(source) * _norm(delta)
         c1sq = 0.0
     if not vanished:
-        c1sq = _c1_squared(op, delta, source, src_den) / _dot(
-            delta.values(), delta.values())
+        c1sq = _c1_squared_on_factors(op.factors)
     detail = "" if orthogonal else "source not orthogonal to the ground state"
     return EtaVerdict(orthogonal, op.mode, c1sq, math.sqrt(float(c1sq)),
                       vanished, orthogonal, detail)
 
 
-def _c1_squared(op: ModelOperator, delta: dict, source: dict, src_den):
-    """1/2 sum_j |z_j|^2 / (sigma_j |w_j|^2), skew(omega) delta = source /
-    src_den.  Along w_j the degree-1 block is (2 sigma_j + L2) z_j = rho_j,
-    rho_j = (chat(a_j) / scale - sigma_j c(w_j)) source / src_den, solved
-    in the f_eps of ``_kernel_vector`` (zero terms dropped) and checked:
-    on integers if exact, to ``_FLOAT_CUT`` of rho_j if float."""
-    f = op.factors
-    exact = op.mode == "exact"
-    cs, chats = _clifford_gens(op.m)
-    basis, level = [delta], [0]
-    for eps in range(1, 1 << op.m):
-        k = eps.bit_length() - 1
-        basis.append(_clifford_apply(basis[eps ^ 1 << k], f.w[k], cs))
-        level.append(level[eps ^ 1 << k] + 2 * f.sigma[k])
-    sizes = [_dot(b.values(), b.values()) for b in basis]
+def _omega(x, y):
+    """omega(x, y) = sum_i x_2i y_2i+1 - x_2i+1 y_2i, the form whose
+    terms ``_omega_terms`` lists."""
+    return _fold(x[i] * y[i + 1] - x[i + 1] * y[i]
+                 for i in range(0, len(x), 2))
+
+
+def _c1_squared_on_factors(f: Factors):
+    """C1^2 = 1/16 sum_(j != k) N_jk^2 / (sigma_j + sigma_k), with
+    N_jk = (omega(w_j, w_k) + omega(a_j, a_k) / (scale^2 sigma_j sigma_k))
+    / (2 |w_j| |w_k|); on exact factors N_jk^2 is rational.
+
+    Lemma.  Let v_k = w_k / |w_k|, u_k = A v_k / sigma_k, f_k =
+    c(v_k) delta, and rho_j = sigma_j (chat(u_j) - c(v_j)) skew(omega)
+    delta the degree-1 source along v_j.  Then rho_j lies in the span of
+    the f_k with k != j, and <rho_j, f_k> = -sigma_j N_jk |delta|^2.  As
+    L2 f_k = 2 sigma_k f_k and |f_k| = |delta|, the part z_j of y along
+    v_j, solving (2 sigma_j + L2) z_j = rho_j, has |z_j|^2 = sum_k
+    sigma_j^2 N_jk^2 |delta|^2 / (4 (sigma_j + sigma_k)^2), and C1^2 =
+    1/2 sum_j |z_j|^2 / (sigma_j |delta|^2); N_jk^2 is symmetric, so
+    pairing (j, k) with (k, j) gives the closed form."""
+    m = len(f.sigma)
+    sizes = [_dot(w, w) for w in f.w]
     total = 0
-    for j, s in enumerate(f.sigma):
-        # sigma_j = p / q, rho_j = rho / rho_den, z_j = z / common.
-        p, q = (s.numerator, s.denominator) if exact else (s, 1)
-        rho = _clifford_apply(source, [-f.scale * p * x for x in f.w[j]], cs,
-                              _clifford_apply(source, [q * x for x in f.a[j]],
-                                              chats))
-        rho_den = src_den * f.scale * q
-        inner = [sum(y * b.get(t, 0) for t, y in rho.items()) for b in basis]
-        coeffs = {eps: x / (sizes[eps] * rho_den * (2 * s + level[eps]))
-                  for eps, x in enumerate(inner) if x}
-        common = math.lcm(*(c.denominator for c in coeffs.values())) \
-            if exact else 1
-        z: dict = {}
-        for eps, c in coeffs.items():
-            c = int(c * common) if exact else c
-            for t, y in basis[eps].items():
-                z[t] = z.get(t, 0) + c * y
-        lz, den = _apply(op.form_op, z, exact)
-        # (2 p / q + L2 numerators / den) z / common == rho / rho_den.
-        got = {t: rho_den * (2 * p * den * z.get(t, 0) + q * lz.get(t, 0))
-               for t in z.keys() | lz.keys()}
-        want = {t: q * den * common * x for t, x in rho.items()}
-        if _residual(got, want) > (0 if exact else _FLOAT_CUT * _residual(
-                want, {})):
-            raise CheckFailure(f"eta check: (2 sigma_{j} + L2) z_{j} != "
-                               f"rho_{j} in the joint eigenbasis")
-        total += _dot(z.values(), z.values()) / (
-            common * common * s * _dot(f.w[j], f.w[j]))
-    return total / 2
-
-
-def _check_cap1(op: ModelOperator):
-    """Check the cap-1 sector exactly against the closed forms eta uses, T
-    times fixed operators: lap has no entry and flow is x_b -> 2 sum_a S_ba
-    x_a, so ``sector_matrix_L`` is T (flow tensor 1 + 1 tensor L2) at every
-    T; the cap-0 to cap-1 ``sector_matrix_D`` at T = 1 is sum_j x_j
-    (chat(A e_j) - c(S e_j)), which that builder scales by T, compared
-    entry by entry with a closed form of m^2 weighted generators."""
-    m, sec = op.m, Sector(op.m, 1)
-    # Degree-1 monomials are ordered by exponent tuple, not by variable.
-    var = [mono.index(1) for mono in sec.monomials[1:]]
-    s_rows, a_rows = op.sqrt_gram.to_rows(), op.a.to_rows()
-    lap, flow = _sector_parts(op, sec)
-    if lap.entries or flow != SparseMat(m + 1, m + 1, {
-            (i + 1, k + 1): 2 * s_rows[var[k]][var[i]]
-            for i in range(m) for k in range(m)}):
-        raise CheckFailure("eta check: the cap-1 L is not "
-                           "T (flow tensor 1 + 1 tensor L2)")
-    want = {}
-    for k, j in enumerate(var, 1):
-        for i in range(m):
-            # A_ij chat(e_i) - S_ij c(e_i) is (A_ij - S_ij) times the wedge
-            # plus (A_ij + S_ij) times the contraction by e_i; the m terms
-            # of one block have different permutations and never meet.
-            a, s = a_rows[i][j], s_rows[i][j]
-            perm, sign = _generator(m, i, a - s, a + s)
-            want.update((((k << m) + r, c), y)
-                        for c, (r, y) in enumerate(zip(perm, sign)) if y)
-    got = sector_matrix_D(op, 0, 1, 1)
-    if got.shape != ((m + 1) << m, 1 << m) or got.entries != want:
-        raise CheckFailure("eta check: the cap-1 D is not "
-                           "T sum_j x_j (chat(A e_j) - c(S e_j))")
+    for j in range(m):
+        for k in range(m):
+            if j != k:
+                s, t = f.sigma[j], f.sigma[k]
+                n = _omega(f.w[j], f.w[k]) + _omega(f.a[j], f.a[k]) / (
+                    f.scale * f.scale * s * t)
+                total += n * n / (4 * sizes[j] * sizes[k] * (s + t))
+    return total / 16
 
 
 # -- rational random sources ---------------------------------------------

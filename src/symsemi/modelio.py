@@ -84,6 +84,15 @@ def format_rational(x) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
+def _located_rational(value, where: str) -> Fraction:
+    """``parse_rational`` with ``where`` (file and field) before its
+    message."""
+    try:
+        return parse_rational(value)
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+
+
 def _require(data: dict, key: str, where: str):
     if key not in data:
         raise FormatError(f"{where}: missing key {key!r}")
@@ -102,7 +111,7 @@ def _parse_matrix(rows_json, nrows: int, ncols: int, label: str) -> SparseMat:
             raise FormatError(
                 f"{label}: row {i} should have {ncols} entries")
         for j, cell in enumerate(row):
-            val = parse_rational(cell)
+            val = _located_rational(cell, f"{label} row {i}")
             if val:
                 entries[(i, j)] = val
     return SparseMat(nrows, ncols, entries)
@@ -119,7 +128,8 @@ def _parse_terms(terms_json, label: str) -> list[tuple[Fraction, list[str]]]:
                 or not all(isinstance(n, str) for n in term[1])):
             raise FormatError(
                 f"{label}: term {t} should be [coeff, [names...]]")
-        out.append((parse_rational(term[0]), list(term[1])))
+        out.append((_located_rational(term[0], f"{label} term {t}"),
+                    list(term[1])))
     return out
 
 
@@ -185,15 +195,15 @@ def _load_matrix_model(data: dict, source: str, name: str) -> LoadedModel:
     d_json = _require(data, "d", where)
     if not isinstance(d_json, list) or len(d_json) != top:
         raise FormatError(f"{where}: expected {top} differential matrices")
-    d = [_parse_matrix(d_json[k], dims[k + 1], dims[k], f"d[{k}]")
+    d = [_parse_matrix(d_json[k], dims[k + 1], dims[k], f"{source}: d[{k}]")
          for k in range(top)]
     w_json = _require(data, "omega", where)
     want = max(top - 1, 0)
     if not isinstance(w_json, list) or len(w_json) != want:
         raise FormatError(f"{where}: expected {want} omega matrices")
     cx = GradedComplex(dims, d)
-    maps = [_parse_matrix(w_json[k], cx.dim(k + 2), dims[k], f"omega[{k}]")
-            for k in range(want)]
+    maps = [_parse_matrix(w_json[k], cx.dim(k + 2), dims[k],
+                          f"{source}: omega[{k}]") for k in range(want)]
     return LoadedModel(source, "matrix", name, md, cx, OmegaMap(cx, maps))
 
 
@@ -220,10 +230,12 @@ def _load_cdga_model(data: dict, source: str, name: str) -> LoadedModel:
     diff_json = data.get("differential") or {}
     if not isinstance(diff_json, dict):
         raise FormatError(f"{where}: differential must be an object")
-    differential = {gname: _parse_terms(terms, f"differential[{gname}]")
-                    for gname, terms in diff_json.items()}
+    differential = {
+        gname: _parse_terms(terms, f"{source}: differential[{gname}]")
+        for gname, terms in diff_json.items()}
     model = CDGAModel(gens, differential, md)
-    w = model.form(_parse_terms(_require(data, "omega", where), "omega"))
+    w = model.form(_parse_terms(_require(data, "omega", where),
+                                f"{source}: omega"))
     cx, wmap = model_cone_inputs(model, w)
     return LoadedModel(source, "cdga", name, md, cx, wmap, model, w)
 
@@ -311,10 +323,8 @@ def load_matrix_rows(spec: str) -> list[list[Fraction]]:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        try:
-            rows.append([parse_rational(tok) for tok in text.split()])
-        except FormatError as exc:
-            raise FormatError(f"{spec}:{lineno}: {exc}") from None
+        rows.append([_located_rational(tok, f"{spec}:{lineno}")
+                     for tok in text.split()])
     if not rows:
         raise FormatError(f"{spec}: no matrix rows found")
     width = len(rows[0])

@@ -1,6 +1,7 @@
 """Tests for the Clifford identities and the finite oscillator model."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -48,7 +49,7 @@ from oracles import (car_oracle, dense_from_sparse, dense_inverse,
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 EYE4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-EYE12 = [[1 if i == j else 0 for j in range(12)] for i in range(12)]
+EYE16 = [[1 if i == j else 0 for j in range(16)] for i in range(16)]
 SHEAR = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
@@ -155,21 +156,21 @@ def test_volume_identities_reject_m6():
 
 def test_dimension_limits():
     # One limit per operator family, whatever the arithmetic mode.
-    assert CLIFFORD_DIM_LIMIT == 12 and MODEL_DIM_LIMIT == 8
+    assert CLIFFORD_DIM_LIMIT == MODEL_DIM_LIMIT == 12
     for verify in (verify_car, verify_volume_star, verify_volume_omega):
         with pytest.raises(BadDimension, match="exceeds the limit 12"):
             verify(CLIFFORD_DIM_LIMIT + 4)
     with pytest.raises(BadDimension, match="exceeds the limit 12"):
         verify_complex_structure([1] + [0] * CLIFFORD_DIM_LIMIT)
-    with pytest.raises(BadDimension, match="exceeds the limit 8"):
-        model_L(EYE12, "exact")
+    with pytest.raises(BadDimension, match="exceeds the limit 12"):
+        model_L(EYE16, "exact")
 
 
 def test_model_limit_holds_in_float_mode():
-    # The model's cost grows like 4^m in either arithmetic, so it refuses
-    # m = 12 up front in float mode too.
-    with pytest.raises(BadDimension, match="exceeds the limit 8"):
-        model_L(EYE12, "float")
+    # L2 has about m^2 2^m / 2 entries in either arithmetic, so the model
+    # refuses m = 16 up front in float mode too.
+    with pytest.raises(BadDimension, match="exceeds the limit 12"):
+        model_L(EYE16, "float")
 
 
 def test_complex_structure_canonical_vector():
@@ -477,12 +478,31 @@ def flipped_involution(op):
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_a_broken_involution_breaks_the_l2_identity(mode):
     # The model checks its L2 identity whenever it is built, ``replace``
-    # included, so no check ever runs on a broken J_k.
+    # included, so no check ever runs on a broken J_k: the m x m identity
+    # A sum_k w_k w_k^t / |w_k|^2 == A fails for a negated a_0.
     op = model_L(random_model_matrix(4, Random(7), -1), mode)
     assert eta_scaling(op).passed
     with pytest.raises(UnexpectedKernel,
-                       match=r"L2 is not tr S \+ sum_k sigma_k J_k"):
+                       match=r"L2 is not tr S \+ sum_k sigma_k J_k \(max "):
         flipped_involution(op)
+
+
+def test_float_l2_identity_allows_the_tolerance_over_m():
+    # An entry of the difference of two L2 is a +-sum of up to m entries
+    # of A' - A (a diagonal one of all m), so the m x m check allows
+    # tolerance() / m per entry: then no L2 entry is off by more than
+    # tolerance().  A bump of a_0 moves A'_00 alone.
+    op = model_L(EYE4, "float")
+    f = op.factors
+    assert f.w[0] == (1.0, 0.0, 0.0, 0.0) and f.sigma[0] == f.norm[0]
+    for share, refused in ((0.9, False), (1.1, True)):
+        bump = share * op.tolerance() / 4
+        a = ((f.a[0][0] + bump,) + f.a[0][1:],) + f.a[1:]
+        if refused:
+            with pytest.raises(UnexpectedKernel, match=r"\(max "):
+                op.replace(factors=f._replace(a=a))
+        else:
+            op.replace(factors=f._replace(a=a))
 
 
 def test_jacobi_matches_numpy_eigh():
@@ -546,7 +566,8 @@ def broken_form_ops():
     """Two corruptions of L2 on the 16 masks of m = 4: identity on masks
     2-15 only (a 2-dimensional kernel), and row 0 = e0 - e1 with row 1
     empty (a 1-dimensional kernel spanning the even mask 0 and the odd
-    mask 1).  Neither is tr S + sum_k sigma_k J_k."""
+    mask 1).  Neither is tr S + sum_k sigma_k J_k: their traces, 14 and
+    15, are not 2^m tr S."""
     rest = {(i, i): Fraction(1) for i in range(2, 16)}
     return (SparseMat(16, 16, rest),
             SparseMat(16, 16, {**rest, (0, 0): Fraction(1),
@@ -554,13 +575,14 @@ def broken_form_ops():
 
 
 def test_broken_kernels_raise_in_both_modes():
-    # The kernel and eta checks both rest on the L2 identity, which the
-    # model checks when it is built: it refuses either corruption in both
-    # modes before any check could run on it.
+    # The kernel check rests on the L2 identity, which the model checks
+    # when it is built: its trace identity refuses either corruption in
+    # both modes before any check could run on it.
     for op in (model_L(EYE4, "exact"), model_L(SHEAR, "float")):
         for broken in broken_form_ops():
             with pytest.raises(UnexpectedKernel,
-                               match=r"L2 is not tr S \+ sum_k sigma_k J_k"):
+                               match=r"L2 is not tr S \+ sum_k sigma_k J_k "
+                                     r"\(tr L2 - 2\^m tr S = "):
                 op.replace(form_op=broken)
 
 
@@ -693,23 +715,24 @@ def test_factored_spectrum_matches_the_dense_blocks():
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_trace_guard_catches_a_changed_form_operator(mode, monkeypatch):
-    # The closed form never reads the assembled L2, so the trace guard
-    # must.  ``_form_operator`` builds both L2 and the right side of its
-    # identity, so an entry it adds passes the model's own check; one
-    # added off the diagonal, where its transpose is nonzero, changes
-    # tr L2^2 alone.
+    # The m x m identity and the closed forms never read the assembled
+    # L2, so the model's trace identities must.  An entry that
+    # ``_form_operator`` adds off the diagonal, where its transpose is
+    # nonzero, keeps tr L2 and changes tr L2^2 alone.
     a = rotated_diagonal(Random(5), -1)
     op = model_L(a, mode)
     form = op.form_op.entries
     r, c = next(k for k in sorted(form) if k[0] != k[1] and k[::-1] in form)
+    bump = SparseMat(16, 16, {(r, c): Fraction(1)})
     build = cl._form_operator
-    monkeypatch.setattr(cl, "_form_operator", lambda *args: build(
-        *args) + SparseMat(16, 16, {(r, c): Fraction(1)}))
-    bumped = model_L(a, mode)
-    assert bumped.form_op - op.form_op == SparseMat(16, 16, {(r, c): 1})
-    assert spectrum_scaling(op, cap=2).passed
-    with pytest.raises(CheckFailure, match=r"trace guard: tr L2\^2 = "):
-        spectrum_scaling(bumped, cap=2)
+    monkeypatch.setattr(cl, "_form_operator",
+                        lambda *args: build(*args) + bump)
+    with pytest.raises(UnexpectedKernel,
+                       match=r"L2 is not tr S \+ sum_k sigma_k J_k "
+                             r"\(tr L2\^2 - 2\^m \(\(tr S\)\^2 "):
+        model_L(a, mode)
+    with pytest.raises(UnexpectedKernel, match=r"\(tr L2\^2 - "):
+        op.replace(form_op=op.form_op + bump)
 
 
 def test_spectrum_scaling_in_dimension_eight():
@@ -903,13 +926,182 @@ def test_c1_squared_matches_the_gaussian_norm_definition():
                 op, t, gaussian_matching_oracle) == value
 
 
+def joint_eigenbasis(op, delta):
+    """The 2^m vectors f_eps = prod_(k in eps) c(w_k) delta, k descending,
+    and their levels 2 sum_(k in eps) sigma_k under L2."""
+    f = op.factors
+    cs, _ = cl._clifford_gens(op.m)
+    basis, level = [delta], [0]
+    for eps in range(1, 1 << op.m):
+        k = eps.bit_length() - 1
+        basis.append(cl._clifford_apply(basis[eps ^ 1 << k], f.w[k], cs))
+        level.append(level[eps ^ 1 << k] + 2 * f.sigma[k])
+    return basis, level
+
+
+def eta_sources(op, source, src_den):
+    """rho_j = (chat(a_j) / scale - sigma_j c(w_j)) source / src_den, the
+    degree-1 source along w_j, as (numerators, denominator) pairs:
+    integers if exact, floats over 1 if float."""
+    f = op.factors
+    cs, chats = cl._clifford_gens(op.m)
+    out = []
+    for j, s in enumerate(f.sigma):
+        p, q = (s.numerator, s.denominator) if op.mode == "exact" else (s, 1)
+        rho = cl._clifford_apply(
+            source, [-f.scale * p * x for x in f.w[j]], cs,
+            cl._clifford_apply(source, [q * x for x in f.a[j]], chats))
+        out.append((rho, src_den * f.scale * q))
+    return out
+
+
+def eigenbasis_c1_squared(op):
+    """Reference C1^2 by a solve in the joint eigenbasis: 1/2 sum_j |z_j|^2
+    / (sigma_j |w_j|^2 |delta|^2), where along w_j the degree-1 block is
+    (2 sigma_j + L2) z_j = rho_j (``eta_sources``), solved in the f_eps
+    of ``joint_eigenbasis`` (zero terms dropped) and checked against the
+    assembled L2: on integers if exact, to ``_FLOAT_CUT`` of rho_j if
+    float.  It does 2^m-wide work for each of the m sources."""
+    f = op.factors
+    exact = op.mode == "exact"
+    delta, _ = cl._kernel_vector(op)
+    source, src_den = cl._omega_skew(op.m, delta, exact)
+    basis, level = joint_eigenbasis(op, delta)
+    sizes = [cl._dot(b.values(), b.values()) for b in basis]
+    total = 0
+    for j, (rho, rho_den) in enumerate(eta_sources(op, source, src_den)):
+        # sigma_j = p / q, z_j = z / common.
+        s = f.sigma[j]
+        p, q = (s.numerator, s.denominator) if exact else (s, 1)
+        inner = [sum(y * b.get(t, 0) for t, y in rho.items()) for b in basis]
+        coeffs = {eps: x / (sizes[eps] * rho_den * (2 * s + level[eps]))
+                  for eps, x in enumerate(inner) if x}
+        common = math.lcm(*(c.denominator for c in coeffs.values())) \
+            if exact else 1
+        z: dict = {}
+        for eps, c in coeffs.items():
+            c = int(c * common) if exact else c
+            for t, y in basis[eps].items():
+                z[t] = z.get(t, 0) + c * y
+        lz, den = cl._apply(op.form_op, z, exact)
+        # (2 p / q + L2 numerators / den) z / common == rho / rho_den.
+        got = {t: rho_den * (2 * p * den * z.get(t, 0) + q * lz.get(t, 0))
+               for t in z.keys() | lz.keys()}
+        want = {t: q * den * common * x for t, x in rho.items()}
+        assert cl._residual(got, want) <= (
+            0 if exact else cl._FLOAT_CUT * cl._residual(want, {}))
+        total += cl._dot(z.values(), z.values()) / (
+            common * common * s * cl._dot(f.w[j], f.w[j]))
+    return total / 2 / cl._dot(delta.values(), delta.values())
+
+
+# The samples with rational singular values; matrix_random_12 is left
+# out, as the reference solve takes about a minute there.
+EXACT_SAMPLES = ("matrix_diag_1234", "matrix_diag_8", "matrix_random_8",
+                 "matrix_rational_svd_4", "matrix_rotated_4")
+
+
+def random_models(cases):
+    """random_model_matrix(m, Random(s), sign) for each (m, seeds) in
+    cases, every seed and both signs."""
+    return [random_model_matrix(m, Random(s), sign) for m, seeds in cases
+            for s in seeds for sign in (1, -1)]
+
+
+def test_closed_form_c1_squared_matches_the_eigenbasis_solve():
+    # The reported closed form against the 2^m solve it replaced: the same
+    # Fraction in exact mode, and within 1e-12 relative in float mode.
+    mats = random_models(((4, range(1, 9)), (8, range(1, 4))))
+    mats += [load_matrix_rows(str(SAMPLES / f"{name}.txt"))
+             for name in EXACT_SAMPLES]
+    for a in mats:
+        op = model_L(a, "exact")
+        assert eta_scaling(op).c1_squared == eigenbasis_c1_squared(op)
+    for a in mats + [SHEAR]:
+        op = model_L(a, "float")
+        want = eigenbasis_c1_squared(op)
+        assert abs(eta_scaling(op).c1_squared / want - 1) <= 1e-12
+
+
+def test_eta_sources_lie_on_the_single_flips():
+    # The lemma behind the closed form, on all 2^m vectors f_eps: rho_j has
+    # no part along f_eps unless eps = {k} with k != j, where
+    # <rho_j, f_k> = -sigma_j N_jk |delta|^2 |w_j| |w_k|
+    #              = -sigma_j n_jk |delta|^2 / 2,
+    # n_jk = omega(w_j, w_k) + omega(a_j, a_k) / (scale^2 sigma_j sigma_k);
+    # and the f_k are orthogonal and carry all of |rho_j|^2.
+    for a in random_models(((4, range(1, 5)), (8, range(1, 2)))):
+        op = model_L(a, "exact")
+        f = op.factors
+        delta, _ = cl._kernel_vector(op)
+        source, src_den = cl._omega_skew(op.m, delta, True)
+        basis, _ = joint_eigenbasis(op, delta)
+        size = cl._dot(delta.values(), delta.values())
+        for k in range(op.m):
+            for h in range(op.m):
+                inner = sum(x * basis[1 << h].get(t, 0)
+                            for t, x in basis[1 << k].items())
+                assert inner == (size * cl._dot(f.w[k], f.w[k]) if h == k
+                                 else 0)
+        for j, (rho, den) in enumerate(eta_sources(op, source, src_den)):
+            along = []
+            for eps, b in enumerate(basis):
+                inner = Fraction(sum(y * b.get(t, 0) for t, y in rho.items()),
+                                 den)
+                if eps.bit_count() != 1 or eps == 1 << j:
+                    assert inner == 0
+                    continue
+                k = eps.bit_length() - 1
+                n = cl._omega(f.w[j], f.w[k]) + cl._omega(f.a[j], f.a[k]) / (
+                    f.scale ** 2 * f.sigma[j] * f.sigma[k])
+                assert inner == -f.sigma[j] * n * size / 2
+                along.append(inner ** 2 / (size * cl._dot(f.w[k], f.w[k])))
+            assert sum(along) == Fraction(cl._dot(rho.values(), rho.values()),
+                                          den * den)
+
+
+def check_cap1(op):
+    """Check the cap-1 sector exactly against the closed forms that the
+    closed-form C1^2 assumes, T times fixed operators: lap has no entry and
+    flow is x_b -> 2 sum_a S_ba x_a, so ``sector_matrix_L`` is T (flow
+    tensor 1 + 1 tensor L2) at every T; the cap-0 to cap-1
+    ``sector_matrix_D`` at T = 1 is sum_j x_j (chat(A e_j) - c(S e_j)),
+    which that builder scales by T, compared entry by entry with a closed
+    form of m^2 weighted generators.  The builders are looked up on ``cl``
+    at each call, so a patched one is what gets checked."""
+    m, sec = op.m, Sector(op.m, 1)
+    # Degree-1 monomials are ordered by exponent tuple, not by variable.
+    var = [mono.index(1) for mono in sec.monomials[1:]]
+    s_rows, a_rows = op.sqrt_gram.to_rows(), op.a.to_rows()
+    lap, flow = cl._sector_parts(op, sec)
+    if lap.entries or flow != SparseMat(m + 1, m + 1, {
+            (i + 1, k + 1): 2 * s_rows[var[k]][var[i]]
+            for i in range(m) for k in range(m)}):
+        raise CheckFailure("eta check: the cap-1 L is not "
+                           "T (flow tensor 1 + 1 tensor L2)")
+    want = {}
+    for k, j in enumerate(var, 1):
+        for i in range(m):
+            # A_ij chat(e_i) - S_ij c(e_i) is (A_ij - S_ij) times the wedge
+            # plus (A_ij + S_ij) times the contraction by e_i; the m terms
+            # of one block have different permutations and never meet.
+            a, s = a_rows[i][j], s_rows[i][j]
+            perm, sign = ex._generator(m, i, a - s, a + s)
+            want.update((((k << m) + r, c), y)
+                        for c, (r, y) in enumerate(zip(perm, sign)) if y)
+    got = cl.sector_matrix_D(op, 0, 1, 1)
+    if got.shape != ((m + 1) << m, 1 << m) or got.entries != want:
+        raise CheckFailure("eta check: the cap-1 D is not "
+                           "T sum_j x_j (chat(A e_j) - c(S e_j))")
+
+
 def cap1_mutants():
     """(name, mutant, message) triples that break the cap-1 sector eta
     relies on.  In ``_sector_parts`` at cap 1: a lap entry, an entry of
     flow off its diagonal (zero there for A = I) and one across degrees.
     In ``sector_matrix_D``: a T^2 term on a degree-1 row and a T-linear
     term on the degree-0 row, both seen at the T = 1 of the check.  The
-    exact comparisons with the closed forms catch each."""
+    exact comparisons of ``check_cap1`` catch each."""
     parts, build_d = cl._sector_parts, cl.sector_matrix_D
     wrong_l = (r"eta check: the cap-1 L is not "
                r"T \(flow tensor 1 \+ 1 tensor L2\)")
@@ -937,13 +1129,19 @@ def cap1_mutants():
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_eta_homogeneity_is_asserted(mode, monkeypatch):
-    op = model_L(EYE4 if mode == "exact" else SHEAR, mode)
-    assert eta_scaling(op).passed
-    for name, mutant, message in cap1_mutants():
-        with monkeypatch.context() as patch:
-            patch.setattr(cl, name, mutant)
-            with pytest.raises(CheckFailure, match=message):
-                eta_scaling(op)
+    # eta_scaling reads no sector builder: its closed form assumes that
+    # the cap-1 L and D are T times fixed operators.  ``check_cap1``
+    # certifies that on random models of both signs, and each mutant of
+    # a builder breaks it.
+    for m, sign in ((4, 1), (4, -1), (8, 1), (8, -1)):
+        op = model_L(random_model_matrix(m, Random(m), sign), mode)
+        assert any(r != c for (r, c) in op.sqrt_gram.entries)
+        check_cap1(op)
+        for name, mutant, message in cap1_mutants():
+            with monkeypatch.context() as patch:
+                patch.setattr(cl, name, mutant)
+                with pytest.raises(CheckFailure, match=message):
+                    check_cap1(op)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -994,6 +1192,26 @@ def test_random_8x8_model_passes_in_float_mode(sign):
     verdict = eta_scaling(float_op)
     assert verdict.passed and verdict.mode == "float"
     assert abs(verdict.c1_squared - want) <= 1e-12 * want
+
+
+def test_random_12x12_sample_passes_exactly():
+    # The model limit: a full 12 x 12 A^t A with three repeated singular
+    # values.  The kernel, the cap-2 spectrum and eta all run exact, on
+    # one 4096-form L2; the 2^m reference solve gives the same C1^2 in
+    # about a minute, too slow to repeat here.
+    rows = load_matrix_rows(str(SAMPLES / "matrix_random_12.txt"))
+    a = random_model_matrix(12, Random(1), -1)
+    assert SparseMat.from_rows(rows) == a
+    op = model_L(rows, "exact")
+    assert op.m == MODEL_DIM_LIMIT == 12
+    assert kernel_and_parity(op) == 1
+    verdict = spectrum_scaling(op, cap=2)
+    assert verdict.passed and len(verdict.spectrum) == Sector(12, 2).size
+    assert verdict.gap == 4 / 3
+    eta = eta_scaling(op)
+    assert eta.passed and eta.c1_squared == Fraction(
+        551994603010280984169182257896609986475810149458679,
+        4612867968304712577926305248900254458007812500000000)
 
 
 def test_float_eta_at_the_model_limit():

@@ -200,8 +200,8 @@ _FILES = {
     "long_coefficient.json": _cdga(_E, {}, [["1" * 100_000, ["e1", "e2"]],
                                            ["1", ["e3", "e4"]]]),
     "huge_dim.json": _cdga([("x", 2)], {}, [["1", ["x"]]], 10 ** 8),
-    "eye12.txt": "".join(" ".join("1" if i == j else "0" for j in range(12))
-                         + "\n" for i in range(12)),
+    "eye16.txt": "".join(" ".join("1" if i == j else "0" for j in range(16))
+                         + "\n" for i in range(16)),
 }
 _KT_CENSUS = str(SAMPLES / "census_kt_nonvanishing.json")
 
@@ -242,16 +242,16 @@ def _case(error, argv, message):
     _case("InputError-limit", ["clifford", "--n", "4"],
           "dimension 4n = 16 exceeds the Clifford limit 12"),
     _case("BadDimension-limit",
-          ["oscillator", "--matrix", "eye12.txt", "--mode", "float"],
-          "dimension 12 exceeds the limit 8"),
+          ["oscillator", "--matrix", "eye16.txt", "--mode", "float"],
+          "dimension 16 exceeds the limit 12"),
     # A long token is echoed as its first 40 characters and its length.
     _case("FormatError-long-token", ["oscillator", "--matrix",
                                      "long_token.txt"],
           "long_token.txt:1: bad rational '" + "x" * 40 + "'… (200000 "
           "characters): want \"p\" or \"p/q\" with q > 0"),
     _case("FormatError-long-coefficient", ["compute", "long_coefficient.json"],
-          "bad rational '" + "1" * 40 + "'… (100000 characters): too many "
-          "digits"),
+          "long_coefficient.json: omega term 0: bad rational '" + "1" * 40
+          + "'… (100000 characters): too many digits"),
     _case("InputError-budget-dim", ["compute", "huge_dim.json"],
           "over the budget of 4096 basis monomials and degrees: 1 "
           "generators in dimension 100000000"),

@@ -191,6 +191,41 @@ def test_model_file_format_errors(tmp_path):
             load_model(write_json(tmp_path, payload))
 
 
+def test_bad_rational_in_a_cdga_file_names_file_and_field(tmp_path):
+    gens = [{"name": n, "degree": 1} for n in ("x", "y", "z", "t")]
+    for differential, omega, field in (
+            ({"t": [["1", ["x", "y"]], ["1/0", ["x", "z"]]]},
+             [["1", ["x", "t"]]], "differential[t] term 1"),
+            ({}, [["1", ["x", "y"]], ["1", ["z", "t"]], ["x", ["x", "t"]]],
+             "omega term 2")):
+        path = write_json(tmp_path, {
+            "kind": "cdga", "manifold_dim": 4, "generators": gens,
+            "differential": differential, "omega": omega})
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: {field}: bad rational ")
+
+
+def test_bad_rational_in_a_matrix_file_names_file_and_field(tmp_path):
+    # dims 1, 2, 3, 2, 1 and zero maps: d[1] is 3 x 2, omega[0] is 3 x 1.
+    dims = [1, 2, 3, 2, 1]
+
+    def zeros(rows, cols):
+        return [["0"] * cols for _ in range(rows)]
+
+    for key, k, i, field in (("d", 1, 2, "d[1] row 2"),
+                             ("omega", 0, 1, "omega[0] row 1")):
+        payload = {"kind": "matrix", "manifold_dim": 4, "dims": dims,
+                   "d": [zeros(dims[j + 1], dims[j]) for j in range(4)],
+                   "omega": [zeros(dims[j + 2], dims[j]) for j in range(3)]}
+        payload[key][k][i][0] = "2.5"
+        path = write_json(tmp_path, payload)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == (f"{path}: {field}: bad rational '2.5': "
+                                  "want \"p\" or \"p/q\" with q > 0")
+
+
 def test_census_sample_files():
     morse = load_census(str(SAMPLES / "census_s2xs2_morse.json"))
     assert morse.count() == 4
