@@ -1,9 +1,11 @@
 """The finite oscillator model.
 
 It applies the monomial operators of ``exterior`` (see its docstring for
-the basis conventions) to forms held as sparse vectors, and assembles only
-L2 below from them as a ``SparseMat``.  It re-exports the ``verify_*``
-checks, because the benchmark's layer spans look them up here.
+the basis conventions) to forms held as sparse vectors, and assembles L2
+below from them once, as integer numerators over one denominator; only
+``sector_matrix_L`` makes a ``SparseMat`` of it.  It re-exports the
+``verify_*`` checks, because the benchmark's layer spans look them up
+here.
 
 The oscillator model replaces the deformed de Rham operator by polynomial
 coefficients times constant forms.  Conjugated by the Gaussian ground state
@@ -65,8 +67,8 @@ class UnexpectedKernel(CheckFailure):
 
 
 # The largest m of the model.  Its work grows like m^2 2^m: L2 has about
-# m^2/2 rational entries in each of 2^m columns, built once, and the
-# kernel applies m projectors to forms of up to 2^m entries: a few seconds
+# m^2/2 integer entries in each of 2^m columns, built once, and the ground
+# form takes m projectors on forms of up to 2^m entries: about a second
 # for a random 12 x 12 A.
 MODEL_DIM_LIMIT = 12
 # The largest sector, in forms: C(m + cap, m) 2^m of them, one float each
@@ -79,21 +81,6 @@ _FLOAT_CUT = 1e-9
 # up to this, then checks them exactly.
 _SIGMA_DENOMINATOR = 10 ** 6
 _JACOBI_SWEEPS = 60
-
-
-def _to_sparse(m: int, terms) -> SparseMat:
-    """The sum of coeff * op over (coeff, op) in terms as a sparse matrix,
-    summed on integer numerators over the lcm of the denominators."""
-    terms = [(Fraction(c), op) for c, op in terms]
-    den = math.lcm(*(c.denominator for c, _ in terms))
-    entries: dict[tuple[int, int], int] = {}
-    for coeff, op in terms:
-        k = coeff.numerator * (den // coeff.denominator)
-        for s, (r, x) in enumerate(zip(op.perm, op.sign)):
-            if x:
-                entries[(r, s)] = entries.get((r, s), 0) + k * x
-    return SparseMat(1 << m, 1 << m, {key: Fraction(v, den)
-                                      for key, v in entries.items()})
 
 
 # -- the finite oscillator model -----------------------------------------
@@ -209,10 +196,12 @@ def _checked_factors(a: SparseMat, gram: SparseMat, sigma: list, w: list
 
 
 class ModelOperator(Record):
-    """The finite model, free of the coupling T: A, S and L2 (``form_op``)
-    as SparseMat, and the ``Factors`` of A.  Building one, or any
-    ``replace`` of one, checks L2 == tr S + sum_k sigma_k J_k on m x m
-    data; else UnexpectedKernel.  The right side is the L2 of
+    """The finite model, free of the coupling T: A and S as SparseMat, L2
+    (``form_op``) as a pair ({(row, col): integer numerator}, one
+    denominator), the ``Factors`` of A and the ground form delta
+    (``ground``, see ``_ground_form``).  Building one, or any ``replace``
+    of one, checks L2 == tr S + sum_k sigma_k J_k on m x m data; else
+    UnexpectedKernel.  The right side is the L2 of
     A' = sum_k (sigma_k / norm[k]) a_k w_k^t = A sum_k w_k w_k^t / |w_k|^2,
     and B -> sum_ij B_ij c(e_j) chat(e_i) is linear and injective (the
     products are independent by CAR), so the identity says A' == A:
@@ -220,10 +209,16 @@ class ModelOperator(Record):
     the difference of the two operators, a +-sum of at most m entries of
     A' - A, by ``tolerance``.  The exact traces tr L2 = 2^m tr S and
     tr L2^2 = 2^m ((tr S)^2 + tr A^t A) tie the assembled L2 to A and S.
-    T enters only the sector builders."""
+
+    By CAR and orthonormality the J_k commute and c(v_k) flips J_k alone,
+    so the joint eigenspaces are the lines of f_eps = prod_(k in eps)
+    c(v_k) delta, and by the identity L2 f_eps = 2 sum_(k in eps) sigma_k
+    f_eps: the kernel is the line of delta.  Last, delta is checked to be
+    nonzero, of one form parity, and killed by L2 to ``tolerance`` times
+    |delta|.  T enters only the sector builders."""
 
     __slots__ = ("a", "sqrt_gram", "mode", "m", "det_sign", "form_op",
-                 "factors")
+                 "factors", "ground")
 
     def __post_init__(self):
         def check(label, off, tol=0):
@@ -238,10 +233,7 @@ class ModelOperator(Record):
             abs(_fold(x * a[i] * w[j] for x, w, a in zip(weights, f.w, f.a))
                 - rows[i][j]) for i in range(m) for j in range(m)),
             self.tolerance() / m)
-        # The traces of L2 on its integer numerators over their lcm.
-        den = math.lcm(*(v.denominator for v in self.form_op.entries.values()))
-        form = {key: v.numerator * (den // v.denominator)
-                for key, v in self.form_op.entries.items()}
+        form, den = self.form_op
         tr_s = self.trace_sqrt()
         tr_ata = sum(v * v for v in self.a.entries.values())
         check("tr L2 - 2^m tr S", Fraction(sum(
@@ -249,6 +241,15 @@ class ModelOperator(Record):
         check("tr L2^2 - 2^m ((tr S)^2 + tr A^t A)", Fraction(sum(
             v * form.get((c, r), 0) for (r, c), v in form.items()),
             den * den) - n * (tr_s * tr_s + tr_ata))
+        delta = self.ground
+        if len({t.bit_count() & 1 for t in delta}) != 1:
+            raise UnexpectedKernel("the ground form is zero or of mixed "
+                                   "parity")
+        residual = Fraction(_residual(_apply(self.form_op, delta), {})) / den
+        tol = self.tolerance()
+        if residual > (tol and tol * _norm(delta)):
+            raise UnexpectedKernel(f"L2 does not annihilate the ground form "
+                                   f"(largest entry {float(residual):.3e})")
 
     def trace_sqrt(self) -> Fraction:
         return sum((self.sqrt_gram.get(i, i) for i in range(self.m)),
@@ -299,14 +300,29 @@ def model_L(a, mode: str = "exact") -> ModelOperator:
             raise NoRationalRoot(f"numeric square root residual "
                                  f"{float(residual):.3e} too large")
     form = _form_operator(m, sum(s.get(i, i) for i in range(m)), a.entries)
-    return ModelOperator(a, s, mode, m, 1 if deta > 0 else -1, form, factors)
+    return ModelOperator(a, s, mode, m, 1 if deta > 0 else -1, form, factors,
+                         _ground_form(factors, mode == "exact"))
 
 
-def _form_operator(m: int, trace_s, entries) -> SparseMat:
-    """tr(S) + sum of B_ij c(e_j) chat(e_i) over entries of B (L2 for A)."""
+def _form_operator(m: int, trace_s, entries) -> tuple[dict, int]:
+    """L2 for A, tr(S) + sum of B_ij c(e_j) chat(e_i) over entries of B,
+    as integer numerators {(row, col): n}, zeros dropped, over the lcm of
+    the coefficients' denominators.  Each term is a signed permutation
+    that XORs every mask with one fixed mask (c(e_j) chat(e_i) and
+    c(e_i) chat(e_j) both flip bits i and j): terms of one permutation
+    are summed as sign vectors, and distinct ones share no entry."""
     cs, chats = _clifford_gens(m)
-    return _to_sparse(m, [(trace_s, _identity(m))] + [
-        (v, _compose(cs[j], chats[i])) for (i, j), v in entries.items()])
+    terms = [(Fraction(trace_s), _identity(m))] + [
+        (Fraction(v), _compose(cs[j], chats[i]))
+        for (i, j), v in entries.items()]
+    den = math.lcm(*(c.denominator for c, _ in terms))
+    signs: dict[tuple, list] = {}
+    for c, (perm, sign) in terms:
+        scaled = map((c.numerator * (den // c.denominator)).__mul__, sign)
+        signs[perm] = list(map(add, signs[perm], scaled) if perm in signs
+                           else scaled)
+    return {(r, s): x for perm, xs in signs.items()
+            for s, (r, x) in enumerate(zip(perm, xs)) if x}, den
 
 
 # -- polynomial-form sectors ---------------------------------------------
@@ -389,9 +405,13 @@ def _tensor_form(poly: SparseMat, form: SparseMat, m: int) -> SparseMat:
 def sector_matrix_L(op: ModelOperator, cap: int, T) -> SparseMat:
     """Conjugated model operator (lap + T flow) tensor 1 + T (1 tensor L2)
     at coupling T on the degree <= cap sector; it keeps or lowers the
-    degree, so no truncation error arises."""
+    degree, so no truncation error arises.  The one place that makes L2
+    a ``SparseMat``: at cap 0 the result is T L2."""
     lap, flow = _sector_parts(op, Sector(op.m, cap))
-    return _tensor_form(lap + flow.scale(T), op.form_op.scale(T), op.m)
+    form, den = op.form_op
+    l2 = SparseMat(1 << op.m, 1 << op.m,
+                   {key: Fraction(v, den) for key, v in form.items()})
+    return _tensor_form(lap + flow.scale(T), l2.scale(T), op.m)
 
 
 def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
@@ -454,17 +474,14 @@ def _clifford_apply(vec: dict, coeffs, gens: list[_Mono], out=None) -> dict:
     return out
 
 
-def _apply(mat: SparseMat, vec: dict, exact: bool) -> tuple[dict, int]:
-    """mat (L2) applied to vec, zeros dropped, over a denominator: mat's
-    integer numerators over their lcm if exact, else floats over 1."""
-    den = math.lcm(*(v.denominator for v in mat.entries.values())) \
-        if exact else 1
+def _apply(form_op: tuple[dict, int], vec: dict) -> dict:
+    """L2's integer numerators applied to vec, zeros dropped (over L2's
+    denominator): integers for an integer vec, else floats."""
     out: dict = {}
-    for (r, c), v in mat.entries.items():
+    for (r, c), v in form_op[0].items():
         if c in vec:
-            out[r] = out.get(r, 0) + vec[c] * (
-                v.numerator * (den // v.denominator) if exact else float(v))
-    return {r: x for r, x in out.items() if x}, den
+            out[r] = out.get(r, 0) + vec[c] * v
+    return {r: x for r, x in out.items() if x}
 
 
 def _omega_skew(m: int, vec: dict, exact: bool) -> tuple[dict, int]:
@@ -496,14 +513,14 @@ def _norm(vec: dict) -> float:
 # -- kernel, spectrum, eta -----------------------------------------------
 
 
-def _ground_form(op: ModelOperator) -> dict:
+def _ground_form(f: Factors, exact: bool) -> dict:
     """delta = prod_k (1 - J_k)/2 on the first basis form it does not
     kill: any nonzero image (exact, primitive integers), or one of squared
-    norm >= 2^-(m+1) (float; the 2^m squared norms sum to 1)."""
-    f = op.factors
-    exact = op.mode == "exact"
-    cs, chats = _clifford_gens(op.m)
-    for s in range(1 << op.m):
+    norm >= 2^-(m+1) (float; the 2^m squared norms sum to 1).  Each J_k is
+    even, so delta has its basis form's parity."""
+    m = len(f.sigma)
+    cs, chats = _clifford_gens(m)
+    for s in range(1 << m):
         vec = {s: 1}
         for k, n in enumerate(f.norm):
             # (norm[k] - c(w_k) chat(a_k)) vec, J_k never formed.
@@ -515,35 +532,15 @@ def _ground_form(op: ModelOperator) -> dict:
             if not vec:
                 break
         else:
-            if exact or _norm(vec) ** 2 >= 0.5 ** (op.m + 1):
+            if exact or _norm(vec) ** 2 >= 0.5 ** (m + 1):
                 return vec
     raise UnexpectedKernel("prod_k (1 - J_k)/2 kills every basis form")
 
 
-def _kernel_vector(op: ModelOperator) -> tuple[dict, int]:
-    """The ground form delta (the kernel vector of L2) and its form parity.
-
-    By CAR and orthonormality the J_k commute and c(v_k) flips J_k alone,
-    so the joint eigenspaces are the lines of f_eps = prod_(k in eps)
-    c(v_k) delta.  As ``ModelOperator`` checked L2 = tr S +
-    sum_k sigma_k J_k, L2 f_eps = 2 sum_(k in eps) sigma_k f_eps, so the
-    kernel is the line of delta; L2 delta == 0 is checked too, to the
-    model's ``tolerance`` times |delta|.  Each J_k is even, so delta has
-    its basis form's parity."""
-    delta = _ground_form(op)
-    image, den = _apply(op.form_op, delta, op.mode == "exact")
-    residual = Fraction(_residual(image, {})) / den
-    tol = op.tolerance()
-    if residual > (tol and tol * _norm(delta)):
-        raise UnexpectedKernel(f"L2 does not annihilate the ground form "
-                               f"(largest entry {float(residual):.3e})")
-    return delta, next(iter(delta)).bit_count() & 1
-
-
 def kernel_and_parity(op: ModelOperator) -> int:
     """Form parity (0 even, 1 odd) of the model kernel, the Gaussian ground
-    state times the ground form."""
-    return _kernel_vector(op)[1]
+    state times the ground form that ``ModelOperator`` certified."""
+    return next(iter(op.ground)).bit_count() & 1
 
 
 class SpectrumVerdict(Record):
@@ -587,7 +584,7 @@ def spectrum_scaling(op: ModelOperator, cap: int = 2) -> SpectrumVerdict:
 def _block_spectrum(op: ModelOperator, cap: int) -> tuple[float, ...]:
     """Eigenvalues of the blocks P_d tensor 1 + 1 tensor L2, d <= cap,
     sorted: the sum sets of spec L2 = {2 sum_(k in I) sigma_k} (the joint
-    eigenspaces of ``_kernel_vector``) and spec P_d = {2 alpha.sigma :
+    eigenspaces of ``ModelOperator``) and spec P_d = {2 alpha.sigma :
     |alpha| = d} (flow is the derivation of 2S).  The sums are exact over
     one denominator (floats as binary rationals), rounded once each."""
     sigma = [Fraction(x) for x in op.factors.sigma]
@@ -635,7 +632,7 @@ def eta_scaling(op: ModelOperator) -> EtaVerdict:
     the result in closed form.  The verdict passes when the source is
     orthogonal to delta; a vanishing source gives C1 = 0 and a flag."""
     exact = op.mode == "exact"
-    delta, _ = _kernel_vector(op)
+    delta = op.ground
     source, _ = _omega_skew(op.m, delta, exact)
     overlap = abs(_fold(x * delta.get(t, 0) for t, x in source.items()))
     vanished, orthogonal, c1sq = not source, not overlap, Fraction(0)

@@ -170,7 +170,8 @@ def _eta_scaling_law():
         diag_checks.append(verdict)
         ok = ok and verdict.passed
     detail = (f"A = I: C1^2 = {base.c1_squared} exactly; "
-              "10 random diagonal A certified for every T")
+              "10 random diagonal A: source orthogonal to the ground "
+              "state, C1^2 in closed form")
     if not ok:
         detail = "eta check failed or C1^2 != 1/8"
     return ok, detail, {"identity": base, "diagonal": diag_checks}

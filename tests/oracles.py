@@ -292,6 +292,18 @@ def mono_generator_oracle(m: int, i: int, wedge: int, contract: int):
                   for s in masks))
 
 
+def mono_to_sparse(m: int, terms):
+    """The sum of coeff * op over the (coeff, (perm, sign)) in terms as a
+    2^m x 2^m SparseMat, one Fraction entry at a time."""
+    from symsemi.qlinalg import SparseMat
+
+    entries: dict[tuple[int, int], Fraction] = {}
+    for coeff, (perm, sign) in terms:
+        for s, (r, x) in enumerate(zip(perm, sign)):
+            entries[(r, s)] = entries.get((r, s), 0) + Fraction(coeff) * x
+    return SparseMat(1 << m, 1 << m, entries)
+
+
 def mono_compose_oracle(a, b):
     """a after b for (perm, sign) pairs, mask by mask."""
     return (tuple([a[0][p] for p in b[0]]),

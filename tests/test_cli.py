@@ -333,8 +333,8 @@ def test_oscillator_builds_the_model_once(capsys, monkeypatch):
 def test_oscillator_finds_the_ground_form_once_per_check(capsys,
                                                          monkeypatch):
     # Nothing the checks build depends on T.  The model builds L2
-    # (``_form_operator``) once and checks its identity on m x m data; the
-    # kernel check and eta_scaling find the ground form once each, and no
+    # (``_form_operator``) once, finds the ground form once and checks
+    # both; the kernel check and eta_scaling read the stored form, and no
     # check builds a sector operator.
     calls = []
 
@@ -346,7 +346,7 @@ def test_oscillator_finds_the_ground_form_once_per_check(capsys,
             return fn(*args, **kwargs)
         monkeypatch.setattr(cliffordlab, name, wrapper)
 
-    for name in ("_form_operator", "_kernel_vector", "sector_matrix_L",
+    for name in ("_form_operator", "_ground_form", "sector_matrix_L",
                  "sector_matrix_D", "_tensor_form"):
         counting(name)
     for mode in ("exact", "float"):
@@ -355,8 +355,7 @@ def test_oscillator_finds_the_ground_form_once_per_check(capsys,
                          str(SAMPLES / "matrix_rotated_4.txt"),
                          "--mode", mode)
         assert code == 0
-        assert sorted(calls) == ["_form_operator", "_kernel_vector",
-                                 "_kernel_vector"]
+        assert sorted(calls) == ["_form_operator", "_ground_form"]
 
 
 def test_oscillator_broken_kernel_exits_one(capsys, monkeypatch):
@@ -364,7 +363,7 @@ def test_oscillator_broken_kernel_exits_one(capsys, monkeypatch):
     # invariant L2 = tr S + sum_k sigma_k J_k, here its trace 14 against
     # 2^4 tr S = 160: one assertion failure line and exit 1, no traceback.
     build = cliffordlab.model_L
-    two_dim = SparseMat(16, 16, {(i, i): Fraction(1) for i in range(2, 16)})
+    two_dim = {(i, i): 1 for i in range(2, 16)}, 1
 
     def broken_model_L(*args, **kwargs):
         return build(*args, **kwargs).replace(form_op=two_dim)
@@ -440,9 +439,10 @@ def test_oscillator_changed_form_op_exits_one(capsys, monkeypatch):
 def _bumped_form_op(build):
     def model(*args, **kwargs):
         op = build(*args, **kwargs)
-        top = (1 << op.m) - 1
-        return op.replace(form_op=op.form_op + SparseMat(
-            1 << op.m, 1 << op.m, {(top, top): Fraction(1)}))
+        form, den = op.form_op
+        top = ((1 << op.m) - 1,) * 2
+        return op.replace(form_op=({**form, top: form.get(top, 0) + den},
+                                   den))
     return model
 
 

@@ -45,7 +45,8 @@ from oracles import (car_oracle, dense_from_sparse, dense_inverse,
                      dense_solve, gaussian_matching_oracle,
                      gaussian_moment_oracle, mono_compose_oracle,
                      mono_generator_oracle, mono_star_oracle,
-                     mono_transpose_oracle, star_sign_oracle)
+                     mono_to_sparse, mono_transpose_oracle,
+                     star_sign_oracle)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 EYE4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -237,18 +238,18 @@ def test_signed_permutations_match_sparse_products():
             for wedge, contract, kind in ((1, 1, "chat"), (1, -1, "c")):
                 ref = ref_chat(m, i, kind)
                 op = ex._generator(m, i, wedge, contract)
-                assert cl._to_sparse(m, [(1, op)]) == ref
+                assert mono_to_sparse(m, [(1, op)]) == ref
         vol = ref_dvol(m)
-        assert cl._to_sparse(m, [(1, ex._dvol(m))]) == vol
+        assert mono_to_sparse(m, [(1, ex._dvol(m))]) == vol
         form = SparseMat.zeros(1 << m, 1 << m)
         for i in range(0, m, 2):
             form = form + ref_wedge(m, i) @ ref_wedge(m, i + 1)
-        assert cl._to_sparse(m, [(1, w) for w in ex._omega_terms(m)]) == form
+        assert mono_to_sparse(m, [(1, w) for w in ex._omega_terms(m)]) == form
         v = random_rational_unit_vector(m, Random(m))
         ch = SparseMat.zeros(1 << m, 1 << m)
         for i, x in enumerate(v):
             ch = ch + ref_chat(m, i).scale(x)
-        assert cl._to_sparse(m, ex._chat_square(v)) == ch @ ch
+        assert mono_to_sparse(m, ex._chat_square(v)) == ch @ ch
         assert ch @ ch == SparseMat.identity(1 << m)
 
 
@@ -266,7 +267,7 @@ def sparse_verdicts(m, v):
         return worst, culprit
 
     def gen(i, wedge, contract):
-        return cl._to_sparse(m, [(1, ex._generator(m, i, wedge, contract))])
+        return mono_to_sparse(m, [(1, ex._generator(m, i, wedge, contract))])
 
     n = 1 << m
     eye, zero = SparseMat.identity(n), SparseMat.zeros(n, n)
@@ -297,8 +298,8 @@ def sparse_verdicts(m, v):
     form = zero
     for i in range(0, m, 2):
         form = form + gen(i, 1, 0) @ gen(i + 1, 1, 0)
-    ch = cl._to_sparse(m, [(x, ex._generator(m, i, 1, 1))
-                           for i, x in enumerate(v) if x])
+    ch = mono_to_sparse(m, [(x, ex._generator(m, i, 1, 1))
+                            for i, x in enumerate(v) if x])
     j = SparseMat.block([[zero, -ch], [ch, zero]])
     return {
         "car": verdict(car),
@@ -538,7 +539,13 @@ def test_form_operator_matches_clifford_products():
                 for i in range(m):
                     image = image + chat[i].scale(rows[i][j])
                 want = want + cc[j] @ image
-            assert op.form_op.entries == want.entries
+            assert l2_matrix(op).entries == want.entries
+
+
+def l2_matrix(op):
+    """L2 as a SparseMat: the model operator at T = 1 on the cap-0
+    sector, where lap and flow vanish."""
+    return sector_matrix_L(op, 0, 1)
 
 
 def test_kernel_and_parity_examples():
@@ -563,15 +570,14 @@ def test_kernel_and_parity_float_mode():
 
 
 def broken_form_ops():
-    """Two corruptions of L2 on the 16 masks of m = 4: identity on masks
-    2-15 only (a 2-dimensional kernel), and row 0 = e0 - e1 with row 1
-    empty (a 1-dimensional kernel spanning the even mask 0 and the odd
-    mask 1).  Neither is tr S + sum_k sigma_k J_k: their traces, 14 and
-    15, are not 2^m tr S."""
-    rest = {(i, i): Fraction(1) for i in range(2, 16)}
-    return (SparseMat(16, 16, rest),
-            SparseMat(16, 16, {**rest, (0, 0): Fraction(1),
-                               (0, 1): Fraction(-1)}))
+    """Two corruptions of L2 on the 16 masks of m = 4, as (integer
+    numerators, denominator): identity on masks 2-15 only (a 2-dimensional
+    kernel), and row 0 = e0 - e1 with row 1 empty (a 1-dimensional kernel
+    spanning the even mask 0 and the odd mask 1).  Neither is
+    tr S + sum_k sigma_k J_k: their traces, 14 and 15, are not
+    2^m tr S."""
+    rest = {(i, i): 1 for i in range(2, 16)}
+    return (rest, 1), ({**rest, (0, 0): 1, (0, 1): -1}, 1)
 
 
 def test_broken_kernels_raise_in_both_modes():
@@ -584,6 +590,22 @@ def test_broken_kernels_raise_in_both_modes():
                                match=r"L2 is not tr S \+ sum_k sigma_k J_k "
                                      r"\(tr L2 - 2\^m tr S = "):
                 op.replace(form_op=broken)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_stored_ground_form_outside_the_kernel_is_refused(mode):
+    # The model checks its ground form whenever it is built, ``replace``
+    # included: one basis form of delta's parity is not in the kernel
+    # line, and an empty or mixed-parity form is refused outright.
+    op = model_L(random_model_matrix(4, Random(7), -1), mode)
+    assert len(op.ground) > 1
+    with pytest.raises(UnexpectedKernel,
+                       match=r"L2 does not annihilate the ground form "
+                             r"\(largest entry "):
+        op.replace(ground={next(iter(op.ground)): 1})
+    for bad in ({}, {0: 1, 1: 1}):
+        with pytest.raises(UnexpectedKernel, match="zero or of mixed"):
+            op.replace(ground=bad)
 
 
 # -- spectrum and eta scaling --------------------------------------------
@@ -721,18 +743,23 @@ def test_trace_guard_catches_a_changed_form_operator(mode, monkeypatch):
     # nonzero, keeps tr L2 and changes tr L2^2 alone.
     a = rotated_diagonal(Random(5), -1)
     op = model_L(a, mode)
-    form = op.form_op.entries
-    r, c = next(k for k in sorted(form) if k[0] != k[1] and k[::-1] in form)
-    bump = SparseMat(16, 16, {(r, c): Fraction(1)})
+    form = op.form_op[0]
+    key = next(k for k in sorted(form) if k[0] != k[1] and k[::-1] in form)
+
+    def bumped(form_op):
+        """form_op with 1 added to the entry at key."""
+        num, den = form_op
+        return {**num, key: num.get(key, 0) + den}, den
+
     build = cl._form_operator
     monkeypatch.setattr(cl, "_form_operator",
-                        lambda *args: build(*args) + bump)
+                        lambda *args: bumped(build(*args)))
     with pytest.raises(UnexpectedKernel,
                        match=r"L2 is not tr S \+ sum_k sigma_k J_k "
                              r"\(tr L2\^2 - 2\^m \(\(tr S\)\^2 "):
         model_L(a, mode)
     with pytest.raises(UnexpectedKernel, match=r"\(tr L2\^2 - "):
-        op.replace(form_op=op.form_op + bump)
+        op.replace(form_op=bumped(op.form_op))
 
 
 def test_spectrum_scaling_in_dimension_eight():
@@ -800,7 +827,7 @@ def test_eta_source_orthogonal_to_ground_state():
     skew = ref_omega_skew(4)
     for trial in range(20):
         op = model_L(random_model_matrix(4, rng, 1 if trial % 2 else -1))
-        ker = kernel_basis(op.form_op)
+        ker = kernel_basis(l2_matrix(op))
         assert ker.cols == 1
         src = skew @ ker
         dot = sum((src.get(r, 0) * ker.get(r, 0) for r in range(16)),
@@ -816,7 +843,7 @@ def test_eta_source_matches_the_sparse_oracle():
            for trial in range(10)]
     ops.append(model_L(load_matrix_rows(str(SAMPLES / "matrix_random_8.txt"))))
     for op in ops:
-        delta, _ = cl._kernel_vector(op)
+        delta = op.ground
         source, src_den = cl._omega_skew(op.m, delta, True)
         assert src_den == 2 and source
         assert all(isinstance(x, int) and x for x in source.values())
@@ -867,7 +894,7 @@ def test_dirac_squares_to_laplacian():
 
 def test_dirac_annihilates_ground_state():
     op = model_L(random_model_matrix(4, Random(5), -1), "exact")
-    delta = kernel_basis(op.form_op)
+    delta = kernel_basis(l2_matrix(op))
     assert (sector_matrix_D(op, 0, 1, 1) @ delta).is_zero()
 
 
@@ -885,7 +912,7 @@ def old_definition_c1_squared(op, t, moment):
     ``moment(covariance, alpha)``."""
     sec = Sector(op.m, 1)
     n = 1 << op.m
-    delta = kernel_basis(op.form_op)
+    delta = kernel_basis(l2_matrix(op))
     rhs = sector_matrix_D(op, 0, 1, t) @ (ref_omega_skew(op.m) @ delta)
     y = SparseMat.column(dense_solve(
         dense_from_sparse(sector_matrix_L(op, 1, t)),
@@ -964,7 +991,7 @@ def eigenbasis_c1_squared(op):
     float.  It does 2^m-wide work for each of the m sources."""
     f = op.factors
     exact = op.mode == "exact"
-    delta, _ = cl._kernel_vector(op)
+    delta = op.ground
     source, src_den = cl._omega_skew(op.m, delta, exact)
     basis, level = joint_eigenbasis(op, delta)
     sizes = [cl._dot(b.values(), b.values()) for b in basis]
@@ -983,7 +1010,7 @@ def eigenbasis_c1_squared(op):
             c = int(c * common) if exact else c
             for t, y in basis[eps].items():
                 z[t] = z.get(t, 0) + c * y
-        lz, den = cl._apply(op.form_op, z, exact)
+        lz, den = cl._apply(op.form_op, z), op.form_op[1]
         # (2 p / q + L2 numerators / den) z / common == rho / rho_den.
         got = {t: rho_den * (2 * p * den * z.get(t, 0) + q * lz.get(t, 0))
                for t in z.keys() | lz.keys()}
@@ -1033,7 +1060,7 @@ def test_eta_sources_lie_on_the_single_flips():
     for a in random_models(((4, range(1, 5)), (8, range(1, 2)))):
         op = model_L(a, "exact")
         f = op.factors
-        delta, _ = cl._kernel_vector(op)
+        delta = op.ground
         source, src_den = cl._omega_skew(op.m, delta, True)
         basis, _ = joint_eigenbasis(op, delta)
         size = cl._dot(delta.values(), delta.values())
@@ -1176,8 +1203,8 @@ def test_random_8x8_model_passes_exactly(sign):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_random_8x8_model_passes_in_float_mode(sign):
-    # Float mode at the model limit on a full A^t A: the parity of exact
-    # mode, and its spectrum and C1^2 to within rounding.
+    # Float mode on a full 8 x 8 A^t A: the parity of exact mode, and its
+    # spectrum and C1^2 to within rounding.
     a = random_model_matrix(8, Random(1), sign)
     exact_op, float_op = model_L(a, "exact"), model_L(a, "float")
     assert kernel_and_parity(float_op) == kernel_and_parity(exact_op) \
@@ -1215,6 +1242,18 @@ def test_random_12x12_sample_passes_exactly():
 
 
 def test_float_eta_at_the_model_limit():
+    # Float mode on the 12 x 12 sample: the parity and C1^2 that exact
+    # mode certifies (test_random_12x12_sample_passes_exactly), and on the
+    # diagonal 8 x 8 sample the exact C1^2 to within rounding.
+    rows = load_matrix_rows(str(SAMPLES / "matrix_random_12.txt"))
+    op = model_L(rows, "float")
+    assert op.m == MODEL_DIM_LIMIT and kernel_and_parity(op) == 1
+    verdict = eta_scaling(op)
+    assert verdict.passed and verdict.mode == "float"
+    want = Fraction(
+        551994603010280984169182257896609986475810149458679,
+        4612867968304712577926305248900254458007812500000000)
+    assert abs(verdict.c1_squared / want - 1) <= 1e-12
     rows = load_matrix_rows(str(SAMPLES / "matrix_diag_8.txt"))
     assert eta_scaling(model_L(rows, "exact")).c1_squared \
         == Fraction(61, 770)
