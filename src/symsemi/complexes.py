@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError
-from .qlinalg import SparseMat, rank
+from .qlinalg import SparseMat, product_is_zero, products_equal, rank
 
 
 class InvalidComplex(InputError):
@@ -42,12 +42,28 @@ class GradedComplex:
 
     ``dims[k]`` is the dimension in degree k and ``d[k]`` the matrix of the
     differential from degree k to k+1 (shape dims[k+1] x dims[k]).  The
-    relation d_{k+1} d_k = 0 is checked on construction.
+    constructor checks the shapes and decides d_{k+1} d_k = 0 on integer
+    numerators.  ``cone`` alone skips that product: there d² = 0 follows
+    from the checks its parts passed.
     """
 
     __slots__ = ("dims", "d")
 
     def __init__(self, dims: Sequence[int], d: Sequence[SparseMat]):
+        self._set(dims, d)
+        for k in range(len(self.d) - 1):
+            if not product_is_zero(self.d[k + 1], self.d[k]):
+                raise InvalidComplex(f"d[{k + 1}] d[{k}] != 0")
+
+    @classmethod
+    def _decided(cls, dims: Sequence[int], d: Sequence[SparseMat]
+                 ) -> "GradedComplex":
+        """A complex whose d² = 0 its builder has already decided."""
+        cx = object.__new__(cls)
+        cx._set(dims, d)
+        return cx
+
+    def _set(self, dims: Sequence[int], d: Sequence[SparseMat]) -> None:
         self.dims = tuple(int(n) for n in dims)
         if any(n < 0 for n in self.dims):
             raise InvalidComplex("negative dimension")
@@ -62,9 +78,6 @@ class GradedComplex:
             if mat.shape != want:
                 raise InvalidComplex(
                     f"d[{k}] has shape {mat.shape}, expected {want}")
-        for k in range(len(self.d) - 1):
-            if not (self.d[k + 1] @ self.d[k]).is_zero():
-                raise InvalidComplex(f"d[{k + 1}] d[{k}] != 0")
 
     @property
     def top(self) -> int:
@@ -89,8 +102,9 @@ class OmegaMap:
     """Degree +2 chain map L on a GradedComplex.
 
     ``maps[k]``: degree k -> degree k+2, for k = 0..top-2.  Commutation
-    d_{k+2} L_k = L_{k+1} d_k is checked on construction; for a map given by
-    wedging with a 2-form this is exactly closedness of the form.
+    d_{k+2} L_k = L_{k+1} d_k is checked on construction, on integer
+    numerators; for a map given by wedging with a 2-form this is exactly
+    closedness of the form.
     """
 
     __slots__ = ("source", "maps")
@@ -108,9 +122,8 @@ class OmegaMap:
                 raise ChainMapViolation(
                     f"L[{k}] has shape {mat.shape}, expected {want}")
         for k in range(source.top - 1):
-            lhs = source.d_map(k + 2) @ self.maps[k]
-            rhs = self.map(k + 1) @ source.d_map(k)
-            if lhs != rhs:
+            if not products_equal(source.d_map(k + 2), self.maps[k],
+                                  self.map(k + 1), source.d_map(k)):
                 raise ChainMapViolation(
                     f"d L != L d at degree {k} (is the 2-form closed?)")
 
@@ -132,26 +145,64 @@ class OmegaMap:
 def cone(c: GradedComplex, w: OmegaMap, p: int = 0) -> GradedComplex:
     """Mapping cone of L^{p+1} on c.
 
-    Degree k of the cone is degree k of c plus degree k - (2p+1) of c, with
-    differential [[d, L^{p+1}], [0, -d]].  The result is a valid complex;
-    d^2 = 0 is re-checked by the GradedComplex constructor.
+    Degree k of the cone is degree k of c plus degree j = k - (2p+1) of c,
+    with differential [[d_k, L^{p+1}_j], [0, -d_j]].  Its d² is
+    [[d², d L^{p+1} - L^{p+1} d], [0, d²]], so it vanishes once c's d² = 0
+    (decided by c's GradedComplex) and L^{p+1} is a chain map.  At p = 0
+    the corner is the ω map ``w.map(j)`` itself, whose chain law w's
+    OmegaMap decided on c; for p >= 1 the composite's chain law is decided
+    here on integer products (InvalidComplex).  Each assembled differential
+    is checked exactly, with no product, against the blocks it came from:
+    every entry, sign included, and nothing else (InvalidComplex).
     """
-    if w.source is not c and w.source.dims != c.dims:
+    if w.source is not c and (w.source.dims != c.dims or w.source.d != c.d):
         raise ChainMapViolation("omega map was built on a different complex")
     if p < 0:
         raise ValueError("p must be >= 0")
     shift = 2 * p + 1
     top2 = c.top + shift
     dims2 = [c.dim(k) + c.dim(k - shift) for k in range(top2 + 1)]
+    corners = [w.map(k - shift) if p == 0 else w.power_map(k - shift, p + 1)
+               for k in range(top2)]
     diffs = []
     for k in range(top2):
         j = k - shift
-        blocks = [
-            [c.d_map(k), w.power_map(j, p + 1)],
-            [SparseMat.zeros(c.dim(j + 1), c.dim(k)), -c.d_map(j)],
-        ]
-        diffs.append(SparseMat.block(blocks))
-    return GradedComplex(dims2, diffs)
+        d_k, corner, d_j = c.d_map(k), corners[k], c.d_map(j)
+        if p and k and not products_equal(d_k, corners[k - 1],
+                                          corner, c.d_map(j - 1)):
+            raise InvalidComplex(f"cone d[{k}] d[{k - 1}] != 0: L^{p + 1} "
+                                 f"is not a chain map at degree {j - 1}")
+        mat = SparseMat.block([
+            [d_k, corner],
+            [SparseMat.zeros(c.dim(j + 1), c.dim(k)), -d_j],
+        ])
+        _check_layout(k, mat, d_k, corner, d_j)
+        diffs.append(mat)
+    return GradedComplex._decided(dims2, diffs)
+
+
+def _check_layout(k: int, mat: SparseMat, d_k: SparseMat, corner: SparseMat,
+                  d_j: SparseMat) -> None:
+    """InvalidComplex unless mat is [[d_k, corner], [0, -d_j]] entry for
+    entry: each entry equals the one its block holds there, sign included,
+    and there are as many entries as the three blocks hold."""
+    rows, cols = d_k.shape
+    for (r, col), v in mat.entries.items():
+        if r < rows:
+            want = d_k.entries.get((r, col)) if col < cols else \
+                corner.entries.get((r, col - cols))
+            ok = want is v or want == v
+        else:
+            want = d_j.entries.get((r - rows, col - cols)) if col >= cols \
+                else None
+            # v == -want, read off numerator and denominator.
+            ok = want is not None and want.numerator == -v.numerator \
+                and want.denominator == v.denominator
+        if not ok:
+            raise InvalidComplex(f"cone d[{k}] differs from [[d, L^(p+1)], "
+                                 f"[0, -d]] at ({r}, {col})")
+    if len(mat.entries) != d_k.nnz() + corner.nnz() + d_j.nnz():
+        raise InvalidComplex(f"cone d[{k}] is missing block entries")
 
 
 def betti(c: GradedComplex) -> BettiVector:

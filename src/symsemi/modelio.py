@@ -153,22 +153,23 @@ class LoadedModel(Record):
     _defaults = {"model": None, "omega": None}
 
     def symplectic_verdict(self) -> SymplecticVerdict:
-        from .models import SymplecticVerdict, check_symplectic
+        from .models import (SymplecticVerdict, check_symplectic,
+                             unit_power_vanishes)
 
         if self.model is not None:
-            return check_symplectic(self.model, self.omega)
+            return check_symplectic(self.model, self.omega, self.omega_map)
         # Matrix-mode files carry the multiplication operator only.  The
         # chain-map law (closedness at operator level) held at load time;
         # nondegeneracy is probed on the distinguished degree-0 class.
         if self.complex.dim(0) < 1:
             return SymplecticVerdict(
                 True, False, True, "no degree-0 class to probe")
-        unit = SparseMat.column([1] + [0] * (self.complex.dim(0) - 1))
         half = self.manifold_dim // 2
-        power = self.omega_map.power_map(0, half) @ unit
-        detail = "" if not power.is_zero() else \
-            f"omega^{half} kills the degree-0 class"
-        return SymplecticVerdict(True, not power.is_zero(), True, detail)
+        degenerate = unit_power_vanishes(self.omega_map.map,
+                                         self.complex.dim(0), half)
+        detail = f"omega^{half} kills the degree-0 class" if degenerate \
+            else ""
+        return SymplecticVerdict(True, not degenerate, True, detail)
 
     def omega_terms(self) -> list | None:
         return None if self.omega is None else element_terms(self.omega)

@@ -13,15 +13,27 @@ Two flavours feed the cone machinery, both ``CDGAModel``:
 
 One kernel multiplies monomials: ``CDGAModel._merge`` merges two sorted
 monomials and takes the Koszul sign from the odd generators that cross.
-The product, the Leibniz differential, the ω multiplication matrices and
-``form`` all go through it, each accumulating one coefficient dict.
+``Element`` products, ``d_mono`` and ``form`` run on it, and so do the
+tables a model builds once per generator g and degree: left multiplication
+μ(g) by g on the monomial basis.  A longer monomial's table is composed
+from its generators'.  The matrices are assembled from those tables in
+integers over one denominator: the differential as d = Σ_g μ(d g)∘∂_g,
+with ∂_g the left derivative by g, and the ω maps as L = Σ_t c_t μ(ω_t).
+
+Each invariant is decided once, where its fact is decided: d(d g) = 0 on
+the generators (the Jacobi identity) when the model is built, d² = 0 on
+the assembled complex by ``GradedComplex``, d ω = 0 by
+``multiplication_matrix`` and the chain law d L = L d by ``OmegaMap``, and
+nondegeneracy by ``unit_power_vanishes`` on the ω maps.  ``cone`` adds only
+the chain law of the composite L^{p+1} for p >= 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from random import Random
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InputError
 from .qlinalg import SparseMat, kernel_basis
@@ -61,6 +73,15 @@ def _accumulate(out: dict, mono: tuple[int, ...], value: Fraction) -> None:
     drop."""
     prev = out.get(mono)
     out[mono] = value if prev is None else prev + value
+
+
+def _integer_terms(elts: Sequence["Element"]
+                   ) -> tuple[list[list[tuple[int, tuple]]], int]:
+    """The terms of each element as (integer numerator, monomial) pairs
+    over one shared denominator, and that denominator."""
+    den = lcm(*(c.denominator for e in elts for c in e.coeffs.values()))
+    return [[(c.numerator * (den // c.denominator), mono)
+             for mono, c in e.coeffs.items()] for e in elts], den
 
 
 class Element:
@@ -175,6 +196,10 @@ class CDGAModel:
                              f"generators in dimension {manifold_dim}")
         self._odd = tuple(g.degree % 2 for g in self.generators)
         self._basis_cache: dict[int, list[tuple[int, ...]]] = {}
+        # Position of each monomial in basis(k), filled in with it.
+        self._index: dict[int, dict[tuple[int, ...], int]] = {}
+        self._times_cache: dict[tuple[tuple[int, ...], int],
+                                tuple[list[int], list[int]]] = {}
         self._complex: GradedComplex | None = None
 
         self._dgen: list[Element] = [self.zero()] * len(self.generators)
@@ -193,6 +218,9 @@ class CDGAModel:
             rem = self.d(dg)
             if not rem.is_zero():
                 raise JacobiViolation(f"d(d {g.name}) = {rem!r} != 0")
+        # The d g as integer numerators over one denominator, for d_matrix.
+        terms, self._dden = _integer_terms(self._dgen)
+        self._dterms = [(gi, t) for gi, t in enumerate(terms) if t]
 
     # -- element builders ------------------------------------------------
 
@@ -288,29 +316,31 @@ class CDGAModel:
     # -- graded bases and matrices ---------------------------------------
 
     def basis(self, k: int) -> list[tuple[int, ...]]:
-        """Sorted monomials of degree k, lexicographic in generator indices."""
+        """Sorted monomials of degree k, lexicographic in generator indices.
+
+        A call for a degree not yet listed lists every degree up to k + 1
+        (d out of degree k needs both): each generator in turn extends the
+        monomials listed so far by each of its allowed powers."""
         if k < 0:
             return []
         if k not in self._basis_cache:
-            out: list[tuple[int, ...]] = []
-
-            def extend(idx: int, remaining: int, current: list[int]):
-                if remaining == 0:
-                    out.append(tuple(current))
-                    return
-                if idx == len(self.generators):
-                    return
-                g = self.generators[idx]
+            top = k + 1
+            by_degree: list[list[tuple[int, ...]]] = [
+                [] for _ in range(top + 1)]
+            by_degree[0].append(())
+            for idx, g in enumerate(self.generators):
                 limit = 1 if g.degree % 2 else self.power_cap
-                extend(idx + 1, remaining, current)
-                reps = 0
-                while reps < limit and (reps + 1) * g.degree <= remaining:
-                    reps += 1
-                    extend(idx + 1, remaining - reps * g.degree,
-                           current + [idx] * reps)
-
-            extend(0, k, [])
-            self._basis_cache[k] = sorted(out)
+                # Downward, so that no monomial takes g twice over.
+                for deg in range(top - g.degree, -1, -1):
+                    for mono in by_degree[deg]:
+                        most = min(limit, (top - deg) // g.degree)
+                        for reps in range(1, most + 1):
+                            by_degree[deg + reps * g.degree].append(
+                                mono + (idx,) * reps)
+            for deg, monos in enumerate(by_degree):
+                monos.sort()
+                self._basis_cache[deg] = monos
+                self._index[deg] = {m: i for i, m in enumerate(monos)}
         return self._basis_cache[k]
 
     def element_vector(self, elt: Element, k: int) -> SparseMat:
@@ -324,27 +354,73 @@ class CDGAModel:
             entries[(pos[mono], 0)] = c
         return SparseMat(len(basis), 1, entries)
 
+    def _times(self, mono: tuple[int, ...], k: int
+               ) -> tuple[list[int], list[int]]:
+        """Left multiplication by the monomial mono on basis(k), as two
+        lists: for the y-th basis monomial, mono·y = sign[y]·basis(k +
+        |mono|)[index[y]], with sign[y] = 0 (and index[y] = 0) when the
+        product vanishes.  A generator's table comes from ``_merge``; a
+        longer monomial g·rest composes g's table after rest's."""
+        table = self._times_cache.get((mono, k))
+        if table is None:
+            if len(mono) > 1:
+                rest = mono[1:]
+                inner, inner_sign = self._times(rest, k)
+                outer, outer_sign = self._times(
+                    mono[:1], k + self.mono_degree(rest))
+                table = ([outer[i] if s else 0
+                          for i, s in zip(inner, inner_sign)],
+                         [s * outer_sign[i] if s else 0
+                          for i, s in zip(inner, inner_sign)])
+            else:
+                g = mono[0]
+                up = k + self.generators[g].degree
+                self.basis(up)
+                tgt = self._index[up]
+                table = ([], [])
+                for x in self.basis(k):
+                    prod, s = ((), 0) if self._odd[g] and g in x else \
+                        self._merge(mono, x)
+                    table[0].append(tgt[prod] if s else 0)
+                    table[1].append(s)
+            self._times_cache[(mono, k)] = table
+        return table
+
     def d_matrix(self, k: int) -> SparseMat:
+        """d out of degree k, as Σ_g μ(d g)∘∂_g.  When g·y = s·x for basis
+        monomials y and x, the left derivative ∂_g x is s·m·y, m the power
+        of g in x (1 for odd g)."""
         src = self.basis(k)
-        tgt = {m: i for i, m in enumerate(self.basis(k + 1))}
-        entries = {}
-        for j, mono in enumerate(src):
-            for out_mono, c in self.d_mono(mono).coeffs.items():
-                entries[(tgt[out_mono], j)] = c
-        return SparseMat(len(tgt), len(src), entries)
+        acc: dict[int, dict[int, int]] = {}
+        for g, terms in self._dterms:
+            below = k - self.generators[g].degree
+            if below < 0:
+                continue
+            dg = [(c, self._times(mono, below)) for c, mono in terms]
+            for y, (x, s) in enumerate(zip(*self._times((g,), below))):
+                if s:
+                    if not self._odd[g]:
+                        s *= src[x].count(g)
+                    for c, (index, sign) in dg:
+                        t = sign[y]
+                        if t:
+                            row = acc.setdefault(index[y], {})
+                            row[x] = row.get(x, 0) + s * t * c
+        return SparseMat._from_ints(len(self.basis(k + 1)), len(src),
+                                    {i: row.items() for i, row in acc.items()},
+                                    self._dden)
 
     def complex(self) -> GradedComplex:
         """Cochain complex in degrees 0..manifold_dim."""
         if self._complex is None:
             top = self.manifold_dim
-            dims = [len(self.basis(k)) for k in range(top + 1)]
-            for mono in self.basis(top):
-                if not self.d_mono(mono).is_zero():
-                    raise ShapeMismatch(
-                        "differential does not vanish at the top degree; "
-                        "the range 0..manifold_dim does not close")
+            if not self.d_matrix(top).is_zero():
+                raise ShapeMismatch(
+                    "differential does not vanish at the top degree; "
+                    "the range 0..manifold_dim does not close")
             self._complex = GradedComplex(
-                dims, [self.d_matrix(k) for k in range(top)])
+                [len(self.basis(k)) for k in range(top + 1)],
+                [self.d_matrix(k) for k in range(top)])
         return self._complex
 
 
@@ -479,6 +555,22 @@ class SymplecticVerdict(Record):
         return self.closed and self.nondegenerate and self.degree_ok
 
 
+def _omega_matrix(m: CDGAModel, terms: Sequence[tuple[int, tuple]],
+                  den: int, k: int) -> SparseMat:
+    """L_k = Σ_t c_t μ(ω_t) on basis(k), the ω terms as integer numerators
+    over den."""
+    acc: dict[int, dict[int, int]] = {}
+    for c, mono in terms:
+        # Distinct terms of ω give distinct products ω_t·y, so each entry
+        # is one signed coefficient.
+        for y, (i, s) in enumerate(zip(*m._times(mono, k))):
+            if s:
+                acc.setdefault(i, {})[y] = s * c
+    return SparseMat._from_ints(len(m.basis(k + 2)), len(m.basis(k)),
+                                {i: row.items() for i, row in acc.items()},
+                                den)
+
+
 def multiplication_matrix(m: CDGAModel, w: Element) -> OmegaMap:
     """Degreewise matrices of wedging with a closed 2-form w.
 
@@ -493,26 +585,31 @@ def multiplication_matrix(m: CDGAModel, w: Element) -> OmegaMap:
     if not dw.is_zero():
         raise NotClosed(f"d w = {dw!r} != 0")
     cx = m.complex()
-    maps = []
-    for k in range(max(cx.top - 1, 0)):
-        tgt = {mono: i for i, mono in enumerate(m.basis(k + 2))}
-        entries = {}
-        for j, mono in enumerate(m.basis(k)):
-            # Distinct terms of w give distinct products w_t·mono, so each
-            # entry is one signed coefficient.
-            for wmono, c in w.coeffs.items():
-                out_mono, sign = m._merge(wmono, mono)
-                if sign:
-                    entries[(tgt[out_mono], j)] = c if sign > 0 else -c
-        maps.append(SparseMat(len(tgt), cx.dim(k), entries))
-    return OmegaMap(cx, maps)
+    (terms,), den = _integer_terms([w])
+    return OmegaMap(cx, [_omega_matrix(m, terms, den, k)
+                         for k in range(max(cx.top - 1, 0))])
 
 
-def check_symplectic(model: CDGAModel, w: Element | None = None
-                     ) -> SymplecticVerdict:
+def unit_power_vanishes(omega_at: Callable[[int], SparseMat], dim0: int,
+                        half: int) -> bool:
+    """Whether ω^half kills the first degree-0 basis vector: the unit of a
+    CDGA model, the distinguished class of a matrix file.  ``omega_at(k)``
+    is the ω map out of degree k; only L_0, L_2, ..., L_{2 half - 2} are
+    read, and applied to the vector one after another."""
+    vec = SparseMat(dim0, 1, {(0, 0): 1})
+    for k in range(0, 2 * half, 2):
+        vec = omega_at(k) @ vec
+    return vec.is_zero()
+
+
+def check_symplectic(model: CDGAModel, w: Element | None = None,
+                     wmap: OmegaMap | None = None) -> SymplecticVerdict:
     """Closedness and nondegeneracy verdict; carries failures, never raises.
 
-    Nondegeneracy means w^(dim/2) != 0 in the algebra.
+    Nondegeneracy means w^(dim/2) != 0 in the algebra, read off the ω maps
+    by ``unit_power_vanishes``: those of ``wmap`` when given (built by
+    ``multiplication_matrix``, which decided d w = 0), else those of even
+    degree, built here and dropped with the tables made for them.
     """
     if w is None or not isinstance(w, Element) or w.model is not model:
         return SymplecticVerdict(False, False, False,
@@ -522,14 +619,21 @@ def check_symplectic(model: CDGAModel, w: Element | None = None
     if {model.mono_degree(mono) for mono in w.coeffs} != {2}:
         return SymplecticVerdict(False, False, False,
                                  "form is zero or not of degree 2")
+    half = model.manifold_dim // 2
+    if wmap is not None:
+        return SymplecticVerdict(
+            True, not unit_power_vanishes(wmap.map, 1, half), True, "")
     dw = model.d(w)
-    closed = dw.is_zero()
-    power = model.unit()
-    for _ in range(model.manifold_dim // 2):
-        power = power * w
-    nondeg = not power.is_zero()
-    detail = "" if closed else f"d w = {dw!r}"
-    return SymplecticVerdict(closed, nondeg, True, detail)
+    (terms,), den = _integer_terms([w])
+    # The bases and tables built for this verdict go with it: the model
+    # keeps the caches it had before.
+    kept = model._basis_cache, model._index, model._times_cache
+    model._basis_cache, model._index, model._times_cache = map(dict, kept)
+    nondeg = not unit_power_vanishes(
+        lambda k: _omega_matrix(model, terms, den, k), 1, half)
+    model._basis_cache, model._index, model._times_cache = kept
+    return SymplecticVerdict(dw.is_zero(), nondeg, True,
+                             "" if dw.is_zero() else f"d w = {dw!r}")
 
 
 # -- builtins ------------------------------------------------------------

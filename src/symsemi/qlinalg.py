@@ -4,27 +4,34 @@ Matrices store ``fractions.Fraction`` entries keyed by ``(row, col)``; zero
 entries are never stored.  The two hot kernels compute in Python ``int``s
 and convert back to reduced fractions only at their boundary.
 
-* Products scale each operand by the lcm of its denominators, accumulate
-  integer products and divide each nonzero output entry once.
-* One fraction-free forward-elimination kernel serves every routine.  Each
-  row is scaled to a primitive integer vector; the pivot is taken in the
-  leftmost nonzero column and, within it, at the smallest row index; a row
-  below is updated as ``(a/g)·row − (f/g)·lead`` with ``g = gcd(a, f)`` and
-  divided by its content.  ``rank`` is the pivot count and ``det`` the pivot
-  product times the recorded row scalings; only ``rref`` (and so
+* Products run on each operand's integer view (``_int_rows``: numerators
+  over the lcm of its denominators, by row), built once per matrix or kept
+  from the builder that made it.  ``product_is_zero`` and
+  ``products_equal`` decide a product identity on those integers without
+  building a Fraction; ``@`` divides each distinct output numerator once.
+* One fraction-free forward-elimination kernel serves every routine.  The
+  matrix is scaled to integers and each row divided by its content.  The
+  pivot is taken in the leftmost nonzero column and, within it, at the row
+  whose entry there is smallest in absolute value (ties: fewest entries,
+  then lowest index), so small multipliers keep the rows short.  Every
+  other remaining row that holds the column is updated as
+  ``(a/g)·row − (f/g)·lead`` with ``g = gcd(a, f)`` and divided by its
+  content.  ``rank`` is the pivot count and ``det`` the pivot product
+  times the recorded row scalings and swaps; only ``rref`` (and so
   ``kernel_basis``) adds a back-substitution pass, dividing by the pivots
   once at the end.  The reduced echelon form is unique, so reduced forms,
-  ranks, kernel bases and determinants are reproducible bit for bit.
+  ranks, kernel bases and determinants do not depend on the pivot rule and
+  are reproducible bit for bit.
 
 Instances are immutable after construction: builders accumulate a plain dict
-and hand it to the constructor.
+and hand it to the constructor; the integer view is a cache of the entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
@@ -42,7 +49,7 @@ def _coerce(value) -> Fraction:
 class SparseMat:
     """Immutable sparse matrix with exact rational entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_ints")
 
     def __init__(self, rows: int, cols: int,
                  entries: Mapping[tuple[int, int], object] | None = None):
@@ -59,16 +66,53 @@ class SparseMat:
                 if val:
                     clean[(i, j)] = val
         self.entries = clean
+        self._ints = None
 
     @classmethod
     def _trusted(cls, rows: int, cols: int,
-                 entries: dict[tuple[int, int], Fraction]) -> "SparseMat":
-        """Wrap entries that are already nonzero, reduced and in range."""
+                 entries: dict[tuple[int, int], Fraction],
+                 ints: tuple[dict, int] | None = None) -> "SparseMat":
+        """Wrap entries that are already nonzero, reduced and in range;
+        ``ints``, if given, is their ``_int_rows`` view."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
         m.entries = entries
+        m._ints = ints
         return m
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int,
+                   acc: Mapping[int, Iterable[tuple[int, int]]],
+                   den: int) -> "SparseMat":
+        """The matrix whose row i holds the integer numerators ``(j, v)``
+        of ``acc[i]`` over den (zeros skipped), keeping that integer view;
+        one reduced Fraction per distinct numerator."""
+        ints = {}
+        memo: dict[int, Fraction] = {}
+        entries = {}
+        for i, row in acc.items():
+            kept = ints[i] = []
+            for j, v in row:
+                if v:
+                    kept.append((j, v))
+                    f = memo.get(v)
+                    if f is None:
+                        f = memo[v] = Fraction(v, den)
+                    entries[(i, j)] = f
+        return cls._trusted(rows, cols, entries, (ints, den))
+
+    def _int_rows(self) -> tuple[dict[int, list[tuple[int, int]]], int]:
+        """The entries as integer numerators over one denominator, by row:
+        ``({i: [(j, numerator), ...]}, denominator)``, built once."""
+        if self._ints is None:
+            den = lcm(*(v.denominator for v in self.entries.values()))
+            rows: dict[int, list[tuple[int, int]]] = {}
+            for (i, j), v in self.entries.items():
+                rows.setdefault(i, []).append(
+                    (j, v.numerator * (den // v.denominator)))
+            self._ints = (rows, den)
+        return self._ints
 
     # -- construction helpers -------------------------------------------
 
@@ -196,27 +240,10 @@ class SparseMat:
                                   {k: f * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        da = lcm(*(v.denominator for v in self.entries.values()))
-        db = lcm(*(v.denominator for v in other.entries.values()))
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append(
-                (j, v.numerator * (db // v.denominator)))
-        acc: dict[tuple[int, int], int] = {}
-        for (i, k), v in self.entries.items():
-            hits = by_row.get(k)
-            if not hits:
-                continue
-            a = v.numerator * (da // v.denominator)
-            for j, b in hits:
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + a * b
-        d = da * db
-        return SparseMat._trusted(self.rows, other.cols,
-                                  {key: Fraction(v, d)
-                                   for key, v in acc.items() if v})
+        out, d = _int_product(self, other)
+        return SparseMat._from_ints(self.rows, other.cols,
+                                    {i: acc.items() for i, acc in out.items()},
+                                    d)
 
     def transpose(self) -> "SparseMat":
         return SparseMat._trusted(
@@ -230,6 +257,45 @@ class SparseMat:
             if self.entries.get((j, i), Fraction(0)) != -v:
                 return False
         return True
+
+
+# -- integer products ----------------------------------------------------
+
+
+def _int_product(a: SparseMat, b: SparseMat
+                 ) -> tuple[dict[int, dict[int, int]], int]:
+    """a @ b as integer numerators over one denominator ``d``, by row:
+    ``({i: {j: numerator}}, d)``; sums that cancel stay as 0."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    arows, da = a._int_rows()
+    brows, db = b._int_rows()
+    out: dict[int, dict[int, int]] = {}
+    for i, row in arows.items():
+        acc: dict[int, int] = {}
+        for k, x in row:
+            hits = brows.get(k)
+            if hits:
+                for j, y in hits:
+                    acc[j] = acc.get(j, 0) + x * y
+        out[i] = acc
+    return out, da * db
+
+
+def product_is_zero(a: SparseMat, b: SparseMat) -> bool:
+    """Whether a @ b = 0, decided on integer numerators."""
+    return not any(any(acc.values()) for acc in _int_product(a, b)[0].values())
+
+
+def products_equal(a: SparseMat, b: SparseMat, c: SparseMat,
+                   e: SparseMat) -> bool:
+    """Whether a @ b = c @ e, decided on integer numerators."""
+    x, dx = _int_product(a, b)
+    y, dy = _int_product(c, e)
+    return ({(i, j): v * dy for i, acc in x.items() for j, v in acc.items()
+             if v}
+            == {(i, j): v * dx for i, acc in y.items() for j, v in acc.items()
+                if v})
 
 
 # -- elimination ---------------------------------------------------------
@@ -273,49 +339,59 @@ def _eliminate(m: SparseMat) -> tuple[list[dict[int, int]], list[int],
     for a square m of full rank; a row that vanishes records a 0 in num,
     and m is then singular.
     """
-    given: list[dict[int, Fraction]] = [{} for _ in range(m.rows)]
+    scale = lcm(*{v.denominator for v in m.entries.values()})
+    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
-        given[i][j] = v
-    rows: list[dict[int, int]] = []
+        rows[i][j] = v.numerator if scale == 1 else \
+            v.numerator * (scale // v.denominator)
     num: list[int] = []
-    den: list[int] = []
-    for row in given:
-        scale = lcm(*(v.denominator for v in row.values()))
-        ints = {j: v.numerator * (scale // v.denominator)
-                for j, v in row.items()}
-        content = gcd(*ints.values())
+    den: list[int] = [scale] * m.rows
+    # leads[c]: the remaining rows whose leftmost entry is in column c.
+    # Columns left of the current one are clear in every remaining row, so
+    # the rows that hold the pivot column are exactly those that lead in it.
+    leads: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        content = gcd(*row.values())
         if content > 1:
-            ints = {j: v // content for j, v in ints.items()}
-        rows.append(ints)
+            rows[i] = row = {j: v // content for j, v in row.items()}
         num.append(content)
-        den.append(scale)
+        if row:
+            leads.setdefault(min(row), []).append(i)
+    at = list(range(m.rows))        # at[position]: the row held there
+    pos = list(range(m.rows))       # pos[row]: its position
     pivots: list[int] = []
     for c in range(m.cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, m.rows) if c in rows[i]), None)
-        if piv is None:
+        held = leads.pop(c, None)
+        if held is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
+        piv = held[0] if len(held) == 1 else min(
+            held, key=lambda i: (abs(rows[i][c]), len(rows[i]), pos[i]))
+        r = len(pivots)
+        if pos[piv] != r:
+            other = at[r]
+            at[r], at[pos[piv]] = piv, other
+            pos[other], pos[piv] = pos[piv], r
             num.append(-1)
-        lead = rows[r]
+        lead = rows[piv]
         a = lead[c]
-        # Rows r+1..piv have no entry in column c: piv was the first.
-        for i in range(piv + 1, m.rows):
-            f = rows[i].get(c)
-            if f:
-                rows[i], s, content = _combine(rows[i], f, lead, a)
+        for i in held:
+            if i != piv:
+                row, s, content = _combine(rows[i], rows[i][c], lead, a)
+                rows[i] = row
                 num.append(content)
                 den.append(s)
+                if row:
+                    leads.setdefault(min(row), []).append(i)
         pivots.append(c)
-    return rows, pivots, num, den
+    return [rows[i] for i in at], pivots, num, den
 
 
 def rref(m: SparseMat) -> tuple[SparseMat, int, list[int]]:
     """Reduced row echelon form.
 
-    Returns ``(reduced, rank, pivot_columns)``.  Pivot rule: leftmost
-    nonzero column, then smallest row index, so the output is canonical.
+    Returns ``(reduced, rank, pivot_columns)``.  The reduced form is
+    unique, so the output is canonical whatever row ``_eliminate`` pivots
+    on.
     """
     rows, pivots, _, _ = _eliminate(m)
     for r in range(len(pivots) - 1, 0, -1):

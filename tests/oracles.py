@@ -235,6 +235,63 @@ def dense_harmonic(dims, d) -> list[int]:
     return out
 
 
+# -- model operators, one monomial at a time ------------------------------
+
+
+def basis_oracle(model, k: int) -> list[tuple[int, ...]]:
+    """The monomials of degree k, by trying every exponent vector: at most
+    1 for an odd generator and ``power_cap`` for an even one."""
+    from itertools import product
+
+    gens = model.generators
+    ranges = [range(2 if g.degree % 2 else model.power_cap + 1)
+              for g in gens]
+    out = []
+    for powers in product(*ranges):
+        if sum(e * g.degree for e, g in zip(powers, gens)) == k:
+            out.append(tuple(i for i, e in enumerate(powers)
+                             for _ in range(e)))
+    return sorted(out)
+
+
+def d_matrix_oracle(model, k: int):
+    """d out of degree k, one basis monomial at a time through the Leibniz
+    rule of ``CDGAModel.d_mono``, with no multiplication table."""
+    from symsemi.qlinalg import SparseMat
+
+    src = model.basis(k)
+    tgt = {m: i for i, m in enumerate(model.basis(k + 1))}
+    entries = {}
+    for j, mono in enumerate(src):
+        for out_mono, c in model.d_mono(mono).coeffs.items():
+            entries[(tgt[out_mono], j)] = c
+    return SparseMat(len(tgt), len(src), entries)
+
+
+def omega_matrix_oracle(model, w, k: int):
+    """Wedging with the 2-form w out of degree k, one basis monomial and
+    one term of w at a time through ``CDGAModel._merge``, with no
+    multiplication table."""
+    from symsemi.qlinalg import SparseMat
+
+    tgt = {mono: i for i, mono in enumerate(model.basis(k + 2))}
+    entries = {}
+    for j, mono in enumerate(model.basis(k)):
+        for wmono, c in w.coeffs.items():
+            out_mono, sign = model._merge(wmono, mono)
+            if sign:
+                entries[(tgt[out_mono], j)] = c if sign > 0 else -c
+    return SparseMat(len(tgt), len(model.basis(k)), entries)
+
+
+def top_power_nonzero_oracle(model, w) -> bool:
+    """w^(dim/2) != 0, by repeated ``Element`` products."""
+    power = model.unit()
+    for _ in range(model.manifold_dim // 2):
+        power = power * w
+    return not power.is_zero()
+
+
 # -- signed-permutation Clifford oracle ----------------------------------
 
 

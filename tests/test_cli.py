@@ -311,6 +311,31 @@ def test_float_reports_do_not_depend_on_how_sum_adds(name, capsys,
         _FLOAT_REPORT_SHA256[name]
 
 
+# `samples/nil10_cdga.json` is bench/workloads.py's
+# cdga_json(*symplectic_nilpotent_model(10, Random(2))), a model whose
+# elimination grows rows of about 2,000 bits unless each pivot is the
+# smallest entry of its column.
+# Betti vectors and sha256 of `symsemi compute samples/nil10_cdga.json
+# --p <p> --format json` run from the repository root.
+_NIL10_REPORTS = {
+    0: ((1, 2, 4, 8, 12, 15, 15, 12, 8, 4, 2, 1),
+        "02892f0faf8fdcbb0d6d557cb33dcad9ad27000afdc1201e4ca58a37657b095d"),
+    1: ((1, 2, 5, 10, 14, 19, 21, 21, 19, 14, 10, 5, 2, 1),
+        "89d1d5745571f49a1b36157e452235496ae7668d149ff2556726f71815626e07"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_NIL10_REPORTS))
+def test_nil10_reports_are_pinned(p, capsys, monkeypatch):
+    monkeypatch.chdir(SAMPLES.parent)
+    code, out, _ = run(capsys, "compute", "samples/nil10_cdga.json", "--p",
+                       str(p), "--format", "json")
+    betti, digest = _NIL10_REPORTS[p]
+    assert code == 0
+    assert tuple(json.loads(out)["betti"]) == betti
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_oscillator_builds_the_model_once(capsys, monkeypatch):
     # The kernel, spectrum and eta checks of one job share one model.
     build = cliffordlab.model_L

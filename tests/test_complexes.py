@@ -118,14 +118,18 @@ def test_random_cones_against_oracle():
 def test_cone_d_squared_check_catches_a_block_from_the_wrong_degree(
         monkeypatch):
     # Every dimension is 1, so L^{p+1} one degree up has the shape of the
-    # right block wherever both lie in range.  With d_1 = 1 and L_3 = 3 the
-    # cone's d^2 at degree 2 is then -3 instead of 0.
+    # right block wherever both lie in range.  At p = 0 the corner is read
+    # off the ω maps themselves; at p = 1 it is the composite L^2, and with
+    # d_1 = 1, L_3 = 3 and L_5 = 5 the cone's d^2 at degree 5 is then -15
+    # instead of 0.
     one = SparseMat.identity(1)
-    cx = GradedComplex((1,) * 6, [SparseMat.zeros(1, 1), one]
-                       + [SparseMat.zeros(1, 1)] * 3)
-    wmap = OmegaMap(cx, [one, one.scale(2), SparseMat.zeros(1, 1),
-                         one.scale(3)])
-    assert list(betti(cone(cx, wmap))) == oracle_cone_betti(cx, wmap)[1]
+    zero = SparseMat.zeros(1, 1)
+    cx = GradedComplex((1,) * 8, [zero, one] + [zero] * 5)
+    wmap = OmegaMap(cx, [one, one.scale(2), zero, one.scale(3),
+                         one.scale(4), one.scale(5)])
+    for p in (0, 1):
+        assert list(betti(cone(cx, wmap, p))) == \
+            oracle_cone_betti(cx, wmap, p)[1]
     right = OmegaMap.power_map
 
     def shifted(self, k, power):
@@ -134,24 +138,72 @@ def test_cone_d_squared_check_catches_a_block_from_the_wrong_degree(
 
     monkeypatch.setattr(OmegaMap, "power_map", shifted)
     with pytest.raises(InvalidComplex, match="!= 0"):
+        cone(cx, wmap, 1)
+
+
+def test_cone_layout_check_catches_a_block_from_the_wrong_degree(
+        monkeypatch):
+    # An assembly that places the corner of the previous degree (L_0 = 1
+    # where L_1 = 2 belongs) is refused by the layout check.
+    one = SparseMat.identity(1)
+    cx = GradedComplex((1,) * 6, [SparseMat.zeros(1, 1), one]
+                       + [SparseMat.zeros(1, 1)] * 3)
+    wmap = OmegaMap(cx, [one, one.scale(2), SparseMat.zeros(1, 1),
+                         one.scale(3)])
+    right = SparseMat.block
+    placed = []
+
+    def stale(grid):
+        corner, prev = grid[0][1], placed[-1] if placed else None
+        placed.append(corner)
+        if prev is not None and prev.shape == corner.shape:
+            grid = [[grid[0][0], prev], grid[1]]
+        return right(grid)
+
+    monkeypatch.setattr(SparseMat, "block", staticmethod(stale))
+    with pytest.raises(InvalidComplex, match=r"cone d\[2\] differs"):
         cone(cx, wmap)
 
 
 def test_cone_d_squared_check_catches_a_wrong_sign(monkeypatch):
     # [[d, L], [0, +d]] squares to 2 L d in its corner, which vanishes on
-    # Kodaira-Thurston but not on a 6-generator nilpotent model.
+    # Kodaira-Thurston but not on a 6-generator nilpotent model.  The
+    # layout check refuses the + sign on every model.
     rng = Random(0)
     model = random_nilpotent_ce(6, rng)
     cx, wmap = model_cone_inputs(model, random_closed_two_form(model, rng))
     cone(cx, wmap, 0)
     monkeypatch.setattr(SparseMat, "__neg__", lambda self: self)
-    with pytest.raises(InvalidComplex, match="!= 0"):
+    with pytest.raises(InvalidComplex, match="differs from"):
         cone(cx, wmap, 0)
+    kt = builtin_inputs("kodaira_thurston")
+    with pytest.raises(InvalidComplex, match="differs from"):
+        cone(*kt, 0)
+
+
+def test_cone_layout_check_catches_a_dropped_entry(monkeypatch):
+    # Every entry left in place is right; only the count shows the loss.
+    cx, wmap = builtin_inputs("kodaira_thurston")
+    right = SparseMat.block
+
+    def lossy(grid):
+        full = right(grid)
+        entries = dict(full.entries)
+        if entries:
+            del entries[max(entries)]
+        return SparseMat(full.rows, full.cols, entries)
+
+    monkeypatch.setattr(SparseMat, "block", staticmethod(lossy))
+    with pytest.raises(InvalidComplex, match="missing block entries"):
+        cone(cx, wmap)
 
 
 def test_cone_multiplies_no_identity(monkeypatch):
-    # L^1 is L itself: the corner blocks at p = 0 need no sparse product,
-    # and none of the products the cone does make has an identity operand.
+    # L^1 is L itself: at p = 0 the cone takes no sparse product at all
+    # (its d^2 is decided by its parts).  At p = 1 and 2 the corner blocks
+    # are products of L, and none of them has an identity operand (a 0 x 0
+    # operand, where a composite leaves the degree range, multiplies
+    # nothing).
     rng = Random(0)
     model = random_nilpotent_ce(6, rng)
     cx, wmap = model_cone_inputs(model, random_closed_two_form(model, rng))
@@ -164,9 +216,13 @@ def test_cone_multiplies_no_identity(monkeypatch):
 
     monkeypatch.setattr(SparseMat, "__matmul__", recording)
     cone(cx, wmap, 0)
-    assert operands
-    assert not [m for m in operands
-                if m.rows == m.cols and m == SparseMat.identity(m.rows)]
+    assert not operands
+    for p in (1, 2):
+        cone(cx, wmap, p)
+        assert operands
+        assert not [m for m in operands if m.rows and m.rows == m.cols
+                    and m == SparseMat.identity(m.rows)]
+        operands.clear()
 
 
 def test_graded_complex_validates_composition():
@@ -197,6 +253,12 @@ def test_cone_rejects_foreign_omega_map():
     cx2, _ = builtin_inputs("kodaira_thurston")
     with pytest.raises(ChainMapViolation):
         cone(cx2, wmap1)
+    # The same dims but another d: the chain law of t4's ω map was decided
+    # on t4's d, so it says nothing about a cone on Kodaira-Thurston's.
+    _, wmap4 = builtin_inputs("t4")
+    assert wmap4.source.dims == cx2.dims
+    with pytest.raises(ChainMapViolation):
+        cone(cx2, wmap4)
 
 
 def test_betti_vector_rejects_negative_entries():

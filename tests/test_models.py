@@ -8,8 +8,11 @@ from random import Random
 
 import pytest
 
-from symsemi.complexes import (betti, cone, euler_characteristic,
-                               semi_characteristic)
+from hypothesis import given, settings, strategies as st
+
+import symsemi.models as models_module
+from symsemi.complexes import (ChainMapViolation, InvalidComplex, betti, cone,
+                               euler_characteristic, semi_characteristic)
 from symsemi.errors import InputError
 from symsemi.models import (BASIS_LIMIT, CDGAModel, Element,
                             JacobiViolation, NotClosed, ShapeMismatch,
@@ -19,7 +22,9 @@ from symsemi.models import (BASIS_LIMIT, CDGAModel, Element,
                             random_nilpotent_ce, tensor_product)
 from symsemi.qlinalg import SparseMat
 
-from oracles import dense_betti, dense_from_sparse
+from oracles import (basis_oracle, d_matrix_oracle, dense_betti,
+                     dense_from_sparse, omega_matrix_oracle,
+                     top_power_nonzero_oracle)
 
 
 def underlying_betti(model):
@@ -346,3 +351,130 @@ def test_cdga_differential_degree_check():
     with pytest.raises(ShapeMismatch):
         CDGAModel([("x", 1), ("y", 1), ("z", 1)],
                   {"z": [(1, ["x"])]}, 3)
+
+
+# -- the integer operators against the one-monomial-at-a-time build ------
+
+
+def operator_cases():
+    """(model, closed 2-form) pairs: the builtins, random nilpotent models
+    on 4, 6 and 8 generators, cp2 x Kodaira-Thurston (even and odd
+    generators), Λ(e1, e2, e3, y) with d y = e1 e2 e3, whose even
+    generator is not closed, so ∂_y meets the power of y, and
+    Λ(x, e, z)/(x^3) with d z = x^2, where x^2 times x^2 is cut."""
+    cases = [builtin(name) for name in BUILTIN_NAMES]
+    rng = Random(2024)
+    for n in (4, 6, 8):
+        model = random_nilpotent_ce(n, rng)
+        cases.append((model, random_closed_two_form(model, rng)))
+    product = tensor_product(builtin("cp2")[0],
+                             builtin("kodaira_thurston")[0])
+    cases.append((product, product.form(
+        [(3, ["x"]), (1, ["e1", "e2"]), (-2, ["e3", "e4"]),
+         (1, ["e1", "e3"])])))
+    twisted = CDGAModel([("e1", 1), ("e2", 1), ("e3", 1), ("y", 2)],
+                        {"y": [(1, ["e1", "e2", "e3"])]}, 8, power_cap=3)
+    cases.append((twisted, twisted.form([(2, ["e1", "e2"]),
+                                         (1, ["e2", "e3"])])))
+    squares = CDGAModel([("x", 2), ("e", 1), ("z", 3)],
+                        {"z": [(1, ["x", "x"])]}, 6, power_cap=2)
+    cases.append((squares, squares.form([(1, ["x"])])))
+    return cases
+
+
+def test_integer_operators_match_the_monomial_oracle():
+    for model, w in operator_cases():
+        top = model.manifold_dim
+        for k in range(top + 3):
+            assert model.basis(k) == basis_oracle(model, k)
+        for k in range(top + 1):
+            assert model.d_matrix(k) == d_matrix_oracle(model, k)
+        wmap = multiplication_matrix(model, w)
+        assert list(wmap.maps) == [omega_matrix_oracle(model, w, k)
+                                   for k in range(top - 1)]
+
+
+def test_the_power_of_y_enters_its_derivative():
+    model = next(m for m, _ in operator_cases() if {"e1", "y"} <= set(m.index))
+    y2 = model.basis(4).index((3, 3))
+    col = {i: v for (i, j), v in model.d_matrix(4).entries.items() if j == y2}
+    # d(y^2) = 2 y e1 e2 e3
+    assert list(col.values()) == [2]
+    assert model.basis(5)[next(iter(col))] == (0, 1, 2, 3)
+
+
+def _flip_first(mat: SparseMat, rows_that_matter) -> SparseMat:
+    """mat with the sign of one entry flipped, in a row that matters."""
+    key = next(k for k in sorted(mat.entries) if k[0] in rows_that_matter)
+    entries = dict(mat.entries)
+    entries[key] = -entries[key]
+    return SparseMat(mat.rows, mat.cols, entries)
+
+
+def _nonzero_columns(mat: SparseMat) -> set[int]:
+    return {j for _, j in mat.entries}
+
+
+def test_a_wrong_d_entry_is_refused(monkeypatch):
+    model = random_nilpotent_ce(6, Random(5))
+    d2 = model.d_matrix(2)
+    right = CDGAModel.d_matrix
+
+    def wrong(self, k):
+        built = right(self, k)
+        # An entry of d_1 into a 2-form that d_2 does not kill.
+        return _flip_first(built, _nonzero_columns(d2)) if k == 1 \
+            else built
+
+    monkeypatch.setattr(CDGAModel, "d_matrix", wrong)
+    with pytest.raises(InvalidComplex, match=r"d\[2\] d\[1\] != 0"):
+        random_nilpotent_ce(6, Random(5)).complex()
+
+
+def test_a_flipped_omega_entry_is_refused(monkeypatch):
+    rng = Random(5)
+    model = random_nilpotent_ce(6, rng)
+    w = random_closed_two_form(model, rng)
+    d3 = model.complex().d_map(3)
+    right = models_module._omega_matrix
+
+    def flipped(m, terms, den, k):
+        built = right(m, terms, den, k)
+        # An entry of L_1 into a 3-form that d_3 does not kill.
+        return _flip_first(built, _nonzero_columns(d3)) if k == 1 else built
+
+    monkeypatch.setattr(models_module, "_omega_matrix", flipped)
+    with pytest.raises(ChainMapViolation, match="d L != L d at degree 1"):
+        multiplication_matrix(model, w)
+
+
+def degenerate_forms(model, w):
+    """w and, when it has two or more terms, its first term alone."""
+    terms = sorted(w.coeffs.items())
+    return [w] + ([Element(model, dict(terms[:1]))] if len(terms) > 1 else [])
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.sampled_from((4, 6, 8)), st.integers(0, 10 ** 6))
+def test_nondegeneracy_from_the_omega_maps_matches_element_powers(n, seed):
+    rng = Random(seed)
+    model = random_nilpotent_ce(n, rng)
+    for w in degenerate_forms(model, random_closed_two_form(model, rng)):
+        if w.is_zero() or not model.d(w).is_zero():
+            continue
+        want = top_power_nonzero_oracle(model, w)
+        assert check_symplectic(model, w).nondegenerate == want
+        wmap = multiplication_matrix(model, w)
+        assert check_symplectic(model, w, wmap).nondegenerate == want
+
+
+def test_nondegeneracy_verdicts_on_the_builtins():
+    seen = set()
+    for model, w in operator_cases()[:5]:
+        for form in degenerate_forms(model, w):
+            want = top_power_nonzero_oracle(model, form)
+            seen.add(want)
+            assert check_symplectic(model, form).nondegenerate == want
+            wmap = multiplication_matrix(model, form)
+            assert check_symplectic(model, form, wmap).nondegenerate == want
+    assert seen == {True, False}

@@ -7,14 +7,16 @@ from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symsemi.complexes import cone
 from symsemi.models import (model_cone_inputs, random_closed_two_form,
                             random_nilpotent_ce)
-from symsemi.qlinalg import (NotSkewSymmetric, SparseMat, det, kernel_basis,
-                             rank, rref, skew_kernel_parity)
+from symsemi.qlinalg import (NotSkewSymmetric, SparseMat, _eliminate, det,
+                             kernel_basis, rank, rref, skew_kernel_parity)
 
-from oracles import bareiss_rank, dense_det, dense_from_sparse, dense_matmul
+from oracles import (bareiss_rank, dense_det, dense_from_sparse,
+                     dense_gauss_jordan, dense_matmul)
 
 
 def random_sparse(rng: Random, rows: int, cols: int,
@@ -275,6 +277,71 @@ def assert_reduced_entries(m: SparseMat) -> None:
         assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
 
 
+def assert_elimination_matches_oracles(m: SparseMat) -> int:
+    """rank, kernel_basis, rref and det of m against the dense oracles;
+    returns the rank."""
+    rk = rank(m)
+    dense = dense_from_sparse(m)
+    assert rk == bareiss_rank(dense)
+    ker = kernel_basis(m)
+    assert ker.shape == (m.cols, m.cols - rk)
+    assert all(v == 0 for row in dense_matmul(dense, dense_from_sparse(ker))
+               for v in row)
+    assert rank(ker) == ker.cols
+    reduced, rk2, pivots = rref(m)
+    assert rk2 == rk
+    oracle_rows, _, oracle_pivots = dense_gauss_jordan(dense, [[]] * m.rows)
+    assert pivots == oracle_pivots
+    assert dense_from_sparse(reduced) == [
+        [Fraction(v) for v in row] for row in oracle_rows]
+    assert_reduced_entries(ker)
+    assert_reduced_entries(reduced)
+    if m.rows == m.cols:
+        assert det(m) == dense_det(dense)
+    if m.rows > m.cols:
+        square = SparseMat(m.cols, m.cols, {
+            k: v for k, v in m.entries.items() if k[0] < m.cols})
+        assert det(square) == dense_det(dense_from_sparse(square))
+    return rk
+
+
+def pivot_cases() -> list[SparseMat]:
+    """Matrices on which the smallest entry of a pivot column is not in
+    the first row that holds it, so elimination swaps rows: ties on the
+    size broken by the entry count, then by the row index, swaps that flip
+    the sign of det, and fractions whose smallest value has the largest
+    numerator once the row is scaled to integers."""
+    rows = [
+        [[3, 1], [1, 2]],                          # det 5: one swap
+        [[0, 5, 1], [4, 7, 2], [-1, 3, 3]],        # det -51: one swap
+        [[2, 1, 1], [2, 0, 1], [-2, 3, 5]],        # tie on |2|: fewest entries
+        [[2, 1, 0], [-2, 0, 1], [2, 0, 1]],        # tie on size and count
+        [[6, 4, 2, 1], [3, 1, 1, 0], [9, 5, 3, 1], [-3, 2, 7, 5]],
+        [[Fraction(7, 2), 1, 0], [Fraction(1, 3), 5, 2], [1, 1, 1]],
+        [[5, 1, 0, 0], [0, 0, 4, 1], [1, 0, 0, 3], [0, 1, 2, 0]],
+        [[4, 2], [2, 1], [-6, -3]],                # rank 1 after a swap
+    ]
+    return [SparseMat.from_rows(r) for r in rows]
+
+
+def test_size_pivoting_matches_oracles_and_flips_det_signs():
+    dets = [det(m) for m in pivot_cases() if m.rows == m.cols]
+    assert any(d < 0 for d in dets) and any(d > 0 for d in dets)
+    assert det(pivot_cases()[0]) == 5 and det(pivot_cases()[1]) == -51
+    # The pivot row: the smallest entry, then the fewest entries.
+    assert _eliminate(pivot_cases()[0])[0][0] == {0: 1, 1: 2}
+    assert _eliminate(pivot_cases()[2])[0][0] == {0: 2, 2: 1}
+    for m in pivot_cases():
+        assert_elimination_matches_oracles(m)
+        # Swapping two rows flips the sign of det and changes nothing else.
+        swapped = SparseMat(m.rows, m.cols, {
+            ({0: 1, 1: 0}.get(i, i), j): v for (i, j), v in m.entries.items()})
+        assert rank(swapped) == rank(m)
+        assert rref(swapped) == rref(m)
+        if m.rows == m.cols:
+            assert det(swapped) == -det(m)
+
+
 def test_integer_elimination_on_wide_rationals_matches_oracles():
     cases = big_cases(Random(65))
     entries = [v for m in cases for v in m.entries.values()]
@@ -283,26 +350,34 @@ def test_integer_elimination_on_wide_rationals_matches_oracles():
     assert any(v < 0 for v in entries) and any(v > 0 for v in entries)
     deficient = 0
     for m in cases:
-        rk = rank(m)
-        dense = dense_from_sparse(m)
-        assert rk == bareiss_rank(dense)
+        rk = assert_elimination_matches_oracles(m)
         deficient += rk < min(m.rows, m.cols)
-        ker = kernel_basis(m)
-        assert ker.shape == (m.cols, m.cols - rk)
-        assert all(v == 0 for row in dense_matmul(dense, dense_from_sparse(ker))
-                   for v in row)
-        assert rank(ker) == ker.cols
-        reduced, rk2, _ = rref(m)
-        assert rk2 == rk
-        assert_reduced_entries(ker)
-        assert_reduced_entries(reduced)
-        if m.rows == m.cols:
-            assert det(m) == dense_det(dense)
-        if m.rows > m.cols:
-            square = SparseMat(m.cols, m.cols, {
-                k: v for k, v in m.entries.items() if k[0] < m.cols})
-            assert det(square) == dense_det(dense_from_sparse(square))
     assert deficient >= 15
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+def test_rank_of_planted_rank_integer_matrices(rows, cols, data):
+    # m = P (L U) Q with L (rows x r) and U (r x cols) of full rank r:
+    # unit lower / upper trapezoids with random sparse integers below /
+    # above the diagonal, P and Q permutations.
+    r = data.draw(st.integers(0, min(rows, cols)))
+    small = st.integers(-4, 4)
+    low = [[1 if i == j else data.draw(small) if i > j and
+            data.draw(st.booleans()) else 0 for j in range(r)]
+           for i in range(rows)]
+    up = [[1 if i == j else data.draw(small) if j > i and
+           data.draw(st.booleans()) else 0 for j in range(cols)]
+          for i in range(r)]
+    m = (SparseMat(rows, r, {(i, j): v for i, row in enumerate(low)
+                             for j, v in enumerate(row) if v})
+         @ SparseMat(r, cols, {(i, j): v for i, row in enumerate(up)
+                               for j, v in enumerate(row) if v}))
+    p = data.draw(st.permutations(range(rows)))
+    q = data.draw(st.permutations(range(cols)))
+    m = SparseMat(rows, cols, {(p[i], q[j]): v
+                               for (i, j), v in m.entries.items()})
+    assert assert_elimination_matches_oracles(m) == r
 
 
 def test_integer_product_on_unrelated_denominators_matches_oracle():
