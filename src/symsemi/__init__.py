@@ -21,7 +21,7 @@ _SOURCES = {
     "models": ("CDGAModel", "Element", "ce_complex", "tensor_product",
                "multiplication_matrix", "check_symplectic", "builtin"),
     "census": ("Zero", "ZeroCensus", "counting_check", "euler_cross_check"),
-    "exterior": ("verify_car", "verify_volume_star", "verify_volume_omega",
+    "clifford": ("verify_car", "verify_volume_star", "verify_volume_omega",
                  "verify_complex_structure"),
     "cliffordlab": ("model_L", "kernel_and_parity", "spectrum_scaling",
                     "eta_scaling"),

@@ -4,12 +4,13 @@ A census records the zeros of a vector field (labels plus the sign of the
 Jacobian determinant at each zero) or the fact that the field never
 vanishes.  ``counting_check`` compares the semi-characteristic with the
 number of zeros mod 2; ``euler_cross_check`` compares the signed count with
-an Euler characteristic.
+an Euler characteristic.  ``load_census`` reads a census file.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
+from .matrixio import FormatError, _read_object
 from .record import Record
 
 
@@ -108,3 +109,30 @@ def euler_cross_check(census: ZeroCensus, chi: int) -> EulerVerdict:
             raise MissingSigns(f"zero {z.label!r} has unknown det sign")
         total += 1 if z.det_sign == "+" else -1
     return EulerVerdict(total == chi, total, chi)
+
+
+def load_census(spec: str) -> ZeroCensus:
+    """Census from a JSON file: source, nonvanishing flag, zero list."""
+    data = _read_object(spec)
+    source = data.get("source", "")
+    if not isinstance(source, str):
+        raise FormatError(f"{spec}: source must be a string")
+    nonvanishing = data.get("nonvanishing", False)
+    if not isinstance(nonvanishing, bool):
+        raise FormatError(f"{spec}: nonvanishing must be a boolean")
+    zeros_json = data.get("zeros", [])
+    if not isinstance(zeros_json, list):
+        raise FormatError(f"{spec}: zeros must be a list")
+    zeros = []
+    for i, z in enumerate(zeros_json):
+        if not isinstance(z, dict) or not isinstance(z.get("label"), str):
+            raise FormatError(f"{spec}: zeros[{i}] needs a string label")
+        sign = z.get("det_sign", "unknown")
+        if sign not in ("+", "-", "unknown"):
+            raise FormatError(
+                f"{spec}: zeros[{i}].det_sign must be +, - or unknown")
+        zeros.append(Zero(z["label"], sign))
+    try:
+        return ZeroCensus(source, nonvanishing, tuple(zeros))
+    except ValueError as exc:
+        raise FormatError(f"{spec}: {exc}") from None

@@ -2,10 +2,11 @@
 
 It applies the monomial operators of ``exterior`` (see its docstring for
 the basis conventions) to forms held as sparse vectors, and assembles L2
-below from them once, as integer numerators over one denominator; only
-``sector_matrix_L`` makes a ``SparseMat`` of it.  It re-exports the
-``verify_*`` checks, because the benchmark's layer spans look them up
-here.
+below from them once, as integer numerators over one denominator.  What
+an exact ``oscillator`` job does not run lives elsewhere: the float
+eigen-solve in ``jacobi``, the sector matrices and random model matrices
+in ``sectors``.  Those names, and the ``verify_*`` checks of ``clifford``
+that the benchmark's layer spans look up here, resolve on first access.
 
 The oscillator model replaces the deformed de Rham operator by polynomial
 coefficients times constant forms.  Conjugated by the Gaussian ground state
@@ -16,8 +17,8 @@ exp(-T x^t S x), S the positive square root of A^t A, it is
 
 with lap = -laplacian and flow = 2 (Sx).grad on polynomials alone.  The
 model (``ModelOperator``) holds only these T-free parts; the coupling T
-enters only the sector builders ``sector_matrix_L`` and
-``sector_matrix_D``.  With A = sum_k sigma_k u_k v_k^t (``Factors``),
+enters only the sector builders ``sectors.sector_matrix_L`` and
+``sectors.sector_matrix_D``.  With A = sum_k sigma_k u_k v_k^t (``Factors``),
 L2 = tr S + sum_k sigma_k J_k for the commuting involutions
 J_k = c(v_k) chat(u_k), whose joint eigenspaces are lines: the kernel is
 one line, and the spectrum and C1^2 are closed forms in the factors; each
@@ -36,16 +37,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from operator import add, mul
-from random import Random
 from typing import NamedTuple
 
 from .errors import CheckFailure, InputError
 from .exterior import (BadDimension, _check_dim, _compose, _generator,
-                       _identity, _Mono, _omega_terms, _rotated_columns,
-                       _transpose)
-# Re-exported: the benchmark's layer spans find the identity checks here.
-from .exterior import (verify_car, verify_complex_structure,  # noqa: F401
-                       verify_volume_omega, verify_volume_star)
+                       _identity, _Mono, _omega_terms, _transpose)
 from .qlinalg import SparseMat, det, kernel_basis
 from .record import Record
 
@@ -56,10 +52,6 @@ class Singular(InputError):
 
 class NoRationalRoot(InputError):
     """No certified rational (exact) or accurate (float) factors of A."""
-
-
-class TruncationTooSmall(InputError):
-    """The polynomial degree cap cannot hold a required output."""
 
 
 class UnexpectedKernel(CheckFailure):
@@ -80,7 +72,6 @@ _FLOAT_CUT = 1e-9
 # Exact mode rounds float singular values to fractions with denominators
 # up to this, then checks them exactly.
 _SIGMA_DENOMINATOR = 10 ** 6
-_JACOBI_SWEEPS = 60
 
 
 # -- the finite oscillator model -----------------------------------------
@@ -94,39 +85,6 @@ def _fold(terms):
 
 def _dot(u, v):
     return _fold(map(mul, u, v))
-
-
-def _jacobi_eigh(g: SparseMat) -> tuple[list[float], list[list[float]]]:
-    """Eigenvalues and orthonormal eigenvectors of a small symmetric matrix
-    in floats, by cyclic Jacobi rotations (Golub and Van Loan, 8.5); an
-    entry below the rounding of its diagonal pair counts as zero."""
-    n = g.rows
-    a = [[float(x) for x in row] for row in g.to_rows()]
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app, aqq, apq = a[p][p], a[q][q], a[p][q]
-                if (abs(app) + 100 * abs(apq) == abs(app)
-                        and abs(aqq) + 100 * abs(apq) == abs(aqq)):
-                    a[p][q] = a[q][p] = 0.0
-                    continue
-                rotated = True
-                theta = (aqq - app) / (2 * apq)
-                t = math.copysign(1 / (abs(theta) + math.hypot(theta, 1)),
-                                  theta)
-                c = 1 / math.hypot(t, 1)
-                s = t * c
-                for row in a + v:
-                    row[p], row[q] = c * row[p] - s * row[q], \
-                        s * row[p] + c * row[q]
-                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
-                              [s * x + c * y for x, y in zip(a[p], a[q])])
-                a[p][q] = a[q][p] = 0.0
-        if not rotated:
-            return [a[k][k] for k in range(n)], [list(x) for x in zip(*v)]
-    raise CheckFailure("Jacobi eigen-solve did not converge")
 
 
 class Factors(NamedTuple):
@@ -152,6 +110,8 @@ def _rational_eigenbasis(gram: SparseMat) -> tuple[list, list]:
         roots = {Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
                  for x in (gram.get(k, k) for k in range(m))}
     else:
+        from .jacobi import _jacobi_eigh
+
         roots = {Fraction(math.sqrt(max(x, 0.0))).limit_denominator(
             _SIGMA_DENOMINATOR) for x in _jacobi_eigh(gram)[0]}
     sigma, w = [], []
@@ -282,6 +242,8 @@ def model_L(a, mode: str = "exact") -> ModelOperator:
     if mode == "exact":
         factors = _checked_factors(a, gram, *_rational_eigenbasis(gram))
     else:
+        from .jacobi import _jacobi_eigh
+
         values, vectors = _jacobi_eigh(gram)
         if min(values) <= 0:
             raise Singular("A^t A not positive definite (A singular?)")
@@ -386,70 +348,6 @@ def _sector_parts(op: ModelOperator, sec: Sector
                     flow[key] = flow.get(key, 0) + 2 * e * c
     k = len(sec.monomials)
     return SparseMat(k, k, lap), SparseMat(k, k, flow)
-
-
-def _tensor_form(poly: SparseMat, form: SparseMat, m: int) -> SparseMat:
-    """poly tensor 1 + 1 tensor form on (monomials) x (2^m form masks),
-    index mono_index * 2^m + mask."""
-    entries: dict[tuple[int, int], Fraction] = {}
-    for (r, c), v in poly.entries.items():
-        for mask in range(1 << m):
-            entries[((r << m) + mask, (c << m) + mask)] = v
-    for base in range(0, poly.rows << m, 1 << m):
-        for (r, c), v in form.entries.items():
-            key = (base + r, base + c)
-            entries[key] = entries.get(key, 0) + v
-    return SparseMat(poly.rows << m, poly.cols << m, entries)
-
-
-def sector_matrix_L(op: ModelOperator, cap: int, T) -> SparseMat:
-    """Conjugated model operator (lap + T flow) tensor 1 + T (1 tensor L2)
-    at coupling T on the degree <= cap sector; it keeps or lowers the
-    degree, so no truncation error arises.  The one place that makes L2
-    a ``SparseMat``: at cap 0 the result is T L2."""
-    lap, flow = _sector_parts(op, Sector(op.m, cap))
-    form, den = op.form_op
-    l2 = SparseMat(1 << op.m, 1 << op.m,
-                   {key: Fraction(v, den) for key, v in form.items()})
-    return _tensor_form(lap + flow.scale(T), l2.scale(T), op.m)
-
-
-def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
-                    ) -> SparseMat:
-    """Conjugated Dirac-type operator d + d* + T chat(X0) at coupling T
-    from the cap_in into the cap_out sector; TruncationTooSmall when an
-    output monomial exceeds cap_out (it raises the degree by one)."""
-    sec_in, sec_out = Sector(op.m, cap_in), Sector(op.m, cap_out)
-    s_rows, a_rows = op.sqrt_gram.to_rows(), op.a.to_rows()
-    cs, chats = _clifford_gens(op.m)
-    entries: dict[tuple[int, int], Fraction] = {}
-
-    def add_block(out_mono: tuple[int, ...], col_base: int,
-                  poly_coeff: Fraction, form: _Mono):
-        if not poly_coeff:
-            return
-        if out_mono not in sec_out.mono_index:
-            raise TruncationTooSmall(
-                f"output degree {sum(out_mono)} exceeds cap {sec_out.cap}")
-        row_base = sec_out.mono_index[out_mono] << op.m
-        for c, (r, sgn) in enumerate(zip(form.perm, form.sign)):
-            key = (row_base + r, col_base + c)
-            entries[key] = entries.get(key, 0) + poly_coeff * sgn
-
-    for mi, mono in enumerate(sec_in.monomials):
-        base = mi << op.m
-        for i in range(op.m):
-            # d + d* contributes c(e_i) (d/dx_i - T (Sx)_i),
-            # T chat(X0) contributes T (Ax)_i chat(e_i).
-            if mono[i] >= 1:
-                down = list(mono)
-                down[i] -= 1
-                add_block(tuple(down), base, Fraction(mono[i]), cs[i])
-            for out_mono, c in _linear_mult_terms(s_rows, i, mono):
-                add_block(out_mono, base, -T * c, cs[i])
-            for out_mono, c in _linear_mult_terms(a_rows, i, mono):
-                add_block(out_mono, base, T * c, chats[i])
-    return SparseMat(sec_out.size, sec_in.size, entries)
 
 
 # -- forms as sparse vectors ---------------------------------------------
@@ -681,26 +579,21 @@ def _c1_squared_on_factors(f: Factors):
     return total / 16
 
 
-# -- rational random sources ---------------------------------------------
+# Names defined elsewhere, resolved here on first access.
+_MOVED = {"_jacobi_eigh": "jacobi", "TruncationTooSmall": "sectors",
+          "_tensor_form": "sectors", "sector_matrix_L": "sectors",
+          "sector_matrix_D": "sectors",
+          "random_rational_orthogonal": "sectors",
+          "random_model_matrix": "sectors", "verify_car": "clifford",
+          "verify_volume_star": "clifford", "verify_volume_omega": "clifford",
+          "verify_complex_structure": "clifford"}
 
 
-def random_rational_orthogonal(m: int, rng: Random) -> SparseMat:
-    """Product of the ``_random_rotations``, whose cosine/sine pairs are
-    Pythagorean: exactly orthogonal with determinant +1."""
-    cols = _rotated_columns(m, rng, m)
-    return SparseMat(m, m, {(i, k): col[i] for k, col in enumerate(cols)
-                            for i in range(m)})
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-
-def random_model_matrix(m: int, rng: Random, det_sign: int = 1
-                        ) -> SparseMat:
-    """Random invertible A = R diag Q, R and Q rational orthogonal, with
-    the absolute values of the diagonal as singular values; det_sign < 0
-    negates its first entry."""
-    if det_sign not in (1, -1):
-        raise ValueError("det_sign must be +1 or -1")
-    r, q = (random_rational_orthogonal(m, rng) for _ in range(2))
-    d = SparseMat(m, m, {(i, i): Fraction(
-        rng.randint(1, 6) * (det_sign if i == 0 else 1), rng.randint(1, 3))
-        for i in range(m)})
-    return r @ d @ q
+    module = import_module(f".{_MOVED[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
+    return value

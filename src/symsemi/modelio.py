@@ -1,4 +1,4 @@
-"""Input parsing: model files, census files, and matrix row files.
+"""Input parsing: model files.
 
 Two model schemas are supported, both JSON:
 
@@ -10,87 +10,28 @@ Two model schemas are supported, both JSON:
   [{"name": "e1", "degree": 1}, ...], "differential": {"e4": [["-1",
   ["e2", "e3"]]]}, "omega": [["1", ["e1", "e2"]], ...]}``.
 
-Rational values are decimal strings "p" or "p/q" with q > 0 (plain JSON
-integers are also accepted).  The five named example models are addressed
-as ``builtin:<name>`` instead of a file path.
-
-Each model loader imports the CDGA and cone modules it builds on, so
-reading a matrix row file loads neither.
+Rational values are read by ``matrixio``, which also reads the matrix row
+files of ``oscillator``.  The five named example models are addressed as
+``builtin:<name>`` instead of a file path.  Each model loader imports the
+CDGA and cone modules it builds on.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# census stays a module import: it is small, and the traced benchmark run
-# (bench/spans.py) finds it in sys.modules through this module.
-from .census import Zero, ZeroCensus
-from .errors import InputError
+# The matrix reader's names stay importable from here; the benchmark's
+# layer spans wrap load_matrix_rows on this module.
+from .matrixio import (FormatError, _is_int, _located_rational,  # noqa: F401
+                       _read_object, format_rational, load_matrix_rows,
+                       parse_rational)
 from .qlinalg import SparseMat
 from .record import Record
 
 if TYPE_CHECKING:
     from .models import Element, SymplecticVerdict
-
-
-class FormatError(InputError):
-    """An input file does not match its schema."""
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; JSON true/false load as bool, an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
-def _echo(value) -> str:
-    """repr(value), or past 40 characters the first 40 and the length."""
-    text = value if isinstance(value, str) else repr(value)
-    return repr(value) if len(text) <= 40 else \
-        f"{text[:40]!r}… ({len(text)} characters)"
-
-
-def parse_rational(value) -> Fraction:
-    """Rational from a file token: int, "p", or "p/q" with q > 0, p and q
-    ASCII integers (``_INTEGER``: int() alone also takes underscores and
-    non-ASCII digits) with whitespace allowed around either."""
-    if _is_int(value):
-        return Fraction(value)
-    if not isinstance(value, str):
-        raise FormatError(f"expected a rational string, got {_echo(value)}")
-    num, sep, den = value.partition("/")
-    num, den = num.strip(), den.strip() if sep else "1"
-    why = 'want "p" or "p/q" with q > 0'
-    if _INTEGER.fullmatch(num) and _INTEGER.fullmatch(den):
-        try:
-            if int(den) > 0:
-                return Fraction(int(num), int(den))
-        except ValueError:
-            # int() refuses more digits than sys.get_int_max_str_digits().
-            why = "too many digits"
-    raise FormatError(f"bad rational {_echo(value)}: {why}")
-
-
-def format_rational(x) -> str:
-    frac = Fraction(x)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
-
-
-def _located_rational(value, where: str) -> Fraction:
-    """``parse_rational`` with ``where`` (file and field) before its
-    message."""
-    try:
-        return parse_rational(value)
-    except FormatError as exc:
-        raise FormatError(f"{where}: {exc}") from None
 
 
 def _require(data: dict, key: str, where: str):
@@ -242,7 +183,8 @@ def _load_cdga_model(data: dict, source: str, name: str) -> LoadedModel:
 
 
 def _load_builtin(name: str, source: str) -> LoadedModel:
-    from .models import BUILTIN_NAMES, builtin, model_cone_inputs
+    from .builders import BUILTIN_NAMES, builtin
+    from .models import model_cone_inputs
 
     if name not in BUILTIN_NAMES:
         raise FormatError(
@@ -251,27 +193,6 @@ def _load_builtin(name: str, source: str) -> LoadedModel:
     cx, wmap = model_cone_inputs(model, w)
     return LoadedModel(source, "builtin", name, model.manifold_dim,
                        cx, wmap, model, w)
-
-
-def _read_text(spec: str) -> str:
-    """The text of the file ``spec``, which must be UTF-8."""
-    try:
-        return Path(spec).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{spec}: not UTF-8 text ({exc})") from None
-
-
-def _read_object(spec: str) -> dict:
-    """The JSON object in the file ``spec``."""
-    text = _read_text(spec)
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # RecursionError: nested too deep; ValueError: an int too long.
-        raise FormatError(f"{spec}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise FormatError(f"{spec}: top level must be an object")
-    return data
 
 
 def load_model(spec: str) -> LoadedModel:
@@ -287,48 +208,12 @@ def load_model(spec: str) -> LoadedModel:
     raise FormatError(f"{spec}: kind must be \"matrix\" or \"cdga\"")
 
 
-def load_census(spec: str) -> ZeroCensus:
-    """Census from a JSON file: source, nonvanishing flag, zero list."""
-    data = _read_object(spec)
-    source = data.get("source", "")
-    if not isinstance(source, str):
-        raise FormatError(f"{spec}: source must be a string")
-    nonvanishing = data.get("nonvanishing", False)
-    if not isinstance(nonvanishing, bool):
-        raise FormatError(f"{spec}: nonvanishing must be a boolean")
-    zeros_json = data.get("zeros", [])
-    if not isinstance(zeros_json, list):
-        raise FormatError(f"{spec}: zeros must be a list")
-    zeros = []
-    for i, z in enumerate(zeros_json):
-        if not isinstance(z, dict) or not isinstance(z.get("label"), str):
-            raise FormatError(f"{spec}: zeros[{i}] needs a string label")
-        sign = z.get("det_sign", "unknown")
-        if sign not in ("+", "-", "unknown"):
-            raise FormatError(
-                f"{spec}: zeros[{i}].det_sign must be +, - or unknown")
-        zeros.append(Zero(z["label"], sign))
-    try:
-        return ZeroCensus(source, nonvanishing, tuple(zeros))
-    except ValueError as exc:
-        raise FormatError(f"{spec}: {exc}") from None
+def __getattr__(name: str):
+    """``load_census``, which lives with the census records it makes, on
+    first access: a ``compute`` job never loads ``census``."""
+    if name != "load_census":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .census import load_census
 
-
-def load_matrix_rows(spec: str) -> list[list[Fraction]]:
-    """Square matrix from a text file of whitespace-separated rationals.
-
-    Blank lines and lines starting with ``#`` are skipped.
-    """
-    rows = []
-    for lineno, line in enumerate(_read_text(spec).splitlines(), 1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        rows.append([_located_rational(tok, f"{spec}:{lineno}")
-                     for tok in text.split()])
-    if not rows:
-        raise FormatError(f"{spec}: no matrix rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or len(rows) != width:
-        raise FormatError(f"{spec}: matrix must be square")
-    return rows
+    globals()[name] = load_census
+    return load_census

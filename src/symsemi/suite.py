@@ -12,21 +12,20 @@ from fractions import Fraction
 from random import Random
 from time import perf_counter
 
+from .builders import builtin, random_closed_two_form, random_nilpotent_ce
 from .census import Zero, ZeroCensus, counting_check, euler_cross_check
+from .clifford import (random_rational_unit_vector, verify_car,
+                       verify_complex_structure, verify_volume_omega,
+                       verify_volume_star)
 from .cliffordlab import (Sector, eta_scaling, kernel_and_parity, model_L,
-                          random_model_matrix, sector_matrix_D,
-                          sector_matrix_L, spectrum_scaling)
+                          spectrum_scaling)
 from .complexes import (betti, cone, euler_characteristic,
                         harmonic_dimensions, semi_characteristic)
 from .errors import CheckFailure
-from .exterior import (random_rational_unit_vector, verify_car,
-                       verify_complex_structure, verify_volume_omega,
-                       verify_volume_star)
-from .models import (builtin, check_symplectic, model_cone_inputs,
-                     multiplication_matrix, random_closed_two_form,
-                     random_nilpotent_ce)
+from .models import check_symplectic, model_cone_inputs, multiplication_matrix
 from .qlinalg import SparseMat, skew_kernel_parity
 from .record import Record
+from .sectors import random_model_matrix, sector_matrix_D, sector_matrix_L
 
 
 class CriterionResult(Record):
@@ -268,3 +267,17 @@ def run_all(emit=None) -> list[CriterionResult]:
             emit(f"{result.label}  ({result.elapsed:.2f} s)  "
                  f"{result.detail}")
     return results
+
+
+def cmd_suite(args) -> int:
+    """The ``suite`` subcommand: run every criterion, or list them."""
+    if args.list:
+        for line in criteria_names():
+            print(line)
+        return 0
+    results = run_all(emit=print)
+    failed = [r for r in results if not r.passed]
+    total = sum(r.elapsed for r in results)
+    print(f"suite: {len(results) - len(failed)}/{len(results)} criteria "
+          f"passed in {total:.1f} s")
+    return 1 if failed else 0

@@ -450,3 +450,63 @@ def gaussian_matching_oracle(cov, alpha):
                 yield weight * sub
 
     return sum(pairings(indices), Fraction(0))
+
+
+# -- the command line --------------------------------------------------------
+
+
+def build_parser():
+    """The argparse parser the command line used before its table-driven
+    parser: the reference grammar for ``symsemi.cli.parse``.  The two
+    differ only as documented: argparse accepts unambiguous prefixes of
+    option names, and words its usage messages its own way."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="symsemi",
+        description="Exact semi-characteristic engine: mapping cones, "
+                    "mod-2 zero counting, Clifford identities, and the "
+                    "finite model operator.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common_output(p):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", help="write the report to this path")
+
+    p = sub.add_parser("compute",
+                       help="cone Betti numbers and semi-characteristic")
+    p.add_argument("model", help="model file or builtin:<name>")
+    p.add_argument("--p", type=int, default=0,
+                   help="cone parameter: pair degrees k and k-2p-1")
+    p.add_argument("--allow-degenerate", action="store_true",
+                   help="skip the nondegeneracy requirement")
+    common_output(p)
+
+    p = sub.add_parser("verify",
+                       help="check the mod-2 zero count against a census")
+    p.add_argument("model", help="model file or builtin:<name>")
+    p.add_argument("--census", required=True, help="census JSON file")
+    common_output(p)
+
+    p = sub.add_parser("clifford", help="algebraic identity checks")
+    p.add_argument("--n", type=int, default=1,
+                   help="quarter dimension: operators act on R^(4n) forms")
+    p.add_argument("--checks", default="all",
+                   help="comma list from car, star, omega, "
+                        "complex-structure, all")
+    p.add_argument("--mode", choices=("exact", "float"), default="exact")
+    common_output(p)
+
+    p = sub.add_parser("oscillator",
+                       help="model operator checks for a coefficient matrix")
+    p.add_argument("--matrix", required=True,
+                   help="text file with rows of rationals")
+    p.add_argument("--degree-cap", type=int, default=2,
+                   help="polynomial degree window for the spectrum")
+    p.add_argument("--mode", choices=("exact", "float"), default="exact")
+    common_output(p)
+
+    p = sub.add_parser("suite", help="run the builtin acceptance criteria")
+    p.add_argument("--list", action="store_true",
+                   help="list criteria without running them")
+    return parser

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from symsemi import cliffordlab, suite
+from symsemi import cliffordlab, sectors, suite
 from symsemi.suite import run_criterion
 from symsemi.qlinalg import SparseMat
 
@@ -104,12 +104,15 @@ def test_criterion_07_catches_a_wrong_sector_operator(monkeypatch):
             (r, c): v if r == c else v * Fraction(3, 2)
             for (r, c), v in flow.entries.items()})
 
+    # The sector matrices of ``sectors`` share the parts of ``cliffordlab``.
     monkeypatch.setattr(cliffordlab, "_sector_parts", wrong_flow)
+    monkeypatch.setattr(sectors, "_sector_parts", wrong_flow)
     result = run_criterion(7)
     assert not result.passed
     assert result.detail.startswith(
         "assertion failure: spectrum trace guard: tr P_1 = ")
     monkeypatch.setattr(cliffordlab, "_sector_parts", wrong_off_diagonal_flow)
+    monkeypatch.setattr(sectors, "_sector_parts", wrong_off_diagonal_flow)
     result = run_criterion(7)
     assert not result.passed
     assert "D o D != L" in result.detail

@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from symsemi import clifford as clf
 from symsemi import cliffordlab as cl
 from symsemi import exterior as ex
 from symsemi.errors import CheckFailure
@@ -31,8 +32,8 @@ from symsemi.cliffordlab import (
     sector_matrix_L,
     spectrum_scaling,
 )
-from symsemi.exterior import (
-    BadDimension,
+from symsemi.exterior import BadDimension
+from symsemi.clifford import (
     CLIFFORD_DIM_LIMIT,
     NotUnit,
     random_rational_unit_vector,
@@ -72,7 +73,7 @@ def test_c_on_scalar_is_wedge_too():
 
 
 def test_volume_action_examples():
-    vol = ex._dvol(4)
+    vol = clf._dvol(4)
     # On the empty form it produces the volume form with sign +1.
     assert column(vol, 0) == {15: 1}
     # On e^1 it produces -e^{234} (mask 0b1110 = 14).
@@ -81,13 +82,13 @@ def test_volume_action_examples():
 
 def test_volume_action_is_its_own_transpose():
     for m in (4, 8):
-        vol = ex._dvol(m)
+        vol = clf._dvol(m)
         assert ex._transpose(vol) == vol
 
 
 def test_double_star_sign_by_degree():
     m = 4
-    twice = ex._compose(ex._star(m), ex._star(m))
+    twice = ex._compose(clf._star(m), clf._star(m))
     for mask in range(1 << m):
         k = bin(mask).count("1")
         expect = -1 if (k * (m - k)) % 2 else 1
@@ -98,7 +99,7 @@ def test_double_star_sign_by_degree():
 
 def test_star_signs_match_permutation_oracle():
     m = 4
-    star = ex._star(m)
+    star = clf._star(m)
     full = (1 << m) - 1
     for mask in range(1 << m):
         assert column(star, mask) == {full & ~mask: star_sign_oracle(mask, m)}
@@ -240,7 +241,7 @@ def test_signed_permutations_match_sparse_products():
                 op = ex._generator(m, i, wedge, contract)
                 assert mono_to_sparse(m, [(1, op)]) == ref
         vol = ref_dvol(m)
-        assert mono_to_sparse(m, [(1, ex._dvol(m))]) == vol
+        assert mono_to_sparse(m, [(1, clf._dvol(m))]) == vol
         form = SparseMat.zeros(1 << m, 1 << m)
         for i in range(0, m, 2):
             form = form + ref_wedge(m, i) @ ref_wedge(m, i + 1)
@@ -249,7 +250,7 @@ def test_signed_permutations_match_sparse_products():
         ch = SparseMat.zeros(1 << m, 1 << m)
         for i, x in enumerate(v):
             ch = ch + ref_chat(m, i).scale(x)
-        assert mono_to_sparse(m, ex._chat_square(v)) == ch @ ch
+        assert mono_to_sparse(m, clf._chat_square(v)) == ch @ ch
         assert ch @ ch == SparseMat.identity(1 << m)
 
 
@@ -333,7 +334,10 @@ def test_verdicts_match_sparse_products_with_a_flipped_sign(monkeypatch):
         for verdict in engine_verdicts(m, v).values():
             assert verdict.passed and verdict.max_residual == 0.0
         with monkeypatch.context() as patch:
+            # The checks build on the kernel's generators and on their
+            # own name for it.
             patch.setattr(ex, "_generator", flipped)
+            patch.setattr(clf, "_generator", flipped)
             want = sparse_verdicts(m, v)
             got = engine_verdicts(m, v)
         for name, (residual, culprit) in want.items():
@@ -357,7 +361,7 @@ def test_sequence_kernels_match_the_per_mask_oracles():
             for wedge, contract in ((1, 1), (1, -1), (1, 0), (0, 1)):
                 assert tuple(ex._generator(m, i, wedge, contract)) == \
                     mono_generator_oracle(m, i, wedge, contract)
-        assert tuple(ex._star(m)) == mono_star_oracle(m)
+        assert tuple(clf._star(m)) == mono_star_oracle(m)
         ops = [random_mono(m, rng) for _ in range(2)] + [
             ex._generator(m, rng.randrange(m), *rng.choice(
                 ((1, 1), (1, -1), (1, 0), (0, 1)))) for _ in range(2)]
@@ -373,9 +377,9 @@ def test_max_entry_merges_terms_on_different_permutations():
     # Two monomials with different permutations that meet in one entry.
     a = ex._Mono((1, 0, 2, 3), (1, 1, 1, 1))
     b = ex._Mono((1, 2, 0, 3), (1, 1, 1, 1))
-    assert ex._max_entry([(Fraction(1, 2), a), (Fraction(1, 3), b)]) == \
+    assert clf._max_entry([(Fraction(1, 2), a), (Fraction(1, 3), b)]) == \
         Fraction(5, 6)
-    assert ex._max_entry([(1, a), (-1, a)]) == 0
+    assert clf._max_entry([(1, a), (-1, a)]) == 0
 
 
 # -- the model operator ---------------------------------------------------

@@ -272,3 +272,28 @@ def test_euler_and_semi_characteristic_formulas():
     assert semi_characteristic((1, 2, 3)) == 0
     assert semi_characteristic((1, 0, 0, 0, 0, 1)) == 1
     assert semi_characteristic((1, 2, 2, 1)) == 1
+
+
+def test_the_euler_characteristic_of_a_model_is_that_of_its_dimensions():
+    # ``verify`` takes chi(M) from the dimensions of the model complex: by
+    # rank-nullity the alternating sum of the dimensions is that of the
+    # Betti numbers, so the model's ranks need not be taken.
+    from pathlib import Path
+
+    from symsemi.builders import BUILTIN_NAMES
+    from symsemi.modelio import load_model
+
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    # Every model sample but torus16_cdga.json, which is over the basis
+    # budget and refused at load.
+    complexes = [load_model(f"builtin:{name}").complex
+                 for name in BUILTIN_NAMES]
+    complexes += [load_model(str(samples / name)).complex for name in (
+        "s2_matrix.json", "s2_matrix_degenerate.json",
+        "kodaira_thurston_cdga.json", "t4_alt_form_cdga.json",
+        "nil10_cdga.json")]
+    complexes += [random_nilpotent_ce(n, Random(seed)).complex()
+                  for n in (4, 6, 8) for seed in range(3)]
+    for cx in complexes:
+        assert euler_characteristic(cx.dims) == \
+            euler_characteristic(betti(cx))

@@ -8,8 +8,11 @@ import json
 from contextlib import redirect_stdout
 
 import make_golden
-from symsemi import report
+from symsemi import clifford, cone_jobs, oscillator_job, report
 from symsemi.cli import main
+
+# Each report class lives beside its subcommand's handler.
+REPORT_MODULES = (clifford, cone_jobs, oscillator_job)
 
 
 def test_every_run_matches_the_golden_corpus():

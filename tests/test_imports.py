@@ -1,17 +1,18 @@
-"""What each subcommand imports, and the two error families behind the exit
-codes.
+"""What each subcommand imports and compiles, and the two error families
+behind the exit codes.
 
 Start-up is part of every job's cost, so a subcommand loads only the
 modules it runs: ``--help`` loads no engine module, ``compute`` and
 ``verify`` never load the Clifford/oscillator code or the suite,
 neither ``clifford`` nor ``oscillator`` loads the CDGA and cone code, and
-``clifford`` loads the exterior algebra alone, with no matrix code.  No
-subcommand loads numpy: the oscillator takes its singular values from a
-pure-Python eigen-solve of the m x m A^t A in float mode, and from exact
-arithmetic in exact mode.  No subcommand loads ``dataclasses`` (reports and
-verdicts are ``symsemi.record`` records) or ``inspect``, which numpy used
-to bring in.  Each case runs in a fresh interpreter and reads
-``sys.modules`` after the command.
+``clifford`` loads the exterior algebra and its checks alone, with no
+matrix code.  No subcommand loads numpy: the oscillator takes its singular
+values from a pure-Python eigen-solve of the m x m A^t A in float mode,
+and from exact arithmetic in exact mode.  No subcommand loads
+``dataclasses`` (reports and verdicts are ``symsemi.record`` records),
+``inspect``, which numpy used to bring in, or ``argparse``, ``gettext``
+and ``locale``: the front door parses argv from its own table.  Each case
+runs in a fresh interpreter and reads ``sys.modules`` after the command.
 """
 from __future__ import annotations
 
@@ -23,23 +24,26 @@ from pathlib import Path
 
 import pytest
 
-from symsemi import (census, cli, cliffordlab, complexes, exterior, modelio,
-                     models, qlinalg)
+from symsemi import (census, cli, clifford, cliffordlab, complexes, exterior,
+                     modelio, models, qlinalg)
 from symsemi.errors import CheckFailure, InputError
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
 ENGINE = {"symsemi.qlinalg", "symsemi.complexes", "symsemi.models",
-          "symsemi.census", "symsemi.cliffordlab", "symsemi.exterior",
-          "symsemi.modelio", "symsemi.record", "symsemi.report",
-          "symsemi.suite"}
+          "symsemi.builders", "symsemi.census", "symsemi.cliffordlab",
+          "symsemi.exterior", "symsemi.clifford", "symsemi.jacobi",
+          "symsemi.sectors", "symsemi.matrixio", "symsemi.modelio",
+          "symsemi.record", "symsemi.report", "symsemi.cone_jobs",
+          "symsemi.oscillator_job", "symsemi.suite"}
 # Standard modules a job must not pay for: dataclasses builds code for each
-# class it decorates, and inspect brings ast, dis and tokenize with it.
-HEAVY = {"dataclasses", "inspect"}
+# class it decorates, inspect brings ast, dis and tokenize with it, and
+# argparse brings gettext, which brings locale.
+HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 def loaded_after(*argv: str) -> set[str]:
-    """symsemi modules (and numpy, dataclasses and inspect) loaded by one
+    """symsemi modules (and numpy and the HEAVY modules) loaded by one
     ``main(argv)`` call in a fresh interpreter."""
     script = f"""
 import contextlib, io, json, sys
@@ -48,7 +52,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main({list(argv)!r})
 print(json.dumps([code, sorted(
     m for m in sys.modules
-    if m in ("numpy", "dataclasses", "inspect") or m.startswith("symsemi"))]))
+    if m in {sorted(HEAVY | {"numpy"})!r} or m.startswith("symsemi"))]))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -62,7 +66,23 @@ print(json.dumps([code, sorted(
     return set(modules)
 
 
+def source_lines(modules: set[str]) -> int:
+    """Lines of source of the symsemi modules among ``modules``."""
+    src = ROOT / "src"
+    return sum(len((src / name.replace(".", "/") / "__init__.py"
+                    if name == "symsemi" else
+                    src / (name.replace(".", "/") + ".py"))
+                   .read_text().splitlines())
+               for name in modules if name.startswith("symsemi"))
+
+
+KT_FILE = str(SAMPLES / "kodaira_thurston_cdga.json")
+OSCILLATOR_EXACT = ("oscillator", "--matrix",
+                    str(SAMPLES / "matrix_diag_1234.txt"))
+
+
 @pytest.mark.parametrize("argv", [
+    ("compute", KT_FILE, "--p", "1"),
     ("compute", "builtin:kodaira_thurston", "--p", "1"),
     ("verify", "builtin:s2xs2", "--census",
      str(SAMPLES / "census_s2xs2_morse.json")),
@@ -71,15 +91,22 @@ def test_cone_jobs_load_no_clifford_suite_or_numpy(argv):
     modules = loaded_after(*argv)
     assert "symsemi.models" in modules and "symsemi.complexes" in modules
     assert not modules & ({"symsemi.cliffordlab", "symsemi.exterior",
-                           "symsemi.suite", "numpy"} | HEAVY)
+                           "symsemi.clifford", "symsemi.sectors",
+                           "symsemi.suite", "symsemi.oscillator_job",
+                           "numpy"} | HEAVY)
+
+
+def test_compute_on_a_file_loads_no_builders():
+    assert "symsemi.builders" not in loaded_after("compute", KT_FILE)
 
 
 def test_clifford_loads_no_cdga_or_cone_code():
     modules = loaded_after("clifford", "--n", "1")
     assert "symsemi.exterior" in modules
     assert not modules & ({"symsemi.models", "symsemi.complexes",
-                           "symsemi.modelio", "symsemi.suite",
-                           "symsemi.cliffordlab", "symsemi.qlinalg", "numpy"}
+                           "symsemi.modelio", "symsemi.matrixio",
+                           "symsemi.suite", "symsemi.cliffordlab",
+                           "symsemi.qlinalg", "symsemi.cone_jobs", "numpy"}
                           | HEAVY)
 
 
@@ -90,7 +117,7 @@ def test_clifford_loads_exactly_the_exterior_algebra(argv):
     # The Clifford checks need no matrix or oscillator code.
     assert loaded_after(*argv) == {
         "symsemi", "symsemi.cli", "symsemi.errors", "symsemi.record",
-        "symsemi.report", "symsemi.exterior"}
+        "symsemi.report", "symsemi.exterior", "symsemi.clifford"}
 
 
 @pytest.mark.parametrize("sample", ["matrix_diag_1234.txt",
@@ -98,9 +125,14 @@ def test_clifford_loads_exactly_the_exterior_algebra(argv):
 def test_exact_oscillator_loads_no_numpy_or_cdga_code(sample):
     modules = loaded_after("oscillator", "--matrix", str(SAMPLES / sample),
                            "--degree-cap", "3")
-    assert "symsemi.cliffordlab" in modules and "symsemi.modelio" in modules
+    assert "symsemi.cliffordlab" in modules and "symsemi.matrixio" in modules
+    # Nor the model and census loaders, the float eigen-solve, the sector
+    # matrices or the Clifford checks.
     assert not modules & ({"symsemi.models", "symsemi.complexes",
-                           "symsemi.suite", "numpy"} | HEAVY)
+                           "symsemi.modelio", "symsemi.census",
+                           "symsemi.jacobi", "symsemi.sectors",
+                           "symsemi.clifford", "symsemi.suite", "numpy"}
+                          | HEAVY)
 
 
 @pytest.mark.parametrize("argv", [
@@ -110,16 +142,32 @@ def test_exact_oscillator_loads_no_numpy_or_cdga_code(sample):
 ])
 def test_float_oscillator_and_suite_load_no_numpy_or_inspect(argv):
     modules = loaded_after(*argv)
-    assert "symsemi.cliffordlab" in modules
+    assert "symsemi.cliffordlab" in modules and "symsemi.jacobi" in modules
     assert not modules & ({"numpy"} | HEAVY)
 
 
-@pytest.mark.parametrize("sub", ["compute", "verify", "clifford",
-                                 "oscillator", "suite"])
-def test_help_loads_no_engine_module(sub):
-    modules = loaded_after(sub, "--help")
+@pytest.mark.parametrize("argv", [("--help",)] + [
+    (sub, "--help") for sub in ("compute", "verify", "clifford",
+                                "oscillator", "suite")])
+def test_help_loads_no_engine_module(argv):
+    modules = loaded_after(*argv)
     assert "symsemi.cli" in modules
     assert not modules & (ENGINE | {"numpy"} | HEAVY)
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (("compute", "--help"), 250),
+    (("clifford", "--n", "1"), 793),
+    (("compute", KT_FILE, "--p", "1"), 2170),
+    (OSCILLATOR_EXACT, 1769),
+])
+def test_each_job_compiles_within_its_line_budget(argv, budget):
+    """Every child compiles the symsemi modules it imports, at about
+    7.5 us per source line; the lines a job leaves in sys.modules are what
+    it compiled.  Before the front door dropped argparse and the engine
+    was split by job, these totals were 412 (--help), 991 (clifford),
+    2,504 (compute on a file) and 2,601 (an exact oscillator job)."""
+    assert source_lines(loaded_after(*argv)) <= budget
 
 
 def test_every_public_name_resolves():
@@ -149,8 +197,8 @@ def test_cliffordlab_re_exports_the_identity_checks():
     import symsemi
     for name in ("verify_car", "verify_volume_star", "verify_volume_omega",
                  "verify_complex_structure"):
-        assert getattr(cliffordlab, name) is getattr(exterior, name)
-        assert getattr(symsemi, name) is getattr(exterior, name)
+        assert getattr(cliffordlab, name) is getattr(clifford, name)
+        assert getattr(symsemi, name) is getattr(clifford, name)
 
 
 def test_exit_codes_follow_the_two_error_families():
@@ -159,7 +207,7 @@ def test_exit_codes_follow_the_two_error_families():
                 models.JacobiViolation, models.ShapeMismatch,
                 complexes.InvalidComplex, complexes.ChainMapViolation,
                 exterior.BadDimension, cliffordlab.Singular,
-                cliffordlab.NoRationalRoot, exterior.NotUnit,
+                cliffordlab.NoRationalRoot, clifford.NotUnit,
                 cliffordlab.TruncationTooSmall, qlinalg.NotSkewSymmetric,
                 census.OddDimension, census.MissingSigns):
         assert issubclass(cls, InputError), cls
