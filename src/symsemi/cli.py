@@ -17,6 +17,7 @@ invariant and exits 1.
 
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from .errors import CheckFailure, InputError
 
@@ -61,13 +62,6 @@ _ABOUT = ("Exact semi-characteristic engine: mapping cones, mod-2 zero "
           "counting,\nClifford identities, and the finite model operator.")
 
 
-class Args:
-    """``command`` and one attribute per positional and option of it."""
-
-    def __init__(self, **values):
-        self.__dict__.update(values)
-
-
 class _Usage(Exception):
     """A usage error: (message, command or None)."""
 
@@ -104,13 +98,14 @@ def _help(command=None) -> str:
 
 
 def parse(argv):
-    """``Args`` for argv; None once help is printed; _Usage if misused."""
+    """The parsed argv: ``command`` and one attribute per positional and
+    option of it; None once help is printed; _Usage if misused."""
     if argv and argv[0] in ("-h", "--help"):
         print(_help(), end="")
         return None
     if not argv or argv[0] not in COMMANDS:
-        given = f"unknown command {argv[0]!r}" if argv else "no command"
-        raise _Usage(f"{given}; choose from {', '.join(COMMANDS)}")
+        found = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise _Usage(f"{found}; choose from {', '.join(COMMANDS)}")
     command = argv[0]
     positionals, options = COMMANDS[command][3:]
     table = {f"--{o[0]}": o for o in options}
@@ -159,7 +154,7 @@ def parse(argv):
         raise _Usage(f"unexpected argument {words[len(positionals)]!r}",
                      command)
     values.update(zip((name for name, _ in positionals), words))
-    return Args(command=command, **values)
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
