@@ -13,8 +13,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "qlinalg": ("SparseMat", "rref", "rank", "kernel_basis",
-                "skew_kernel_parity"),
+    "qlinalg": ("SparseMat", "rref", "rank", "kernel_basis"),
     "complexes": ("GradedComplex", "OmegaMap", "BettiVector", "cone",
                   "betti", "euler_characteristic", "semi_characteristic",
                   "harmonic_dimensions"),
@@ -26,6 +25,7 @@ _SOURCES = {
     "cliffordlab": ("model_L", "kernel_and_parity", "spectrum_scaling",
                     "eta_scaling"),
     "modelio": ("load_model", "load_census", "load_matrix_rows"),
+    "suite": ("skew_kernel_parity",),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names}

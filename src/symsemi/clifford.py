@@ -1,27 +1,23 @@
 """The Clifford identity checks, and the ``clifford`` subcommand.
 
-The checks run on the monomial operators of ``exterior`` (see its docstring
-for the basis conventions) in exact arithmetic only, and pass only when
-every residual is exactly zero: anticommutators compare two composites;
-omega wedge and contraction are sums of m/2 such terms; chat(v) for a
-general v is the sum of the v_i chat(e_i), so chat(v)^2 is a sum of m^2
-composites, whose integer signs are summed per permutation before the
-rational weights v_i v_j enter.  They accept dimensions up to
-``CLIFFORD_DIM_LIMIT``.  With no matrix code here, ``symsemi clifford``
-loads this module, ``exterior`` and ``report`` alone.
+The checks run exactly on the operators of ``exterior`` (see its docstring
+for the basis conventions): an XOR key, the mask every basis form moves
+by, and sign classes, one bitset of masks per value, moved by delta-swaps.
+Each identity is a sum of composites (two per anticommutator, m for omega,
+m^2 for chat(v)^2) that ``exterior._sum`` adds class by class on each key;
+it passes only when every entry of the sum is exactly zero.  With no matrix
+code, ``symsemi clifford`` loads this module, ``exterior`` and ``report``.
 """
 
-import math
 from fractions import Fraction
-from itertools import chain
-from operator import add, mul, neg
+from math import lcm
 from random import Random
 from time import perf_counter
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .exterior import (_check_dim, _compose, _generator, _identity, _Mono,
-                       _omega_terms, _transpose)
+from .exterior import (_check_dim, _compose, _generator, _identity, _mono,
+                       _Mono, _omega_terms, _sum, _transpose)
 from .record import Record
 from .report import Report, emit, stable_json
 
@@ -30,8 +26,7 @@ class NotUnit(InputError):
     """A unit vector was required."""
 
 
-# The largest m of the Clifford checks, which act on 2^m x 2^m monomial
-# operators.
+# The largest m of the Clifford checks, on 2^m x 2^m monomial operators.
 CLIFFORD_DIM_LIMIT = 12
 
 
@@ -39,14 +34,14 @@ def _star(m: int) -> _Mono:
     """The Hodge star e^S -> sign(S, S^c) e^(S^c), the sign ordering the
     concatenation [S ascending, S^c ascending] against 0..m-1: (-1) to the
     number of pairs j < i with i in S and j not.  Adding bit k to the masks
-    below it adds k - |S| such pairs, so the signs grow by doubling."""
-    full = (1 << m) - 1
-    sign, parity = [1], [1]
+    below it adds k - |S| such pairs: the masks of sign -1 and those with
+    |S| odd grow by doubling."""
+    neg = odd = 0
     for k in range(m):
-        upper = [*map(mul, sign, parity)]
-        sign += [*map(neg, upper)] if k & 1 else upper
-        parity += [*map(neg, parity)]
-    return _Mono(tuple(map(full.__xor__, range(1 << m))), tuple(sign))
+        ones = (1 << (1 << k)) - 1
+        neg |= (neg ^ odd ^ (ones if k & 1 else 0)) << (1 << k)
+        odd |= (odd ^ ones) << (1 << k)
+    return _mono((1 << m) - 1, {-1: neg, 1: ((1 << (1 << m)) - 1) ^ neg})
 
 
 def _dvol(m: int) -> _Mono:
@@ -65,40 +60,6 @@ def _chat_square(vals: Sequence[Fraction]) -> list[tuple[Fraction, _Mono]]:
             for i in range(m) for j in range(m) if vals[i] and vals[j]]
 
 
-def _max_entry(terms) -> Fraction:
-    """Largest |entry| of the sum of coeff * op over (coeff, op) in terms,
-    exactly.  The coefficients are brought to one denominator, and terms
-    that share a permutation and a coefficient have their integer signs
-    summed before the one multiplication by that coefficient."""
-    terms = [(Fraction(c), op) for c, op in terms if c]
-    den = math.lcm(*(c.denominator for c, _ in terms))
-    signs: dict[tuple[int, ...], dict[int, list[int]]] = {}
-    for c, op in terms:
-        by_coeff = signs.setdefault(op.perm, {})
-        k = c.numerator * (den // c.denominator)
-        acc = by_coeff.get(k)
-        by_coeff[k] = list(op.sign if acc is None else map(add, acc, op.sign))
-    totals = {}
-    for perm, by_coeff in signs.items():
-        total = [0] * len(perm)
-        for k, acc in by_coeff.items():
-            if any(acc):
-                total = list(map(add, total, map(k.__mul__, acc)))
-        if any(total):
-            totals[perm] = total
-    if len(totals) > 1:
-        # Different permutations can still meet in single entries.
-        entries: dict[tuple[int, int], int] = {}
-        for perm, total in totals.items():
-            for s, (r, x) in enumerate(zip(perm, total)):
-                if x:
-                    entries[(r, s)] = entries.get((r, s), 0) + x
-        values = entries.values()
-    else:
-        values = chain.from_iterable(totals.values())
-    return Fraction(max(map(abs, values), default=0), den)
-
-
 # -- identity verdicts ---------------------------------------------------
 
 
@@ -107,14 +68,17 @@ class IdentityVerdict(Record):
     _defaults = {"detail": ""}
 
 
-def _verdict(name: str, m: int,
-             residuals: Iterable[tuple[str, Fraction]]) -> IdentityVerdict:
-    """Verdict from (label, largest |entry| of that identity's difference)
-    pairs; it passes only when every residual is exactly 0, and the
-    culprit is the first label with the largest residual."""
-    worst = Fraction(0)
-    culprit = ""
-    for label, residual in residuals:
+def _verdict(name: str, m: int, identities: Iterable) -> IdentityVerdict:
+    """Verdict from (label, (coeff, op) terms of an identity's difference)
+    pairs, the residual being the largest |entry| of the sum: it passes
+    only when every residual is 0, the culprit the first label with the
+    largest residual.  Terms are summed on integer numerators."""
+    worst, culprit = Fraction(0), ""
+    for label, terms in identities:
+        den = lcm(*(c.denominator for c, _ in terms))
+        sums = _sum((int(c * den), op) for c, op in terms)
+        residual = Fraction(max((abs(v) for op in sums for v, _ in op.classes),
+                                default=0), den)
         if residual > worst:
             worst, culprit = residual, label
     detail = f"largest residual {float(worst):.3e} in {culprit}" \
@@ -131,9 +95,8 @@ def verify_car(m: int) -> IdentityVerdict:
     chat = [_generator(m, i, 1, 1) for i in range(m)]
     cc = [_generator(m, i, 1, -1) for i in range(m)]
 
-    def anticommutator(a: _Mono, b: _Mono, want: int) -> Fraction:
-        return _max_entry([(1, _compose(a, b)), (1, _compose(b, a)),
-                           (-want, one)])
+    def anticommutator(a: _Mono, b: _Mono, want: int) -> list:
+        return [(1, _compose(a, b)), (1, _compose(b, a)), (-want, one)]
 
     def residuals():
         for i in range(m):
@@ -156,15 +119,16 @@ def verify_volume_star(m: int) -> IdentityVerdict:
     transpose."""
     _check_dim(m, CLIFFORD_DIM_LIMIT)
     vol = _dvol(m)
-    star = _star(m)
-    # (-1)^(k(k+1)/2) is -1 exactly when the degree k is 1 or 2 mod 4.
-    signed = _Mono(star.perm, tuple(-x if s.bit_count() % 4 in (1, 2) else x
-                                    for s, x in enumerate(star.sign)))
-    residuals = [("chat(dvol) vs signed star",
-                  _max_entry([(1, vol), (-1, signed)])),
-                 ("chat(dvol) symmetry",
-                  _max_entry([(1, vol), (-1, _transpose(vol))]))]
-    return _verdict("star", m, residuals)
+    # (-1)^(k(k+1)/2) is -1 exactly when the degree k is 1 or 2 mod 4;
+    # rings[r] holds the masks of degree r mod 4, sorted by doubling.
+    rings = [1, 0, 0, 0]
+    for k in range(m):
+        rings = [r | rings[j - 1] << (1 << k) for j, r in enumerate(rings)]
+    signed = _compose(_star(m), _mono(0, {-1: rings[1] | rings[2],
+                                          1: rings[0] | rings[3]}))
+    return _verdict("star", m, [
+        ("chat(dvol) vs signed star", [(1, vol), (-1, signed)]),
+        ("chat(dvol) symmetry", [(1, vol), (-1, _transpose(vol))])])
 
 
 def verify_volume_omega(m: int) -> IdentityVerdict:
@@ -175,7 +139,7 @@ def verify_volume_omega(m: int) -> IdentityVerdict:
     terms = []
     for w in _omega_terms(m):
         terms += [(1, _compose(vol, _transpose(w))), (1, _compose(w, vol))]
-    return _verdict("omega", m, [("intertwining", _max_entry(terms))])
+    return _verdict("omega", m, [("intertwining", terms)])
 
 
 def verify_complex_structure(v: Sequence) -> IdentityVerdict:
@@ -190,7 +154,7 @@ def verify_complex_structure(v: Sequence) -> IdentityVerdict:
     if norm2 != 1:
         raise NotUnit(f"|v|^2 = {norm2} != 1")
     terms = [(1, _identity(m))] + [(-c, op) for c, op in _chat_square(vals)]
-    return _verdict("complex-structure", m, [("J^2 + 1", _max_entry(terms))])
+    return _verdict("complex-structure", m, [("J^2 + 1", terms)])
 
 
 # -- rational random sources ---------------------------------------------
@@ -259,7 +223,6 @@ _CHECKS = ("car", "star", "omega", "complex-structure")
 
 
 def cmd_clifford(args) -> int:
-
     start = perf_counter()
     m = 4 * args.n
     if args.n < 1:

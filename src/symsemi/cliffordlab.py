@@ -37,11 +37,12 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from operator import add, mul
+from sys import byteorder
 from typing import NamedTuple
 
 from .errors import CheckFailure, InputError
 from .exterior import (BadDimension, _check_dim, _compose, _generator,
-                       _identity, _Mono, _omega_terms, _transpose)
+                       _identity, _Mono, _omega_terms, _sum, _transpose)
 from .qlinalg import SparseMat, det, kernel_basis
 from .record import Record
 
@@ -242,15 +243,9 @@ def model_L(a, mode: str = "exact") -> ModelOperator:
     if mode == "exact":
         factors = _checked_factors(a, gram, *_rational_eigenbasis(gram))
     else:
-        from .jacobi import _jacobi_eigh
+        from .jacobi import _float_factors
 
-        values, vectors = _jacobi_eigh(gram)
-        if min(values) <= 0:
-            raise Singular("A^t A not positive definite (A singular?)")
-        sigma = tuple(map(math.sqrt, values))
-        factors = Factors(sigma, tuple(map(tuple, vectors)), tuple(
-            tuple(_dot(row, v) for row in a.to_rows()) for v in vectors),
-            1, sigma)
+        factors = _float_factors(a, gram)
     # S = sum_k sigma_k w_k w_k^t / |w_k|^2, floats as binary rationals.
     weights = [x / _dot(v, v) for x, v in zip(factors.sigma, factors.w)]
     s = SparseMat(m, m, {(i, j): _fold(
@@ -269,22 +264,17 @@ def model_L(a, mode: str = "exact") -> ModelOperator:
 def _form_operator(m: int, trace_s, entries) -> tuple[dict, int]:
     """L2 for A, tr(S) + sum of B_ij c(e_j) chat(e_i) over entries of B,
     as integer numerators {(row, col): n}, zeros dropped, over the lcm of
-    the coefficients' denominators.  Each term is a signed permutation
-    that XORs every mask with one fixed mask (c(e_j) chat(e_i) and
-    c(e_i) chat(e_j) both flip bits i and j): terms of one permutation
-    are summed as sign vectors, and distinct ones share no entry."""
-    cs, chats = _clifford_gens(m)
+    the coefficients' denominators.  c(e_j) chat(e_i) and c(e_i) chat(e_j)
+    both have the key of bits i and j, and ``_sum`` adds the terms of one
+    key; each key's entries are listed by ascending column."""
     terms = [(Fraction(trace_s), _identity(m))] + [
-        (Fraction(v), _compose(cs[j], chats[i]))
+        (Fraction(v), _compose(_generator(m, j, 1, -1),
+                               _generator(m, i, 1, 1)))
         for (i, j), v in entries.items()]
     den = math.lcm(*(c.denominator for c, _ in terms))
-    signs: dict[tuple, list] = {}
-    for c, (perm, sign) in terms:
-        scaled = map((c.numerator * (den // c.denominator)).__mul__, sign)
-        signs[perm] = list(map(add, signs[perm], scaled) if perm in signs
-                           else scaled)
-    return {(r, s): x for perm, xs in signs.items()
-            for s, (r, x) in enumerate(zip(perm, xs)) if x}, den
+    return {(s ^ op.key, s): x for op in _sum(
+        (c.numerator * (den // c.denominator), op) for c, op in terms)
+        for s, x in enumerate(_signs(op, m)) if x}, den
 
 
 # -- polynomial-form sectors ---------------------------------------------
@@ -355,20 +345,36 @@ def _sector_parts(op: ModelOperator, sec: Sector
 # Forms are dicts {mask: number}: integer numerators in exact mode, floats
 # in float mode, on one code path.
 
-
-def _clifford_gens(m: int) -> tuple[list[_Mono], list[_Mono]]:
-    """The generators c(e_i) and chat(e_i), i < m."""
-    return ([_generator(m, i, 1, -1) for i in range(m)],
-            [_generator(m, i, 1, 1) for i in range(m)])
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _clifford_apply(vec: dict, coeffs, gens: list[_Mono], out=None) -> dict:
+def _signs(op: _Mono, m: int) -> tuple:
+    """op's value at each of the 2^m masks, 0 where it kills the form.  A
+    class's binary digits, as UTF-16 code units, are one 16-bit lane per
+    mask; scaled by the class's number they fill one integer's lanes."""
+    index = 0
+    for k, (_, bits) in enumerate(op.classes, 1):
+        index |= k * int.from_bytes(bin(bits)[:1:-1].encode(
+            "utf-16-le").translate(_DIGITS), "little")
+    values = (0, *(v for v, _ in op.classes))
+    return tuple(map(values.__getitem__, memoryview(
+        index.to_bytes(2 << m, byteorder)).cast("H")))
+
+
+def _clifford_gens(m: int) -> tuple[list, list]:
+    """The generators c(e_i) and chat(e_i), i < m, as (key, per-mask
+    signs) pairs."""
+    return tuple([(1 << i, _signs(_generator(m, i, 1, w), m))
+                  for i in range(m)] for w in (-1, 1))
+
+
+def _clifford_apply(vec: dict, coeffs, gens: list, out=None) -> dict:
     """sum_i coeffs[i] gens[i] applied to vec, added into out."""
     out = {} if out is None else out
-    for x, (perm, sign) in zip(coeffs, gens):
+    for x, (key, sign) in zip(coeffs, gens):
         if x:
             for s, y in vec.items():
-                out[perm[s]] = out.get(perm[s], 0) + sign[s] * x * y
+                out[s ^ key] = out.get(s ^ key, 0) + sign[s] * x * y
     return out
 
 
@@ -391,10 +397,12 @@ def _omega_skew(m: int, vec: dict, exact: bool) -> tuple[dict, int]:
     half = 1 if exact else 0.5
     out: dict = {}
     for w in _omega_terms(m):
-        for (perm, sign), x in ((_transpose(w), half), (w, -half)):
+        for op, x in ((_transpose(w), half), (w, -half)):
+            sign = _signs(op, m)
             for s in sorted(vec):
                 if sign[s]:
-                    out[perm[s]] = out.get(perm[s], 0) + vec[s] * (sign[s] * x)
+                    t = s ^ op.key
+                    out[t] = out.get(t, 0) + vec[s] * (sign[s] * x)
     return {r: y for r, y in out.items() if y}, 2 if exact else 1
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError
-from .qlinalg import SparseMat, product_is_zero, products_equal, rank
+from .qlinalg import SparseMat, _int_product, rank
 
 
 class InvalidComplex(InputError):
@@ -25,6 +25,22 @@ class InvalidComplex(InputError):
 
 class ChainMapViolation(InputError):
     """A degree +2 map failed to commute with the differentials."""
+
+
+def product_is_zero(a: SparseMat, b: SparseMat) -> bool:
+    """Whether a @ b = 0, decided on integer numerators."""
+    return not any(any(acc.values()) for acc in _int_product(a, b)[0].values())
+
+
+def products_equal(a: SparseMat, b: SparseMat, c: SparseMat,
+                   e: SparseMat) -> bool:
+    """Whether a @ b = c @ e, decided on integer numerators."""
+    x, dx = _int_product(a, b)
+    y, dy = _int_product(c, e)
+    return ({(i, j): v * dy for i, acc in x.items() for j, v in acc.items()
+             if v}
+            == {(i, j): v * dx for i, acc in y.items() for j, v in acc.items()
+                if v})
 
 
 class BettiVector(tuple):

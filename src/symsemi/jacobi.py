@@ -6,6 +6,7 @@ its candidate singular values when A^t A is not diagonal.
 
 import math
 
+from .cliffordlab import Factors, Singular, _dot
 from .errors import CheckFailure
 from .qlinalg import SparseMat
 
@@ -43,3 +44,15 @@ def _jacobi_eigh(g: SparseMat) -> tuple[list[float], list[list[float]]]:
         if not rotated:
             return [a[k][k] for k in range(n)], [list(x) for x in zip(*v)]
     raise CheckFailure("Jacobi eigen-solve did not converge")
+
+
+def _float_factors(a: SparseMat, gram: SparseMat) -> Factors:
+    """Float ``Factors`` of A from the eigenpairs of A^t A: w[k] = v_k,
+    a[k] = A v_k, scale 1, norm[k] = sigma_k."""
+    values, vectors = _jacobi_eigh(gram)
+    if min(values) <= 0:
+        raise Singular("A^t A not positive definite (A singular?)")
+    sigma = tuple(map(math.sqrt, values))
+    return Factors(sigma, tuple(map(tuple, vectors)), tuple(
+        tuple(_dot(row, v) for row in a.to_rows()) for v in vectors),
+        1, sigma)

@@ -6,9 +6,9 @@ and convert back to reduced fractions only at their boundary.
 
 * Products run on each operand's integer view (``_int_rows``: numerators
   over the lcm of its denominators, by row), built once per matrix or kept
-  from the builder that made it.  ``product_is_zero`` and
-  ``products_equal`` decide a product identity on those integers without
-  building a Fraction; ``@`` divides each distinct output numerator once.
+  from the builder that made it.  ``complexes`` decides its product
+  identities on those integers without building a Fraction; ``@`` divides
+  each distinct output numerator once.
 * One fraction-free forward-elimination kernel serves every routine.  The
   matrix is scaled to integers and each row divided by its content.  The
   pivot is taken in the leftmost nonzero column and, within it, at the row
@@ -32,12 +32,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
-
-from .errors import InputError
-
-
-class NotSkewSymmetric(InputError):
-    """Raised when an operation requires m^T = -m and the input fails it."""
 
 
 def _coerce(value) -> Fraction:
@@ -250,14 +244,6 @@ class SparseMat:
             self.cols, self.rows,
             {(j, i): v for (i, j), v in self.entries.items()})
 
-    def is_skew(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for (i, j), v in self.entries.items():
-            if self.entries.get((j, i), Fraction(0)) != -v:
-                return False
-        return True
-
 
 # -- integer products ----------------------------------------------------
 
@@ -280,22 +266,6 @@ def _int_product(a: SparseMat, b: SparseMat
                     acc[j] = acc.get(j, 0) + x * y
         out[i] = acc
     return out, da * db
-
-
-def product_is_zero(a: SparseMat, b: SparseMat) -> bool:
-    """Whether a @ b = 0, decided on integer numerators."""
-    return not any(any(acc.values()) for acc in _int_product(a, b)[0].values())
-
-
-def products_equal(a: SparseMat, b: SparseMat, c: SparseMat,
-                   e: SparseMat) -> bool:
-    """Whether a @ b = c @ e, decided on integer numerators."""
-    x, dx = _int_product(a, b)
-    y, dy = _int_product(c, e)
-    return ({(i, j): v * dy for i, acc in x.items() for j, v in acc.items()
-             if v}
-            == {(i, j): v * dx for i, acc in y.items() for j, v in acc.items()
-                if v})
 
 
 # -- elimination ---------------------------------------------------------
@@ -442,19 +412,3 @@ def det(m: SparseMat) -> Fraction:
         return Fraction(0)
     return Fraction(prod(num) * prod(rows[r][c] for r, c in enumerate(pivots)),
                     prod(den))
-
-
-def skew_kernel_parity(m: SparseMat) -> tuple[int, int]:
-    """Kernel dimension of a skew-symmetric matrix and its parity.
-
-    Returns ``(ker_dim, ker_dim % 2)``.  Since rational skew matrices have
-    even rank, ker_dim is congruent to the size mod 2; a breach of that
-    congruence raises RuntimeError.  Raises NotSkewSymmetric for non-skew
-    input.
-    """
-    if not m.is_skew():
-        raise NotSkewSymmetric(f"matrix is not skew-symmetric: {m!r}")
-    ker = m.rows - rank(m)
-    if ker % 2 != m.rows % 2:
-        raise RuntimeError(f"skew matrix with odd rank: {m!r}")
-    return ker, ker % 2

@@ -12,7 +12,6 @@ from .cliffordlab import (ModelOperator, Sector, _clifford_gens,
                           _linear_mult_terms, _sector_parts)
 from .clifford import _rotated_columns
 from .errors import InputError
-from .exterior import _Mono
 from .qlinalg import SparseMat
 
 
@@ -57,15 +56,16 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
     entries: dict[tuple[int, int], Fraction] = {}
 
     def add_block(out_mono: tuple[int, ...], col_base: int,
-                  poly_coeff: Fraction, form: _Mono):
+                  poly_coeff: Fraction, form: tuple):
         if not poly_coeff:
             return
         if out_mono not in sec_out.mono_index:
             raise TruncationTooSmall(
                 f"output degree {sum(out_mono)} exceeds cap {sec_out.cap}")
         row_base = sec_out.mono_index[out_mono] << op.m
-        for c, (r, sgn) in enumerate(zip(form.perm, form.sign)):
-            key = (row_base + r, col_base + c)
+        flip, signs = form
+        for c, sgn in enumerate(signs):
+            key = (row_base + (c ^ flip), col_base + c)
             entries[key] = entries.get(key, 0) + poly_coeff * sgn
 
     for mi, mono in enumerate(sec_in.monomials):

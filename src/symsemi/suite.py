@@ -21,11 +21,31 @@ from .cliffordlab import (Sector, eta_scaling, kernel_and_parity, model_L,
                           spectrum_scaling)
 from .complexes import (betti, cone, euler_characteristic,
                         harmonic_dimensions, semi_characteristic)
-from .errors import CheckFailure
+from .errors import CheckFailure, InputError
 from .models import check_symplectic, model_cone_inputs, multiplication_matrix
-from .qlinalg import SparseMat, skew_kernel_parity
+from .qlinalg import SparseMat, rank
 from .record import Record
 from .sectors import random_model_matrix, sector_matrix_D, sector_matrix_L
+
+
+class NotSkewSymmetric(InputError):
+    """Raised when an operation requires m^T = -m and the input fails it."""
+
+
+def skew_kernel_parity(m: SparseMat) -> tuple[int, int]:
+    """Kernel dimension of a skew-symmetric matrix and its parity.
+
+    Returns ``(ker_dim, ker_dim % 2)``.  Since rational skew matrices have
+    even rank, ker_dim is congruent to the size mod 2; a breach of that
+    congruence raises RuntimeError.  Raises NotSkewSymmetric for non-skew
+    input.  Criterion 9 alone uses it, so it lives here.
+    """
+    if m.transpose() != -m:
+        raise NotSkewSymmetric(f"matrix is not skew-symmetric: {m!r}")
+    ker = m.rows - rank(m)
+    if ker % 2 != m.rows % 2:
+        raise RuntimeError(f"skew matrix with odd rank: {m!r}")
+    return ker, ker % 2
 
 
 class CriterionResult(Record):
@@ -101,7 +121,7 @@ def _dimension_gating():
 
 def _clifford_identities():
     verdicts = []
-    for m in (4, 8):
+    for m in (4, 8, 12):
         verdicts += [verify_car(m), verify_volume_star(m),
                      verify_volume_omega(m)]
     rng = Random(20260823)
@@ -110,7 +130,7 @@ def _clifford_identities():
         verdicts.append(verify_complex_structure(v))
     ok = all(v.passed and v.max_residual == 0.0 for v in verdicts)
     bad = [v.name for v in verdicts if not v.passed]
-    detail = ("CAR + volume lemmas at m = 4, 8; "
+    detail = ("CAR + volume lemmas at m = 4, 8, 12; "
               "10 complex-structure checks, all exact"
               if ok else f"failed: {', '.join(bad)}")
     return ok, detail, {"verdicts": verdicts}

@@ -60,7 +60,27 @@ SHEAR = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 def column(op, mask):
     """Where the monomial op sends the basis form of mask: {image: sign}."""
-    return {op.perm[mask]: op.sign[mask]} if op.sign[mask] else {}
+    return {mask ^ op.key: v for v, bits in op.classes if bits >> mask & 1}
+
+
+def per_mask(op, m):
+    """(perm, sign) of a monomial operator over the 2^m masks, looked up
+    mask by mask in its classes: the pairs the per-mask oracles take."""
+    masks = range(1 << m)
+    return (tuple(s ^ op.key for s in masks),
+            tuple(next((v for v, bits in op.classes if bits >> s & 1), 0)
+                  for s in masks))
+
+
+def entries(pair):
+    """{(row, col): sign} of a (perm, sign) pair, killed forms left out:
+    where the zero operator sends them is arbitrary."""
+    return {(r, s): x for s, (r, x) in enumerate(zip(*pair)) if x}
+
+
+def to_sparse(m, terms):
+    """``mono_to_sparse`` of (coeff, monomial operator) terms."""
+    return mono_to_sparse(m, [(c, per_mask(op, m)) for c, op in terms])
 
 
 def test_chat_on_scalar_is_wedge():
@@ -239,18 +259,18 @@ def test_signed_permutations_match_sparse_products():
             for wedge, contract, kind in ((1, 1, "chat"), (1, -1, "c")):
                 ref = ref_chat(m, i, kind)
                 op = ex._generator(m, i, wedge, contract)
-                assert mono_to_sparse(m, [(1, op)]) == ref
+                assert to_sparse(m, [(1, op)]) == ref
         vol = ref_dvol(m)
-        assert mono_to_sparse(m, [(1, clf._dvol(m))]) == vol
+        assert to_sparse(m, [(1, clf._dvol(m))]) == vol
         form = SparseMat.zeros(1 << m, 1 << m)
         for i in range(0, m, 2):
             form = form + ref_wedge(m, i) @ ref_wedge(m, i + 1)
-        assert mono_to_sparse(m, [(1, w) for w in ex._omega_terms(m)]) == form
+        assert to_sparse(m, [(1, w) for w in ex._omega_terms(m)]) == form
         v = random_rational_unit_vector(m, Random(m))
         ch = SparseMat.zeros(1 << m, 1 << m)
         for i, x in enumerate(v):
             ch = ch + ref_chat(m, i).scale(x)
-        assert mono_to_sparse(m, clf._chat_square(v)) == ch @ ch
+        assert to_sparse(m, clf._chat_square(v)) == ch @ ch
         assert ch @ ch == SparseMat.identity(1 << m)
 
 
@@ -268,7 +288,7 @@ def sparse_verdicts(m, v):
         return worst, culprit
 
     def gen(i, wedge, contract):
-        return mono_to_sparse(m, [(1, ex._generator(m, i, wedge, contract))])
+        return to_sparse(m, [(1, ex._generator(m, i, wedge, contract))])
 
     n = 1 << m
     eye, zero = SparseMat.identity(n), SparseMat.zeros(n, n)
@@ -299,8 +319,8 @@ def sparse_verdicts(m, v):
     form = zero
     for i in range(0, m, 2):
         form = form + gen(i, 1, 0) @ gen(i + 1, 1, 0)
-    ch = mono_to_sparse(m, [(x, ex._generator(m, i, 1, 1))
-                            for i, x in enumerate(v) if x])
+    ch = to_sparse(m, [(x, ex._generator(m, i, 1, 1))
+                       for i, x in enumerate(v) if x])
     j = SparseMat.block([[zero, -ch], [ch, zero]])
     return {
         "car": verdict(car),
@@ -323,11 +343,17 @@ def test_verdicts_match_sparse_products_with_a_flipped_sign(monkeypatch):
     generator = ex._generator
 
     def flipped(m, i, wedge, contract):
-        # One sign of e_2 wedge (and so of chat(e_2) and c(e_2)) is wrong.
+        # One sign of e_2 wedge (and so of chat(e_2) and c(e_2)) is wrong:
+        # mask 0 moves to the class of the opposite value.
         op = generator(m, i, wedge, contract)
         if i != 1:
             return op
-        return ex._Mono(op.perm, (-op.sign[0],) + op.sign[1:])
+        parts = {}
+        for v, bits in op.classes:
+            for x, y in ((v, bits & ~1), (-v, bits & 1)):
+                if y:
+                    parts[x] = parts.get(x, 0) | y
+        return ex._Mono(op.key, tuple(sorted(parts.items())))
 
     for m in (4, 8):
         v = [Fraction(3, 5), Fraction(4, 5)] + [0] * (m - 2)
@@ -347,39 +373,91 @@ def test_verdicts_match_sparse_products_with_a_flipped_sign(monkeypatch):
                 f"largest residual {residual:.3e} in {culprit}"
 
 
-def random_mono(m, rng):
-    """A signed partial permutation of the 2^m masks, signs in {-1, 0, 1}."""
-    perm = list(range(1 << m))
-    rng.shuffle(perm)
-    return ex._Mono(tuple(perm), tuple(rng.choice((-1, 0, 1)) for _ in perm))
+WEIGHTS = ((1, 1), (1, -1), (1, 0), (0, 1), (Fraction(2, 3), Fraction(-5, 7)))
 
 
-def test_sequence_kernels_match_the_per_mask_oracles():
-    rng = Random(18)
+def random_mono(m, rng, key=None):
+    """A monomial operator with a random XOR key (or ``key``) and random
+    signs in {-1, 0, 1}, its canonical classes built mask by mask."""
+    parts = {}
+    for s in range(1 << m):
+        v = rng.choice((-1, 0, 1))
+        if v:
+            parts[v] = parts.get(v, 0) | 1 << s
+    return ex._Mono(rng.randrange(1 << m) if key is None else key,
+                    tuple(sorted(parts.items())))
+
+
+def assert_canonical(op, m):
+    """Nonzero distinct values, ascending, on nonzero disjoint bitsets of
+    the 2^m masks."""
+    values = [v for v, _ in op.classes]
+    assert all(values) and values == sorted(set(values))
+    seen = 0
+    for _, bits in op.classes:
+        assert 0 < bits < 1 << (1 << m) and not bits & seen
+        seen |= bits
+
+
+def test_bit_parallel_kernel_matches_the_per_mask_oracles():
+    # The delta-swap masks cover every dimension either user accepts.
+    assert max(CLIFFORD_DIM_LIMIT, MODEL_DIM_LIMIT) <= len(ex._CLEAR)
+    rng = Random(27)
     for m in range(1, CLIFFORD_DIM_LIMIT + 1):
+        n = 1 << m
         for i in range(m):
-            for wedge, contract in ((1, 1), (1, -1), (1, 0), (0, 1)):
-                assert tuple(ex._generator(m, i, wedge, contract)) == \
+            for wedge, contract in WEIGHTS:
+                op = ex._generator(m, i, wedge, contract)
+                assert_canonical(op, m)
+                assert per_mask(op, m) == \
                     mono_generator_oracle(m, i, wedge, contract)
-        assert tuple(clf._star(m)) == mono_star_oracle(m)
+        assert per_mask(clf._star(m), m) == mono_star_oracle(m)
+        vol = (tuple(range(n)), (1,) * n)
+        for i in range(m):
+            vol = mono_compose_oracle(vol, mono_generator_oracle(m, i, 1, 1))
+        assert per_mask(clf._dvol(m), m) == vol
         ops = [random_mono(m, rng) for _ in range(2)] + [
-            ex._generator(m, rng.randrange(m), *rng.choice(
-                ((1, 1), (1, -1), (1, 0), (0, 1)))) for _ in range(2)]
+            ex._generator(m, rng.randrange(m), *rng.choice(WEIGHTS))
+            for _ in range(2)]
         for a in ops:
-            assert tuple(ex._transpose(a)) == mono_transpose_oracle(a)
+            assert entries(per_mask(ex._transpose(a), m)) == \
+                entries(mono_transpose_oracle(per_mask(a, m)))
             for b in ops:
                 ab = ex._compose(a, b)
-                assert tuple(ab) == mono_compose_oracle(a, b)
-                assert tuple(ex._transpose(ab)) == mono_transpose_oracle(ab)
+                assert_canonical(ab, m)
+                assert entries(per_mask(ab, m)) == entries(
+                    mono_compose_oracle(per_mask(a, m), per_mask(b, m)))
+                assert entries(per_mask(ex._transpose(ab), m)) == \
+                    entries(mono_transpose_oracle(per_mask(ab, m)))
+        # Weighted sums: two random operators on one key with overlapping
+        # classes, a generator on another, and a term that cancels.
+        key = rng.randrange(n)
+        x, y = random_mono(m, rng, key), random_mono(m, rng, key)
+        g = ops[2]
+        terms = [(Fraction(1, 3), x), (2, y), (Fraction(-3, 4), g),
+                 (-Fraction(1, 3), x), (Fraction(1, 2), x)]
+        total = ex._sum(terms)
+        for op in total:
+            assert_canonical(op, m)
+        assert len({op.key for op in total}) == len(total)
+        assert to_sparse(m, [(1, op) for op in total]) == \
+            to_sparse(m, terms)
+        assert ex._sum([(Fraction(1, 3), x), (-Fraction(1, 3), x)]) == []
 
 
-def test_max_entry_merges_terms_on_different_permutations():
-    # Two monomials with different permutations that meet in one entry.
-    a = ex._Mono((1, 0, 2, 3), (1, 1, 1, 1))
-    b = ex._Mono((1, 2, 0, 3), (1, 1, 1, 1))
-    assert clf._max_entry([(Fraction(1, 2), a), (Fraction(1, 3), b)]) == \
-        Fraction(5, 6)
-    assert clf._max_entry([(1, a), (-1, a)]) == 0
+def test_sum_keeps_keys_apart_and_cancels_within_one():
+    # Different keys share no entry: 1/2 chat(e_1) + 1/3 chat(e_2) has
+    # largest entry 1/2, not 5/6.
+    m = 2
+    a, b = ex._generator(m, 0, 1, 1), ex._generator(m, 1, 1, 1)
+    both = [(Fraction(1, 2), a), (Fraction(1, 3), b)]
+    assert [op.key for op in ex._sum(both)] == [1, 2]
+    assert clf._verdict("sum", m, [("both", both)]).max_residual == 0.5
+    # Terms of one key cancel exactly: chat + c = 2 wedge, and a - a = 0.
+    assert ex._sum([(1, a), (1, ex._generator(m, 0, 1, -1))]) == \
+        [ex._generator(m, 0, 2, 0)]
+    assert ex._sum([(1, a), (-1, a)]) == []
+    assert clf._verdict("sum", m, [("zero", [(1, a), (-1, a)])]).passed
 
 
 # -- the model operator ---------------------------------------------------
@@ -1117,7 +1195,7 @@ def check_cap1(op):
             # plus (A_ij + S_ij) times the contraction by e_i; the m terms
             # of one block have different permutations and never meet.
             a, s = a_rows[i][j], s_rows[i][j]
-            perm, sign = ex._generator(m, i, a - s, a + s)
+            perm, sign = per_mask(ex._generator(m, i, a - s, a + s), m)
             want.update((((k << m) + r, c), y)
                         for c, (r, y) in enumerate(zip(perm, sign)) if y)
     got = cl.sector_matrix_D(op, 0, 1, 1)

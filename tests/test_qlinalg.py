@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from symsemi.complexes import cone
 from symsemi.models import (model_cone_inputs, random_closed_two_form,
                             random_nilpotent_ce)
-from symsemi.qlinalg import (NotSkewSymmetric, SparseMat, _eliminate, det,
-                             kernel_basis, rank, rref, skew_kernel_parity)
+from symsemi.qlinalg import (SparseMat, _eliminate, det, kernel_basis, rank,
+                             rref)
+from symsemi.suite import NotSkewSymmetric, skew_kernel_parity
 
 from oracles import (bareiss_rank, dense_det, dense_from_sparse,
                      dense_gauss_jordan, dense_matmul)
@@ -180,7 +181,7 @@ def test_skew_parity_6x6_rank_four():
 
 
 def test_skew_parity_raises_on_odd_rank(monkeypatch):
-    monkeypatch.setattr("symsemi.qlinalg.rank", lambda m: 1)
+    monkeypatch.setattr("symsemi.suite.rank", lambda m: 1)
     with pytest.raises(RuntimeError, match="odd rank"):
         skew_kernel_parity(SparseMat.from_rows([[0, 1], [-1, 0]]))
 
