@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 _SOURCES = {
     "qlinalg": ("SparseMat", "rref", "rank", "kernel_basis"),
     "complexes": ("GradedComplex", "OmegaMap", "BettiVector", "cone",
-                  "betti", "euler_characteristic", "semi_characteristic",
-                  "harmonic_dimensions"),
+                  "betti", "euler_characteristic", "semi_characteristic"),
     "models": ("CDGAModel", "Element", "ce_complex", "tensor_product",
                "multiplication_matrix", "check_symplectic", "builtin"),
     "census": ("Zero", "ZeroCensus", "counting_check", "euler_cross_check"),
@@ -25,7 +24,7 @@ _SOURCES = {
     "cliffordlab": ("model_L", "kernel_and_parity", "spectrum_scaling",
                     "eta_scaling"),
     "modelio": ("load_model", "load_census", "load_matrix_rows"),
-    "suite": ("skew_kernel_parity",),
+    "suite": ("harmonic_dimensions", "skew_kernel_parity"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names}

@@ -1,11 +1,11 @@
 """The finite oscillator model.
 
 It applies the monomial operators of ``exterior`` (see its docstring for
-the basis conventions) to forms held as sparse vectors, and assembles L2
-below from them once, as integer numerators over one denominator.  What
-an exact ``oscillator`` job does not run lives elsewhere: the float
-eigen-solve in ``jacobi``, the sector matrices and random model matrices
-in ``sectors``.  Those names, and the ``verify_*`` checks of ``clifford``
+the basis conventions) to forms held as sparse vectors, and L2 below by
+its Clifford formula: L2 is applied, never built.  What an exact
+``oscillator`` job does not run lives elsewhere: the float eigen-solve
+in ``jacobi``, the sector matrices and random model matrices in
+``sectors``.  Those names, and the ``verify_*`` checks of ``clifford``
 that the benchmark's layer spans look up here, resolve on first access.
 
 The oscillator model replaces the deformed de Rham operator by polynomial
@@ -22,7 +22,7 @@ enters only the sector builders ``sectors.sector_matrix_L`` and
 L2 = tr S + sum_k sigma_k J_k for the commuting involutions
 J_k = c(v_k) chat(u_k), whose joint eigenspaces are lines: the kernel is
 one line, and the spectrum and C1^2 are closed forms in the factors; each
-step is checked, none eliminates, and only L2 and the kernel work on all
+step is checked, none eliminates, and only L2 and the kernel act on all
 2^m forms.  "exact" mode certifies rational factors and works on integer
 numerators; "float" mode runs the same code on pure-Python Jacobi factors
 with residuals up to ``_FLOAT_CUT`` of each check's scale, and adds floats
@@ -41,8 +41,8 @@ from sys import byteorder
 from typing import NamedTuple
 
 from .errors import CheckFailure, InputError
-from .exterior import (BadDimension, _check_dim, _compose, _generator,
-                       _identity, _Mono, _omega_terms, _sum, _transpose)
+from .exterior import (BadDimension, _check_dim, _generator, _Mono,
+                       _omega_terms, _transpose)
 from .qlinalg import SparseMat, det, kernel_basis
 from .record import Record
 
@@ -59,10 +59,10 @@ class UnexpectedKernel(CheckFailure):
     """A check behind the 1-dimensional model kernel failed."""
 
 
-# The largest m of the model.  Its work grows like m^2 2^m: L2 has about
-# m^2/2 integer entries in each of 2^m columns, built once, and the ground
-# form takes m projectors on forms of up to 2^m entries: about a second
-# for a random 12 x 12 A.
+# The largest m of the model.  Its work grows like m^2 2^m: L2 is applied,
+# never built, as m^2 generator terms on the ground form's up to 2^m
+# entries, and the ground form takes m projectors on forms of up to 2^m
+# entries: under a second for a random 12 x 12 A.
 MODEL_DIM_LIMIT = 12
 # The largest sector, in forms: C(m + cap, m) 2^m of them, one float each
 # in ``_block_spectrum``.
@@ -157,19 +157,18 @@ def _checked_factors(a: SparseMat, gram: SparseMat, sigma: list, w: list
 
 
 class ModelOperator(Record):
-    """The finite model, free of the coupling T: A and S as SparseMat, L2
-    (``form_op``) as a pair ({(row, col): integer numerator}, one
-    denominator), the ``Factors`` of A and the ground form delta
-    (``ground``, see ``_ground_form``).  Building one, or any ``replace``
-    of one, checks L2 == tr S + sum_k sigma_k J_k on m x m data; else
-    UnexpectedKernel.  The right side is the L2 of
+    """The finite model, free of the coupling T: A and S as SparseMat, the
+    ``Factors`` of A and the ground form delta (``ground``, see
+    ``_ground_form``).  L2 is applied, never built: ``_l2_apply`` reads
+    A and tr S.  Building one, or any ``replace`` of one, checks
+    L2 == tr S + sum_k sigma_k J_k on m x m data; else UnexpectedKernel.
+    The right side is the L2 of
     A' = sum_k (sigma_k / norm[k]) a_k w_k^t = A sum_k w_k w_k^t / |w_k|^2,
     and B -> sum_ij B_ij c(e_j) chat(e_i) is linear and injective (the
     products are independent by CAR), so the identity says A' == A:
     exactly, or to ``tolerance`` / m per entry, which bounds each entry of
     the difference of the two operators, a +-sum of at most m entries of
-    A' - A, by ``tolerance``.  The exact traces tr L2 = 2^m tr S and
-    tr L2^2 = 2^m ((tr S)^2 + tr A^t A) tie the assembled L2 to A and S.
+    A' - A, by ``tolerance``.
 
     By CAR and orthonormality the J_k commute and c(v_k) flips J_k alone,
     so the joint eigenspaces are the lines of f_eps = prod_(k in eps)
@@ -178,36 +177,26 @@ class ModelOperator(Record):
     nonzero, of one form parity, and killed by L2 to ``tolerance`` times
     |delta|.  T enters only the sector builders."""
 
-    __slots__ = ("a", "sqrt_gram", "mode", "m", "det_sign", "form_op",
-                 "factors", "ground")
+    __slots__ = ("a", "sqrt_gram", "mode", "m", "det_sign", "factors",
+                 "ground")
 
     def __post_init__(self):
-        def check(label, off, tol=0):
-            if abs(off) > tol:
-                raise UnexpectedKernel(f"L2 is not tr S + sum_k sigma_k J_k "
-                                       f"({label} = {float(off):.3e})")
-
-        f, m, n = self.factors, self.m, 1 << self.m
+        f, m, tol = self.factors, self.m, self.tolerance()
         weights = [s / k for s, k in zip(f.sigma, f.norm)]
         rows = self.a.to_rows()
-        check("max |A sum_k w_k w_k^t / |w_k|^2 - A|", max(
+        off = max(
             abs(_fold(x * a[i] * w[j] for x, w, a in zip(weights, f.w, f.a))
-                - rows[i][j]) for i in range(m) for j in range(m)),
-            self.tolerance() / m)
-        form, den = self.form_op
-        tr_s = self.trace_sqrt()
-        tr_ata = sum(v * v for v in self.a.entries.values())
-        check("tr L2 - 2^m tr S", Fraction(sum(
-            form.get((i, i), 0) for i in range(n)), den) - n * tr_s)
-        check("tr L2^2 - 2^m ((tr S)^2 + tr A^t A)", Fraction(sum(
-            v * form.get((c, r), 0) for (r, c), v in form.items()),
-            den * den) - n * (tr_s * tr_s + tr_ata))
+                - rows[i][j]) for i in range(m) for j in range(m))
+        if off > tol / m:
+            raise UnexpectedKernel(
+                f"L2 is not tr S + sum_k sigma_k J_k (max |A sum_k w_k "
+                f"w_k^t / |w_k|^2 - A| = {float(off):.3e})")
         delta = self.ground
         if len({t.bit_count() & 1 for t in delta}) != 1:
             raise UnexpectedKernel("the ground form is zero or of mixed "
                                    "parity")
-        residual = Fraction(_residual(_apply(self.form_op, delta), {})) / den
-        tol = self.tolerance()
+        image, den = _l2_apply(self, delta)
+        residual = Fraction(_residual(image, {})) / den
         if residual > (tol and tol * _norm(delta)):
             raise UnexpectedKernel(f"L2 does not annihilate the ground form "
                                    f"(largest entry {float(residual):.3e})")
@@ -223,7 +212,7 @@ class ModelOperator(Record):
 
 
 def model_L(a, mode: str = "exact") -> ModelOperator:
-    """Assemble the model operator for an invertible A, on certified
+    """Build the model operator for an invertible A, on certified
     rational factors ('exact') or on Jacobi ones, a[k] = A v_k, with
     S^2 = A^t A to a relative 1e-12 ('float'); else NoRationalRoot."""
     if not isinstance(a, SparseMat):
@@ -256,25 +245,8 @@ def model_L(a, mode: str = "exact") -> ModelOperator:
         if residual > 1e-12 * max(max(map(abs, gram.entries.values())), 1):
             raise NoRationalRoot(f"numeric square root residual "
                                  f"{float(residual):.3e} too large")
-    form = _form_operator(m, sum(s.get(i, i) for i in range(m)), a.entries)
-    return ModelOperator(a, s, mode, m, 1 if deta > 0 else -1, form, factors,
+    return ModelOperator(a, s, mode, m, 1 if deta > 0 else -1, factors,
                          _ground_form(factors, mode == "exact"))
-
-
-def _form_operator(m: int, trace_s, entries) -> tuple[dict, int]:
-    """L2 for A, tr(S) + sum of B_ij c(e_j) chat(e_i) over entries of B,
-    as integer numerators {(row, col): n}, zeros dropped, over the lcm of
-    the coefficients' denominators.  c(e_j) chat(e_i) and c(e_i) chat(e_j)
-    both have the key of bits i and j, and ``_sum`` adds the terms of one
-    key; each key's entries are listed by ascending column."""
-    terms = [(Fraction(trace_s), _identity(m))] + [
-        (Fraction(v), _compose(_generator(m, j, 1, -1),
-                               _generator(m, i, 1, 1)))
-        for (i, j), v in entries.items()]
-    den = math.lcm(*(c.denominator for c, _ in terms))
-    return {(s ^ op.key, s): x for op in _sum(
-        (c.numerator * (den // c.denominator), op) for c, op in terms)
-        for s, x in enumerate(_signs(op, m)) if x}, den
 
 
 # -- polynomial-form sectors ---------------------------------------------
@@ -378,14 +350,18 @@ def _clifford_apply(vec: dict, coeffs, gens: list, out=None) -> dict:
     return out
 
 
-def _apply(form_op: tuple[dict, int], vec: dict) -> dict:
-    """L2's integer numerators applied to vec, zeros dropped (over L2's
-    denominator): integers for an integer vec, else floats."""
-    out: dict = {}
-    for (r, c), v in form_op[0].items():
-        if c in vec:
-            out[r] = out.get(r, 0) + vec[c] * v
-    return {r: x for r, x in out.items() if x}
+def _l2_apply(op: ModelOperator, vec: dict) -> tuple[dict, int]:
+    """L2 vec = tr S vec + sum_j c(e_j) chat(A e_j) vec, zeros dropped, as
+    numerators over the lcm of the denominators of tr S and A (floats as
+    binary rationals): integers for an integer vec, else floats."""
+    tr_s, rows = op.trace_sqrt(), op.a.to_rows()
+    den = math.lcm(tr_s.denominator, *(x.denominator for r in rows for x in r))
+    cs, chats = _clifford_gens(op.m)
+    out = {t: int(tr_s * den) * x for t, x in vec.items()}
+    for j, c in enumerate(cs):
+        _clifford_apply(_clifford_apply(vec, [int(r[j] * den) for r in rows],
+                                        chats), (1,), [c], out)
+    return {t: x for t, x in out.items() if x}, den
 
 
 def _omega_skew(m: int, vec: dict, exact: bool) -> tuple[dict, int]:

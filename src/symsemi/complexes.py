@@ -246,18 +246,3 @@ def semi_characteristic(b: Sequence[int]) -> int:
     """
     return sum(b[0::2]) % 2
 
-
-def harmonic_dimensions(c: GradedComplex, w: OmegaMap, p: int = 0) -> list[int]:
-    """Degreewise kernel dimensions of the cone Laplacian dd^T + d^T d.
-
-    Over the rationals these equal the cone Betti numbers (finite Hodge
-    theory: an ordered field admits no isotropic vectors).
-    """
-    cx = cone(c, w, p)
-    out = []
-    for k in range(cx.top + 1):
-        down = cx.d_map(k)
-        up = cx.d_map(k - 1)
-        lap = down.transpose() @ down + up @ up.transpose()
-        out.append(cx.dim(k) - rank(lap))
-    return out

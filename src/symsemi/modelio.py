@@ -22,6 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .errors import InputError
 # The matrix reader's names stay importable from here; the benchmark's
 # layer spans wrap load_matrix_rows on this module.
 from .matrixio import (FormatError, _is_int, _located_rational,  # noqa: F401
@@ -122,6 +123,7 @@ class LoadedModel(Record):
 
 def _load_matrix_model(data: dict, source: str, name: str) -> LoadedModel:
     from .complexes import GradedComplex, OmegaMap
+    from .models import BASIS_LIMIT
 
     where = "matrix model"
     dims_json = _require(data, "dims", where)
@@ -129,6 +131,11 @@ def _load_matrix_model(data: dict, source: str, name: str) -> LoadedModel:
             or not all(_is_int(v) and v >= 0 for v in dims_json)):
         raise FormatError(f"{where}: dims must be non-negative integers")
     dims = [int(v) for v in dims_json]
+    # The CDGA budget, checked before any matrix is parsed or built.
+    if max(sum(dims), len(dims)) > BASIS_LIMIT:
+        raise InputError(f"{where}: over the budget of {BASIS_LIMIT} basis "
+                         f"elements and degrees: dimension {sum(dims)} in "
+                         f"{len(dims)} degrees")
     top = len(dims) - 1
     md = _require(data, "manifold_dim", where)
     if not _is_int(md) or md != top:

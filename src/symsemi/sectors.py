@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 from .cliffordlab import (ModelOperator, Sector, _clifford_gens,
-                          _linear_mult_terms, _sector_parts)
+                          _l2_apply, _linear_mult_terms, _sector_parts)
 from .clifford import _rotated_columns
 from .errors import InputError
 from .qlinalg import SparseMat
@@ -37,12 +37,16 @@ def sector_matrix_L(op: ModelOperator, cap: int, T) -> SparseMat:
     """Conjugated model operator (lap + T flow) tensor 1 + T (1 tensor L2)
     at coupling T on the degree <= cap sector; it keeps or lowers the
     degree, so no truncation error arises.  The one place that makes L2
-    a ``SparseMat``: at cap 0 the result is T L2."""
+    a ``SparseMat``, column s from ``_l2_apply`` on the basis form s: at
+    cap 0 the result is T L2."""
     lap, flow = _sector_parts(op, Sector(op.m, cap))
-    form, den = op.form_op
-    l2 = SparseMat(1 << op.m, 1 << op.m,
-                   {key: Fraction(v, den) for key, v in form.items()})
-    return _tensor_form(lap + flow.scale(T), l2.scale(T), op.m)
+    n = 1 << op.m
+    l2: dict[tuple[int, int], Fraction] = {}
+    for s in range(n):
+        image, den = _l2_apply(op, {s: 1})
+        l2.update(((t, s), Fraction(x, den)) for t, x in image.items())
+    return _tensor_form(lap + flow.scale(T), SparseMat(n, n, l2).scale(T),
+                        op.m)
 
 
 def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T

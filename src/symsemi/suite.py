@@ -19,13 +19,29 @@ from .clifford import (random_rational_unit_vector, verify_car,
                        verify_volume_star)
 from .cliffordlab import (Sector, eta_scaling, kernel_and_parity, model_L,
                           spectrum_scaling)
-from .complexes import (betti, cone, euler_characteristic,
-                        harmonic_dimensions, semi_characteristic)
+from .complexes import (GradedComplex, OmegaMap, betti, cone,
+                        euler_characteristic, semi_characteristic)
 from .errors import CheckFailure, InputError
 from .models import check_symplectic, model_cone_inputs, multiplication_matrix
 from .qlinalg import SparseMat, rank
 from .record import Record
 from .sectors import random_model_matrix, sector_matrix_D, sector_matrix_L
+
+
+def harmonic_dimensions(c: GradedComplex, w: OmegaMap, p: int = 0) -> list[int]:
+    """Degreewise kernel dimensions of the cone Laplacian dd^T + d^T d.
+
+    Over the rationals these equal the cone Betti numbers (finite Hodge
+    theory: an ordered field admits no isotropic vectors).
+    """
+    cx = cone(c, w, p)
+    out = []
+    for k in range(cx.top + 1):
+        down = cx.d_map(k)
+        up = cx.d_map(k - 1)
+        lap = down.transpose() @ down + up @ up.transpose()
+        out.append(cx.dim(k) - rank(lap))
+    return out
 
 
 class NotSkewSymmetric(InputError):

@@ -357,10 +357,10 @@ def test_oscillator_builds_the_model_once(capsys, monkeypatch):
 
 def test_oscillator_finds_the_ground_form_once_per_check(capsys,
                                                          monkeypatch):
-    # Nothing the checks build depends on T.  The model builds L2
-    # (``_form_operator``) once, finds the ground form once and checks
-    # both; the kernel check and eta_scaling read the stored form, and no
-    # check builds a sector operator.
+    # Nothing the checks build depends on T.  The model finds the ground
+    # form once and checks it by applying L2, never built; the kernel
+    # check and eta_scaling read the stored form, and no check builds a
+    # sector operator.
     calls = []
 
     def counting(name):
@@ -371,8 +371,8 @@ def test_oscillator_finds_the_ground_form_once_per_check(capsys,
             return fn(*args, **kwargs)
         monkeypatch.setattr(cliffordlab, name, wrapper)
 
-    for name in ("_form_operator", "_ground_form", "sector_matrix_L",
-                 "sector_matrix_D", "_tensor_form"):
+    for name in ("_ground_form", "sector_matrix_L", "sector_matrix_D",
+                 "_tensor_form"):
         counting(name)
     for mode in ("exact", "float"):
         calls.clear()
@@ -380,26 +380,22 @@ def test_oscillator_finds_the_ground_form_once_per_check(capsys,
                          str(SAMPLES / "matrix_rotated_4.txt"),
                          "--mode", mode)
         assert code == 0
-        assert sorted(calls) == ["_form_operator", "_ground_form"]
+        assert calls == ["_ground_form"]
 
 
 def test_oscillator_broken_kernel_exits_one(capsys, monkeypatch):
-    # A form operator with a 2-dimensional kernel breaks the model's
-    # invariant L2 = tr S + sum_k sigma_k J_k, here its trace 14 against
-    # 2^4 tr S = 160: one assertion failure line and exit 1, no traceback.
-    build = cliffordlab.model_L
-    two_dim = {(i, i): 1 for i in range(2, 16)}, 1
-
-    def broken_model_L(*args, **kwargs):
-        return build(*args, **kwargs).replace(form_op=two_dim)
-
-    monkeypatch.setattr("symsemi.cliffordlab.model_L", broken_model_L)
+    # For A = diag(1, 2, 3, 4), L2 has the eigenvalues 2 sum_(k in I) k;
+    # with tr S lowered by 6 its kernel is 2-dimensional (I = {3} and
+    # {1, 2}) and misses the ground form, which L2 now maps to -6 delta:
+    # one assertion failure line and exit 1, no traceback.
+    monkeypatch.setattr(cliffordlab, "model_L",
+                        _shifted_trace(cliffordlab.model_L, -6))
     code, out, err = run(capsys, "oscillator", "--matrix",
                          str(SAMPLES / "matrix_diag_1234.txt"))
     assert code == 1
     assert out == ""
-    assert err == ("assertion failure: L2 is not tr S + sum_k sigma_k J_k "
-                   "(tr L2 - 2^m tr S = -1.460e+02)\n")
+    assert err == ("assertion failure: L2 does not annihilate the ground "
+                   "form (largest entry 6.000e+00)\n")
 
 
 def test_oscillator_broken_involution_exits_one(capsys, monkeypatch):
@@ -449,25 +445,25 @@ def test_oscillator_rejects_unchecked_factors(capsys, monkeypatch):
 
 
 def test_oscillator_changed_form_op_exits_one(capsys, monkeypatch):
-    # An entry added to the diagonal of L2 breaks tr L2 = 2^m tr S, which
-    # the model checks again when ``replace`` builds the changed one.
+    # L2 is applied from A and tr S, so one added to S's diagonal changes
+    # the form operator by the identity; the model checks L2 delta = 0
+    # again when ``replace`` builds the changed one.
     monkeypatch.setattr(cliffordlab, "model_L",
-                        _bumped_form_op(cliffordlab.model_L))
+                        _shifted_trace(cliffordlab.model_L, 1))
     code, out, err = run(capsys, "oscillator", "--matrix",
                          str(SAMPLES / "matrix_diag_1234.txt"))
     assert code == 1
     assert out == ""
-    assert err == ("assertion failure: L2 is not tr S + sum_k sigma_k J_k "
-                   "(tr L2 - 2^m tr S = 1.000e+00)\n")
+    assert err == ("assertion failure: L2 does not annihilate the ground "
+                   "form (largest entry 1.000e+00)\n")
 
 
-def _bumped_form_op(build):
+def _shifted_trace(build, shift):
+    """model_L with ``shift`` added to S[0][0], and so to tr S."""
     def model(*args, **kwargs):
         op = build(*args, **kwargs)
-        form, den = op.form_op
-        top = ((1 << op.m) - 1,) * 2
-        return op.replace(form_op=({**form, top: form.get(top, 0) + den},
-                                   den))
+        return op.replace(sqrt_gram=op.sqrt_gram + SparseMat(
+            op.m, op.m, {(0, 0): Fraction(shift)}))
     return model
 
 

@@ -606,22 +606,26 @@ def test_jacobi_matches_numpy_eigh():
 
 def test_form_operator_matches_clifford_products():
     # L2 = tr(S) + sum_j c(e_j) chat(A e_j), built the long way from the
-    # reference Clifford matrices.
+    # reference Clifford matrices.  A float model's tr S is a binary
+    # rational, so its L2 is exact too, and both modes compare equal.
     for m in (4, 8):
         rng = Random(m)
         chat = [ref_chat(m, i) for i in range(m)]
         cc = [ref_chat(m, i, "c") for i in range(m)]
         for sign in (1, -1, 1):
             a = random_model_matrix(m, rng, sign)
-            op = model_L(a, "exact")
-            want = SparseMat.identity(1 << m).scale(op.trace_sqrt())
             rows = a.to_rows()
+            products = SparseMat.zeros(1 << m, 1 << m)
             for j in range(m):
                 image = SparseMat.zeros(1 << m, 1 << m)
                 for i in range(m):
                     image = image + chat[i].scale(rows[i][j])
-                want = want + cc[j] @ image
-            assert l2_matrix(op).entries == want.entries
+                products = products + cc[j] @ image
+            for mode in ("exact", "float"):
+                op = model_L(a, mode)
+                want = products + SparseMat.identity(1 << m).scale(
+                    op.trace_sqrt())
+                assert l2_matrix(op).entries == want.entries
 
 
 def l2_matrix(op):
@@ -649,29 +653,6 @@ def test_kernel_and_parity_float_mode():
     op = model_L(rows, "float")
     assert op.det_sign == 1
     assert kernel_and_parity(op) == 0
-
-
-def broken_form_ops():
-    """Two corruptions of L2 on the 16 masks of m = 4, as (integer
-    numerators, denominator): identity on masks 2-15 only (a 2-dimensional
-    kernel), and row 0 = e0 - e1 with row 1 empty (a 1-dimensional kernel
-    spanning the even mask 0 and the odd mask 1).  Neither is
-    tr S + sum_k sigma_k J_k: their traces, 14 and 15, are not
-    2^m tr S."""
-    rest = {(i, i): 1 for i in range(2, 16)}
-    return (rest, 1), ({**rest, (0, 0): 1, (0, 1): -1}, 1)
-
-
-def test_broken_kernels_raise_in_both_modes():
-    # The kernel check rests on the L2 identity, which the model checks
-    # when it is built: its trace identity refuses either corruption in
-    # both modes before any check could run on it.
-    for op in (model_L(EYE4, "exact"), model_L(SHEAR, "float")):
-        for broken in broken_form_ops():
-            with pytest.raises(UnexpectedKernel,
-                               match=r"L2 is not tr S \+ sum_k sigma_k J_k "
-                                     r"\(tr L2 - 2\^m tr S = "):
-                op.replace(form_op=broken)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -819,29 +800,26 @@ def test_factored_spectrum_matches_the_dense_blocks():
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_trace_guard_catches_a_changed_form_operator(mode, monkeypatch):
-    # The m x m identity and the closed forms never read the assembled
-    # L2, so the model's trace identities must.  An entry that
-    # ``_form_operator`` adds off the diagonal, where its transpose is
-    # nonzero, keeps tr L2 and changes tr L2^2 alone.
+    # The m x m identity and the closed forms never apply L2, so the check
+    # L2 delta = 0 must: an ``_l2_apply`` that adds one to an entry on
+    # delta's support is refused when the model is built and on
+    # ``replace``.
     a = rotated_diagonal(Random(5), -1)
     op = model_L(a, mode)
-    form = op.form_op[0]
-    key = next(k for k in sorted(form) if k[0] != k[1] and k[::-1] in form)
+    apply = cl._l2_apply
 
-    def bumped(form_op):
-        """form_op with 1 added to the entry at key."""
-        num, den = form_op
-        return {**num, key: num.get(key, 0) + den}, den
+    def bumped(model, vec):
+        image, den = apply(model, vec)
+        top = max(vec)
+        return {**image, top: image.get(top, 0) + den}, den
 
-    build = cl._form_operator
-    monkeypatch.setattr(cl, "_form_operator",
-                        lambda *args: bumped(build(*args)))
-    with pytest.raises(UnexpectedKernel,
-                       match=r"L2 is not tr S \+ sum_k sigma_k J_k "
-                             r"\(tr L2\^2 - 2\^m \(\(tr S\)\^2 "):
+    monkeypatch.setattr(cl, "_l2_apply", bumped)
+    message = (r"L2 does not annihilate the ground form "
+               r"\(largest entry 1\.000e\+00\)")
+    with pytest.raises(UnexpectedKernel, match=message):
         model_L(a, mode)
-    with pytest.raises(UnexpectedKernel, match=r"\(tr L2\^2 - "):
-        op.replace(form_op=bumped(op.form_op))
+    with pytest.raises(UnexpectedKernel, match=message):
+        op.replace(ground=dict(op.ground))
 
 
 def test_spectrum_scaling_in_dimension_eight():
@@ -1068,9 +1046,9 @@ def eigenbasis_c1_squared(op):
     """Reference C1^2 by a solve in the joint eigenbasis: 1/2 sum_j |z_j|^2
     / (sigma_j |w_j|^2 |delta|^2), where along w_j the degree-1 block is
     (2 sigma_j + L2) z_j = rho_j (``eta_sources``), solved in the f_eps
-    of ``joint_eigenbasis`` (zero terms dropped) and checked against the
-    assembled L2: on integers if exact, to ``_FLOAT_CUT`` of rho_j if
-    float.  It does 2^m-wide work for each of the m sources."""
+    of ``joint_eigenbasis`` (zero terms dropped) and checked against L2
+    applied by ``_l2_apply``: on integers if exact, to ``_FLOAT_CUT`` of
+    rho_j if float.  It does 2^m-wide work for each of the m sources."""
     f = op.factors
     exact = op.mode == "exact"
     delta = op.ground
@@ -1092,7 +1070,7 @@ def eigenbasis_c1_squared(op):
             c = int(c * common) if exact else c
             for t, y in basis[eps].items():
                 z[t] = z.get(t, 0) + c * y
-        lz, den = cl._apply(op.form_op, z), op.form_op[1]
+        lz, den = cl._l2_apply(op, z)
         # (2 p / q + L2 numerators / den) z / common == rho / rho_den.
         got = {t: rho_den * (2 * p * den * z.get(t, 0) + q * lz.get(t, 0))
                for t in z.keys() | lz.keys()}

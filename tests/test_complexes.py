@@ -10,11 +10,11 @@ import pytest
 
 from symsemi.complexes import (BettiVector, ChainMapViolation, GradedComplex,
                                InvalidComplex, OmegaMap, betti, cone,
-                               euler_characteristic, harmonic_dimensions,
-                               semi_characteristic)
+                               euler_characteristic, semi_characteristic)
 from symsemi.models import (builtin, model_cone_inputs, multiplication_matrix,
                             random_closed_two_form, random_nilpotent_ce)
 from symsemi.qlinalg import SparseMat
+from symsemi.suite import harmonic_dimensions
 
 from oracles import (bareiss_rank, dense_betti, dense_cone, dense_from_sparse,
                      dense_harmonic)
