@@ -128,14 +128,14 @@ def tensor_product(a: CDGAModel, b: CDGAModel) -> CDGAModel:
     gens += [(rename[g.name], g.degree) for g in b.generators]
     diff: dict[str, list] = {}
     for g, dg in zip(a.generators, a._dgen):
-        if not dg.is_zero():
+        if dg:
             diff[g.name] = [(c, [a.generators[i].name for i in mono])
-                            for mono, c in dg.coeffs.items()]
+                            for mono, c in dg.items()]
     for g, dg in zip(b.generators, b._dgen):
-        if not dg.is_zero():
+        if dg:
             diff[rename[g.name]] = [
                 (c, [rename[b.generators[i].name] for i in mono])
-                for mono, c in dg.coeffs.items()]
+                for mono, c in dg.items()]
     return CDGAModel(gens, diff, top, power_cap=cap)
 
 

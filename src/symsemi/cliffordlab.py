@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from operator import add, mul
 from sys import byteorder
@@ -333,14 +333,16 @@ def _signs(op: _Mono, m: int) -> tuple:
         index.to_bytes(2 << m, byteorder)).cast("H")))
 
 
-def _clifford_gens(m: int) -> tuple[list, list]:
+@lru_cache(maxsize=None)
+def _clifford_gens(m: int) -> tuple[tuple, tuple]:
     """The generators c(e_i) and chat(e_i), i < m, as (key, per-mask
-    signs) pairs."""
-    return tuple([(1 << i, _signs(_generator(m, i, 1, w), m))
-                  for i in range(m)] for w in (-1, 1))
+    signs) pairs, built once per m (m <= MODEL_DIM_LIMIT) and shared, so
+    immutable."""
+    return tuple(tuple((1 << i, _signs(_generator(m, i, 1, w), m))
+                       for i in range(m)) for w in (-1, 1))
 
 
-def _clifford_apply(vec: dict, coeffs, gens: list, out=None) -> dict:
+def _clifford_apply(vec: dict, coeffs, gens: tuple, out=None) -> dict:
     """sum_i coeffs[i] gens[i] applied to vec, added into out."""
     out = {} if out is None else out
     for x, (key, sign) in zip(coeffs, gens):
@@ -360,7 +362,7 @@ def _l2_apply(op: ModelOperator, vec: dict) -> tuple[dict, int]:
     out = {t: int(tr_s * den) * x for t, x in vec.items()}
     for j, c in enumerate(cs):
         _clifford_apply(_clifford_apply(vec, [int(r[j] * den) for r in rows],
-                                        chats), (1,), [c], out)
+                                        chats), (1,), (c,), out)
     return {t: x for t, x in out.items() if x}, den
 
 

@@ -13,6 +13,7 @@ over an ordered field).
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from .errors import InputError
@@ -188,13 +189,27 @@ def cone(c: GradedComplex, w: OmegaMap, p: int = 0) -> GradedComplex:
                                           corner, c.d_map(j - 1)):
             raise InvalidComplex(f"cone d[{k}] d[{k - 1}] != 0: L^{p + 1} "
                                  f"is not a chain map at degree {j - 1}")
-        mat = SparseMat.block([
-            [d_k, corner],
-            [SparseMat.zeros(c.dim(j + 1), c.dim(k)), -d_j],
-        ])
+        mat = _cone_block(d_k, corner, d_j)
         _check_layout(k, mat, d_k, corner, d_j)
         diffs.append(mat)
     return GradedComplex._decided(dims2, diffs)
+
+
+def _cone_block(d_k: SparseMat, corner: SparseMat, d_j: SparseMat
+                ) -> SparseMat:
+    """[[d_k, corner], [0, -d_j]], written from the blocks' integer
+    numerators over the lcm of their denominators."""
+    (top, a), (right, b), (low, e) = (x._int_rows() for x in
+                                      (d_k, corner, d_j))
+    den = lcm(a, b, e)
+    rows, cols = d_k.shape
+    acc = {i: [(j, v * (den // a)) for j, v in row] for i, row in top.items()}
+    for i, row in right.items():
+        acc.setdefault(i, []).extend((cols + j, v * (den // b))
+                                     for j, v in row)
+    for i, row in low.items():
+        acc[rows + i] = [(cols + j, -v * (den // e)) for j, v in row]
+    return SparseMat._from_ints(rows + d_j.rows, cols + d_j.cols, acc, den)
 
 
 def _check_layout(k: int, mat: SparseMat, d_k: SparseMat, corner: SparseMat,

@@ -10,12 +10,14 @@ this module re-exports them on first access.
 
 One kernel multiplies monomials: ``CDGAModel._merge`` merges two sorted
 monomials and takes the Koszul sign from the odd generators that cross.
-``Element`` products, ``d_mono`` and ``form`` run on it, and so do the
-tables a model builds once per generator g and degree: left multiplication
-μ(g) by g on the monomial basis.  A longer monomial's table is composed
-from its generators'.  The matrices are assembled from those tables in
-integers over one denominator: the differential as d = Σ_g μ(d g)∘∂_g,
-with ∂_g the left derivative by g, and the ω maps as L = Σ_t c_t μ(ω_t).
+``form`` runs on it, and so do the tables a model builds once per
+generator g and degree: left multiplication μ(g) by g on the monomial
+basis.  A longer monomial's table is composed from its generators'.  The
+matrices are assembled from those tables in integers over one
+denominator: the differential as d = Σ_g μ(d g)∘∂_g, with ∂_g the left
+derivative by g, and the ω maps as L = Σ_t c_t μ(ω_t).  An ``Element``
+is a form to name, compare and print; ``CDGAModel.d`` applies the d
+matrices to its coordinates, and the package multiplies no forms.
 
 Each invariant is decided once, where its fact is decided: d(d g) = 0 on
 the generators (the Jacobi identity) when the model is built, d² = 0 on
@@ -71,13 +73,14 @@ def _accumulate(out: dict, mono: tuple[int, ...], value: Fraction) -> None:
     out[mono] = value if prev is None else prev + value
 
 
-def _integer_terms(elts: Sequence["Element"]
+def _integer_terms(forms: Sequence[dict]
                    ) -> tuple[list[list[tuple[int, tuple]]], int]:
-    """The terms of each element as (integer numerator, monomial) pairs
-    over one shared denominator, and that denominator."""
-    den = lcm(*(c.denominator for e in elts for c in e.coeffs.values()))
+    """The terms of each {monomial: coefficient} dict as (integer
+    numerator, monomial) pairs over one shared denominator, and that
+    denominator."""
+    den = lcm(*(c.denominator for f in forms for c in f.values()))
     return [[(c.numerator * (den // c.denominator), mono)
-             for mono, c in e.coeffs.items()] for e in elts], den
+             for mono, c in f.items()] for f in forms], den
 
 
 class Element:
@@ -105,37 +108,6 @@ class Element:
         if len(degs) > 1:
             raise ShapeMismatch(f"element of mixed degrees {sorted(degs)}")
         return degs.pop() if degs else 0
-
-    def __add__(self, other: "Element") -> "Element":
-        if other.model is not self.model:
-            raise ValueError("elements of different models")
-        out = dict(self.coeffs)
-        for mono, v in other.coeffs.items():
-            _accumulate(out, mono, v)
-        return Element(self.model, out)
-
-    def __neg__(self) -> "Element":
-        return Element(self.model, {m: -v for m, v in self.coeffs.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def scale(self, factor) -> "Element":
-        f = Fraction(factor)
-        return Element(self.model, {m: f * v for m, v in self.coeffs.items()})
-
-    def __mul__(self, other: "Element") -> "Element":
-        """Graded-commutative product with Koszul signs."""
-        if other.model is not self.model:
-            raise ValueError("elements of different models")
-        merge = self.model._merge
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, a in self.coeffs.items():
-            for m2, b in other.coeffs.items():
-                mono, sign = merge(m1, m2)
-                if sign:
-                    _accumulate(out, mono, a * b if sign > 0 else -(a * b))
-        return Element(self.model, out)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element) and other.model is self.model
@@ -198,7 +170,10 @@ class CDGAModel:
                                 tuple[list[int], list[int]]] = {}
         self._complex: GradedComplex | None = None
 
-        self._dgen: list[Element] = [self.zero()] * len(self.generators)
+        # The coefficients of each d g.  A model keeps no Element of its
+        # own, which would refer back to it: with no reference cycle, a
+        # model and its tables go as soon as it is dropped.
+        self._dgen: list[dict] = [{}] * len(self.generators)
         if differential:
             for name, terms in differential.items():
                 if name not in self.index:
@@ -209,22 +184,16 @@ class CDGAModel:
                 if not elt.is_zero() and elt.degree() != want:
                     raise ShapeMismatch(
                         f"d {name} has degree {elt.degree()}, expected {want}")
-                self._dgen[gi] = elt
-        for g, dg in zip(self.generators, self._dgen):
-            rem = self.d(dg)
-            if not rem.is_zero():
-                raise JacobiViolation(f"d(d {g.name}) = {rem!r} != 0")
+                self._dgen[gi] = elt.coeffs
         # The d g as integer numerators over one denominator, for d_matrix.
         terms, self._dden = _integer_terms(self._dgen)
         self._dterms = [(gi, t) for gi, t in enumerate(terms) if t]
+        for g, dg in zip(self.generators, self._dgen):
+            rem = self.d(Element(self, dg))
+            if not rem.is_zero():
+                raise JacobiViolation(f"d(d {g.name}) = {rem!r} != 0")
 
     # -- element builders ------------------------------------------------
-
-    def zero(self) -> Element:
-        return Element(self, {})
-
-    def unit(self) -> Element:
-        return Element(self, {(): Fraction(1)})
 
     def gen(self, name: str) -> Element:
         if name not in self.index:
@@ -280,33 +249,19 @@ class CDGAModel:
         out.extend(a[i:])
         return tuple(out), sign
 
-    def d_mono(self, mono: tuple[int, ...]) -> Element:
-        """Leibniz rule.  d(g_i) replaces the i-th factor with sign
-        (-1)^(|prefix|); moving it past the suffix gives (-1)^(|d g_i||suffix|)
-        and merging it into the rest gives the merge sign."""
-        degree = [self.generators[gi].degree for gi in mono]
-        total = sum(degree)
-        out: dict[tuple[int, ...], Fraction] = {}
-        prefix_deg = 0
-        for i, gi in enumerate(mono):
-            dg = self._dgen[gi].coeffs
-            if dg:
-                rest = mono[:i] + mono[i + 1:]
-                suffix_deg = total - prefix_deg - degree[i]
-                flip = (prefix_deg + (degree[i] + 1) * suffix_deg) % 2
-                for dmono, c in dg.items():
-                    combined, s = self._merge(rest, dmono)
-                    if s:
-                        _accumulate(out, combined,
-                                    -c if (s < 0) != flip else c)
-            prefix_deg += degree[i]
-        return Element(self, out)
-
     def d(self, elt: Element) -> Element:
-        out: dict[tuple[int, ...], Fraction] = {}
+        """d elt, degree by degree: ``d_matrix(k)`` applied to the
+        coordinates of the degree-k part of elt."""
+        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for mono, c in elt.coeffs.items():
-            for dmono, v in self.d_mono(mono).coeffs.items():
-                _accumulate(out, dmono, c * v)
+            parts.setdefault(self.mono_degree(mono), {})[mono] = c
+        out = {}
+        for k, coeffs in parts.items():
+            image = self.d_matrix(k) @ self.element_vector(
+                Element(self, coeffs), k)
+            basis = self.basis(k + 1)
+            for (i, _), v in image.entries.items():
+                out[basis[i]] = v
         return Element(self, out)
 
     # -- graded bases and matrices ---------------------------------------
@@ -341,14 +296,14 @@ class CDGAModel:
 
     def element_vector(self, elt: Element, k: int) -> SparseMat:
         """Coordinates of a degree-k element in basis(k), as a column."""
-        basis = self.basis(k)
-        pos = {m: i for i, m in enumerate(basis)}
+        self.basis(k)
+        pos = self._index.get(k, {})
         entries = {}
         for mono, c in elt.coeffs.items():
             if mono not in pos:
                 raise ShapeMismatch(f"monomial {mono} not of degree {k}")
             entries[(pos[mono], 0)] = c
-        return SparseMat(len(basis), 1, entries)
+        return SparseMat(len(pos), 1, entries)
 
     def _times(self, mono: tuple[int, ...], k: int
                ) -> tuple[list[int], list[int]]:
@@ -462,7 +417,7 @@ def multiplication_matrix(m: CDGAModel, w: Element) -> OmegaMap:
     if not dw.is_zero():
         raise NotClosed(f"d w = {dw!r} != 0")
     cx = m.complex()
-    (terms,), den = _integer_terms([w])
+    (terms,), den = _integer_terms([w.coeffs])
     return OmegaMap(cx, [_omega_matrix(m, terms, den, k)
                          for k in range(max(cx.top - 1, 0))])
 
@@ -500,12 +455,12 @@ def check_symplectic(model: CDGAModel, w: Element | None = None,
     if wmap is not None:
         return SymplecticVerdict(
             True, not unit_power_vanishes(wmap.map, 1, half), True, "")
-    dw = model.d(w)
-    (terms,), den = _integer_terms([w])
-    # The bases and tables built for this verdict go with it: the model
-    # keeps the caches it had before.
+    (terms,), den = _integer_terms([w.coeffs])
+    # The bases and tables built for this verdict, d w's included, go with
+    # it: the model keeps the caches it had before.
     kept = model._basis_cache, model._index, model._times_cache
     model._basis_cache, model._index, model._times_cache = map(dict, kept)
+    dw = model.d(w)
     nondeg = not unit_power_vanishes(
         lambda k: _omega_matrix(model, terms, den, k), 1, half)
     model._basis_cache, model._index, model._times_cache = kept

@@ -9,8 +9,8 @@ and convert back to reduced fractions only at their boundary.
   from the builder that made it.  ``complexes`` decides its product
   identities on those integers without building a Fraction; ``@`` divides
   each distinct output numerator once.
-* One fraction-free forward-elimination kernel serves every routine.  The
-  matrix is scaled to integers and each row divided by its content.  The
+* One fraction-free forward-elimination kernel serves every routine.  It
+  starts from the integer view and divides each row by its content.  The
   pivot is taken in the leftmost nonzero column and, within it, at the row
   whose entry there is smallest in absolute value (ties: fewest entries,
   then lowest index), so small multipliers keep the rows short.  Every
@@ -138,44 +138,6 @@ class SparseMat:
     @classmethod
     def column(cls, data: Sequence[object]) -> "SparseMat":
         return cls.from_rows([[v] for v in data], cols=1)
-
-    @staticmethod
-    def block(grid: Sequence[Sequence["SparseMat | None"]]) -> "SparseMat":
-        """Assemble a block matrix; None blocks are zero (shapes inferred)."""
-        nbr = len(grid)
-        nbc = len(grid[0]) if nbr else 0
-        row_h = [None] * nbr
-        col_w = [None] * nbc
-        for i, brow in enumerate(grid):
-            if len(brow) != nbc:
-                raise ValueError("ragged block grid")
-            for j, blk in enumerate(brow):
-                if blk is None:
-                    continue
-                if row_h[i] is None:
-                    row_h[i] = blk.rows
-                elif row_h[i] != blk.rows:
-                    raise ValueError("inconsistent block heights")
-                if col_w[j] is None:
-                    col_w[j] = blk.cols
-                elif col_w[j] != blk.cols:
-                    raise ValueError("inconsistent block widths")
-        if any(h is None for h in row_h) or any(w is None for w in col_w):
-            raise ValueError("cannot infer shape of an all-None block row/col")
-        roff = [0]
-        for h in row_h:
-            roff.append(roff[-1] + h)
-        coff = [0]
-        for w in col_w:
-            coff.append(coff[-1] + w)
-        entries = {}
-        for i, brow in enumerate(grid):
-            for j, blk in enumerate(brow):
-                if blk is None:
-                    continue
-                for (r, c), v in blk.entries.items():
-                    entries[(roff[i] + r, coff[j] + c)] = v
-        return SparseMat._trusted(roff[-1], coff[-1], entries)
 
     # -- basic queries ---------------------------------------------------
 
@@ -309,11 +271,8 @@ def _eliminate(m: SparseMat) -> tuple[list[dict[int, int]], list[int],
     for a square m of full rank; a row that vanishes records a 0 in num,
     and m is then singular.
     """
-    scale = lcm(*{v.denominator for v in m.entries.values()})
-    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v.numerator if scale == 1 else \
-            v.numerator * (scale // v.denominator)
+    ints, scale = m._int_rows()
+    rows = [dict(ints.get(i, ())) for i in range(m.rows)]
     num: list[int] = []
     den: list[int] = [scale] * m.rows
     # leads[c]: the remaining rows whose leftmost entry is in column c.

@@ -50,6 +50,23 @@ def dense_transpose(a) -> list[list[Fraction]]:
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
+def sparse_block(grid):
+    """The SparseMat laid out from ``grid``, rows of SparseMat blocks with
+    every block given: each block's entries shifted by the heights and
+    widths of the blocks above it and to its left."""
+    from symsemi.qlinalg import SparseMat
+
+    entries, top = {}, 0
+    for brow in grid:
+        left = 0
+        for blk in brow:
+            entries.update(((top + i, left + j), v)
+                           for (i, j), v in blk.entries.items())
+            left += blk.cols
+        top += brow[0].rows
+    return SparseMat(top, left, entries)
+
+
 def bareiss_rank(rows) -> int:
     """Rank by fraction-free Bareiss elimination (dense, with pivoting)."""
     mat = [[Fraction(v) for v in row] for row in rows]
@@ -254,23 +271,91 @@ def basis_oracle(model, k: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def sorted_with_sign(model, seq) -> tuple[tuple[int, ...], int]:
+    """Reference product: insertion-sort the concatenated factors, one sign
+    flip per swap of two odd generators; 0 for an odd repeat or a power
+    above the cap."""
+    arr, sign = list(seq), 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1] > arr[j]:
+            if (model.generators[arr[j]].degree % 2
+                    and model.generators[arr[j - 1]].degree % 2):
+                sign = -sign
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            j -= 1
+    for g in set(arr):
+        limit = 1 if model.generators[g].degree % 2 else model.power_cap
+        if arr.count(g) > limit:
+            return (), 0
+    return tuple(arr), sign
+
+
+def combination_oracle(model, terms):
+    """The Element Σ c·e over the (c, Element) pairs of terms."""
+    from symsemi.models import Element
+
+    out = {}
+    for c, elt in terms:
+        for mono, v in elt.coeffs.items():
+            out[mono] = out.get(mono, 0) + c * v
+    return Element(model, out)
+
+
+def product_oracle(a, b):
+    """The product of two Elements, each pair of monomials sorted by
+    ``sorted_with_sign``."""
+    from symsemi.models import Element
+
+    out = {}
+    for m1, x in a.coeffs.items():
+        for m2, y in b.coeffs.items():
+            mono, sign = sorted_with_sign(a.model, m1 + m2)
+            if sign:
+                out[mono] = out.get(mono, 0) + sign * x * y
+    return Element(a.model, out)
+
+
+def d_oracle(model, elt):
+    """d elt by the graded Leibniz rule on each monomial's factor list:
+    d g (as the model was given it) takes the place of the i-th factor g
+    with the sign (-1)^(degree of the factors before it), and
+    ``sorted_with_sign`` sorts the result."""
+    from symsemi.models import Element
+
+    out = {}
+    for mono, c in elt.coeffs.items():
+        before = 0
+        for i, g in enumerate(mono):
+            for dmono, v in model._dgen[g].items():
+                prod, sign = sorted_with_sign(
+                    model, mono[:i] + dmono + mono[i + 1:])
+                if sign:
+                    sign *= -1 if before % 2 else 1
+                    out[prod] = out.get(prod, 0) + sign * c * v
+            before += model.generators[g].degree
+    return Element(model, out)
+
+
 def d_matrix_oracle(model, k: int):
-    """d out of degree k, one basis monomial at a time through the Leibniz
-    rule of ``CDGAModel.d_mono``, with no multiplication table."""
+    """d out of degree k, one basis monomial at a time through
+    ``d_oracle``, with no multiplication table."""
+    from symsemi.models import Element
     from symsemi.qlinalg import SparseMat
 
     src = model.basis(k)
     tgt = {m: i for i, m in enumerate(model.basis(k + 1))}
     entries = {}
     for j, mono in enumerate(src):
-        for out_mono, c in model.d_mono(mono).coeffs.items():
+        for out_mono, c in d_oracle(model, Element(model, {mono: 1})
+                                    ).coeffs.items():
             entries[(tgt[out_mono], j)] = c
     return SparseMat(len(tgt), len(src), entries)
 
 
 def omega_matrix_oracle(model, w, k: int):
     """Wedging with the 2-form w out of degree k, one basis monomial and
-    one term of w at a time through ``CDGAModel._merge``, with no
+    one term of w at a time through ``sorted_with_sign``, with no
     multiplication table."""
     from symsemi.qlinalg import SparseMat
 
@@ -278,17 +363,19 @@ def omega_matrix_oracle(model, w, k: int):
     entries = {}
     for j, mono in enumerate(model.basis(k)):
         for wmono, c in w.coeffs.items():
-            out_mono, sign = model._merge(wmono, mono)
+            out_mono, sign = sorted_with_sign(model, wmono + mono)
             if sign:
                 entries[(tgt[out_mono], j)] = c if sign > 0 else -c
     return SparseMat(len(tgt), len(model.basis(k)), entries)
 
 
 def top_power_nonzero_oracle(model, w) -> bool:
-    """w^(dim/2) != 0, by repeated ``Element`` products."""
-    power = model.unit()
+    """w^(dim/2) != 0, by repeated ``product_oracle`` products."""
+    from symsemi.models import Element
+
+    power = Element(model, {(): 1})
     for _ in range(model.manifold_dim // 2):
-        power = power * w
+        power = product_oracle(power, w)
     return not power.is_zero()
 
 

@@ -47,7 +47,7 @@ from oracles import (car_oracle, dense_from_sparse, dense_inverse,
                      gaussian_moment_oracle, mono_compose_oracle,
                      mono_generator_oracle, mono_star_oracle,
                      mono_to_sparse, mono_transpose_oracle,
-                     star_sign_oracle)
+                     sparse_block, star_sign_oracle)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 EYE4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
@@ -148,7 +148,7 @@ def test_omega_skew_is_skew_symmetric():
     assert not sk.is_zero()
     assert sk.transpose() == sk.scale(-1)
     z = SparseMat.zeros(16, 16)
-    block = SparseMat.block([[sk, z], [z, sk.scale(-1)]])
+    block = sparse_block([[sk, z], [z, sk.scale(-1)]])
     assert block.transpose() == block.scale(-1)
 
 
@@ -321,7 +321,7 @@ def sparse_verdicts(m, v):
         form = form + gen(i, 1, 0) @ gen(i + 1, 1, 0)
     ch = to_sparse(m, [(x, ex._generator(m, i, 1, 1))
                        for i, x in enumerate(v) if x])
-    j = SparseMat.block([[zero, -ch], [ch, zero]])
+    j = sparse_block([[zero, -ch], [ch, zero]])
     return {
         "car": verdict(car),
         "star": verdict([("chat(dvol) vs signed star", vol - signed),

@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from symsemi import complexes
 from symsemi.complexes import (BettiVector, ChainMapViolation, GradedComplex,
                                InvalidComplex, OmegaMap, betti, cone,
                                euler_characteristic, semi_characteristic)
@@ -150,17 +151,17 @@ def test_cone_layout_check_catches_a_block_from_the_wrong_degree(
                        + [SparseMat.zeros(1, 1)] * 3)
     wmap = OmegaMap(cx, [one, one.scale(2), SparseMat.zeros(1, 1),
                          one.scale(3)])
-    right = SparseMat.block
+    right = complexes._cone_block
     placed = []
 
-    def stale(grid):
-        corner, prev = grid[0][1], placed[-1] if placed else None
+    def stale(d_k, corner, d_j):
+        prev = placed[-1] if placed else None
         placed.append(corner)
         if prev is not None and prev.shape == corner.shape:
-            grid = [[grid[0][0], prev], grid[1]]
-        return right(grid)
+            corner = prev
+        return right(d_k, corner, d_j)
 
-    monkeypatch.setattr(SparseMat, "block", staticmethod(stale))
+    monkeypatch.setattr(complexes, "_cone_block", stale)
     with pytest.raises(InvalidComplex, match=r"cone d\[2\] differs"):
         cone(cx, wmap)
 
@@ -173,7 +174,10 @@ def test_cone_d_squared_check_catches_a_wrong_sign(monkeypatch):
     model = random_nilpotent_ce(6, rng)
     cx, wmap = model_cone_inputs(model, random_closed_two_form(model, rng))
     cone(cx, wmap, 0)
-    monkeypatch.setattr(SparseMat, "__neg__", lambda self: self)
+    right = complexes._cone_block
+    # -(-d) = +d in the lower right block.
+    monkeypatch.setattr(complexes, "_cone_block",
+                        lambda d_k, corner, d_j: right(d_k, corner, -d_j))
     with pytest.raises(InvalidComplex, match="differs from"):
         cone(cx, wmap, 0)
     kt = builtin_inputs("kodaira_thurston")
@@ -184,16 +188,16 @@ def test_cone_d_squared_check_catches_a_wrong_sign(monkeypatch):
 def test_cone_layout_check_catches_a_dropped_entry(monkeypatch):
     # Every entry left in place is right; only the count shows the loss.
     cx, wmap = builtin_inputs("kodaira_thurston")
-    right = SparseMat.block
+    right = complexes._cone_block
 
-    def lossy(grid):
-        full = right(grid)
+    def lossy(d_k, corner, d_j):
+        full = right(d_k, corner, d_j)
         entries = dict(full.entries)
         if entries:
             del entries[max(entries)]
         return SparseMat(full.rows, full.cols, entries)
 
-    monkeypatch.setattr(SparseMat, "block", staticmethod(lossy))
+    monkeypatch.setattr(complexes, "_cone_block", lossy)
     with pytest.raises(InvalidComplex, match="missing block entries"):
         cone(cx, wmap)
 

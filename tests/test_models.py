@@ -22,9 +22,9 @@ from symsemi.models import (BASIS_LIMIT, CDGAModel, Element,
                             random_nilpotent_ce, tensor_product)
 from symsemi.qlinalg import SparseMat
 
-from oracles import (basis_oracle, d_matrix_oracle, dense_betti,
-                     dense_from_sparse, omega_matrix_oracle,
-                     top_power_nonzero_oracle)
+from oracles import (basis_oracle, combination_oracle, d_matrix_oracle,
+                     dense_betti, dense_from_sparse, omega_matrix_oracle,
+                     product_oracle, top_power_nonzero_oracle)
 
 
 def underlying_betti(model):
@@ -35,7 +35,7 @@ def underlying_betti(model):
 def random_element(model, rng, degree):
     basis = model.basis(degree)
     if not basis:
-        return model.zero()
+        return Element(model, {})
     coeffs = {mono: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for mono in basis if rng.random() < 0.7}
     return Element(model, coeffs)
@@ -80,8 +80,10 @@ def test_leibniz_rule_on_random_pairs():
             a = random_element(model, rng, da)
             b = random_element(model, rng, db)
             sign = -1 if da % 2 else 1
-            lhs = model.d(a * b)
-            rhs = model.d(a) * b + (a * model.d(b)).scale(sign)
+            lhs = model.d(product_oracle(a, b))
+            rhs = combination_oracle(model, [
+                (1, product_oracle(model.d(a), b)),
+                (sign, product_oracle(a, model.d(b)))])
             assert lhs == rhs
             checked += 1
 
@@ -96,11 +98,11 @@ def test_differential_squares_to_zero_on_random_elements():
 
 def test_koszul_signs():
     model = ce_complex(4, {})
-    e1, e2 = model.gen("e1"), model.gen("e2")
-    assert e1 * e2 == -(e2 * e1)
-    assert (e1 * e1).is_zero()
+    assert model.form([(1, ["e1", "e2"])]) == \
+        model.form([(-1, ["e2", "e1"])])
+    assert model.form([(1, ["e1", "e1"])]).is_zero()
     w = model.form([(1, ["e1", "e2"]), (1, ["e3", "e4"])])
-    ww = w * w
+    ww = product_oracle(w, w)
     assert ww == model.form([(2, ["e1", "e2", "e3", "e4"])])
 
 
@@ -113,15 +115,14 @@ def test_element_degree_and_mixed_degree_rejection():
     model = ce_complex(3, {})
     w = model.form([(1, ["e1", "e2"])])
     assert w.degree() == 2
-    mixed = w + model.unit()
+    mixed = Element(model, {**w.coeffs, (): 1})
     with pytest.raises(ValueError):
         mixed.degree()
 
 
 def test_even_generator_powers_truncate():
     model = CDGAModel([("x", 2)], None, 4)
-    x = model.gen("x")
-    assert not (x * x).is_zero()
+    assert not model.form([(1, ["x", "x"])]).is_zero()
     assert model.basis(4) == [(0, 0)]
     cx = model.complex()
     assert tuple(cx.dims) == (1, 0, 1, 0, 1)
@@ -236,6 +237,18 @@ def test_check_symplectic_detects_non_closed_form():
     assert "d w" in verdict.detail
 
 
+def test_check_symplectic_leaves_the_model_caches_as_it_found_them():
+    # Without ω maps the verdict builds its bases and tables, d w's
+    # included, on copies of the caches; the model keeps what it had.
+    for name in ("cp2", "s2xs2", "kodaira_thurston"):
+        model, w = builtin(name)
+        before = [dict(model._basis_cache), dict(model._index),
+                  dict(model._times_cache)]
+        assert check_symplectic(model, w).passed
+        assert [model._basis_cache, model._index,
+                model._times_cache] == before
+
+
 def test_check_symplectic_mixed_degree_form_is_a_verdict():
     # A sum of a 2-form and a 1-form has no single degree; the check
     # reports that instead of raising.
@@ -260,8 +273,7 @@ def test_multiplication_matrix_squares_forms():
     # omega wedge omega in coordinates equals the power map on the unit
     unit = SparseMat.column([1])
     via_map = wmap.power_map(0, 2) @ unit
-    ww = w * w
-    vec = model.element_vector(ww, 4)
+    vec = model.element_vector(product_oracle(w, w), 4)
     assert via_map == vec
 
 

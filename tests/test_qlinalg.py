@@ -17,7 +17,7 @@ from symsemi.qlinalg import (SparseMat, _eliminate, det, kernel_basis, rank,
 from symsemi.suite import NotSkewSymmetric, skew_kernel_parity
 
 from oracles import (bareiss_rank, dense_det, dense_from_sparse,
-                     dense_gauss_jordan, dense_matmul)
+                     dense_gauss_jordan, dense_matmul, sparse_block)
 
 
 def random_sparse(rng: Random, rows: int, cols: int,
@@ -205,25 +205,6 @@ def test_skew_kernel_parity_equals_size_parity():
         assert (n - ker_dim) % 2 == 0
 
 
-def test_block_assembly_matches_dense_layout():
-    a = SparseMat.from_rows([[1, 2], [3, 4]])
-    b = SparseMat.from_rows([[5], [6]])
-    c = SparseMat.from_rows([[7, 8]])
-    d = SparseMat.from_rows([[9]])
-    m = SparseMat.block([[a, b], [c, d]])
-    assert m.shape == (3, 3)
-    assert dense_from_sparse(m) == [
-        [1, 2, 5], [3, 4, 6], [7, 8, 9]]
-
-
-def test_block_infers_shapes_from_none():
-    a = SparseMat.from_rows([[1, 2], [3, 4]])
-    m = SparseMat.block([[a, None], [None, a]])
-    assert m.shape == (4, 4)
-    assert m.get(2, 0) == 0
-    assert m.get(2, 2) == 1
-
-
 def test_transpose_of_product():
     rng = Random(63)
     for _ in range(10):
@@ -389,12 +370,12 @@ def test_integer_product_on_unrelated_denominators_matches_oracle():
         # [A | tA] @ [[tX, B], [-X, tB]]: the X columns cancel to zero.
         t = big_fraction(rng)
         x = big_sparse(rng, inner, cols, 0.9)
-        wide = SparseMat.block([[a, a.scale(t)]])
-        tall = SparseMat.block([[x.scale(t), b], [-x, b.scale(t)]])
+        wide = sparse_block([[a, a.scale(t)]])
+        tall = sparse_block([[x.scale(t), b], [-x, b.scale(t)]])
         for left, right in ((a, b), (wide, tall)):
             prod = left @ right
             assert dense_from_sparse(prod) == dense_matmul(
                 dense_from_sparse(left), dense_from_sparse(right))
             assert_reduced_entries(prod)
         assert all(c >= cols for (_, c) in (wide @ tall).entries)
-        assert (wide @ SparseMat.block([[x.scale(t)], [-x]])).is_zero()
+        assert (wide @ sparse_block([[x.scale(t)], [-x]])).is_zero()
