@@ -216,22 +216,24 @@ def _check_layout(k: int, mat: SparseMat, d_k: SparseMat, corner: SparseMat,
                   d_j: SparseMat) -> None:
     """InvalidComplex unless mat is [[d_k, corner], [0, -d_j]] entry for
     entry: each entry equals the one its block holds there, sign included,
-    and there are as many entries as the three blocks hold."""
+    and there are as many entries as the three blocks hold.  Entries are
+    compared on integer views: v/den = u/a exactly when u·den = v·a."""
     rows, cols = d_k.shape
-    for (r, col), v in mat.entries.items():
+    ints, den = mat._int_rows()
+    (top, a), (right, b), (low, e) = (x._int_rows() for x in
+                                      (d_k, corner, d_j))
+    for r, row in ints.items():
+        # The blocks left and right of column ``cols`` in row r, with their
+        # denominators; -e carries the sign of -d_j.
         if r < rows:
-            want = d_k.entries.get((r, col)) if col < cols else \
-                corner.entries.get((r, col - cols))
-            ok = want is v or want == v
+            left, rest, rden = dict(top.get(r, ())), dict(right.get(r, ())), b
         else:
-            want = d_j.entries.get((r - rows, col - cols)) if col >= cols \
-                else None
-            # v == -want, read off numerator and denominator.
-            ok = want is not None and want.numerator == -v.numerator \
-                and want.denominator == v.denominator
-        if not ok:
-            raise InvalidComplex(f"cone d[{k}] differs from [[d, L^(p+1)], "
-                                 f"[0, -d]] at ({r}, {col})")
+            left, rest, rden = {}, dict(low.get(r - rows, ())), -e
+        for col, v in row:
+            u = left.get(col) if col < cols else rest.get(col - cols)
+            if u is None or u * den != v * (a if col < cols else rden):
+                raise InvalidComplex(f"cone d[{k}] differs from [[d, "
+                                     f"L^(p+1)], [0, -d]] at ({r}, {col})")
     if len(mat.entries) != d_k.nnz() + corner.nnz() + d_j.nnz():
         raise InvalidComplex(f"cone d[{k}] is missing block entries")
 

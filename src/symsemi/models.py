@@ -19,12 +19,14 @@ derivative by g, and the ω maps as L = Σ_t c_t μ(ω_t).  An ``Element``
 is a form to name, compare and print; ``CDGAModel.d`` applies the d
 matrices to its coordinates, and the package multiplies no forms.
 
-Each invariant is decided once, where its fact is decided: d(d g) = 0 on
-the generators (the Jacobi identity) when the model is built, d² = 0 on
-the assembled complex by ``GradedComplex``, d ω = 0 by
-``multiplication_matrix`` and the chain law d L = L d by ``OmegaMap``, and
-nondegeneracy by ``unit_power_vanishes`` on the ω maps.  ``cone`` adds only
-the chain law of the composite L^{p+1} for p >= 1.
+Each invariant is decided where its fact is decided: d(d g) = 0 on the
+generators (the Jacobi identity) when the model is built, one d matrix per
+degree of the d g, d ω = 0 by ``multiplication_matrix``, the chain law
+d L = L d by ``OmegaMap`` (``cone`` adds that of L^{p+1} for p >= 1), and
+nondegeneracy by ``unit_power_vanishes`` on the ω maps.  ``GradedComplex``
+decides d² = 0 on degrees 0..manifold_dim, as for any complex; only the
+Jacobi check names the generator, reaches d g above manifold_dim and runs
+on models that never build a complex.
 """
 
 from __future__ import annotations
@@ -91,12 +93,8 @@ class Element:
     def __init__(self, model: "CDGAModel",
                  coeffs: Mapping[tuple[int, ...], object]):
         self.model = model
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for mono, raw in coeffs.items():
-            val = raw if isinstance(raw, Fraction) else Fraction(raw)
-            if val:
-                clean[mono] = val
-        self.coeffs = clean
+        vals = ((mono, Fraction(raw)) for mono, raw in coeffs.items())
+        self.coeffs = {mono: v for mono, v in vals if v}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -153,15 +151,6 @@ class CDGAModel:
             raise ValueError("manifold_dim must be >= 0")
         self.manifold_dim = manifold_dim
         self.power_cap = manifold_dim if power_cap is None else power_cap
-        bound = 1   # prod_g (1 + the most factors g in a monomial)
-        for g in self.generators:
-            if bound <= BASIS_LIMIT:
-                bound *= 2 if g.degree % 2 else \
-                    1 + min(self.power_cap, manifold_dim // g.degree)
-        if max(bound, manifold_dim + 1) > BASIS_LIMIT:
-            raise InputError(f"over the budget of {BASIS_LIMIT} basis "
-                             f"monomials and degrees: {len(names)} "
-                             f"generators in dimension {manifold_dim}")
         self._odd = tuple(g.degree % 2 for g in self.generators)
         self._basis_cache: dict[int, list[tuple[int, ...]]] = {}
         # Position of each monomial in basis(k), filled in with it.
@@ -185,13 +174,25 @@ class CDGAModel:
                     raise ShapeMismatch(
                         f"d {name} has degree {elt.degree()}, expected {want}")
                 self._dgen[gi] = elt.coeffs
+        # Bases reach degree top: d out of manifold_dim, and d(d g).
+        top = max([manifold_dim] + [g.degree + 2 for g, dg
+                                    in zip(self.generators, self._dgen) if dg])
+        bound = 1   # prod_g (1 + the most factors g in a monomial)
+        for g in self.generators:
+            if bound <= BASIS_LIMIT:
+                bound *= 2 if g.degree % 2 else \
+                    1 + min(self.power_cap, top // g.degree)
+        if max(bound, top + 1) > BASIS_LIMIT:
+            raise InputError(f"over the budget of {BASIS_LIMIT} basis "
+                             f"monomials and degrees: {len(names)} "
+                             f"generators in dimension {manifold_dim}")
         # The d g as integer numerators over one denominator, for d_matrix.
         terms, self._dden = _integer_terms(self._dgen)
         self._dterms = [(gi, t) for gi, t in enumerate(terms) if t]
-        for g, dg in zip(self.generators, self._dgen):
-            rem = self.d(Element(self, dg))
-            if not rem.is_zero():
-                raise JacobiViolation(f"d(d {g.name}) = {rem!r} != 0")
+        for g, ddg in zip(self.generators, self._d_forms(self._dgen)):
+            if ddg:
+                raise JacobiViolation(
+                    f"d(d {g.name}) = {Element(self, ddg)!r} != 0")
 
     # -- element builders ------------------------------------------------
 
@@ -250,19 +251,26 @@ class CDGAModel:
         return tuple(out), sign
 
     def d(self, elt: Element) -> Element:
-        """d elt, degree by degree: ``d_matrix(k)`` applied to the
-        coordinates of the degree-k part of elt."""
-        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for mono, c in elt.coeffs.items():
-            parts.setdefault(self.mono_degree(mono), {})[mono] = c
-        out = {}
-        for k, coeffs in parts.items():
-            image = self.d_matrix(k) @ self.element_vector(
-                Element(self, coeffs), k)
-            basis = self.basis(k + 1)
-            for (i, _), v in image.entries.items():
-                out[basis[i]] = v
-        return Element(self, out)
+        return Element(self, self._d_forms([elt.coeffs])[0])
+
+    def _d_forms(self, forms: Sequence[dict]) -> list[dict]:
+        """d of each {monomial: coefficient} form: one ``d_matrix(k)`` per
+        degree k, applied to the forms' degree-k parts as columns."""
+        cols: dict[int, dict[tuple[int, int], Fraction]] = {}
+        for j, coeffs in enumerate(forms):
+            for mono, c in coeffs.items():
+                k = self.mono_degree(mono)
+                self.basis(k)
+                if mono not in self._index[k]:
+                    raise ShapeMismatch(f"monomial {mono} is not in the basis")
+                cols.setdefault(k, {})[(self._index[k][mono], j)] = c
+        out: list[dict] = [{} for _ in forms]
+        for k, entries in cols.items():
+            image = self.d_matrix(k) @ SparseMat._trusted(
+                len(self._index[k]), len(forms), entries)
+            for (i, j), v in image.entries.items():
+                out[j][self.basis(k + 1)[i]] = v
+        return out
 
     # -- graded bases and matrices ---------------------------------------
 
@@ -293,17 +301,6 @@ class CDGAModel:
                 self._basis_cache[deg] = monos
                 self._index[deg] = {m: i for i, m in enumerate(monos)}
         return self._basis_cache[k]
-
-    def element_vector(self, elt: Element, k: int) -> SparseMat:
-        """Coordinates of a degree-k element in basis(k), as a column."""
-        self.basis(k)
-        pos = self._index.get(k, {})
-        entries = {}
-        for mono, c in elt.coeffs.items():
-            if mono not in pos:
-                raise ShapeMismatch(f"monomial {mono} not of degree {k}")
-            entries[(pos[mono], 0)] = c
-        return SparseMat(len(pos), 1, entries)
 
     def _times(self, mono: tuple[int, ...], k: int
                ) -> tuple[list[int], list[int]]:

@@ -254,6 +254,15 @@ _FILES = {
     "long_coefficient.json": _cdga(_E, {}, [["1" * 100_000, ["e1", "e2"]],
                                            ["1", ["e3", "e4"]]]),
     "huge_dim.json": _cdga([("x", 2)], {}, [["1", ["x"]]], 10 ** 8),
+    # d a lies far above manifold_dim, where d(d a) is decided.
+    "huge_dd.json": _cdga([("a", 10 ** 9), ("b", 10 ** 9 + 1)],
+                          {"a": [["1", ["b"]]]}, [], 4),
+    # d g = x1 ... x11 in degree 110: within the degrees that d(d g)
+    # reaches, each x_i takes up to 10 factors, not 1.
+    "deep_dd.json": _cdga([(f"x{i}", 10) for i in range(1, 12)]
+                          + [("g", 109)],
+                          {"g": [["1", [f"x{i}" for i in range(1, 12)]]]},
+                          [], 10),
     "huge_dims.json": {"kind": "matrix", "dims": [10 ** 9],
                        "manifold_dim": 0, "d": [], "omega": []},
     "many_dims.json": {"kind": "matrix", "dims": [0] * 4097,
@@ -313,6 +322,12 @@ def _case(error, argv, message):
     _case("InputError-budget-dim", ["compute", "huge_dim.json"],
           "over the budget of 4096 basis monomials and degrees: 1 "
           "generators in dimension 100000000"),
+    _case("InputError-budget-dd-degree", ["compute", "huge_dd.json"],
+          "over the budget of 4096 basis monomials and degrees: 2 "
+          "generators in dimension 4"),
+    _case("InputError-budget-dd-basis", ["compute", "deep_dd.json"],
+          "over the budget of 4096 basis monomials and degrees: 12 "
+          "generators in dimension 10"),
     _case("InputError-budget-basis",
           ["compute", str(SAMPLES / "torus16_cdga.json")],
           "over the budget of 4096 basis monomials and degrees: 16 "
