@@ -148,9 +148,9 @@ def _checked_factors(a: SparseMat, gram: SparseMat, sigma: list, w: list
     if any(_dot(w[k], w[j]) for k in range(m) for j in range(k)):
         raise NoRationalRoot("the right singular vectors of A are not "
                              "orthogonal")
-    scale = math.lcm(*(x.denominator for x in a.entries.values()))
-    images = tuple(tuple(int(_dot(row, vec) * scale) for row in a.to_rows())
-                   for vec in w)
+    ints, scale = a._ints
+    images = tuple(tuple(sum(v * vec[j] for j, v in ints.get(i, ()))
+                         for i in range(m)) for vec in w)
     return Factors(tuple(sigma), tuple(map(tuple, w)), images, scale,
                    tuple(int(scale * s * _dot(vec, vec))
                          for s, vec in zip(sigma, w)))
@@ -444,16 +444,16 @@ def spectrum_scaling(op: ModelOperator, cap: int = 2) -> SpectrumVerdict:
     if cap < 2:
         raise ValueError("cap must be >= 2 for the scaling check")
     sec = Sector(op.m, cap)
-    lap, flow = _sector_parts(op, sec)
+    lap, flow = (part.entries for part in _sector_parts(op, sec))
     degree = [sum(mono) for mono in sec.monomials]
     bad = next((f"monomial entry ({r},{c}) maps degree {degree[c]} to "
                 f"{degree[r]}"
-                for part in (lap, flow) for (r, c) in part.entries
+                for part in (lap, flow) for (r, c) in part
                 if degree[r] not in (degree[c], degree[c] - 2)), "")
     structure_ok = not bad
     # flow is the same for every T, so a diagonal block of P_T changes
     # with T exactly where lap has an entry inside it.
-    leak = max((abs(v) for (r, c), v in lap.entries.items()
+    leak = max((abs(v) for (r, c), v in lap.items()
                 if degree[r] == degree[c]), default=Fraction(0))
     blocks_match = not leak
     _trace_guard(op, flow, degree)
@@ -483,14 +483,14 @@ def _block_spectrum(op: ModelOperator, cap: int) -> tuple[float, ...]:
     return tuple(n / den for n in out)
 
 
-def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int]):
-    """Tie ``_block_spectrum`` to the assembled flow by exact traces:
+def _trace_guard(op: ModelOperator, flow: dict, degree: list[int]):
+    """Tie ``_block_spectrum`` to the entries of flow by exact traces:
     tr P_d = 2d C(m + d - 1, d) tr S / m for the degree-d diagonal block
     P_d of flow (``degree``: each monomial's degree, ascending); else
     CheckFailure.  ``ModelOperator`` ties L2 to the same factors."""
     tr_s = op.trace_sqrt()
     poly = [Fraction(0)] * (degree[-1] + 1)
-    for (r, c), v in flow.entries.items():
+    for (r, c), v in flow.items():
         if r == c:
             poly[degree[r]] += v
     for d, got in enumerate(poly):

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InputError
-from .qlinalg import SparseMat, _int_product, rank
+from .qlinalg import SparseMat, rank
 
 
 class InvalidComplex(InputError):
@@ -26,22 +26,6 @@ class InvalidComplex(InputError):
 
 class ChainMapViolation(InputError):
     """A degree +2 map failed to commute with the differentials."""
-
-
-def product_is_zero(a: SparseMat, b: SparseMat) -> bool:
-    """Whether a @ b = 0, decided on integer numerators."""
-    return not any(any(acc.values()) for acc in _int_product(a, b)[0].values())
-
-
-def products_equal(a: SparseMat, b: SparseMat, c: SparseMat,
-                   e: SparseMat) -> bool:
-    """Whether a @ b = c @ e, decided on integer numerators."""
-    x, dx = _int_product(a, b)
-    y, dy = _int_product(c, e)
-    return ({(i, j): v * dy for i, acc in x.items() for j, v in acc.items()
-             if v}
-            == {(i, j): v * dx for i, acc in y.items() for j, v in acc.items()
-                if v})
 
 
 class BettiVector(tuple):
@@ -69,7 +53,7 @@ class GradedComplex:
     def __init__(self, dims: Sequence[int], d: Sequence[SparseMat]):
         self._set(dims, d)
         for k in range(len(self.d) - 1):
-            if not product_is_zero(self.d[k + 1], self.d[k]):
+            if not (self.d[k + 1] @ self.d[k]).is_zero():
                 raise InvalidComplex(f"d[{k + 1}] d[{k}] != 0")
 
     @classmethod
@@ -139,8 +123,8 @@ class OmegaMap:
                 raise ChainMapViolation(
                     f"L[{k}] has shape {mat.shape}, expected {want}")
         for k in range(source.top - 1):
-            if not products_equal(source.d_map(k + 2), self.maps[k],
-                                  self.map(k + 1), source.d_map(k)):
+            if (source.d_map(k + 2) @ self.maps[k]
+                    != self.map(k + 1) @ source.d_map(k)):
                 raise ChainMapViolation(
                     f"d L != L d at degree {k} (is the 2-form closed?)")
 
@@ -185,8 +169,7 @@ def cone(c: GradedComplex, w: OmegaMap, p: int = 0) -> GradedComplex:
     for k in range(top2):
         j = k - shift
         d_k, corner, d_j = c.d_map(k), corners[k], c.d_map(j)
-        if p and k and not products_equal(d_k, corners[k - 1],
-                                          corner, c.d_map(j - 1)):
+        if p and k and d_k @ corners[k - 1] != corner @ c.d_map(j - 1):
             raise InvalidComplex(f"cone d[{k}] d[{k - 1}] != 0: L^{p + 1} "
                                  f"is not a chain map at degree {j - 1}")
         mat = _cone_block(d_k, corner, d_j)
@@ -199,8 +182,7 @@ def _cone_block(d_k: SparseMat, corner: SparseMat, d_j: SparseMat
                 ) -> SparseMat:
     """[[d_k, corner], [0, -d_j]], written from the blocks' integer
     numerators over the lcm of their denominators."""
-    (top, a), (right, b), (low, e) = (x._int_rows() for x in
-                                      (d_k, corner, d_j))
+    (top, a), (right, b), (low, e) = (x._ints for x in (d_k, corner, d_j))
     den = lcm(a, b, e)
     rows, cols = d_k.shape
     acc = {i: [(j, v * (den // a)) for j, v in row] for i, row in top.items()}
@@ -217,11 +199,10 @@ def _check_layout(k: int, mat: SparseMat, d_k: SparseMat, corner: SparseMat,
     """InvalidComplex unless mat is [[d_k, corner], [0, -d_j]] entry for
     entry: each entry equals the one its block holds there, sign included,
     and there are as many entries as the three blocks hold.  Entries are
-    compared on integer views: v/den = u/a exactly when u·den = v·a."""
+    compared on their numerators: v/den = u/a exactly when u·den = v·a."""
     rows, cols = d_k.shape
-    ints, den = mat._int_rows()
-    (top, a), (right, b), (low, e) = (x._int_rows() for x in
-                                      (d_k, corner, d_j))
+    ints, den = mat._ints
+    (top, a), (right, b), (low, e) = (x._ints for x in (d_k, corner, d_j))
     for r, row in ints.items():
         # The blocks left and right of column ``cols`` in row r, with their
         # denominators; -e carries the sign of -d_j.
@@ -234,7 +215,7 @@ def _check_layout(k: int, mat: SparseMat, d_k: SparseMat, corner: SparseMat,
             if u is None or u * den != v * (a if col < cols else rden):
                 raise InvalidComplex(f"cone d[{k}] differs from [[d, "
                                      f"L^(p+1)], [0, -d]] at ({r}, {col})")
-    if len(mat.entries) != d_k.nnz() + corner.nnz() + d_j.nnz():
+    if mat.nnz() != d_k.nnz() + corner.nnz() + d_j.nnz():
         raise InvalidComplex(f"cone d[{k}] is missing block entries")
 
 

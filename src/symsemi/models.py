@@ -256,18 +256,20 @@ class CDGAModel:
     def _d_forms(self, forms: Sequence[dict]) -> list[dict]:
         """d of each {monomial: coefficient} form: one ``d_matrix(k)`` per
         degree k, applied to the forms' degree-k parts as columns."""
-        cols: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for j, coeffs in enumerate(forms):
-            for mono, c in coeffs.items():
+        terms, den = _integer_terms(forms)
+        cols: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        for j, form in enumerate(terms):
+            for c, mono in form:
                 k = self.mono_degree(mono)
                 self.basis(k)
                 if mono not in self._index[k]:
                     raise ShapeMismatch(f"monomial {mono} is not in the basis")
-                cols.setdefault(k, {})[(self._index[k][mono], j)] = c
+                cols.setdefault(k, {}).setdefault(
+                    self._index[k][mono], []).append((j, c))
         out: list[dict] = [{} for _ in forms]
-        for k, entries in cols.items():
-            image = self.d_matrix(k) @ SparseMat._trusted(
-                len(self._index[k]), len(forms), entries)
+        for k, acc in cols.items():
+            image = self.d_matrix(k) @ SparseMat._from_ints(
+                len(self._index[k]), len(forms), acc, den)
             for (i, j), v in image.entries.items():
                 out[j][self.basis(k + 1)[i]] = v
         return out

@@ -1,30 +1,27 @@
 """Exact sparse linear algebra over arbitrary-precision rationals.
 
-Matrices store ``fractions.Fraction`` entries keyed by ``(row, col)``; zero
-entries are never stored.  The two hot kernels compute in Python ``int``s
-and convert back to reduced fractions only at their boundary.
+A matrix is stored in one form, ``_ints``: integer numerators by row over
+one positive denominator, ``({i: [(j, numerator), ...]}, den)``, with no
+zero numerator or empty row and den the lcm of the reduced denominators.
+``SparseMat(rows, cols, entries)`` takes rationals from outside;
+``_from_ints`` takes the numerators of builders that already hold integers
+(the d, ω, cone and sector matrices, products).  Sums, scaling, transposes
+and products run on the numerators.  Fractions are built only where they
+are read: ``entries``, ``get`` and ``to_rows`` compute them on each call,
+so a caller reads them once per matrix, not once per entry.
 
-* Products run on each operand's integer view (``_int_rows``: numerators
-  over the lcm of its denominators, by row), built once per matrix or kept
-  from the builder that made it.  ``complexes`` decides its product
-  identities on those integers without building a Fraction; ``@`` divides
-  each distinct output numerator once.
-* One fraction-free forward-elimination kernel serves every routine.  It
-  starts from the integer view and divides each row by its content.  The
-  pivot is taken in the leftmost nonzero column and, within it, at the row
-  whose entry there is smallest in absolute value (ties: fewest entries,
-  then lowest index), so small multipliers keep the rows short.  Every
-  other remaining row that holds the column is updated as
-  ``(a/g)·row − (f/g)·lead`` with ``g = gcd(a, f)`` and divided by its
-  content.  ``rank`` is the pivot count and ``det`` the pivot product
-  times the recorded row scalings and swaps; only ``rref`` (and so
-  ``kernel_basis``) adds a back-substitution pass, dividing by the pivots
-  once at the end.  The reduced echelon form is unique, so reduced forms,
-  ranks, kernel bases and determinants do not depend on the pivot rule and
-  are reproducible bit for bit.
-
-Instances are immutable after construction: builders accumulate a plain dict
-and hand it to the constructor; the integer view is a cache of the entries.
+One fraction-free forward-elimination kernel serves every routine.  It
+starts from the numerators and divides each row by its content.  The pivot
+is taken in the leftmost nonzero column and, within it, at the row whose
+entry there is smallest in absolute value (ties: fewest entries, then
+lowest index), so small multipliers keep the rows short.  Every other
+remaining row that holds the column is updated as ``(a/g)·row − (f/g)·lead``
+with ``g = gcd(a, f)`` and divided by its content.  ``rank`` is the pivot
+count and ``det`` the pivot product times the recorded row scalings and
+swaps; only ``rref`` (and so ``kernel_basis``) adds a back-substitution
+pass, dividing by the pivots once at the end.  The reduced echelon form is
+unique, so reduced forms, ranks, kernel bases and determinants do not
+depend on the pivot rule and are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -34,79 +31,59 @@ from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+def _reduced(acc: Mapping[int, Iterable[tuple[int, int]]], den: int
+             ) -> tuple[dict[int, list[tuple[int, int]]], int]:
+    """The stored form of the numerators ``(j, v)`` of row i in acc[i]
+    over den > 0: zeros and empty rows dropped, the fraction reduced."""
+    ints = {}
+    for i, row in acc.items():
+        kept = [(j, v) for j, v in row if v]
+        if kept:
+            ints[i] = kept
+    g = den
+    for row in ints.values():
+        if g == 1:
+            break
+        g = gcd(g, *(v for _, v in row))
+    if g != 1:
+        ints = {i: [(j, v // g) for j, v in row] for i, row in ints.items()}
+    return ints, den // g
 
 
 class SparseMat:
-    """Immutable sparse matrix with exact rational entries."""
+    """Immutable sparse rational matrix.  Its one stored form, ``_ints``,
+    is its integer numerators by row over one denominator, made by
+    ``SparseMat(rows, cols, entries)`` from rationals or by ``_from_ints``
+    from numerators (see the module docstring)."""
 
-    __slots__ = ("rows", "cols", "entries", "_ints")
+    __slots__ = ("rows", "cols", "_ints")
 
     def __init__(self, rows: int, cols: int,
                  entries: Mapping[tuple[int, int], object] | None = None):
+        """The matrix of the given entries, anything ``Fraction`` takes."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        clean: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for (i, j), raw in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                val = _coerce(raw)
-                if val:
-                    clean[(i, j)] = val
-        self.entries = clean
-        self._ints = None
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int,
-                 entries: dict[tuple[int, int], Fraction],
-                 ints: tuple[dict, int] | None = None) -> "SparseMat":
-        """Wrap entries that are already nonzero, reduced and in range;
-        ``ints``, if given, is their ``_int_rows`` view."""
-        m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m.entries = entries
-        m._ints = ints
-        return m
+        vals = {}
+        for (i, j), v in (entries or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
+            vals[i, j] = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        den = lcm(*(v.denominator for v in vals.values()))
+        acc: dict[int, list[tuple[int, int]]] = {}
+        for (i, j), v in vals.items():
+            acc.setdefault(i, []).append(
+                (j, v.numerator * (den // v.denominator)))
+        self.rows, self.cols, self._ints = rows, cols, _reduced(acc, den)
 
     @classmethod
     def _from_ints(cls, rows: int, cols: int,
                    acc: Mapping[int, Iterable[tuple[int, int]]],
                    den: int) -> "SparseMat":
         """The matrix whose row i holds the integer numerators ``(j, v)``
-        of ``acc[i]`` over den (zeros skipped), keeping that integer view;
-        one reduced Fraction per distinct numerator."""
-        ints = {}
-        memo: dict[int, Fraction] = {}
-        entries = {}
-        for i, row in acc.items():
-            kept = ints[i] = []
-            for j, v in row:
-                if v:
-                    kept.append((j, v))
-                    f = memo.get(v)
-                    if f is None:
-                        f = memo[v] = Fraction(v, den)
-                    entries[(i, j)] = f
-        return cls._trusted(rows, cols, entries, (ints, den))
-
-    def _int_rows(self) -> tuple[dict[int, list[tuple[int, int]]], int]:
-        """The entries as integer numerators over one denominator, by row:
-        ``({i: [(j, numerator), ...]}, denominator)``, built once."""
-        if self._ints is None:
-            den = lcm(*(v.denominator for v in self.entries.values()))
-            rows: dict[int, list[tuple[int, int]]] = {}
-            for (i, j), v in self.entries.items():
-                rows.setdefault(i, []).append(
-                    (j, v.numerator * (den // v.denominator)))
-            self._ints = (rows, den)
-        return self._ints
+        of ``acc[i]`` over den > 0, one v per column and in range."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._ints = rows, cols, _reduced(acc, den)
+        return m
 
     # -- construction helpers -------------------------------------------
 
@@ -116,20 +93,14 @@ class SparseMat:
         rows = len(data)
         if cols is None:
             cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, raw in enumerate(row):
-                val = _coerce(raw)
-                if val:
-                    entries[(i, j)] = val
-        return cls(rows, cols, entries)
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return cls(rows, cols, {(i, j): v for i, row in enumerate(data)
+                                for j, v in enumerate(row)})
 
     @classmethod
     def identity(cls, n: int) -> "SparseMat":
-        one = Fraction(1)
-        return cls(n, n, {(i, i): one for i in range(n)})
+        return cls._from_ints(n, n, {i: [(i, 1)] for i in range(n)}, 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "SparseMat":
@@ -139,20 +110,18 @@ class SparseMat:
     def column(cls, data: Sequence[object]) -> "SparseMat":
         return cls.from_rows([[v] for v in data], cols=1)
 
-    # -- basic queries ---------------------------------------------------
-
-    def get(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
+    # -- reading ---------------------------------------------------------
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero entries as fractions by (row, col), built per call."""
+        ints, den = self._ints
+        return {(i, j): Fraction(v, den)
+                for i, row in ints.items() for j, v in row}
 
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
+    def get(self, i: int, j: int) -> Fraction:
+        ints, den = self._ints
+        return Fraction(dict(ints.get(i, ())).get(j, 0), den)
 
     def to_rows(self) -> list[list[Fraction]]:
         dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
@@ -160,74 +129,79 @@ class SparseMat:
             dense[i][j] = v
         return dense
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def nnz(self) -> int:
+        return sum(map(len, self._ints[0].values()))
+
+    def is_zero(self) -> bool:
+        return not self._ints[0]
+
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SparseMat) and self.shape == other.shape
-                and self.entries == other.entries)
+        if not (isinstance(other, SparseMat) and self.shape == other.shape):
+            return False
+        (a, da), (b, db) = self._ints, other._ints
+        return da == db and a.keys() == b.keys() and all(
+            dict(row) == dict(b[i]) for i, row in a.items())
 
     def __repr__(self) -> str:
-        return f"SparseMat({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        return f"SparseMat({self.rows}x{self.cols}, nnz={self.nnz()})"
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            s = entries.get(key, 0) + v
-            if s:
-                entries[key] = s
-            else:
-                entries.pop(key, None)
-        return SparseMat._trusted(self.rows, self.cols, entries)
+        (a, da), (b, db) = self._ints, other._ints
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        acc = {i: {j: v * sa for j, v in row} for i, row in a.items()}
+        for i, row in b.items():
+            out = acc.setdefault(i, {})
+            for j, v in row:
+                out[j] = out.get(j, 0) + v * sb
+        return SparseMat._from_ints(self.rows, self.cols,
+                                    {i: row.items() for i, row in acc.items()},
+                                    den)
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
         return self + (-other)
 
     def __neg__(self) -> "SparseMat":
-        return SparseMat._trusted(self.rows, self.cols,
-                                  {k: -v for k, v in self.entries.items()})
+        return self.scale(-1)
 
     def scale(self, factor) -> "SparseMat":
-        f = _coerce(factor)
-        if not f:
-            return SparseMat.zeros(self.rows, self.cols)
-        return SparseMat._trusted(self.rows, self.cols,
-                                  {k: f * v for k, v in self.entries.items()})
+        f = factor if isinstance(factor, (int, Fraction)) else \
+            Fraction(factor)
+        ints, den = self._ints
+        return SparseMat._from_ints(
+            self.rows, self.cols,
+            {i: [(j, v * f.numerator) for j, v in row]
+             for i, row in ints.items()}, den * f.denominator)
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
-        out, d = _int_product(self, other)
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        (a, da), (b, db) = self._ints, other._ints
+        out: dict[int, dict[int, int]] = {}
+        for i, row in a.items():
+            acc = out[i] = {}
+            for k, x in row:
+                for j, y in b.get(k, ()):
+                    acc[j] = acc.get(j, 0) + x * y
         return SparseMat._from_ints(self.rows, other.cols,
                                     {i: acc.items() for i, acc in out.items()},
-                                    d)
+                                    da * db)
 
     def transpose(self) -> "SparseMat":
-        return SparseMat._trusted(
-            self.cols, self.rows,
-            {(j, i): v for (i, j), v in self.entries.items()})
-
-
-# -- integer products ----------------------------------------------------
-
-
-def _int_product(a: SparseMat, b: SparseMat
-                 ) -> tuple[dict[int, dict[int, int]], int]:
-    """a @ b as integer numerators over one denominator ``d``, by row:
-    ``({i: {j: numerator}}, d)``; sums that cancel stay as 0."""
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    arows, da = a._int_rows()
-    brows, db = b._int_rows()
-    out: dict[int, dict[int, int]] = {}
-    for i, row in arows.items():
-        acc: dict[int, int] = {}
-        for k, x in row:
-            hits = brows.get(k)
-            if hits:
-                for j, y in hits:
-                    acc[j] = acc.get(j, 0) + x * y
-        out[i] = acc
-    return out, da * db
+        ints, den = self._ints
+        acc: dict[int, list[tuple[int, int]]] = {}
+        for i, row in ints.items():
+            for j, v in row:
+                acc.setdefault(j, []).append((i, v))
+        return SparseMat._from_ints(self.cols, self.rows, acc, den)
 
 
 # -- elimination ---------------------------------------------------------
@@ -271,7 +245,7 @@ def _eliminate(m: SparseMat) -> tuple[list[dict[int, int]], list[int],
     for a square m of full rank; a row that vanishes records a 0 in num,
     and m is then singular.
     """
-    ints, scale = m._int_rows()
+    ints, scale = m._ints
     rows = [dict(ints.get(i, ())) for i in range(m.rows)]
     num: list[int] = []
     den: list[int] = [scale] * m.rows
@@ -329,12 +303,12 @@ def rref(m: SparseMat) -> tuple[SparseMat, int, list[int]]:
             f = rows[i].get(c)
             if f:
                 rows[i] = _combine(rows[i], f, lead, lead[c])[0]
-    entries = {}
-    for r, c in enumerate(pivots):
-        a = rows[r][c]
-        for j, v in rows[r].items():
-            entries[(r, j)] = Fraction(v, a)
-    return SparseMat._trusted(m.rows, m.cols, entries), len(pivots), pivots
+    # Row r over its pivot entry, all rows over the lcm of the pivots.
+    den = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    reduced = {r: [(j, v * (den // rows[r][c])) for j, v in rows[r].items()]
+               for r, c in enumerate(pivots)}
+    return (SparseMat._from_ints(m.rows, m.cols, reduced, den), len(pivots),
+            pivots)
 
 
 def rank(m: SparseMat) -> int:
@@ -348,17 +322,16 @@ def kernel_basis(m: SparseMat) -> SparseMat:
     For each non-pivot column f, the basis vector has 1 in slot f and
     minus the reduced entries in the pivot slots.  Shape is cols x nullity.
     """
-    reduced, rk, pivots = rref(m)
+    reduced, _, pivots = rref(m)
+    ints, den = reduced._ints
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
-    entries: dict[tuple[int, int], Fraction] = {}
-    for idx, f in enumerate(free):
-        entries[(f, idx)] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v = reduced.get(r, f)
-            if v:
-                entries[(p, idx)] = -v
-    return SparseMat(m.cols, len(free), entries)
+    slot = {f: idx for idx, f in enumerate(free)}
+    # Reduced row r holds den at its pivot, else only free columns.
+    acc = {f: [(idx, den)] for idx, f in enumerate(free)}
+    for r, p in enumerate(pivots):
+        acc[p] = [(slot[f], -v) for f, v in ints[r] if f != p]
+    return SparseMat._from_ints(m.cols, len(free), acc, den)
 
 
 def det(m: SparseMat) -> Fraction:

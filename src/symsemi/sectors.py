@@ -6,6 +6,7 @@ rational A; no subcommand does, so no job loads this module.
 """
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .cliffordlab import (ModelOperator, Sector, _clifford_gens,
@@ -22,15 +23,20 @@ class TruncationTooSmall(InputError):
 def _tensor_form(poly: SparseMat, form: SparseMat, m: int) -> SparseMat:
     """poly tensor 1 + 1 tensor form on (monomials) x (2^m form masks),
     index mono_index * 2^m + mask."""
-    entries: dict[tuple[int, int], Fraction] = {}
-    for (r, c), v in poly.entries.items():
+    (prows, pden), (frows, fden) = poly._ints, form._ints
+    den = lcm(pden, fden)
+    ps, fs = den // pden, den // fden
+    acc: dict[int, dict[int, int]] = {}
+    for r in range(poly.rows):
         for mask in range(1 << m):
-            entries[((r << m) + mask, (c << m) + mask)] = v
-    for base in range(0, poly.rows << m, 1 << m):
-        for (r, c), v in form.entries.items():
-            key = (base + r, base + c)
-            entries[key] = entries.get(key, 0) + v
-    return SparseMat(poly.rows << m, poly.cols << m, entries)
+            row = acc[(r << m) + mask] = {
+                (c << m) + mask: v * ps for c, v in prows.get(r, ())}
+            for c, v in frows.get(mask, ()):
+                key = (r << m) + c
+                row[key] = row.get(key, 0) + v * fs
+    return SparseMat._from_ints(poly.rows << m, poly.cols << m,
+                                {i: row.items() for i, row in acc.items()},
+                                den)
 
 
 def sector_matrix_L(op: ModelOperator, cap: int, T) -> SparseMat:
@@ -55,12 +61,18 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
     from the cap_in into the cap_out sector; TruncationTooSmall when an
     output monomial exceeds cap_out (it raises the degree by one)."""
     sec_in, sec_out = Sector(op.m, cap_in), Sector(op.m, cap_out)
-    s_rows, a_rows = op.sqrt_gram.to_rows(), op.a.to_rows()
+    T = Fraction(T)
+    # Every coefficient as an integer numerator over den: mono[i] of
+    # d/dx_i, and the rows of -T S and T A.
+    den = T.denominator * lcm(op.sqrt_gram._ints[1], op.a._ints[1])
+    s_rows, a_rows = ([[int(T * x * den) for x in row]
+                       for row in mat.to_rows()]
+                      for mat in (-op.sqrt_gram, op.a))
     cs, chats = _clifford_gens(op.m)
-    entries: dict[tuple[int, int], Fraction] = {}
+    acc: dict[int, dict[int, int]] = {}
 
     def add_block(out_mono: tuple[int, ...], col_base: int,
-                  poly_coeff: Fraction, form: tuple):
+                  poly_coeff: int, form: tuple):
         if not poly_coeff:
             return
         if out_mono not in sec_out.mono_index:
@@ -69,8 +81,8 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
         row_base = sec_out.mono_index[out_mono] << op.m
         flip, signs = form
         for c, sgn in enumerate(signs):
-            key = (row_base + (c ^ flip), col_base + c)
-            entries[key] = entries.get(key, 0) + poly_coeff * sgn
+            row = acc.setdefault(row_base + (c ^ flip), {})
+            row[col_base + c] = row.get(col_base + c, 0) + poly_coeff * sgn
 
     for mi, mono in enumerate(sec_in.monomials):
         base = mi << op.m
@@ -80,12 +92,14 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
             if mono[i] >= 1:
                 down = list(mono)
                 down[i] -= 1
-                add_block(tuple(down), base, Fraction(mono[i]), cs[i])
+                add_block(tuple(down), base, mono[i] * den, cs[i])
             for out_mono, c in _linear_mult_terms(s_rows, i, mono):
-                add_block(out_mono, base, -T * c, cs[i])
+                add_block(out_mono, base, c, cs[i])
             for out_mono, c in _linear_mult_terms(a_rows, i, mono):
-                add_block(out_mono, base, T * c, chats[i])
-    return SparseMat(sec_out.size, sec_in.size, entries)
+                add_block(out_mono, base, c, chats[i])
+    return SparseMat._from_ints(sec_out.size, sec_in.size,
+                                {i: row.items() for i, row in acc.items()},
+                                den)
 
 
 # -- rational random sources ---------------------------------------------

@@ -159,9 +159,11 @@ def _dirac_squares_to_model(op, cap: int, t) -> bool:
     size = Sector(op.m, cap).size
     comp = sector_matrix_D(op, cap + 1, cap + 2, t) @ sector_matrix_D(
         op, cap, cap + 1, t)
-    if any(r >= size for (r, _) in comp.entries):
+    ints, den = comp._ints
+    if any(r >= size for r in ints):
         return False
-    return SparseMat(size, size, comp.entries) == sector_matrix_L(op, cap, t)
+    return (SparseMat._from_ints(size, size, ints, den)
+            == sector_matrix_L(op, cap, t))
 
 
 def _oscillator_kernel_spectrum():

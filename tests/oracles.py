@@ -15,8 +15,10 @@ from fractions import Fraction
 
 
 def dense_from_sparse(mat) -> list[list[Fraction]]:
-    return [[mat.get(i, j) for j in range(mat.cols)]
-            for i in range(mat.rows)]
+    dense = dense_zeros(mat.rows, mat.cols)
+    for (i, j), v in mat.entries.items():
+        dense[i][j] = v
+    return dense
 
 
 def dense_identity(n: int) -> list[list[Fraction]]:

@@ -728,13 +728,13 @@ def dense_block_spectrum(op, cap, t):
     import numpy as np
 
     sec = Sector(op.m, cap)
-    mat = sector_matrix_L(op, cap, t).scale(Fraction(1, t))
+    entries = sector_matrix_L(op, cap, t).scale(Fraction(1, t)).entries
     out = []
     for deg in range(cap + 1):
         idx = [i for i in range(sec.size)
                if sum(sec.monomials[i >> op.m]) == deg]
         pos = {i: n for n, i in enumerate(idx)}
-        inside = [(pos[r], pos[c], v) for (r, c), v in mat.entries.items()
+        inside = [(pos[r], pos[c], v) for (r, c), v in entries.items()
                   if r in pos and c in pos]
         root = list(range(len(idx)))
 

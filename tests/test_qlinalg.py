@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from symsemi.complexes import cone
 from symsemi.models import (model_cone_inputs, random_closed_two_form,
                             random_nilpotent_ce)
+from symsemi import qlinalg
 from symsemi.qlinalg import (SparseMat, _eliminate, det, kernel_basis, rank,
                              rref)
 from symsemi.suite import NotSkewSymmetric, skew_kernel_parity
@@ -379,3 +380,129 @@ def test_integer_product_on_unrelated_denominators_matches_oracle():
             assert_reduced_entries(prod)
         assert all(c >= cols for (_, c) in (wide @ tall).entries)
         assert (wide @ sparse_block([[x.scale(t)], [-x]])).is_zero()
+
+
+# -- the one stored form against a dense reference ------------------------
+#
+# A reference matrix is (rows, cols, dense list of Fraction rows); its
+# arithmetic is written out here, entry by entry.
+
+
+def ref_entries(ref) -> dict:
+    return {(i, j): v for i, row in enumerate(ref[2])
+            for j, v in enumerate(row) if v}
+
+
+def ref_map(f, *refs):
+    rows, cols = refs[0][:2]
+    return rows, cols, [[f(*(r[2][i][j] for r in refs)) for j in range(cols)]
+                        for i in range(rows)]
+
+
+def ref_matmul(a, b):
+    return a[0], b[1], [[sum((a[2][i][k] * b[2][k][j] for k in range(a[1])),
+                             Fraction(0)) for j in range(b[1])]
+                        for i in range(a[0])]
+
+
+def ref_transpose(a):
+    return a[1], a[0], [[a[2][i][j] for i in range(a[0])]
+                        for j in range(a[1])]
+
+
+@st.composite
+def ref_matrices(draw, rows, cols):
+    """Rational matrices over a few denominators, whose rows and columns
+    outside a drawn subset are empty."""
+    live_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    live_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    value = st.one_of(st.just(Fraction(0)), st.fractions(
+        min_value=-6, max_value=6, max_denominator=12))
+    return rows, cols, [[draw(value) if i in live_rows and j in live_cols
+                         else Fraction(0) for j in range(cols)]
+                        for i in range(rows)]
+
+
+def assert_matches(m: SparseMat, ref) -> None:
+    """Every reading of m against the reference, and the stored form:
+    integer numerators, none zero, over the lcm of the reduced
+    denominators."""
+    rows, cols, dense = ref
+    want = ref_entries(ref)
+    assert m.shape == (rows, cols)
+    assert m.entries == want and m.to_rows() == dense
+    assert all(type(v) is Fraction for v in m.entries.values())
+    assert all(m.get(i, j) == dense[i][j]
+               for i in range(rows) for j in range(cols))
+    assert m.nnz() == len(want) and m.is_zero() == (not want)
+    ints, den = m._ints
+    assert den == lcm(*(v.denominator for v in want.values()))
+    assert all(type(v) is int and v for row in ints.values() for _, v in row)
+    assert m == SparseMat(rows, cols, dict(reversed(want.items())))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_stored_form_matches_a_dense_reference(data):
+    rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    ra, rb = (data.draw(ref_matrices(rows, inner)) for _ in range(2))
+    rc = data.draw(ref_matrices(inner, cols))
+    # Zeros are passed in explicitly and dropped.
+    a, b, c = (SparseMat(r[0], r[1], {(i, j): v for i, row in enumerate(r[2])
+                                      for j, v in enumerate(row)})
+               for r in (ra, rb, rc))
+    for m, ref in ((a, ra), (b, rb), (c, rc)):
+        assert_matches(m, ref)
+    assert (a == b) == (ra == rb)
+    assert_matches(a + b, ref_map(lambda x, y: x + y, ra, rb))
+    assert_matches(a - b, ref_map(lambda x, y: x - y, ra, rb))
+    assert_matches(-a, ref_map(lambda x: -x, ra))
+    factor = data.draw(st.fractions(min_value=-5, max_value=5,
+                                    max_denominator=7))
+    for f in (0, -3, Fraction(-2, 3), factor):
+        assert_matches(a.scale(f), ref_map(lambda x: f * x, ra))
+    assert_matches(a.transpose(), ref_transpose(ra))
+    assert_matches(a @ c, ref_matmul(ra, rc))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 30),
+       st.integers(1, 8), st.data())
+def test_from_ints_reduces_and_drops_zeros(rows, cols, den, extra, data):
+    # Numerators over den * extra, an unreduced denominator, with explicit
+    # zeros and empty rows: the same matrix as the reduced fractions.
+    nums = [[data.draw(st.integers(-3, 3)) for _ in range(cols)]
+            for _ in range(rows)]
+    acc = {i: [(j, extra * v) for j, v in enumerate(row)]
+           for i, row in enumerate(nums)}
+    m = SparseMat._from_ints(rows, cols, acc, den * extra)
+    ref = rows, cols, [[Fraction(v, den) for v in row] for row in nums]
+    assert_matches(m, ref)
+    assert m == SparseMat(rows, cols, ref_entries(ref))
+
+
+def test_integer_constructors_build_no_fraction(monkeypatch):
+    # Products, sums, transposes, ranks and a whole cone run on numerators:
+    # no Fraction is built inside qlinalg, only where entries are read.
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    rng = Random(67)
+    a, b = random_sparse(rng, 4, 5), random_sparse(rng, 5, 3)
+    model = random_nilpotent_ce(6, rng)
+    # Checking that w is closed reads d w as fractions: done before.
+    cx, wmap = model_cone_inputs(model, random_closed_two_form(model, rng))
+    monkeypatch.setattr(qlinalg, "Fraction", Counted)
+    SparseMat._from_ints(3, 3, {0: [(0, 6), (2, 0)], 2: [(1, -4)]}, 8)
+    product = a @ b
+    assert (product - a @ b).is_zero()
+    rank(a @ a.transpose() + (a @ b @ b.transpose()).scale(-2) @ a.transpose())
+    for k in range(model.manifold_dim + 1):
+        model.d_matrix(k)
+    ranks = [rank(mat) for mat in cone(cx, wmap, p=1).d]
+    assert made == [] and ranks
+    assert type(product.get(0, 0)) is Counted
