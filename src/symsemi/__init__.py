@@ -13,21 +13,20 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "qlinalg": ("SparseMat", "rref", "rank", "kernel_basis"),
-    "complexes": ("GradedComplex", "OmegaMap", "BettiVector", "cone",
-                  "betti", "euler_characteristic", "semi_characteristic"),
-    "models": ("CDGAModel", "Element", "ce_complex", "tensor_product",
-               "multiplication_matrix", "check_symplectic", "builtin"),
-    "census": ("Zero", "ZeroCensus", "counting_check", "euler_cross_check"),
-    "clifford": ("verify_car", "verify_volume_star", "verify_volume_omega",
-                 "verify_complex_structure"),
-    "cliffordlab": ("model_L", "kernel_and_parity", "spectrum_scaling",
-                    "eta_scaling"),
-    "modelio": ("load_model", "load_census", "load_matrix_rows"),
-    "suite": ("harmonic_dimensions", "skew_kernel_parity"),
+    "qlinalg": "SparseMat rref rank kernel_basis",
+    "complexes": "GradedComplex OmegaMap BettiVector cone betti "
+                 "euler_characteristic semi_characteristic",
+    "models": "CDGAModel Element multiplication_matrix check_symplectic",
+    "builders": "ce_complex tensor_product builtin",
+    "census": "Zero ZeroCensus counting_check euler_cross_check load_census",
+    "clifford": "verify_car verify_volume_star verify_volume_omega "
+                "verify_complex_structure",
+    "cliffordlab": "model_L kernel_and_parity spectrum_scaling eta_scaling",
+    "modelio": "load_model", "matrixio": "load_matrix_rows",
+    "suite": "harmonic_dimensions skew_kernel_parity",
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
-              for name in names}
+              for name in names.split()}
 
 __all__ = list(_MODULE_OF)
 

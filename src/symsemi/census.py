@@ -1,17 +1,24 @@
-"""Mod-2 bookkeeping for censuses of vector-field zeros.
+"""The ``verify`` subcommand, and mod-2 bookkeeping for censuses of
+vector-field zeros.
 
 A census records the zeros of a vector field (labels plus the sign of the
 Jacobian determinant at each zero) or the fact that the field never
 vanishes.  ``counting_check`` compares the semi-characteristic with the
 number of zeros mod 2; ``euler_cross_check`` compares the signed count with
-an Euler characteristic.  ``load_census`` reads a census file.
+an Euler characteristic.  ``load_census`` reads a census file, and
+``cmd_verify`` runs all three on a model; only ``verify`` and the suite
+import this module.
 """
 
 from __future__ import annotations
 
+import sys
+from time import perf_counter
+
 from .errors import InputError
 from .matrixio import FormatError, _read_object
 from .record import Record
+from .report import Report, emit, stable_json
 
 
 class MissingSigns(InputError):
@@ -136,3 +143,94 @@ def load_census(spec: str) -> ZeroCensus:
         return ZeroCensus(source, nonvanishing, tuple(zeros))
     except ValueError as exc:
         raise FormatError(f"{spec}: {exc}") from None
+
+
+class VerifyReport(Report):
+    __slots__ = ("model", "semi_characteristic",
+                 "manifold_euler_characteristic", "census", "counting",
+                 "euler_cross_check", "warnings", "elapsed")
+    kind = "verify"
+
+    @property
+    def passed(self) -> bool:
+        return (self.counting["status"] != "fail"
+                and self.euler_cross_check.get("passed", True))
+
+    def to_json(self) -> str:
+        return stable_json(self.to_payload())
+
+    def to_text(self) -> str:
+        m = self.model
+        c = self.census
+        zeros = ("nonvanishing field" if c["nonvanishing"]
+                 else f"{c['zero_count']} zeros")
+        count = self.counting
+        lines = [
+            f"model                {m['source']} "
+            f"({m['kind']}, manifold dim {m['manifold_dim']})",
+            f"semi-characteristic  k = {self.semi_characteristic}",
+            f"census               {c['source'] or '(unnamed)'}: {zeros}",
+            f"counting check       {count['status']}"
+            + (f" ({count['detail']})" if count["detail"] else ""),
+        ]
+        e = self.euler_cross_check
+        if "skipped" in e:
+            lines.append(f"euler cross-check    skipped: {e['skipped']}")
+        else:
+            lines.append(
+                f"euler cross-check    {'pass' if e['passed'] else 'fail'} "
+                f"(signed sum {e['signed_sum']}, "
+                f"chi = {e['expected']})")
+        lines += [f"warning              {w}" for w in self.warnings]
+        lines.append(f"elapsed              {self.elapsed:.3f} s")
+        return "\n".join(lines) + "\n"
+
+
+def cmd_verify(args) -> int:
+    from .complexes import (betti, cone, euler_characteristic,
+                            semi_characteristic)
+    from .modelio import load_model
+
+    start = perf_counter()
+    loaded = load_model(args.model)
+    census = load_census(args.census)
+    loaded.symplectic_gate()
+    cn = cone(loaded.complex, loaded.omega_map)
+    k = semi_characteristic(betti(cn))
+    # By rank-nullity the alternating sum of the dimensions is that of the
+    # Betti numbers, so the model's own ranks are never taken.
+    manifold_chi = euler_characteristic(loaded.complex.dims)
+    verdict = counting_check(k, census, loaded.manifold_dim)
+    warnings = []
+    try:
+        euler = euler_cross_check(census, manifold_chi)
+        euler_dict = {"passed": euler.passed,
+                      "signed_sum": euler.signed_sum,
+                      "expected": euler.expected,
+                      "detail": euler.detail}
+    except MissingSigns as exc:
+        euler_dict = {"skipped": str(exc)}
+    if verdict.status == "not_applicable":
+        warnings.append("counting statement not applicable: "
+                        + verdict.detail)
+    report = VerifyReport(
+        model=loaded.identity(),
+        semi_characteristic=k,
+        manifold_euler_characteristic=manifold_chi,
+        census={"source": census.source,
+                "nonvanishing": census.nonvanishing,
+                "zero_count": census.count(),
+                "signs": [z.det_sign for z in census.zeros]},
+        counting={"status": verdict.status,
+                  "semi_characteristic": verdict.semi_characteristic,
+                  "zero_count": verdict.zero_count,
+                  "parity_match": verdict.parity_match,
+                  "detail": verdict.detail},
+        euler_cross_check=euler_dict,
+        warnings=tuple(warnings),
+        elapsed=perf_counter() - start,
+    )
+    emit(report, args)
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return 0 if report.passed else 1

@@ -4,9 +4,9 @@
 One table, ``COMMANDS``, lists each subcommand's handler, positionals and
 options; one loop parses argv against it, and the help comes from it.  An
 option is ``--name value`` or ``--name=value``; names match exactly, and a
-value is taken verbatim even when it starts with ``-``.  Each handler
-lives in a module that only its subcommand imports, so ``--help``
-compiles no engine code.  The arithmetic mode comes from ``--mode`` alone.
+value is taken verbatim even when it starts with ``-``.  Every handler
+lives in a module that only its subcommand, or ``suite``, imports, so
+``--help`` compiles no engine code.  ``--mode`` alone sets the arithmetic.
 
 Exit codes: 0 success or help, 1 assertion, invariant or verdict failure
 (never a traceback), 2 invalid input: a usage error (``error: ...`` and
@@ -39,7 +39,7 @@ COMMANDS = {
                   "cone parameter: pair degrees k and k-2p-1"),
                  ("allow-degenerate", "flag", False, False,
                   "skip the nondegeneracy requirement")) + _OUTPUT),
-    "verify": ("cone_jobs", "cmd_verify",
+    "verify": ("census", "cmd_verify",
                "check the mod-2 zero count against a census", (_MODEL,),
                (("census", str, None, True, "census JSON file"),) + _OUTPUT),
     "clifford": ("clifford", "cmd_clifford", "algebraic identity checks", (),

@@ -5,8 +5,8 @@ the basis conventions) to forms held as sparse vectors, and L2 below by
 its Clifford formula: L2 is applied, never built.  What an exact
 ``oscillator`` job does not run lives elsewhere: the float eigen-solve
 in ``jacobi``, the sector matrices and random model matrices in
-``sectors``.  Those names, and the ``verify_*`` checks of ``clifford``
-that the benchmark's layer spans look up here, resolve on first access.
+``sectors``.  Of their names and ``clifford``'s, only the five that the
+benchmark reads here resolve here, on first access.
 
 The oscillator model replaces the deformed de Rham operator by polynomial
 coefficients times constant forms.  Conjugated by the Gaussian ground state
@@ -565,12 +565,8 @@ def _c1_squared_on_factors(f: Factors):
     return total / 16
 
 
-# Names defined elsewhere, resolved here on first access.
-_MOVED = {"_jacobi_eigh": "jacobi", "TruncationTooSmall": "sectors",
-          "_tensor_form": "sectors", "sector_matrix_L": "sectors",
-          "sector_matrix_D": "sectors",
-          "random_rational_orthogonal": "sectors",
-          "random_model_matrix": "sectors", "verify_car": "clifford",
+# The names of other modules that the benchmark reads here.
+_MOVED = {"random_rational_orthogonal": "sectors", "verify_car": "clifford",
           "verify_volume_star": "clifford", "verify_volume_omega": "clifford",
           "verify_complex_structure": "clifford"}
 

@@ -6,9 +6,9 @@ rationals, given degreewise by dimensions and differential matrices.  An
 intended models).  ``cone`` glues the two into the mapping cone whose Betti
 numbers feed the semi-characteristic.
 
-Bases are declared orthonormal, so adjoints are plain transposes and the
-degreewise Laplacian kernels compute cohomology exactly (finite Hodge theory
-over an ordered field).
+Betti numbers come from exact ranks (``betti``).  With the bases declared
+orthonormal, the cone Laplacian's kernels also equal cohomology; they serve
+only as the cross-check of suite criterion 9 (``harmonic_dimensions``).
 """
 
 from __future__ import annotations

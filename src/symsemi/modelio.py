@@ -13,7 +13,9 @@ Two model schemas are supported, both JSON:
 Rational values are read by ``matrixio``, which also reads the matrix row
 files of ``oscillator``.  The five named example models are addressed as
 ``builtin:<name>`` instead of a file path.  Each model loader imports the
-CDGA and cone modules it builds on.
+CDGA and cone modules it builds on.  ``LoadedModel.symplectic_gate``
+admits a model to ``compute`` or ``verify``.  Other modules' names
+resolve here only where the benchmark reads them.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-# The matrix reader's names stay importable from here; the benchmark's
-# layer spans wrap load_matrix_rows on this module.
+# The benchmark reads format_rational, and wraps load_matrix_rows, here.
 from .matrixio import (FormatError, _is_int, _located_rational,  # noqa: F401
-                       _read_object, format_rational, load_matrix_rows,
-                       parse_rational)
+                       _read_object, format_rational, load_matrix_rows)
 from .qlinalg import SparseMat
 from .record import Record
 
@@ -112,6 +112,16 @@ class LoadedModel(Record):
         detail = f"omega^{half} kills the degree-0 class" if degenerate \
             else ""
         return SymplecticVerdict(True, not degenerate, True, detail)
+
+    def symplectic_gate(self, allow_degenerate=False) -> SymplecticVerdict:
+        """The symplectic verdict; InputError unless it passed or only
+        nondegeneracy failed and ``allow_degenerate`` waives that."""
+        verdict = self.symplectic_verdict()
+        if verdict.passed or (allow_degenerate and verdict.closed
+                              and verdict.degree_ok):
+            return verdict
+        extra = f": {verdict.detail}" if verdict.detail else ""
+        raise InputError(f"symplectic check failed for {self.source}{extra}")
 
     def omega_terms(self) -> list | None:
         return None if self.omega is None else element_terms(self.omega)
@@ -216,8 +226,8 @@ def load_model(spec: str) -> LoadedModel:
 
 
 def __getattr__(name: str):
-    """``load_census``, which lives with the census records it makes, on
-    first access: a ``compute`` job never loads ``census``."""
+    """``census.load_census`` on first access, for the benchmark's layer
+    spans, which wrap it here: a ``compute`` job never loads ``census``."""
     if name != "load_census":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .census import load_census

@@ -6,7 +6,7 @@ sorted generator tuples; odd generators square to zero, and even
 generators are capped at a finite power (quotient semantics: Λ(x)/(x^3) is
 CP^2 with ``power_cap=2``).  Chevalley-Eilenberg models, the builtin
 examples, random models and tensor products are built in ``builders``;
-this module re-exports them on first access.
+the two random builders the benchmark reads here resolve on first access.
 
 One kernel multiplies monomials: ``CDGAModel._merge`` merges two sorted
 monomials and takes the Koszul sign from the odd generators that cross.
@@ -134,13 +134,10 @@ class CDGAModel:
     ``CDGAModel([("x", 2)], None, 4, power_cap=2)`` is H*(CP^2).
     """
 
-    def __init__(self, generators: Sequence[tuple[str, int] | Generator],
+    def __init__(self, generators: Sequence[tuple[str, int]],
                  differential: Mapping[str, Sequence] | None,
                  manifold_dim: int, power_cap: int | None = None):
-        gens = []
-        for g in generators:
-            gens.append(g if isinstance(g, Generator) else Generator(*g))
-        self.generators: tuple[Generator, ...] = tuple(gens)
+        self.generators = tuple(Generator(*g) for g in generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
@@ -167,7 +164,7 @@ class CDGAModel:
             for name, terms in differential.items():
                 if name not in self.index:
                     raise UnknownName(f"unknown generator {name!r}")
-                elt = terms if isinstance(terms, Element) else self.form(terms)
+                elt = self.form(terms)
                 gi = self.index[name]
                 want = self.generators[gi].degree + 1
                 if not elt.is_zero() and elt.degree() != want:
@@ -475,13 +472,12 @@ def model_cone_inputs(model: CDGAModel, w: Element | None = None
     return model.complex(), multiplication_matrix(model, w)
 
 
-_BUILDERS = ("ce_complex", "random_nilpotent_ce", "random_closed_two_form",
-             "tensor_product", "builtin", "BUILTIN_NAMES")
+_BUILDERS = ("random_nilpotent_ce", "random_closed_two_form")
 
 
 def __getattr__(name: str):
-    """The names of ``builders``, imported on first access, as the package
-    exports its names."""
+    """The names of ``builders`` that the benchmark reads here, imported on
+    first access."""
     if name not in _BUILDERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import builders

@@ -6,9 +6,9 @@ byte-identical bytes in exact mode), ``to_text`` yields a human-readable
 table that additionally carries the elapsed time.  A report's fields are
 named after its JSON keys: the document is ``{"report": kind}`` plus every
 field except ``elapsed``, leaving out fields that are None.  Each report
-class lives beside the handler of its subcommand (``cone_jobs``,
-``clifford``, ``oscillator_job``), which alone compiles it; this module
-re-exports them on first access.
+class lives beside its subcommand's handler, which alone compiles it:
+``_REPORTS`` names that module, and resolves the four classes here on
+first access for the benchmark's layer spans.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ class Report(Record):
         return payload
 
 
-_REPORTS = {"ComputeReport": "cone_jobs", "VerifyReport": "cone_jobs",
-            "CliffordReport": "clifford", "OscillatorReport": "oscillator_job",
-            "spectrum_table": "oscillator_job"}
+_REPORTS = {"ComputeReport": "cone_jobs", "VerifyReport": "census",
+            "CliffordReport": "clifford", "OscillatorReport": "oscillator_job"}
 
 
 def __getattr__(name: str):

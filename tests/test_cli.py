@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import builtins
-import hashlib
 import json
 import math
 import os
@@ -13,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from symsemi import cliffordlab
+import make_golden
+from symsemi import cliffordlab, sectors
 from symsemi.cli import main
 from symsemi.qlinalg import SparseMat
 
@@ -255,48 +255,18 @@ def test_oscillator_takes_no_coupling(capsys):
     assert "Traceback" not in err
 
 
-# sha256 of `symsemi oscillator --matrix samples/<name>.txt --mode float
-# --format json` run from the repository root.  The float path adds its
-# floats left to right, so these hold whatever order a Python version's
-# sum() adds in.
-_FLOAT_REPORT_SHA256 = {
-    "matrix_diag_1234": "2d36fccf2749b1056d4c5c6e867a8649"
-                        "50a68cf16b55868f74c49dbf9252c97e",
-    "matrix_diag_8": "83ab8602e0d1af5be3b8a5df549ae499"
-                     "acbf8ff21efe0058b6a5c46a38c8375a",
-    "matrix_random_8": "7263b3922d247a61e5fbc2dc35ca9e82"
-                       "3da0813e152932c17b28a69eb350b257",
-    "matrix_rational_svd_4": "72caaf5997c643ee8e9737d2f01cd209"
-                             "bd2a407bab811ecda93c2b2fc1efed0a",
-    "matrix_rotated_4": "9ca6386b52ce57e8affc5945dcc7de40"
-                        "d404bd5c607bb39ba9986c3bc5d7351a",
-    "matrix_shear_4": "ee7d07353508f8ebe37754a283e2793e"
-                      "59eb5eeb13c406a0fa024475fead1341",
-}
+# The float oscillator runs of tests/golden.json that take well under a
+# second each.
+_FLOAT_SAMPLES = ("matrix_diag_1234", "matrix_diag_8", "matrix_random_8",
+                  "matrix_rational_svd_4", "matrix_rotated_4",
+                  "matrix_shear_4")
 
 
-def _float_report_sha256(name, capsys, monkeypatch):
-    monkeypatch.chdir(SAMPLES.parent)
-    code, out, _ = run(capsys, "oscillator", "--matrix",
-                       f"samples/{name}.txt", "--mode", "float",
-                       "--format", "json")
-    assert code == 0
-    return hashlib.sha256(out.encode()).hexdigest()
-
-
-@pytest.mark.parametrize("name", sorted(_FLOAT_REPORT_SHA256))
-def test_float_oscillator_reports_are_pinned(name, capsys, monkeypatch):
-    # The bench digests pin exact reports only; these pin every float digit.
-    assert _float_report_sha256(name, capsys, monkeypatch) == \
-        _FLOAT_REPORT_SHA256[name]
-
-
-@pytest.mark.parametrize("name", sorted(_FLOAT_REPORT_SHA256))
-def test_float_reports_do_not_depend_on_how_sum_adds(name, capsys,
-                                                     monkeypatch):
+@pytest.mark.parametrize("name", _FLOAT_SAMPLES)
+def test_float_reports_do_not_depend_on_how_sum_adds(name, monkeypatch):
     # Python 3.12 made sum() of floats compensated.  With a sum() as exact
-    # as math.fsum on float input, every float report keeps its bytes:
-    # no float on its path goes through sum().
+    # as math.fsum on float input, every float report keeps the bytes that
+    # tests/golden.json pins: no float on its path goes through sum().
     builtin_sum = builtins.sum
 
     def fsum_on_floats(items, start=0):
@@ -306,34 +276,11 @@ def test_float_reports_do_not_depend_on_how_sum_adds(name, capsys,
             return math.fsum(items) + start
         return builtin_sum(items, start)
 
+    argv = ("oscillator", "--matrix", f"samples/{name}.txt", "--degree-cap",
+            "2", "--mode", "float", "--format", "json")
+    golden = json.loads(make_golden.GOLDEN.read_text())[" ".join(argv)]
     monkeypatch.setattr(builtins, "sum", fsum_on_floats)
-    assert _float_report_sha256(name, capsys, monkeypatch) == \
-        _FLOAT_REPORT_SHA256[name]
-
-
-# `samples/nil10_cdga.json` is bench/workloads.py's
-# cdga_json(*symplectic_nilpotent_model(10, Random(2))), a model whose
-# elimination grows rows of about 2,000 bits unless each pivot is the
-# smallest entry of its column.
-# Betti vectors and sha256 of `symsemi compute samples/nil10_cdga.json
-# --p <p> --format json` run from the repository root.
-_NIL10_REPORTS = {
-    0: ((1, 2, 4, 8, 12, 15, 15, 12, 8, 4, 2, 1),
-        "02892f0faf8fdcbb0d6d557cb33dcad9ad27000afdc1201e4ca58a37657b095d"),
-    1: ((1, 2, 5, 10, 14, 19, 21, 21, 19, 14, 10, 5, 2, 1),
-        "89d1d5745571f49a1b36157e452235496ae7668d149ff2556726f71815626e07"),
-}
-
-
-@pytest.mark.parametrize("p", sorted(_NIL10_REPORTS))
-def test_nil10_reports_are_pinned(p, capsys, monkeypatch):
-    monkeypatch.chdir(SAMPLES.parent)
-    code, out, _ = run(capsys, "compute", "samples/nil10_cdga.json", "--p",
-                       str(p), "--format", "json")
-    betti, digest = _NIL10_REPORTS[p]
-    assert code == 0
-    assert tuple(json.loads(out)["betti"]) == betti
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert make_golden.run_one(argv) == golden
 
 
 def test_oscillator_builds_the_model_once(capsys, monkeypatch):
@@ -363,17 +310,17 @@ def test_oscillator_finds_the_ground_form_once_per_check(capsys,
     # sector operator.
     calls = []
 
-    def counting(name):
-        fn = getattr(cliffordlab, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
-        monkeypatch.setattr(cliffordlab, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_ground_form", "sector_matrix_L", "sector_matrix_D",
-                 "_tensor_form"):
-        counting(name)
+    counting(cliffordlab, "_ground_form")
+    for name in ("sector_matrix_L", "sector_matrix_D", "_tensor_form"):
+        counting(sectors, name)
     for mode in ("exact", "float"):
         calls.clear()
         code, _, _ = run(capsys, "oscillator", "--matrix",

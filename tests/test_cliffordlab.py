@@ -11,26 +11,30 @@ import pytest
 from symsemi import clifford as clf
 from symsemi import cliffordlab as cl
 from symsemi import exterior as ex
+from symsemi import sectors
 from symsemi.errors import CheckFailure
-from symsemi.modelio import load_matrix_rows
+from symsemi.jacobi import _jacobi_eigh
+from symsemi.matrixio import load_matrix_rows
+from symsemi.oscillator_job import spectrum_table
 from symsemi.qlinalg import SparseMat, kernel_basis
-from symsemi.report import spectrum_table
 from symsemi.cliffordlab import (
     MODEL_DIM_LIMIT,
     NoRationalRoot,
     SECTOR_LIMIT,
     Sector,
     Singular,
-    TruncationTooSmall,
     UnexpectedKernel,
     eta_scaling,
     kernel_and_parity,
     model_L,
+    spectrum_scaling,
+)
+from symsemi.sectors import (
+    TruncationTooSmall,
     random_model_matrix,
     random_rational_orthogonal,
     sector_matrix_D,
     sector_matrix_L,
-    spectrum_scaling,
 )
 from symsemi.exterior import BadDimension
 from symsemi.clifford import (
@@ -595,7 +599,7 @@ def test_jacobi_matches_numpy_eigh():
     for n in (4, 8, 4, 8):
         rows = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(n)]
         g = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
-        values, vectors = cl._jacobi_eigh(SparseMat.from_rows(g))
+        values, vectors = _jacobi_eigh(SparseMat.from_rows(g))
         want, _ = np.linalg.eigh(np.array(g))
         assert np.allclose(sorted(values), want, rtol=0, atol=1e-12)
         v = np.array(vectors)
@@ -1154,8 +1158,8 @@ def check_cap1(op):
     tensor 1 + 1 tensor L2) at every T; the cap-0 to cap-1
     ``sector_matrix_D`` at T = 1 is sum_j x_j (chat(A e_j) - c(S e_j)),
     which that builder scales by T, compared entry by entry with a closed
-    form of m^2 weighted generators.  The builders are looked up on ``cl``
-    at each call, so a patched one is what gets checked."""
+    form of m^2 weighted generators.  The builders are looked up on their
+    modules at each call, so a patched one is what gets checked."""
     m, sec = op.m, Sector(op.m, 1)
     # Degree-1 monomials are ordered by exponent tuple, not by variable.
     var = [mono.index(1) for mono in sec.monomials[1:]]
@@ -1176,20 +1180,20 @@ def check_cap1(op):
             perm, sign = per_mask(ex._generator(m, i, a - s, a + s), m)
             want.update((((k << m) + r, c), y)
                         for c, (r, y) in enumerate(zip(perm, sign)) if y)
-    got = cl.sector_matrix_D(op, 0, 1, 1)
+    got = sectors.sector_matrix_D(op, 0, 1, 1)
     if got.shape != ((m + 1) << m, 1 << m) or got.entries != want:
         raise CheckFailure("eta check: the cap-1 D is not "
                            "T sum_j x_j (chat(A e_j) - c(S e_j))")
 
 
 def cap1_mutants():
-    """(name, mutant, message) triples that break the cap-1 sector eta
+    """(module, name, mutant, message) tuples that break the cap-1 sector eta
     relies on.  In ``_sector_parts`` at cap 1: a lap entry, an entry of
     flow off its diagonal (zero there for A = I) and one across degrees.
     In ``sector_matrix_D``: a T^2 term on a degree-1 row and a T-linear
     term on the degree-0 row, both seen at the T = 1 of the check.  The
     exact comparisons of ``check_cap1`` catch each."""
-    parts, build_d = cl._sector_parts, cl.sector_matrix_D
+    parts, build_d = cl._sector_parts, sectors.sector_matrix_D
     wrong_l = (r"eta check: the cap-1 L is not "
                r"T \(flow tensor 1 \+ 1 tensor L2\)")
     wrong_d = r"eta check: the cap-1 D is not T sum_j x_j"
@@ -1201,14 +1205,14 @@ def cap1_mutants():
                 k = len(sec.monomials)
                 pair[part] += SparseMat(k, k, {(r, c): Fraction(1)})
             return tuple(pair)
-        return "_sector_parts", mutant, wrong_l
+        return cl, "_sector_parts", mutant, wrong_l
 
     def bump_d(entry):
         def mutant(op, cap_in, cap_out, t):
             mat = build_d(op, cap_in, cap_out, t)
             r, c, power = entry(1 << op.m)
             return mat + SparseMat(mat.rows, mat.cols, {(r, c): t ** power})
-        return "sector_matrix_D", mutant, wrong_d
+        return sectors, "sector_matrix_D", mutant, wrong_d
 
     return [bump_parts(0, 0, 1), bump_parts(1, 1, 2), bump_parts(1, 0, 1),
             bump_d(lambda n: (n, 0, 2)), bump_d(lambda n: (0, 0, 1))]
@@ -1224,9 +1228,9 @@ def test_eta_homogeneity_is_asserted(mode, monkeypatch):
         op = model_L(random_model_matrix(m, Random(m), sign), mode)
         assert any(r != c for (r, c) in op.sqrt_gram.entries)
         check_cap1(op)
-        for name, mutant, message in cap1_mutants():
+        for module, name, mutant, message in cap1_mutants():
             with monkeypatch.context() as patch:
-                patch.setattr(cl, name, mutant)
+                patch.setattr(module, name, mutant)
                 with pytest.raises(CheckFailure, match=message):
                     check_cap1(op)
 

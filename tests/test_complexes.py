@@ -12,8 +12,9 @@ from symsemi import complexes
 from symsemi.complexes import (BettiVector, ChainMapViolation, GradedComplex,
                                InvalidComplex, OmegaMap, betti, cone,
                                euler_characteristic, semi_characteristic)
-from symsemi.models import (builtin, model_cone_inputs, multiplication_matrix,
-                            random_closed_two_form, random_nilpotent_ce)
+from symsemi.builders import (builtin, random_closed_two_form,
+                              random_nilpotent_ce)
+from symsemi.models import model_cone_inputs, multiplication_matrix
 from symsemi.qlinalg import SparseMat
 from symsemi.suite import harmonic_dimensions
 

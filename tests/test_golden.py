@@ -10,7 +10,8 @@ from contextlib import redirect_stdout
 import make_golden
 # Each report class lives beside its subcommand's handler: importing the
 # handlers' modules defines every subclass of report.Report.
-from symsemi import clifford, cone_jobs, oscillator_job, report  # noqa: F401
+from symsemi import (census, clifford, cone_jobs,  # noqa: F401
+                     oscillator_job, report)
 from symsemi.cli import main
 
 

@@ -15,8 +15,8 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from symsemi.models import (CDGAModel, Element, builtin, random_nilpotent_ce,
-                            tensor_product)
+from symsemi.builders import builtin, random_nilpotent_ce, tensor_product
+from symsemi.models import CDGAModel, Element
 
 from oracles import combination_oracle, product_oracle, sorted_with_sign
 

@@ -8,17 +8,12 @@ from pathlib import Path
 import pytest
 
 from symsemi.complexes import betti, cone, semi_characteristic
-from symsemi.models import (JacobiViolation, ShapeMismatch, builtin,
-                            model_cone_inputs)
-from symsemi.modelio import (
-    FormatError,
-    element_terms,
-    format_rational,
-    load_census,
-    load_matrix_rows,
-    load_model,
-    parse_rational,
-)
+from symsemi.builders import builtin
+from symsemi.census import load_census
+from symsemi.matrixio import (FormatError, format_rational, load_matrix_rows,
+                              parse_rational)
+from symsemi.models import JacobiViolation, ShapeMismatch, model_cone_inputs
+from symsemi.modelio import element_terms, load_model
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 

@@ -14,12 +14,13 @@ import symsemi.models as models_module
 from symsemi.complexes import (ChainMapViolation, InvalidComplex, betti, cone,
                                euler_characteristic, semi_characteristic)
 from symsemi.errors import InputError
+from symsemi.builders import (BUILTIN_NAMES, builtin, ce_complex,
+                              random_closed_two_form, random_nilpotent_ce,
+                              tensor_product)
 from symsemi.models import (BASIS_LIMIT, CDGAModel, Element,
                             JacobiViolation, NotClosed, ShapeMismatch,
-                            UnknownName, builtin, BUILTIN_NAMES, ce_complex,
-                            check_symplectic, model_cone_inputs,
-                            multiplication_matrix, random_closed_two_form,
-                            random_nilpotent_ce, tensor_product)
+                            UnknownName, check_symplectic, model_cone_inputs,
+                            multiplication_matrix)
 from symsemi.qlinalg import SparseMat
 
 from oracles import (basis_oracle, combination_oracle, d_matrix_oracle,

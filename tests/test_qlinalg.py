@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symsemi.complexes import cone
-from symsemi.models import (model_cone_inputs, random_closed_two_form,
-                            random_nilpotent_ce)
+from symsemi.builders import random_closed_two_form, random_nilpotent_ce
+from symsemi.models import model_cone_inputs
 from symsemi import qlinalg
 from symsemi.qlinalg import (SparseMat, _eliminate, det, kernel_basis, rank,
                              rref)
