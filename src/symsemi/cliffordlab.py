@@ -21,21 +21,22 @@ enters only the sector builders ``sectors.sector_matrix_L`` and
 ``sectors.sector_matrix_D``.  With A = sum_k sigma_k u_k v_k^t (``Factors``),
 L2 = tr S + sum_k sigma_k J_k for the commuting involutions
 J_k = c(v_k) chat(u_k), whose joint eigenspaces are lines: the kernel is
-one line, and the spectrum and C1^2 are closed forms in the factors; each
-step is checked, none eliminates, and only L2 and the kernel act on all
-2^m forms.  "exact" mode certifies rational factors and works on integer
-numerators; "float" mode runs the same code on pure-Python Jacobi factors
-with residuals up to ``_FLOAT_CUT`` of each check's scale, and adds floats
-left to right (``_fold``), so its digits do not depend on how a Python
-version's ``sum`` adds.  No numpy.
+one line, and the spectrum, counted as distinct exact sums, and C1^2 are closed
+forms in the factors; each step is checked, none eliminates, and only L2 and
+the kernel act on all 2^m forms.  "exact" mode certifies rational factors and
+works on integer numerators; "float" mode runs the same code on pure-Python
+Jacobi factors with residuals up to ``_FLOAT_CUT`` of each check's scale, and
+adds floats left to right (``_fold``), so its digits do not depend on how a
+Python version's ``sum`` adds.  No numpy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from operator import add, mul
 from sys import byteorder
 from typing import NamedTuple
@@ -64,8 +65,8 @@ class UnexpectedKernel(CheckFailure):
 # entries, and the ground form takes m projectors on forms of up to 2^m
 # entries: under a second for a random 12 x 12 A.
 MODEL_DIM_LIMIT = 12
-# The largest sector, in forms: C(m + cap, m) 2^m of them, one float each
-# in ``_block_spectrum``.
+# The largest sector, in forms: C(m + cap, m) 2^m of them, which bounds
+# the distinct sums that ``_block_spectrum`` counts.
 SECTOR_LIMIT = 1 << 20
 
 # Float mode accepts a residual up to this times the scale of its check.
@@ -276,40 +277,38 @@ class Sector:
         self.mono_index = {t: i for i, t in enumerate(monos)}
 
 
-def _linear_mult_terms(matrix_rows: list[list[Fraction]], i: int,
-                       mono: tuple[int, ...]):
-    """Multiplication by the linear polynomial (M x)_i on one monomial."""
-    for j, coeff in enumerate(matrix_rows[i]):
-        if coeff:
-            out = list(mono)
-            out[j] += 1
-            yield tuple(out), coeff
+def _linear_mult_terms(row, mono: tuple[int, ...]):
+    """Multiplication by the linear polynomial sum_j c x_j, for the
+    sparse (j, c) row, on one monomial."""
+    for j, coeff in row:
+        out = list(mono)
+        out[j] += 1
+        yield tuple(out), coeff
 
 
 def _sector_parts(op: ModelOperator, sec: Sector
                   ) -> tuple[SparseMat, SparseMat]:
     """The coupling-free k x k polynomial factors on the k monomials of
-    ``sec``: lap = -laplacian lowers the degree by exactly 2, flow =
-    2 (Sx).grad keeps it."""
-    s_rows = op.sqrt_gram.to_rows()
+    ``sec``, written from S's numerators: lap = -laplacian lowers the
+    degree by exactly 2, flow = 2 (Sx).grad keeps it."""
+    s_ints, den = op.sqrt_gram._ints
     lap, flow = {}, {}
     for mi, mono in enumerate(sec.monomials):
-        for i in range(op.m):
-            e = mono[i]
+        for i, e in enumerate(mono):
             if e >= 2:
                 # Each variable lowers mono to a different monomial, so
                 # every lap entry is written once.
-                low = list(mono)
-                low[i] -= 2
-                lap[(sec.mono_index[tuple(low)], mi)] = Fraction(-e * (e - 1))
+                low = mono[:i] + (e - 2,) + mono[i + 1:]
+                lap.setdefault(sec.mono_index[low], []).append(
+                    (mi, -e * (e - 1)))
             if e >= 1:
-                down = list(mono)
-                down[i] -= 1
-                for out_mono, c in _linear_mult_terms(s_rows, i, tuple(down)):
-                    key = (sec.mono_index[out_mono], mi)
-                    flow[key] = flow.get(key, 0) + 2 * e * c
+                down = mono[:i] + (e - 1,) + mono[i + 1:]
+                for out_mono, c in _linear_mult_terms(s_ints.get(i, ()), down):
+                    row = flow.setdefault(sec.mono_index[out_mono], {})
+                    row[mi] = row.get(mi, 0) + 2 * e * c
     k = len(sec.monomials)
-    return SparseMat(k, k, lap), SparseMat(k, k, flow)
+    return SparseMat._from_ints(k, k, lap, 1), SparseMat._from_ints(
+        k, k, {r: row.items() for r, row in flow.items()}, den)
 
 
 # -- forms as sparse vectors ---------------------------------------------
@@ -438,62 +437,64 @@ def spectrum_scaling(op: ModelOperator, cap: int = 2) -> SpectrumVerdict:
     L_hat / T = P_T tensor 1 + 1 tensor L2, P_T = flow + lap / T exact, is
     block upper-triangular by degree (a failure names the monomials), and
     its diagonal blocks are those of flow alone, as lap has no entry in
-    one (max_deviation: the largest such entry).  The spectrum is the
-    closed form ``_block_spectrum``, tied to flow by ``_trace_guard`` and
-    to L2 by the checks of ``ModelOperator``."""
+    one (max_deviation: the largest such entry), read on numerators.  The
+    spectrum is the closed form ``_block_spectrum``, tied to flow by
+    ``_trace_guard`` and to L2 by ``ModelOperator``; as every sigma_k > 0,
+    the gap is its least positive value."""
     if cap < 2:
         raise ValueError("cap must be >= 2 for the scaling check")
     sec = Sector(op.m, cap)
-    lap, flow = (part.entries for part in _sector_parts(op, sec))
+    lap, flow = _sector_parts(op, sec)
     degree = [sum(mono) for mono in sec.monomials]
     bad = next((f"monomial entry ({r},{c}) maps degree {degree[c]} to "
                 f"{degree[r]}"
-                for part in (lap, flow) for (r, c) in part
-                if degree[r] not in (degree[c], degree[c] - 2)), "")
+                for part in (lap, flow) for r, row in part._ints[0].items()
+                for c, _ in row if degree[c] - degree[r] not in (0, 2)), "")
     structure_ok = not bad
     # flow is the same for every T, so a diagonal block of P_T changes
     # with T exactly where lap has an entry inside it.
-    leak = max((abs(v) for (r, c), v in lap.items()
-                if degree[r] == degree[c]), default=Fraction(0))
+    leak = max((abs(v) for r, row in lap._ints[0].items() for c, v in row
+                if degree[r] == degree[c]), default=0)
     blocks_match = not leak
     _trace_guard(op, flow, degree)
     spectrum = _block_spectrum(op, cap)
     passed = structure_ok and blocks_match
     detail = bad or ("" if blocks_match else "diagonal blocks differ across T")
-    gap = min((x for x in spectrum if abs(x) > 1e-8), default=0.0)
+    gap = next((x for x, _ in spectrum if x > 0), 0.0)
     return SpectrumVerdict(passed, op.mode, cap, structure_ok, blocks_match,
-                           float(leak), spectrum, gap, detail)
+                           leak / lap._ints[1], spectrum, gap, detail)
 
 
-def _block_spectrum(op: ModelOperator, cap: int) -> tuple[float, ...]:
-    """Eigenvalues of the blocks P_d tensor 1 + 1 tensor L2, d <= cap,
-    sorted: the sum sets of spec L2 = {2 sum_(k in I) sigma_k} (the joint
-    eigenspaces of ``ModelOperator``) and spec P_d = {2 alpha.sigma :
-    |alpha| = d} (flow is the derivation of 2S).  The sums are exact over
-    one denominator (floats as binary rationals), rounded once each."""
+def _block_spectrum(op: ModelOperator, cap: int) -> tuple[tuple, ...]:
+    """Eigenvalues of the blocks P_d tensor 1 + 1 tensor L2, d <= cap, as
+    ascending (value, multiplicity) pairs: the counts of spec P_d =
+    {2 alpha.sigma : |alpha| = d} (flow is the derivation of 2S) and of
+    spec L2 = {2 sum_(k in I) sigma_k} (the joint eigenspaces of
+    ``ModelOperator``), convolved.  The sums are exact over one denominator
+    (floats as binary rationals), rounded once per distinct sum."""
     sigma = [Fraction(x) for x in op.factors.sigma]
     den = math.lcm(*(x.denominator for x in sigma))
     twice = [2 * x.numerator * (den // x.denominator) for x in sigma]
-    form = [0]
-    for t in twice:
-        form += [f + t for f in form]
-    out = sorted(p + f for d in range(cap + 1)
-                 for p in map(sum, combinations_with_replacement(twice, d))
-                 for f in form)
-    return tuple(n / den for n in out)
+    form = Counter(sum(c) for d in range(len(twice) + 1)
+                   for c in combinations(twice, d))
+    poly = Counter(sum(c) for d in range(cap + 1)
+                   for c in combinations_with_replacement(twice, d))
+    out = Counter()
+    for p, j in poly.items():
+        out.update({p + f: j * k for f, k in form.items()})
+    return tuple((n / den, k) for n, k in sorted(out.items()))
 
 
-def _trace_guard(op: ModelOperator, flow: dict, degree: list[int]):
-    """Tie ``_block_spectrum`` to the entries of flow by exact traces:
+def _trace_guard(op: ModelOperator, flow: SparseMat, degree: list[int]):
+    """Tie ``_block_spectrum`` to the numerators of flow by exact traces:
     tr P_d = 2d C(m + d - 1, d) tr S / m for the degree-d diagonal block
     P_d of flow (``degree``: each monomial's degree, ascending); else
     CheckFailure.  ``ModelOperator`` ties L2 to the same factors."""
     tr_s = op.trace_sqrt()
-    poly = [Fraction(0)] * (degree[-1] + 1)
-    for (r, c), v in flow.items():
-        if r == c:
-            poly[degree[r]] += v
-    for d, got in enumerate(poly):
+    poly = [0] * (degree[-1] + 1)
+    for r, row in flow._ints[0].items():
+        poly[degree[r]] += sum(v for c, v in row if c == r)
+    for d, got in enumerate(Fraction(n, flow._ints[1]) for n in poly):
         want = 2 * d * math.comb(op.m + d - 1, d) * tr_s / op.m
         if got != want:
             raise CheckFailure(f"spectrum trace guard: tr P_{d} = {got}, "

@@ -134,9 +134,7 @@ class OmegaMap:
         return SparseMat.zeros(self.source.dim(k + 2), self.source.dim(k))
 
     def power_map(self, k: int, power: int) -> SparseMat:
-        """Composite L^power starting at degree k (degree k -> k + 2*power)."""
-        if power == 0:
-            return SparseMat.identity(self.source.dim(k))
+        """Composite L^power, power >= 1, from degree k to k + 2*power."""
         out = self.map(k)
         for step in range(1, power):
             out = self.map(k + 2 * step) @ out
@@ -163,8 +161,7 @@ def cone(c: GradedComplex, w: OmegaMap, p: int = 0) -> GradedComplex:
     shift = 2 * p + 1
     top2 = c.top + shift
     dims2 = [c.dim(k) + c.dim(k - shift) for k in range(top2 + 1)]
-    corners = [w.map(k - shift) if p == 0 else w.power_map(k - shift, p + 1)
-               for k in range(top2)]
+    corners = [w.power_map(k - shift, p + 1) for k in range(top2)]
     diffs = []
     for k in range(top2):
         j = k - shift

@@ -12,12 +12,13 @@ from .errors import InputError
 from .report import Report, _flag, emit, stable_json
 
 
-def spectrum_table(values) -> list[tuple[float, int]]:
-    """Distinct spectrum values (rounded) with multiplicities, ascending."""
+def spectrum_table(pairs) -> list[tuple[float, int]]:
+    """Distinct spectrum values (rounded) with multiplicities, ascending,
+    from (value, multiplicity) pairs: pairs that round alike add up."""
     counts: dict[float, int] = {}
-    for v in values:
+    for v, mult in pairs:
         key = round(float(v), 9) + 0.0   # collapse -0.0
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + mult
     return sorted(counts.items())
 
 

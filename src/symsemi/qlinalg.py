@@ -106,10 +106,6 @@ class SparseMat:
     def zeros(cls, rows: int, cols: int) -> "SparseMat":
         return cls(rows, cols)
 
-    @classmethod
-    def column(cls, data: Sequence[object]) -> "SparseMat":
-        return cls.from_rows([[v] for v in data], cols=1)
-
     # -- reading ---------------------------------------------------------
 
     @property

@@ -47,12 +47,13 @@ def sector_matrix_L(op: ModelOperator, cap: int, T) -> SparseMat:
     cap 0 the result is T L2."""
     lap, flow = _sector_parts(op, Sector(op.m, cap))
     n = 1 << op.m
-    l2: dict[tuple[int, int], Fraction] = {}
+    l2: dict[int, list[tuple[int, int]]] = {}
     for s in range(n):
-        image, den = _l2_apply(op, {s: 1})
-        l2.update(((t, s), Fraction(x, den)) for t, x in image.items())
-    return _tensor_form(lap + flow.scale(T), SparseMat(n, n, l2).scale(T),
-                        op.m)
+        image, den = _l2_apply(op, {s: 1})   # one den for every column
+        for t, x in image.items():
+            l2.setdefault(t, []).append((s, x))
+    return _tensor_form(lap + flow.scale(T),
+                        SparseMat._from_ints(n, n, l2, den).scale(T), op.m)
 
 
 def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
@@ -64,10 +65,10 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
     T = Fraction(T)
     # Every coefficient as an integer numerator over den: mono[i] of
     # d/dx_i, and the rows of -T S and T A.
-    den = T.denominator * lcm(op.sqrt_gram._ints[1], op.a._ints[1])
-    s_rows, a_rows = ([[int(T * x * den) for x in row]
-                       for row in mat.to_rows()]
-                      for mat in (-op.sqrt_gram, op.a))
+    parts = op.sqrt_gram.scale(-T)._ints, op.a.scale(T)._ints
+    den = lcm(*(d for _, d in parts))
+    s_rows, a_rows = ({i: [(j, v * (den // d)) for j, v in row]
+                       for i, row in ints.items()} for ints, d in parts)
     cs, chats = _clifford_gens(op.m)
     acc: dict[int, dict[int, int]] = {}
 
@@ -93,9 +94,9 @@ def sector_matrix_D(op: ModelOperator, cap_in: int, cap_out: int, T
                 down = list(mono)
                 down[i] -= 1
                 add_block(tuple(down), base, mono[i] * den, cs[i])
-            for out_mono, c in _linear_mult_terms(s_rows, i, mono):
+            for out_mono, c in _linear_mult_terms(s_rows.get(i, ()), mono):
                 add_block(out_mono, base, c, cs[i])
-            for out_mono, c in _linear_mult_terms(a_rows, i, mono):
+            for out_mono, c in _linear_mult_terms(a_rows.get(i, ()), mono):
                 add_block(out_mono, base, c, chats[i])
     return SparseMat._from_ints(sec_out.size, sec_in.size,
                                 {i: row.items() for i, row in acc.items()},

@@ -439,6 +439,22 @@ def test_oscillator_trace_guard_exits_one(attr, mutant, message, capsys,
     assert err == f"assertion failure: spectrum trace guard: {message}\n"
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_oscillator_gap_is_the_least_positive_eigenvalue(mode, capsys,
+                                                         tmp_path):
+    # Every singular value is checked positive, so the one zero of the
+    # spectrum is the ground state and the gap is the next value, however
+    # small: here 2/10^9, from sigma = 1/10^9.
+    path = tmp_path / "small_sigma.txt"
+    path.write_text("1/1000000000 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, out, _ = run(capsys, "oscillator", "--matrix", str(path),
+                       "--mode", mode, "--format", "json")
+    assert code == 0
+    spectrum = json.loads(out)["spectrum"]
+    assert spectrum["table"][:2] == [[0.0, 1], [2e-09, 2]]
+    assert spectrum["gap"] == 2e-09
+
+
 def test_internal_invariant_breach_exits_one(capsys, monkeypatch):
     def broken_cone(*args, **kwargs):
         raise RuntimeError("cone differential does not square to zero")

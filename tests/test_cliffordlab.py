@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symsemi import clifford as clf
 from symsemi import cliffordlab as cl
@@ -678,6 +680,12 @@ def test_a_stored_ground_form_outside_the_kernel_is_refused(mode):
 # -- spectrum and eta scaling --------------------------------------------
 
 
+def flat(spectrum):
+    """The (value, multiplicity) pairs of a spectrum as the ascending
+    tuple of its eigenvalues, each repeated by its multiplicity."""
+    return tuple(v for v, mult in spectrum for _ in range(mult))
+
+
 def test_spectrum_scaling_identity_matrix():
     verdict = spectrum_scaling(model_L(EYE4, "exact"), cap=2)
     assert verdict.passed
@@ -685,7 +693,58 @@ def test_spectrum_scaling_identity_matrix():
     assert verdict.structure_ok and verdict.blocks_match
     assert verdict.max_deviation == 0.0
     assert verdict.gap == 2.0
-    assert verdict.spectrum[0] == 0.0
+    assert flat(verdict.spectrum)[0] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_spectrum_scaling_reads_only_numerators(mode, monkeypatch):
+    # The structure, leak and trace checks read the sector parts' integer
+    # numerators: no fraction view of a matrix is built during the call.
+    op = model_L(random_model_matrix(4, Random(7), -1), mode)
+    want = spectrum_scaling(op, cap=3)
+
+    def refuse(*args):
+        raise AssertionError("spectrum_scaling read a fraction view")
+
+    monkeypatch.setattr(SparseMat, "entries", property(refuse))
+    monkeypatch.setattr(SparseMat, "to_rows", refuse)
+    assert spectrum_scaling(op, cap=3) == want
+
+
+def reference_block_spectrum(op, cap):
+    """Every eigenvalue of the degree <= cap blocks, sorted, one per
+    (monomial, subset) pair: 2 alpha.sigma + 2 sum_(k in I) sigma_k, each
+    a numerator over one denominator, divided once."""
+    sigma = [Fraction(x) for x in op.factors.sigma]
+    den = math.lcm(*(x.denominator for x in sigma))
+    twice = [int(2 * x * den) for x in sigma]
+    form = [0]
+    for t in twice:
+        form += [f + t for f in form]
+    return tuple(n / den for n in sorted(
+        sum(c) + f for d in range(cap + 1)
+        for c in combinations_with_replacement(twice, d) for f in form))
+
+
+@settings(max_examples=15, deadline=None)
+@given(m=st.sampled_from([4, 8]), cap=st.integers(2, 4),
+       mode=st.sampled_from(["exact", "float"]), seed=st.integers(0, 99),
+       values=st.lists(st.sampled_from([Fraction(1, 2), 1, 2, 3]),
+                       min_size=8, max_size=8))
+@example(m=4, cap=2, mode="exact", seed=0, values=[1] * 8)
+@example(m=4, cap=4, mode="float", seed=0, values=[1, 1, 2, 2] * 2)
+@example(m=8, cap=3, mode="exact", seed=1, values=[1] * 8)
+def test_block_spectrum_counts_every_eigenvalue(m, cap, mode, seed, values):
+    # A = Q diag(values) has the values as singular values, repeated ones
+    # included; the pairs are ascending and distinct, their multiplicities
+    # add to the sector's size, and expanded they are the sorted sums.
+    q = random_rational_orthogonal(m, Random(seed))
+    op = model_L(q @ SparseMat(m, m, {(i, i): values[i] for i in range(m)}),
+                 mode)
+    pairs = cl._block_spectrum(op, cap)
+    assert all(x < y for (x, _), (y, _) in zip(pairs, pairs[1:]))
+    assert sum(mult for _, mult in pairs) == Sector(m, cap).size
+    assert flat(pairs) == reference_block_spectrum(op, cap)
 
 
 def test_spectrum_scaling_degenerate_diagonal():
@@ -795,11 +854,12 @@ def test_factored_spectrum_matches_the_dense_blocks():
                            for i in range(8)], "exact"), (2,)))
     for op, caps in cases:
         for cap in caps:
-            got = spectrum_scaling(op, cap=cap).spectrum
-            want = dense_block_spectrum(op, cap, 10)
+            pairs = spectrum_scaling(op, cap=cap).spectrum
+            got, want = flat(pairs), dense_block_spectrum(op, cap, 10)
             assert len(got) == len(want) == Sector(op.m, cap).size
             assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-9
-            assert spectrum_table(got) == spectrum_table(want)
+            assert spectrum_table(pairs) == \
+                spectrum_table((v, 1) for v in want)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -835,8 +895,9 @@ def test_spectrum_scaling_in_dimension_eight():
     for op in (model_L(diag, "exact"), model_L(a, "exact")):
         verdict = spectrum_scaling(op, cap=2)
         assert verdict.passed and verdict.mode == "exact"
-        assert len(verdict.spectrum) == Sector(8, 2).size
-        assert sum(abs(x) <= 1e-8 for x in verdict.spectrum) == 1
+        spectrum = flat(verdict.spectrum)
+        assert len(spectrum) == Sector(8, 2).size
+        assert sum(abs(x) <= 1e-8 for x in spectrum) == 1
         s_min = float(np.linalg.eigvalsh(
             np.array(op.sqrt_gram.to_rows(), dtype=float)).min())
         assert abs(verdict.gap - 2 * s_min) <= 1e-9
@@ -878,10 +939,10 @@ def test_float_mode_matches_exact_mode_on_non_diagonal_gram():
         # diagonal blocks are compared exactly too.
         assert approx.structure_ok and approx.blocks_match
         assert approx.max_deviation == 0.0
-        scale = max(abs(x) for x in exact.spectrum)
-        assert len(approx.spectrum) == len(exact.spectrum)
-        assert max(abs(x - y) for x, y in
-                   zip(approx.spectrum, exact.spectrum)) <= 1e-9 * scale
+        got, want = flat(approx.spectrum), flat(exact.spectrum)
+        scale = max(abs(x) for x in want)
+        assert len(got) == len(want)
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-9 * scale
 
 
 def test_eta_source_orthogonal_to_ground_state():
@@ -978,9 +1039,9 @@ def old_definition_c1_squared(op, t, moment):
     n = 1 << op.m
     delta = kernel_basis(l2_matrix(op))
     rhs = sector_matrix_D(op, 0, 1, t) @ (ref_omega_skew(op.m) @ delta)
-    y = SparseMat.column(dense_solve(
+    y = SparseMat.from_rows([[v] for v in dense_solve(
         dense_from_sparse(sector_matrix_L(op, 1, t)),
-        [rhs.get(r, 0) for r in range(rhs.rows)]))
+        [rhs.get(r, 0) for r in range(rhs.rows)])])
     cov = dense_inverse(dense_from_sparse(op.sqrt_gram.scale(2 * t)))
     gram = [[Fraction(str(moment(cov, tuple(x + z for x, z in zip(a, b)))))
              for b in sec.monomials] for a in sec.monomials]
@@ -1276,9 +1337,9 @@ def test_random_8x8_model_passes_in_float_mode(sign):
     exact = spectrum_scaling(exact_op, cap=2)
     approx = spectrum_scaling(float_op, cap=2)
     assert approx.passed and approx.mode == "float"
-    assert len(approx.spectrum) == len(exact.spectrum)
-    assert max(abs(x - y) for x, y in
-               zip(approx.spectrum, exact.spectrum)) <= 1e-9
+    got, want = flat(approx.spectrum), flat(exact.spectrum)
+    assert len(got) == len(want)
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-9
     want = eta_scaling(exact_op).c1_squared
     verdict = eta_scaling(float_op)
     assert verdict.passed and verdict.mode == "float"
@@ -1297,7 +1358,8 @@ def test_random_12x12_sample_passes_exactly():
     assert op.m == MODEL_DIM_LIMIT == 12
     assert kernel_and_parity(op) == 1
     verdict = spectrum_scaling(op, cap=2)
-    assert verdict.passed and len(verdict.spectrum) == Sector(12, 2).size
+    assert verdict.passed
+    assert len(flat(verdict.spectrum)) == Sector(12, 2).size
     assert verdict.gap == 4 / 3
     eta = eta_scaling(op)
     assert eta.passed and eta.c1_squared == Fraction(

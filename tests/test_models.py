@@ -272,11 +272,11 @@ def test_multiplication_matrix_squares_forms():
     model, w = builtin("t4")
     wmap = multiplication_matrix(model, w)
     # omega wedge omega in coordinates equals the power map on the unit
-    unit = SparseMat.column([1])
+    unit = SparseMat.from_rows([[1]])
     via_map = wmap.power_map(0, 2) @ unit
     top = product_oracle(w, w).coeffs
-    assert via_map == SparseMat.column(
-        [top.get(mono, 0) for mono in model.basis(4)])
+    assert via_map == SparseMat.from_rows(
+        [[top.get(mono, 0)] for mono in model.basis(4)])
 
 
 def test_builtin_names_and_unknown():
